@@ -21,12 +21,12 @@ a virtual hub vertex.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .bits import bit, bits, popcount, to_tuple
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError
 from .graphs import Graph
+from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
 from .oracles import is_induced_forest
 
 REJECT = ("reject",)
@@ -488,12 +488,9 @@ def builtin_type_algebra(name, ell=None):
 # The generic DP
 
 
-def _canonical_labels(members):
-    """Vertices of S sorted ascending get labels 1, 2, ..."""
-    return {v: i + 1 for i, v in enumerate(members)}
-
-
-def generic_structured_dp(graph, nice_td, weights, algebra, r, k, state_budget=10**7):
+def generic_structured_dp(
+    graph, nice_td, weights, algebra, r, k, state_budget=DEFAULT_STATE_BUDGET
+):
     """Maximum weight F with the algebra's property and clique number <= r.
 
     k must be at least the decomposition's independence number; states keep at
@@ -516,109 +513,65 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, k, state_budget=1
         labeling = {i: i + 1 for i in range(len(members))}
         return algebra.type_of(BoundariedGraph.make(g, labeling, ell))
 
-    tables = [None] * nice_td.size
-    backptr = [None] * nice_td.size
-    states_seen = 0
+    def introduce(v, state, value):
+        yield state, value
+        s_mask, tau = state
+        new_mask = s_mask | bit(v)
+        # every clique lies inside one bag, so refusing v next to an r-clique
+        # of S keeps each solution's clique number at most r
+        if popcount(new_mask) > ell or _has_clique(graph, s_mask & graph.adj_mask(v), r):
+            return
+        old_members = to_tuple(s_mask)
+        new_members = to_tuple(new_mask)
+        new_label = {u: j + 1 for j, u in enumerate(new_members)}
+        mapping = {j + 1: new_label[u] for j, u in enumerate(old_members)}
+        tau_s = type_of_induced(new_members)
+        glued = algebra.glue(tau_s, algebra.relabel(tau, mapping))
+        yield (new_mask, glued), value + weights[v]
 
-    for i, node in enumerate(nice_td.nodes):
-        table = {}
-        bp = {}
+    def forget(v, state, value):
+        s_mask, tau = state
+        if not s_mask & bit(v):
+            yield state, value
+            return
+        old_members = to_tuple(s_mask)
+        label_v = old_members.index(v) + 1
+        new_mask = s_mask & ~bit(v)
+        new_members = to_tuple(new_mask)
+        mapping = {j + 1: new_members.index(u) + 1 for j, u in enumerate(old_members) if u != v}
+        yield (new_mask, algebra.relabel(algebra.forget(tau, label_v), mapping)), value
 
-        def push(state, value, origin):
-            nonlocal states_seen
-            if state[1] == REJECT:
-                return
-            cur = table.get(state)
-            if cur is None:
-                states_seen += 1
-                if states_seen > state_budget:
-                    raise ResourceLimitError(f"structured DP budget {state_budget} exceeded")
-            if cur is None or value > cur or (value == cur and origin < bp[state]):
-                table[state] = value
-                bp[state] = origin
+    def join(left, right):
+        by_mask = {}
+        for (s_mask, tau), value in left.items():
+            by_mask.setdefault(s_mask, []).append((tau, value))
+        for (s_mask, tau2), value2 in sorted(right.items()):
+            if s_mask not in by_mask:
+                continue
+            ws = weights.of_set(s_mask)
+            for tau1, value1 in by_mask[s_mask]:
+                glued = algebra.glue(tau1, tau2)
+                yield (s_mask, glued), value1 + value2 - ws, ((s_mask, tau1), (s_mask, tau2))
 
-        if node.kind == "leaf":
-            push((0, empty_type), Fraction(0), ())
-        elif node.kind == "introduce":
-            v = node.vertex
-            child = tables[node.children[0]]
-            for (s_mask, tau), value in sorted(child.items()):
-                push((s_mask, tau), value, ((s_mask, tau),))
-                new_mask = s_mask | bit(v)
-                if popcount(new_mask) > ell:
-                    continue
-                old_members = to_tuple(s_mask)
-                new_members = to_tuple(new_mask)
-                new_label = {u: j + 1 for j, u in enumerate(new_members)}
-                mapping = {j + 1: new_label[u] for j, u in enumerate(old_members)}
-                tau_s = type_of_induced(new_members)
-                glued = algebra.glue(tau_s, algebra.relabel(tau, mapping))
-                push((new_mask, glued), value + weights[v], ((s_mask, tau),))
-        elif node.kind == "forget":
-            v = node.vertex
-            child = tables[node.children[0]]
-            for (s_mask, tau), value in sorted(child.items()):
-                if not s_mask & bit(v):
-                    push((s_mask, tau), value, ((s_mask, tau),))
-                    continue
-                old_members = to_tuple(s_mask)
-                label_v = old_members.index(v) + 1
-                new_mask = s_mask & ~bit(v)
-                new_members = to_tuple(new_mask)
-                mapping = {
-                    j + 1: new_members.index(u) + 1 for j, u in enumerate(old_members) if u != v
-                }
-                tau2 = algebra.relabel(algebra.forget(tau, label_v), mapping)
-                push((new_mask, tau2), value, ((s_mask, tau),))
-        else:  # join
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            by_mask = {}
-            for (s_mask, tau), value in left.items():
-                by_mask.setdefault(s_mask, []).append((tau, value))
-            for (s_mask, tau2), value2 in sorted(right.items()):
-                if s_mask not in by_mask:
-                    continue
-                ws = weights.of_set(s_mask)
-                for tau1, value1 in by_mask[s_mask]:
-                    glued = algebra.glue(tau1, tau2)
-                    push(
-                        (s_mask, glued),
-                        value1 + value2 - ws,
-                        ((s_mask, tau1), (s_mask, tau2)),
-                    )
-        tables[i] = table
-        backptr[i] = bp
+    def check(state):
+        if popcount(state[0]) > ell:
+            raise InvariantError("bag intersection exceeds the Ramsey bound")
 
-    root = nice_td.root
+    tables, backptr = run_nice_dp(
+        nice_td, (0, empty_type), introduce, forget, join,
+        keep=lambda i, state: state[1] != REJECT,
+        budget=state_budget,
+        budget_message=f"structured DP budget {state_budget} exceeded",
+    )
     best = None
     best_state = None
-    for (s_mask, tau), value in sorted(tables[root].items()):
+    for (s_mask, tau), value in sorted(tables[nice_td.root].items()):
         if s_mask == 0 and algebra.accepting(tau):
             if best is None or value > best:
                 best, best_state = value, (s_mask, tau)
     if best is None:
         return None
-
-    solution = 0
-    stack = [(root, best_state)]
-    while stack:
-        i, state = stack.pop()
-        node = nice_td.nodes[i]
-        if node.kind == "leaf":
-            continue
-        if popcount(state[0]) > ell:
-            raise InvariantError("bag intersection exceeds the Ramsey bound")
-        origin = backptr[i][state]
-        if node.kind == "introduce":
-            if state[0] & bit(node.vertex):
-                solution |= bit(node.vertex)
-            stack.append((node.children[0], origin[0]))
-        elif node.kind == "forget":
-            stack.append((node.children[0], origin[0]))
-        else:
-            stack.append((node.children[0], origin[0]))
-            stack.append((node.children[1], origin[1]))
+    solution = chosen_vertices(nice_td, backptr, best_state, lambda state: state[0], check)
 
     sub_members = to_tuple(solution)
     index = {v: i for i, v in enumerate(sub_members)}
@@ -628,26 +581,23 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, k, state_budget=1
     induced = Graph(len(sub_members), sub_edges)
     if not algebra.holds(induced):
         raise InvariantError("reconstructed solution violates the property")
-    if _has_clique_above(induced, r):
+    if _has_clique(induced, induced.vertex_mask(), r + 1):
         raise InvariantError(f"reconstructed solution has a clique larger than {r}")
     if weights.of_set(solution) != best:
         raise InvariantError("reconstructed weight differs from the table optimum")
     return best, solution
 
 
-def _has_clique_above(graph, r):
-    """True when some clique has more than r vertices."""
-    found = False
-
-    def rec(clique_size, pool):
-        nonlocal found
-        if found or clique_size > r:
-            found = found or clique_size > r
-            return
-        while pool and not found:
-            v = pool & -pool
-            pool &= ~v
-            rec(clique_size + 1, pool & graph.adj_mask(v.bit_length() - 1))
-
-    rec(0, graph.vertex_mask())
-    return found
+def _has_clique(graph, pool, size):
+    """True when the vertices of ``pool`` contain a clique of ``size`` vertices."""
+    stack = [(0, pool)]
+    while stack:
+        found, cand = stack.pop()
+        if found >= size:
+            return True
+        if found + popcount(cand) < size:
+            continue
+        for v in bits(cand):
+            cand &= ~bit(v)
+            stack.append((found + 1, cand & graph.adj_mask(v)))
+    return False

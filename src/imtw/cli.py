@@ -3,7 +3,8 @@
 Every command prints one JSON report to stdout. Reports are byte-identical
 for identical inputs and seed; wall-clock timing is only included when
 --timing is passed. Exit codes: 0 success, 1 infeasible, 2 input error,
-3 invariant violation, 4 resource cap exceeded.
+3 invariant violation, 4 resource cap exceeded, 5 internal error (an
+unexpected exception; the report still carries its type and message).
 """
 
 import argparse
@@ -11,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -39,6 +39,7 @@ from .graphs import (
     parse_weights,
     serialize_graph,
 )
+from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import exact_width_parameters, recognize_imtw_at_most_1
 from .packing import (
     blob_graph,
@@ -51,31 +52,6 @@ from .packing import (
 )
 from .traces import mwis_dp
 from .verify import SUITES, run_suites
-
-
-@dataclass
-class SolverConfig:
-    """Free parameters shared by the solver commands."""
-
-    k: int = None
-    r: int = None
-    eps: Fraction = None
-    d: int = None
-    family: str = "paper"
-    budget: int = 10**7
-    seed: int = 42
-    max_n: int = 8
-    workers: int = 1
-
-    def validate(self):
-        if self.budget <= 0:
-            raise InputError("budget must be positive")
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise InputError(f"eps must satisfy 0 < eps < 1, got {self.eps}")
-        if self.d is not None and self.d < 2:
-            raise InputError(f"packing distance must be at least 2, got {self.d}")
-        if self.workers < 1:
-            raise InputError("worker count must be positive")
 
 
 def _digest(text):
@@ -361,54 +337,61 @@ def cmd_bench(args, inputs):
     return 0, report, {}
 
 
+# Each flag once: its option strings and argparse settings.
+FLAGS = {
+    "k": (("-k",), {"type": int, "default": None, "help": "matching/independence bound override"}),
+    "r": (("-r",), {"type": int, "default": None, "help": "treewidth or clique bound"}),
+    "eps": (("--eps",), {"type": Fraction, "default": None, "help": "accuracy, e.g. 1/4"}),
+    "d": (("-d",), {"type": int, "default": None, "help": "packing distance"}),
+    "family": (("--family",), {"choices": ("paper", "exhaustive"), "default": "paper"}),
+    "strategy": (("--strategy",), {"choices": ("min-fill", "min-degree"), "default": "min-fill"}),
+    "seed": (("--seed",), {"type": int, "default": 42}),
+    "max_n": (("--max-n",), {"type": int, "default": 8}),
+    "budget": (("--budget",), {"type": int, "default": DEFAULT_STATE_BUDGET}),
+    "output": (("-o", "--output"), {"default": None, "help": "write the artifact to a file"}),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="imtw", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-k", type=int, default=None, help="matching/independence bound override")
-        p.add_argument("-r", type=int, default=None, help="treewidth or clique bound")
-        p.add_argument("--eps", type=Fraction, default=None, help="accuracy, e.g. 1/4")
-        p.add_argument("-d", type=int, default=None, help="packing distance")
-        p.add_argument("--family", choices=("paper", "exhaustive"), default="paper")
-        p.add_argument("--strategy", choices=("min-fill", "min-degree"), default="min-fill")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--max-n", type=int, default=8)
-        p.add_argument("--budget", type=int, default=10**7)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("-o", "--output", default=None, help="write the artifact to a file")
-        p.add_argument("--json", action="store_true", help="accepted for compatibility; output is always JSON")
+    def flags(p, *names):
+        """Attach the named flags, plus --timing, which every command takes."""
+        for name in names:
+            option_strings, settings = FLAGS[name]
+            p.add_argument(*option_strings, **settings)
         p.add_argument("--timing", action="store_true", help="include wall time in the report")
 
     p = sub.add_parser("gen", help="generate a named graph")
     p.add_argument("kind", choices=sorted(GENERATORS))
     p.add_argument("params", nargs="*")
-    common(p)
+    flags(p, "seed", "output")
 
     p = sub.add_parser("decompose", help="heuristic tree decomposition")
     p.add_argument("graph")
-    common(p)
+    flags(p, "strategy", "budget", "output")
 
     p = sub.add_parser("metrics", help="exact alpha and mu of a decomposition")
     p.add_argument("graph")
     p.add_argument("td")
-    common(p)
+    flags(p, "budget")
 
     p = sub.add_parser("exact", help="exact width parameters (small graphs)")
     p.add_argument("graph")
-    common(p)
+    flags(p, "max_n")
 
     solve = sub.add_parser("solve", help="run a solver").add_subparsers(
         dest="problem", required=True
     )
-    for name, needs_family, needs_w in (
-        ("mwis", False, True),
-        ("forest", False, True),
-        ("pack", True, False),
-        ("dpack", True, False),
-        ("ptas", False, False),
-        ("generic", False, True),
+    for name, needs_family, needs_w, extra in (
+        ("mwis", False, True, ()),
+        ("forest", False, True, ("family",)),
+        ("pack", True, False, ()),
+        ("dpack", True, False, ("d",)),
+        ("ptas", False, False, ("r", "eps")),
+        ("generic", False, True, ("r",)),
     ):
         p = solve.add_parser(name)
         p.add_argument("graph")
@@ -419,25 +402,25 @@ def build_parser():
             p.add_argument("-w", "--weights", default=None)
         if name == "generic":
             p.add_argument("--property", default="forest", help="forest | bipartite | max-degree:<d>")
-        common(p)
+        flags(p, "k", "budget", *extra)
 
     p = sub.add_parser("transform", help="graph transformations")
     p.add_argument("what", choices=("power", "corona", "l2", "blob", "forked"))
     p.add_argument("graph")
     p.add_argument("family_file", nargs="?", default=None)
     p.add_argument("--marked", default=None, help="comma separated 1-based vertices")
-    common(p)
+    flags(p, "k", "output")
 
     p = sub.add_parser("recognize-imtw1", help="is induced matching treewidth at most 1")
     p.add_argument("graph")
-    common(p)
+    flags(p)
 
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--suite", default="all")
-    common(p)
+    flags(p, "seed", "max_n")
 
     p = sub.add_parser("bench", help="timing smoke tests")
-    common(p)
+    flags(p)
 
     return parser
 
@@ -473,18 +456,8 @@ def main(argv=None):
     started = time.perf_counter()
     report = {"command": ["imtw"] + argv, "inputs": inputs, "error": None}
     try:
-        config = SolverConfig(
-            k=getattr(args, "k", None),
-            r=getattr(args, "r", None),
-            eps=getattr(args, "eps", None),
-            d=getattr(args, "d", None),
-            family=getattr(args, "family", "paper"),
-            budget=getattr(args, "budget", 10**7),
-            seed=getattr(args, "seed", 42),
-            max_n=getattr(args, "max_n", 8),
-            workers=getattr(args, "workers", 1),
-        )
-        config.validate()
+        if getattr(args, "budget", 1) <= 0:
+            raise InputError("budget must be positive")
         code, result, verification = handler(args, inputs)
         report["result"] = result
         report["verification"] = verification
@@ -501,7 +474,7 @@ def main(argv=None):
         code = 3
     except Exception as exc:  # the report stays complete JSON even on bugs
         report["error"] = {"type": "internal", "message": f"{type(exc).__name__}: {exc}"}
-        code = 3
+        code = 5
     if getattr(args, "timing", False):
         report["wall_time_ms"] = round(1000 * (time.perf_counter() - started), 1)
     print(json.dumps(report, sort_keys=True, indent=1))

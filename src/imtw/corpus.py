@@ -31,7 +31,3 @@ def sparse_corpus(seed, count, n_max, max_edges=9, n_min=2):
         if g.m <= max_edges:
             out.append(g)
     return out
-
-
-def random_weights(rng, n, hi=100):
-    return WeightMap([rng.randint(0, hi) for _ in range(n)])

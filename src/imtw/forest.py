@@ -28,11 +28,11 @@ is still one of the unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold.
 """
 
-from fractions import Fraction
 from itertools import combinations
 
 from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
+from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
 from .traces import trace_family_for_bag
 
@@ -158,12 +158,12 @@ def _partition_patterns(size):
     return _PARTITION_PATTERNS[size]
 
 
-def signature_family_exhaustive(graph, bag, node=None, cap=EXHAUSTIVE_BAG_CAP, budget=None):
+def signature_family_exhaustive(graph, bag, node=None, cap=EXHAUSTIVE_BAG_CAP):
     """Every forest-inducing subset of the bag with every partition whose
     blocks are unions of its components. Superset of all true signatures."""
     if popcount(bag) > cap:
         raise ResourceLimitError(f"exhaustive families capped at bag size {cap}")
-    budget_left = budget if budget is not None else DEFAULT_ENUM_BUDGET
+    budget_left = DEFAULT_ENUM_BUDGET
     sigs = set()
     members = to_tuple(bag)
     for r in range(len(members) + 1):
@@ -185,14 +185,14 @@ def signature_family_exhaustive(graph, bag, node=None, cap=EXHAUSTIVE_BAG_CAP, b
     return SignatureFamily(node, bag, sigs, "exhaustive")
 
 
-def signature_family_paper(graph, bag, vt, k, traces, node=None, budget=None):
+def signature_family_paper(graph, bag, vt, k, traces, node=None):
     """Bounded signature family covering every maximal induced forest.
 
     traces: the bag's trace family members (candidate I sets), built with the
     same k. vt: the subtree vertex set of the node.
     """
     n = graph.n
-    budget_left = budget if budget is not None else DEFAULT_ENUM_BUDGET
+    budget_left = DEFAULT_ENUM_BUDGET
     adj = [graph.adj_mask(v) for v in range(n)]
     closed_bag = graph.closed_neighborhood_of_set(bag)
     s_cap = 8 * k
@@ -386,29 +386,20 @@ def merge_partitions(z, components, blocks1, blocks2):
 # The dynamic program
 
 
-def _families_for(graph, nice_td, provider, k, budget):
+def _families_for(graph, nice_td, provider, k):
     vt = nice_td.subtree_vertex_masks()
     fams = []
     for i, node in enumerate(nice_td.nodes):
         if provider == "exhaustive":
-            fams.append(signature_family_exhaustive(graph, node.bag, node=i, budget=budget))
+            fams.append(signature_family_exhaustive(graph, node.bag, node=i))
         else:
             traces = trace_family_for_bag(graph, node.bag, k, node=i).members
-            fams.append(
-                signature_family_paper(graph, node.bag, vt[i], k, traces, node=i, budget=budget)
-            )
+            fams.append(signature_family_paper(graph, node.bag, vt[i], k, traces, node=i))
     return fams
 
 
 def mwif_dp(
-    graph,
-    nice_td,
-    weights,
-    provider="exhaustive",
-    k=None,
-    budget=None,
-    state_budget=10**7,
-    families=None,
+    graph, nice_td, weights, provider="exhaustive", k=None, state_budget=DEFAULT_STATE_BUDGET
 ):
     """Max weight induced forest; exact for either family provider.
 
@@ -420,119 +411,63 @@ def mwif_dp(
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper" and k is None:
         raise InputError("the bounded family provider needs the matching bound k")
-    if families is None:
-        families = _families_for(graph, nice_td, provider, k, budget)
-    family_sets = [f.signatures for f in families]
+    family_sets = [f.signatures for f in _families_for(graph, nice_td, provider, k)]
 
-    tables = [None] * nice_td.size
-    backptr = [None] * nice_td.size
-    states_seen = 0
-
-    for i, node in enumerate(nice_td.nodes):
-        table = {}
-        bp = {}
-        fam = family_sets[i]
-
-        def push(sig, value, origin):
-            nonlocal states_seen
-            if sig not in fam:
+    def introduce(v, sig, value):
+        yield sig, value
+        z, blocks = sig
+        # v joins: its neighbors in Z must sit in pairwise distinct blocks,
+        # which then merge around v
+        nv = graph.adj_mask(v)
+        untouched = []
+        merged = bit(v)
+        for b in blocks:
+            hit = b & nv
+            if not hit:
+                untouched.append(b)
+            elif popcount(hit) == 1:
+                merged |= b
+            else:
                 return
-            cur = table.get(sig)
-            if cur is None:
-                states_seen += 1
-                if states_seen > state_budget:
-                    raise ResourceLimitError(f"forest DP state budget {state_budget} exceeded")
-            if cur is None or value > cur or (value == cur and origin < bp[sig]):
-                table[sig] = value
-                bp[sig] = origin
+        yield (z | bit(v), canonical_blocks(untouched + [merged])), value + weights[v]
 
-        if node.kind == "leaf":
-            push((0, ()), Fraction(0), ())
-        elif node.kind == "introduce":
-            v = node.vertex
-            vb = bit(v)
-            nv = graph.adj_mask(v)
-            child = tables[node.children[0]]
-            for sig in sorted(child):
-                value = child[sig]
-                push(sig, value, (sig,))
-                z, blocks = sig
-                # v joins: its neighbors in Z must sit in pairwise distinct
-                # blocks, which then merge around v
-                untouched = []
-                merged = vb
-                ok = True
-                for b in blocks:
-                    hit = b & nv
-                    if not hit:
-                        untouched.append(b)
-                    elif popcount(hit) == 1:
-                        merged |= b
-                    else:
-                        ok = False
-                        break
-                if ok:
-                    push(
-                        (z | vb, canonical_blocks(untouched + [merged])),
-                        value + weights[v],
-                        (sig,),
-                    )
-        elif node.kind == "forget":
-            v = node.vertex
+    def forget(v, sig, value):
+        z, blocks = sig
+        if z & bit(v):
             keep = ~bit(v)
-            child = tables[node.children[0]]
-            for sig in sorted(child):
-                z, blocks = sig
-                if z & bit(v):
-                    newblocks = canonical_blocks(b & keep for b in blocks)
-                    push((z & keep, newblocks), child[sig], (sig,))
-                else:
-                    push(sig, child[sig], (sig,))
-        else:  # join
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            by_z = {}
-            for sig in left:
-                by_z.setdefault(sig[0], []).append(sig)
-            comp_cache = {}
-            for sig2 in sorted(right):
-                z = sig2[0]
-                if z not in by_z:
-                    continue
-                if z not in comp_cache:
-                    comp_cache[z] = (graph.components_within(z), weights.of_set(z))
-                comps, wz = comp_cache[z]
-                for sig1 in by_z[z]:
-                    blocks = merge_partitions(z, comps, sig1[1], sig2[1])
-                    if blocks is None:
-                        continue
-                    push((z, blocks), left[sig1] + right[sig2] - wz, (sig1, sig2))
-        tables[i] = table
-        backptr[i] = bp
-
-    root = nice_td.root
-    empty = (0, ())
-    if empty not in tables[root]:
-        raise InvariantError("empty signature missing at the root; families are broken")
-    best = tables[root][empty]
-
-    solution = 0
-    stack = [(root, empty)]
-    while stack:
-        i, sig = stack.pop()
-        node = nice_td.nodes[i]
-        if node.kind == "leaf":
-            continue
-        origin = backptr[i][sig]
-        if node.kind == "introduce":
-            if sig[0] & bit(node.vertex):
-                solution |= bit(node.vertex)
-            stack.append((node.children[0], origin[0]))
-        elif node.kind == "forget":
-            stack.append((node.children[0], origin[0]))
+            yield (z & keep, canonical_blocks(b & keep for b in blocks)), value
         else:
-            stack.append((node.children[0], origin[0]))
-            stack.append((node.children[1], origin[1]))
+            yield sig, value
+
+    def join(left, right):
+        by_z = {}
+        for sig in left:
+            by_z.setdefault(sig[0], []).append(sig)
+        comp_cache = {}
+        for sig2 in sorted(right):
+            z = sig2[0]
+            if z not in by_z:
+                continue
+            if z not in comp_cache:
+                comp_cache[z] = (graph.components_within(z), weights.of_set(z))
+            comps, wz = comp_cache[z]
+            for sig1 in by_z[z]:
+                blocks = merge_partitions(z, comps, sig1[1], sig2[1])
+                if blocks is not None:
+                    yield (z, blocks), left[sig1] + right[sig2] - wz, (sig1, sig2)
+
+    empty = (0, ())
+    tables, backptr = run_nice_dp(
+        nice_td, empty, introduce, forget, join,
+        keep=lambda i, sig: sig in family_sets[i],
+        budget=state_budget,
+        budget_message=f"forest DP state budget {state_budget} exceeded",
+    )
+    root_table = tables[nice_td.root]
+    if empty not in root_table:
+        raise InvariantError("empty signature missing at the root; families are broken")
+    best = root_table[empty]
+    solution = chosen_vertices(nice_td, backptr, empty, lambda sig: sig[0])
 
     if not is_induced_forest(graph, solution):
         raise InvariantError("reconstructed solution does not induce a forest")

@@ -94,9 +94,6 @@ class Graph:
                 return False
         return True
 
-    def edges_within(self, mask):
-        return [(u, v) for (u, v) in self._edges if (bit(u) | bit(v)) & mask == (bit(u) | bit(v))]
-
     def count_edges_within(self, mask):
         total = 0
         for v in bits(mask):

@@ -18,6 +18,7 @@ from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
 from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, WeightMap, distance_matrix, graph_power
+from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import is_induced_forest
 from .traces import mwis_dp
 
@@ -170,7 +171,7 @@ def packing_distance(graph, family, chosen, dist=None):
     return best
 
 
-def max_weight_independent_packing(graph, td, family, k=None, state_budget=10**7):
+def max_weight_independent_packing(graph, td, family, k=None, state_budget=DEFAULT_STATE_BUDGET):
     """Optimal independent packing via the blob reduction.
 
     Duplicate members are dropped keeping the heaviest copy; the decomposition
@@ -195,7 +196,7 @@ def max_weight_independent_packing(graph, td, family, k=None, state_budget=10**7
     return PackingSolution(chosen, weight)
 
 
-def max_weight_distance_packing(graph, td, family, d, k=None, state_budget=10**7):
+def max_weight_distance_packing(graph, td, family, d, k=None, state_budget=DEFAULT_STATE_BUDGET):
     """Optimal distance-d packing for even d.
 
     d = 2 is independent packing. Larger even d first moves to the (d-1)-st
@@ -312,7 +313,7 @@ def component_size_cap(r, eps):
     return ceil(2 * (r + 1) / eps)
 
 
-def ptas_bounded_treewidth_subgraph(graph, td, r, eps, k=None, state_budget=10**7):
+def ptas_bounded_treewidth_subgraph(graph, td, r, eps, k=None, state_budget=DEFAULT_STATE_BUDGET):
     """A vertex set inducing treewidth <= r of size at least (1-eps) * OPT.
 
     Enumerates all connected pieces up to the size cap whose induced subgraph

@@ -9,14 +9,12 @@ therefore covers every trace, with at most n^(3k) distinct outcomes.
 """
 
 import logging
-from fractions import Fraction
 
 from .bits import bit, bits, popcount, to_tuple
 from .errors import InvariantError, ResourceLimitError
+from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_STATE_BUDGET = 10**7
 
 
 def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
@@ -152,79 +150,37 @@ def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET, debug
         set(trace_family_for_bag(graph, node.bag, k, node=i).members)
         for i, node in enumerate(nice_td.nodes)
     ]
-    tables = [None] * nice_td.size
-    backptr = [None] * nice_td.size
-    states_seen = 0
 
-    for i, node in enumerate(nice_td.nodes):
-        table = {}
-        bp = {}
+    def introduce(v, state, value):
+        yield state, value
+        if not graph.adj_mask(v) & state:
+            yield state | bit(v), value + weights[v]
 
-        def push(state, value, origin):
-            nonlocal states_seen
-            if state not in families[i]:
-                return
-            cur = table.get(state)
-            if cur is None:
-                states_seen += 1
-                if states_seen > state_budget:
-                    raise ResourceLimitError(f"MWIS state budget {state_budget} exceeded")
-            if cur is None or value > cur or (value == cur and origin < bp[state]):
-                table[state] = value
-                bp[state] = origin
+    def forget(v, state, value):
+        yield state & ~bit(v), value
 
-        if node.kind == "leaf":
-            push(0, Fraction(0), ())
-        elif node.kind == "introduce":
-            v = node.vertex
-            child = tables[node.children[0]]
-            vb = bit(v)
-            for state in sorted(child):
-                value = child[state]
-                push(state, value, (state,))
-                if not graph.adj_mask(v) & state:
-                    push(state | vb, value + weights[v], (state,))
-        elif node.kind == "forget":
-            v = node.vertex
-            child = tables[node.children[0]]
-            keep = ~bit(v)
-            for state in sorted(child):
-                push(state & keep, child[state], (state,))
-        else:  # join
-            left = tables[node.children[0]]
-            right = tables[node.children[1]]
-            for state in sorted(left):
-                if state in right:
-                    push(state, left[state] + right[state] - weights.of_set(state), (state, state))
-        if debug:
+    def join(left, right):
+        for state in sorted(left):
+            if state in right:
+                yield state, left[state] + right[state] - weights.of_set(state), (state, state)
+
+    tables, backptr = run_nice_dp(
+        nice_td, 0, introduce, forget, join,
+        keep=lambda i, state: state in families[i],
+        budget=state_budget,
+        budget_message=f"MWIS state budget {state_budget} exceeded",
+    )
+    if debug:
+        for i, table in enumerate(tables):
             for state in table:
                 if not graph.is_independent(state):
                     raise InvariantError(f"dependent state {state:#x} at node {i}")
-        tables[i] = table
-        backptr[i] = bp
 
-    root = nice_td.root
-    if 0 not in tables[root]:
+    root_table = tables[nice_td.root]
+    if 0 not in root_table:
         raise InvariantError("empty state missing at the root; families are broken")
-    best = tables[root][0]
-
-    solution = 0
-    stack = [(root, 0)]
-    while stack:
-        i, state = stack.pop()
-        node = nice_td.nodes[i]
-        if node.kind == "leaf":
-            continue
-        origin = backptr[i][state]
-        if node.kind == "introduce":
-            if state & bit(node.vertex):
-                solution |= bit(node.vertex)
-            stack.append((node.children[0], origin[0]))
-        elif node.kind == "forget":
-            stack.append((node.children[0], origin[0]))
-        else:
-            stack.append((node.children[0], origin[0]))
-            stack.append((node.children[1], origin[1]))
+    best = root_table[0]
+    solution = chosen_vertices(nice_td, backptr, 0, lambda state: state)
 
     if not graph.is_independent(solution):
         raise InvariantError("reconstructed MWIS solution is not independent")

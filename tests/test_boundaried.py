@@ -148,6 +148,19 @@ def test_builtin_lookup():
         builtin_type_algebra("planar")
 
 
+def clique_number_within(graph, mask):
+    members = [v for v in range(graph.n) if mask >> v & 1]
+    return max(
+        (
+            size
+            for size in range(len(members) + 1)
+            for combo in combinations(members, size)
+            if all(graph.adj_mask(u) >> v & 1 for u, v in combinations(combo, 2))
+        ),
+        default=0,
+    )
+
+
 def brute_best(graph, weights, predicate):
     best = Fraction(0)
     for m in submasks(graph.vertex_mask()):
@@ -189,9 +202,17 @@ def test_structured_dp_max_degree():
         met = decomposition_metrics(g, td)
         nice = make_nice(g, td)
         for d in (0, 1, 2):
-            res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(d), r=d + 1, k=met.alpha)
-            expected = brute_best(g, w, lambda m: max_degree_within(g, m) <= d)
-            assert res is not None and res[0] == expected, (g.n, d)
+            algebra = MaxDegreeAlgebra(d)
+            # r = clique_bound leaves the degree bound in charge; smaller r
+            # also caps the clique number, which the DP enforces as it goes
+            for r in range(1, algebra.clique_bound + 1):
+                res = generic_structured_dp(g, nice, w, algebra, r=r, k=met.alpha)
+                expected = brute_best(
+                    g,
+                    w,
+                    lambda m: max_degree_within(g, m) <= d and clique_number_within(g, m) <= r,
+                )
+                assert res is not None and res[0] == expected, (g.n, d, r)
 
 
 def test_structured_dp_degree_zero_is_mwis():

@@ -1,5 +1,6 @@
 import json
 
+from imtw import cli
 from imtw.cli import main
 
 
@@ -199,3 +200,75 @@ def test_metrics_command(tmp_path, capsys):
     code, report, _ = run_cli(capsys, "metrics", str(graph_file), str(td_file))
     assert code == 0
     assert report["result"]["mu"] == 1
+
+
+def test_generic_clique_bound_below_clique_number(tmp_path, capsys):
+    # max degree 2 allows the whole triangle; clique number 2 allows only an edge
+    graph_file = tmp_path / "k3.gr"
+    td_file = tmp_path / "k3.td"
+    run_cli(capsys, "gen", "complete", "3", "-o", str(graph_file))
+    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    code, report, _ = run_cli(
+        capsys, "solve", "generic", str(graph_file), str(td_file),
+        "--property", "max-degree:2", "-r", "2",
+    )
+    assert code == 0 and report["error"] is None
+    assert report["result"]["optimum"] == "2"
+    assert len(report["result"]["solution"]) == 2
+
+
+def test_flags_belong_to_their_commands(capsys):
+    # --eps is read by solve ptas only; elsewhere it is a parse error
+    assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_nonpositive_budget_is_an_input_error(tmp_path, capsys):
+    graph_file = tmp_path / "c5.gr"
+    td_file = tmp_path / "c5.td"
+    run_cli(capsys, "gen", "cycle", "5", "-o", str(graph_file))
+    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    code, report, _ = run_cli(
+        capsys, "solve", "mwis", str(graph_file), str(td_file), "--budget", "0"
+    )
+    assert code == 2
+    assert report["error"] == {"type": "input", "message": "budget must be positive"}
+    assert set(report) >= {"command", "inputs", "error"}
+
+
+def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(args, inputs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.HANDLERS, "recognize-imtw1", broken)
+    code, report, _ = run_cli(capsys, "recognize-imtw1", "unused.gr")
+    assert code == 5
+    assert report["error"] == {"type": "internal", "message": "RuntimeError: boom"}
+    assert report["command"] == ["imtw", "recognize-imtw1", "unused.gr"]
+    assert report["inputs"] == {}
+
+
+def test_tie_break_golden_solutions(tmp_path, capsys):
+    # optimal solutions are rarely unique; these pin which one the DPs return
+    expected = {
+        ("cycle", "6"): {"mwis": [1, 3, 5], "forest": [1, 2, 3, 4, 5]},
+        ("complete_bipartite", "3", "3"): {"mwis": [1, 2, 3], "forest": [1, 2, 3, 4]},
+        ("path", "7"): {"mwis": [1, 3, 5, 7], "forest": [1, 2, 3, 4, 5, 6, 7]},
+    }
+    for spec, solutions in expected.items():
+        graph_file = tmp_path / ("_".join(spec) + ".gr")
+        td_file = tmp_path / ("_".join(spec) + ".td")
+        run_cli(capsys, "gen", *spec, "-o", str(graph_file))
+        run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+        _, report, _ = run_cli(capsys, "solve", "mwis", str(graph_file), str(td_file))
+        assert report["result"]["solution"] == solutions["mwis"], spec
+        for family in ("paper", "exhaustive"):
+            _, report, _ = run_cli(
+                capsys, "solve", "forest", str(graph_file), str(td_file), "--family", family
+            )
+            assert report["result"]["solution"] == solutions["forest"], (spec, family)
+    c6 = tmp_path / "cycle_6"
+    _, report, _ = run_cli(
+        capsys, "solve", "generic", f"{c6}.gr", f"{c6}.td", "--property", "forest", "-r", "2"
+    )
+    assert report["result"]["solution"] == [1, 2, 3, 4, 5]
