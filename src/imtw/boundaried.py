@@ -70,15 +70,6 @@ class BoundariedGraph:
                 raise InputError(f"label {l} outside 1..{ell}")
         return cls(graph, pairs, ell)
 
-    def label_of(self, v):
-        return dict(self.labeling).get(v)
-
-    def vertex_of(self, label):
-        for v, l in self.labeling:
-            if l == label:
-                return v
-        return None
-
 
 def glue(b1, b2):
     """Disjoint union with same-label identification; parallel edges collapse."""

@@ -51,7 +51,7 @@ from .packing import (
     ptas_bounded_treewidth_subgraph,
 )
 from .traces import mwis_dp
-from .verify import SUITES, run_suites
+from .verify import MIN_MAX_N, SUITES, run_suites
 
 
 def _digest(text):
@@ -99,7 +99,7 @@ def _solver_k(args, graph, td):
     """The matching bound in force: measured unless overridden."""
     if args.k is not None:
         return args.k, {"k": args.k, "source": "flag"}
-    met = decomposition_metrics(graph, td, budget_limit=args.budget)
+    met = decomposition_metrics(graph, td)
     return met.mu, {"k": met.mu, "source": "measured-mu", "alpha": met.alpha}
 
 
@@ -253,7 +253,7 @@ def cmd_solve_generic(args, inputs):
     if args.k is not None:
         k, k_info = args.k, {"k": args.k, "source": "flag"}
     else:
-        met = decomposition_metrics(graph, td, budget_limit=args.budget)
+        met = decomposition_metrics(graph, td)
         k, k_info = met.alpha, {"k": met.alpha, "source": "measured-alpha"}
     nice = make_nice(graph, td)
     result = generic_structured_dp(
@@ -309,32 +309,14 @@ def cmd_recognize(args, inputs):
 
 
 def cmd_verify(args, inputs):
+    if args.max_n < MIN_MAX_N:
+        raise InputError(f"--max-n must be at least {MIN_MAX_N} for verify, got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or all")
     ok, results = run_suites(names, args.seed, args.max_n)
     return (0 if ok else 3), {"suites": results, "all_ok": ok}, {}
-
-
-def cmd_bench(args, inputs):
-    from .decomp import single_bag_decomposition
-    from .graphs import complete_bipartite
-
-    report = {}
-    g = complete_bipartite(20, 20)
-    nice = make_nice(g, single_bag_decomposition(g))
-    t0 = time.perf_counter()
-    weight, _ = mwis_dp(g, nice, WeightMap.unit(40), k=1)
-    report["mwis_K20_20"] = {"optimum": str(weight), "seconds": round(time.perf_counter() - t0, 3)}
-    g = complete_bipartite(8, 8)
-    td = heuristic_decomposition(g)
-    met = decomposition_metrics(g, td)
-    nice = make_nice(g, td)
-    t0 = time.perf_counter()
-    weight, _ = mwif_dp(g, nice, WeightMap.unit(16), provider="paper", k=met.mu)
-    report["forest_K8_8"] = {"optimum": str(weight), "seconds": round(time.perf_counter() - t0, 3)}
-    return 0, report, {}
 
 
 # Each flag once: its option strings and argparse settings.
@@ -347,7 +329,14 @@ FLAGS = {
     "strategy": (("--strategy",), {"choices": ("min-fill", "min-degree"), "default": "min-fill"}),
     "seed": (("--seed",), {"type": int, "default": 42}),
     "max_n": (("--max-n",), {"type": int, "default": 8}),
-    "budget": (("--budget",), {"type": int, "default": DEFAULT_STATE_BUDGET}),
+    "budget": (
+        ("--budget",),
+        {
+            "type": int,
+            "default": DEFAULT_STATE_BUDGET,
+            "help": "solve: DP state cap; decompose and metrics: search budget",
+        },
+    ),
     "output": (("-o", "--output"), {"default": None, "help": "write the artifact to a file"}),
 }
 
@@ -419,9 +408,6 @@ def build_parser():
     p.add_argument("--suite", default="all")
     flags(p, "seed", "max_n")
 
-    p = sub.add_parser("bench", help="timing smoke tests")
-    flags(p)
-
     return parser
 
 
@@ -439,7 +425,6 @@ HANDLERS = {
     "transform": cmd_transform,
     "recognize-imtw1": cmd_recognize,
     "verify": cmd_verify,
-    "bench": cmd_bench,
 }
 
 

@@ -5,7 +5,9 @@ Corpora are always regenerated from (seed, size grid); nothing is stored.
 
 from random import Random
 
+from .boundaried import BoundariedGraph
 from .graphs import WeightMap, random_graph
+from .packing import SubgraphFamily, enumerate_small_connected_subgraphs
 
 
 def random_corpus(seed, count, n_max, n_min=2, ps=(0.2, 0.5)):
@@ -31,3 +33,37 @@ def sparse_corpus(seed, count, n_max, max_edges=9, n_min=2):
         if g.m <= max_edges:
             out.append(g)
     return out
+
+
+def random_minor_op(rng, graph):
+    """Contract a random edge or delete a random vertex, even odds when there are edges."""
+    if graph.m and rng.random() < 0.5:
+        u, v = graph.edges[rng.randrange(graph.m)]
+        return ("contract", u, v)
+    return ("delete", rng.randrange(graph.n))
+
+
+def shuffled_pieces(rng, graph, max_piece=3):
+    """Every connected vertex set of at most ``max_piece`` vertices, in random order."""
+    pieces = enumerate_small_connected_subgraphs(graph, max_piece)
+    rng.shuffle(pieces)
+    return pieces
+
+
+def random_family(rng, pieces, size, max_weight=20):
+    """The first ``size`` pieces with random integer weights."""
+    sets = pieces[:size]
+    return SubgraphFamily(sets, [rng.randint(0, max_weight) for _ in sets])
+
+
+def random_boundaried(rng, ell):
+    """A random graph on at most six vertices, about half of them labelled from 1..ell."""
+    n = rng.randint(0, 6)
+    g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
+    labels = {}
+    for v in range(n):
+        if rng.random() < 0.5:
+            label = rng.randint(1, ell)
+            if label not in labels.values():
+                labels[v] = label
+    return BoundariedGraph.make(g, labels, ell)

@@ -55,9 +55,6 @@ class TreeDecomposition:
     def node_neighbors(self, t):
         return self._nbrs[t]
 
-    def children_of(self, t, parent):
-        return [c for c in self._nbrs[t] if c != parent]
-
     def rooted_order(self):
         """(node, parent) pairs in a DFS preorder from the root."""
         out = []

@@ -108,13 +108,6 @@ def signature_in(graph, forest_mask, bag, vt):
     return z, canonical_blocks(groups.values())
 
 
-def signature_of(graph, td, t, forest_mask):
-    """Signature at node t of a rooted decomposition (plain or nice)."""
-    vt = td.subtree_vertex_masks()[t]
-    bag = td.bags[t] if hasattr(td, "bags") else td.nodes[t].bag
-    return signature_in(graph, forest_mask, bag, vt)
-
-
 # ---------------------------------------------------------------------------
 # Families
 

@@ -90,6 +90,52 @@ def find_cycle_within(graph, mask):
     return None
 
 
+def is_bipartite_within(graph, mask):
+    """Two-colouring of the induced subgraph by search, independent of the type algebras."""
+    color = {}
+    for start in bits(mask):
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            v = queue.pop()
+            for u in bits(graph.adj_mask(v) & mask):
+                if u not in color:
+                    color[u] = color[v] ^ 1
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return False
+    return True
+
+
+def max_degree_within(graph, mask):
+    return max((popcount(graph.adj_mask(v) & mask) for v in bits(mask)), default=0)
+
+
+def clique_number_within(graph, mask):
+    """Largest clique of the induced subgraph, by trying every vertex subset."""
+    members = to_tuple(mask)
+    return max(
+        (
+            size
+            for size in range(len(members) + 1)
+            for combo in combinations(members, size)
+            if all(graph.has_edge(u, v) for u, v in combinations(combo, 2))
+        ),
+        default=0,
+    )
+
+
+def brute_best(graph, weights, predicate):
+    """Heaviest vertex set satisfying ``predicate``, by scanning every subset."""
+    best = Fraction(0)
+    for m in submasks(graph.vertex_mask()):
+        if predicate(m):
+            best = max(best, weights.of_set(m))
+    return best
+
+
 def brute_max_weight_induced_forest(graph, weights, cap=FOREST_CAP):
     """Exact maximum weight vertex set inducing a forest.
 

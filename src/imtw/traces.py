@@ -54,14 +54,13 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
 class TraceFamily:
     """Candidate traces of maximal independent sets at one bag."""
 
-    __slots__ = ("node", "bag", "k", "members", "provenance")
+    __slots__ = ("node", "bag", "k", "members")
 
-    def __init__(self, node, bag, k, members, provenance=None):
+    def __init__(self, node, bag, k, members):
         self.node = node
         self.bag = bag
         self.k = k
         self.members = tuple(members)
-        self.provenance = provenance
 
     def __contains__(self, mask):
         return mask in self._member_set()
@@ -73,13 +72,13 @@ class TraceFamily:
         return len(self.members)
 
 
-def trace_family_for_bag(graph, bag, k, node=None, keep_provenance=False, limit=None):
+def trace_family_for_bag(graph, bag, k, node=None):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
     Coverage: if every induced matching touching the bag has size at most k,
     the trace of every maximal independent set of the graph is in the family.
     """
-    maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag, limit=limit)
+    maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
     bag_size = popcount(bag)
     if bag_size and len(maximal_in_bag) > bag_size ** (2 * k):
         logger.warning(
@@ -100,43 +99,25 @@ def trace_family_for_bag(graph, bag, k, node=None, keep_provenance=False, limit=
     union_j = 0
     for j_prime in maximal_in_bag:
         union_j |= j_prime
-    hits = {0: 0}  # hit mask -> some witness Q
-    frontier = {0: 0}
+    hits = {0}
+    frontier = {0}
     for _ in range(k):
-        grown = {}
-        for h, q_mask in frontier.items():
+        grown = set()
+        for h in frontier:
             for q in bits(outside):
                 h2 = h | (graph.adj_mask(q) & union_j)
-                if h2 not in hits and h2 not in grown:
-                    grown[h2] = q_mask | bit(q)
+                if h2 not in hits:
+                    grown.add(h2)
         frontier = grown
-        hits.update(grown)
+        hits |= grown
         if not frontier:
             break
-    members = {}
-    for h, q_mask in hits.items():
-        for j_prime in maximal_in_bag:
-            trace = j_prime & ~h
-            if trace not in members:
-                members[trace] = (j_prime, q_mask)
-            if limit is not None and len(members) > limit:
-                raise ResourceLimitError(
-                    f"trace family limit {limit} exceeded", partial_count=len(members)
-                )
-    ordered = sorted(members, key=to_tuple)
+    ordered = sorted({j_prime & ~h for h in hits for j_prime in maximal_in_bag}, key=to_tuple)
     if alekseev_ok and graph.n > 0 and len(ordered) > max(graph.n, 1) ** (3 * k):
         raise InvariantError(
             f"trace family has {len(ordered)} members, above the n^(3k) bound"
         )
-    return TraceFamily(
-        node, bag, k, ordered, provenance=members if keep_provenance else None
-    )
-
-
-def bag_trace_family(graph, td, t, k, keep_provenance=False, limit=None):
-    return trace_family_for_bag(
-        graph, td.bags[t], k, node=t, keep_provenance=keep_provenance, limit=limit
-    )
+    return TraceFamily(node, bag, k, ordered)
 
 
 def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET, debug=False):

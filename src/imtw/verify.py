@@ -1,26 +1,36 @@
-"""Invariant suites behind the ``verify`` command.
+"""The paper's claims as seeded checks, shared by ``imtw verify`` and the tests.
 
-Each suite runs a batch of seeded, quantified checks and reports one line per
-check. The suites revisit the package's central claims at desk scale: oracle
-equivalences, coverage of trace and signature families, transfer inequalities,
-structural identities, and the recognition procedure.
+Each claim is a predicate over one case that yields ``(ok, witness)``
+verdicts, one per sub-case it checks (a nice node, a maximal forest, a
+property). ``claim(name)`` turns it into a function from a list of cases to a
+``Check``. Every caller keeps its own corpus: the ``suite_*`` functions behind
+``imtw verify``, the acceptance criteria and the corpus unit tests all build
+their cases and hand them to the same claims. Reference answers come from the
+brute-force searches of ``imtw.oracles``.
 """
 
-import logging
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from random import Random
 
-from .bits import bit, bits, popcount, submasks, to_tuple
+from .bits import popcount, submasks
 from .boundaried import (
     BipartiteAlgebra,
-    BoundariedGraph,
     ForestAlgebra,
     MaxDegreeAlgebra,
     forget_label,
+    generic_structured_dp,
     glue,
 )
-from .corpus import random_corpus, sparse_corpus
+from .corpus import (
+    random_boundaried,
+    random_corpus,
+    random_family,
+    random_minor_op,
+    shuffled_pieces,
+    sparse_corpus,
+)
 from .decomp import (
     blob_decomposition,
     closed_neighborhood_expansion,
@@ -30,31 +40,51 @@ from .decomp import (
     induced_minor_decomposition,
     make_nice,
     odd_power_decomposition,
+    single_bag_decomposition,
     validate_decomposition,
 )
-from .forest import forest_anatomy, mwif_dp, signature_family_paper, signature_in
+from .forest import (
+    forest_anatomy,
+    mwif_dp,
+    signature_family_exhaustive,
+    signature_family_paper,
+    signature_in,
+)
 from .graphs import (
-    Graph,
     ball_mask,
     complete_bipartite,
     corona,
+    decode_forked,
+    distance_matrix,
+    forked_version,
     graph_power,
     hypercube_graph,
+    induced_subgraph,
     line_graph_square,
     matching_join,
+    parse_graph,
     random_graph,
+    serialize_graph,
 )
 from .oracles import (
+    brute_best,
+    brute_induced_matching_touching,
     brute_max_weight_induced_forest,
     brute_mwis,
+    chordality_test,
+    clique_number_within,
     enumerate_maximal_induced_forests,
     exact_width_parameters,
+    find_cycle_within,
+    is_bipartite_within,
+    is_induced_forest,
+    max_degree_within,
     recognize_imtw_at_most_1,
 )
 from .packing import (
     SubgraphFamily,
     blob_graph,
-    enumerate_small_connected_subgraphs,
+    component_size_cap,
     is_valid_packing,
     max_weight_distance_packing,
     max_weight_independent_packing,
@@ -63,7 +93,15 @@ from .packing import (
 )
 from .traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
 
-logger = logging.getLogger(__name__)
+STRATEGIES = ("min-fill", "min-degree")
+ALGEBRAS = (
+    ForestAlgebra(),
+    BipartiteAlgebra(),
+    MaxDegreeAlgebra(0),
+    MaxDegreeAlgebra(1),
+    MaxDegreeAlgebra(2),
+)
+MIN_MAX_N = 4  # the packing suite draws graphs of 4..max_n vertices
 
 
 class Check:
@@ -90,335 +128,497 @@ class Check:
         }
 
 
-def _prepared(graph, strategy="min-fill"):
-    td = heuristic_decomposition(graph, strategy)
-    met = decomposition_metrics(graph, td)
-    nice = make_nice(graph, td)
-    return td, met, nice
+def claim(name):
+    """Turn a predicate over one case into a check over a list of case tuples."""
+
+    def wrap(predicate):
+        @wraps(predicate)
+        def run(cases):
+            check = Check(name)
+            for case in cases:
+                for ok, witness in predicate(*case):
+                    check.record(ok, witness)
+            return check
+
+        return run
+
+    return wrap
+
+
+def prepare(graph, weights, td):
+    """One solver case: graph, weights, decomposition, its metrics and its nice form."""
+    return graph, weights, td, decomposition_metrics(graph, td), make_nice(graph, td)
+
+
+# ---------------------------------------------------------------------------
+# Graphs
+
+
+@claim("parse-serialize round trip")
+def round_trip(g):
+    text = serialize_graph(g)
+    yield parse_graph(text) == g and serialize_graph(parse_graph(text)) == text, text
+
+
+@claim("power definition")
+def power_definition(g, k):
+    power = graph_power(g, k)
+    dist = distance_matrix(g)
+    ok = all(
+        power.has_edge(u, v) == (1 <= dist[u][v] <= k)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+    yield ok, (g.n, k)
+
+
+@claim("corona keeps original")
+def corona_keeps_original(g):
+    cg = corona(g)
+    sub, _ = induced_subgraph(cg, range(g.n))
+    yield sub == g and all(cg.degree(g.n + v) == 1 for v in range(g.n)), g.n
+
+
+@claim("fork decode round trip")
+def fork_round_trip(g, marked):
+    forked, _ = forked_version(g, marked)
+    back_g, back_m = decode_forked(forked)
+    yield back_g == g and set(back_m) == set(marked), (g.n, sorted(marked))
+
+
+# ---------------------------------------------------------------------------
+# Decompositions and their transfers
+
+
+@claim("heuristic decompositions validate")
+def decomposition_valid(g, td):
+    yield validate_decomposition(g, td) == [], (g.n, td.bags)
+
+
+@claim("nice form validates, bags shrink")
+def nice_form_valid(g, td):
+    nice = make_nice(g, td)
+    as_td = nice.to_tree_decomposition()
+    met, met_nice = decomposition_metrics(g, td), decomposition_metrics(g, as_td)
+    ok = (
+        validate_decomposition(g, as_td) == []
+        and all(any(b & ~orig == 0 for orig in td.bags) for b in as_td.bags)
+        and nice.size <= g.n * td.size + 2 * g.n + 2
+        and met_nice.mu <= met.mu
+        and met_nice.alpha <= met.alpha
+    )
+    yield ok, (g.n, td.bags)
+
+
+@claim("metrics match matching oracle")
+def metrics_match_oracle(g, td):
+    met = decomposition_metrics(g, td)
+    oracle_mu = max(brute_induced_matching_touching(g, b)[0] for b in td.bags)
+    yield met.mu == oracle_mu and met.mu <= met.alpha, (met.mu, oracle_mu, met.alpha)
+
+
+@claim("closed neighborhood degree bound")
+def closed_neighborhood_bound(g, td):
+    if not g.m:  # the bound 2 mu Delta^2 needs an edge
+        return
+    expanded = closed_neighborhood_expansion(g, td)
+    alpha = decomposition_metrics(g, expanded).alpha
+    bound = 2 * decomposition_metrics(g, td).mu * g.max_degree() ** 2
+    yield validate_decomposition(g, expanded) == [] and alpha <= bound, (alpha, bound)
+
+
+@claim("bag-dominated vertex exists")
+def bag_dominated_vertex(g, td):
+    v, t = find_bag_dominated_vertex(g, td)
+    yield g.closed_mask(v) & ~td.bags[t] == 0, (v, t)
+
+
+@claim("induced-minor mu monotone")
+def minor_keeps_mu(g, td, op):
+    h, td2, _ = induced_minor_decomposition(g, td, op)
+    mu, mu2 = decomposition_metrics(g, td).mu, decomposition_metrics(h, td2).mu
+    yield validate_decomposition(h, td2) == [] and mu2 <= mu, (op, mu2, mu)
+
+
+@claim("blob transfer inequalities")
+def blob_transfer(g, td, family):
+    """A duplicate-free family keeps mu; members of two or more vertices bring alpha down to mu."""
+    blob = blob_graph(g, family)
+    bd = blob_decomposition(g, td, family)
+    mu = decomposition_metrics(g, td).mu
+    met = decomposition_metrics(blob, bd)
+    ok = validate_decomposition(blob, bd) == []
+    if family.duplicate_free:
+        ok = ok and met.mu <= mu
+    if family.min_member_size() >= 2:
+        ok = ok and met.alpha <= mu
+    yield ok, (g.n, met.mu, met.alpha, mu)
+
+
+@claim("odd power transfer inequality")
+def odd_power_transfer(g, td, r):
+    if not g.m:  # an edgeless graph has mu 0 but bags of independent vertices
+        return
+    tdr = odd_power_decomposition(g, td, r)
+    gr = graph_power(g, r)
+    alpha, mu = decomposition_metrics(gr, tdr).alpha, decomposition_metrics(g, td).mu
+    yield validate_decomposition(gr, tdr) == [] and alpha <= mu, (g.n, r, alpha, mu)
+
+
+# ---------------------------------------------------------------------------
+# The three dynamic programs, their families and the forest anatomy
+
+
+@claim("mwis equals oracle")
+def mwis_matches_oracle(g, w, td, met, nice):
+    got, solution = mwis_dp(g, nice, w, met.mu)
+    expected, _ = brute_mwis(g, w)
+    ok = got == expected and g.is_independent(solution) and w.of_set(solution) == got
+    yield ok, (g.n, got, expected)
+
+
+@claim("trace coverage")
+def trace_coverage(g, w, td, met, nice):
+    maximal = enumerate_maximal_independent_sets(g)
+    for i, node in enumerate(nice.nodes):
+        members = set(trace_family_for_bag(g, node.bag, met.mu, node=i).members)
+        yield all(ind & node.bag in members for ind in maximal), (g.n, i)
+
+
+@claim("family size bound")
+def trace_family_bound(g, w, td, met, nice):
+    bound = max(g.n, 1) ** (3 * met.mu)
+    for i, node in enumerate(nice.nodes):
+        size = len(trace_family_for_bag(g, node.bag, met.mu, node=i))
+        yield size <= bound, (size, bound)
+
+
+@claim("forest optimum equals oracle, both providers")
+def forest_matches_oracle(g, w, td, met, nice):
+    expected, _ = brute_max_weight_induced_forest(g, w)
+    results = [
+        mwif_dp(g, nice, w, provider="exhaustive"),
+        mwif_dp(g, nice, w, provider="paper", k=met.mu),
+    ]
+    ok = all(
+        weight == expected == w.of_set(solution) and is_induced_forest(g, solution)
+        for weight, solution in results
+    )
+    yield ok, (g.n, [weight for weight, _ in results], expected)
+
+
+@claim("signature coverage")
+def signature_coverage(g, w, td, met, nice):
+    """Each maximal forest's signature lies in the exhaustive family and in a
+    bounded family of at most (12k)^(12k) n^(14k+2) members."""
+    k = met.mu
+    bound = ((12 * k) ** (12 * k) if k else 1) * max(g.n, 1) ** (14 * k + 2)
+    forests = enumerate_maximal_induced_forests(g)
+    vt = nice.subtree_vertex_masks()
+    for i, node in enumerate(nice.nodes):
+        traces = trace_family_for_bag(g, node.bag, k, node=i).members
+        family = signature_family_paper(g, node.bag, vt[i], k, traces, node=i)
+        exhaustive = signature_family_exhaustive(g, node.bag, node=i)
+        for f in forests:
+            sig = signature_in(g, f, node.bag, vt[i])
+            yield len(family) <= bound and sig in family and sig in exhaustive, (g.n, i, f)
+
+
+@claim("skeleton bag bound 8k")
+def skeleton_bound(g, w, td, met, nice):
+    # every bag of td is also the bag of some nice node
+    for f in enumerate_maximal_induced_forests(g):
+        skeleton = forest_anatomy(g, f).skeleton
+        for i, node in enumerate(nice.nodes):
+            yield popcount(skeleton & node.bag) <= 8 * met.mu, (g.n, i, f)
+
+
+@claim("anatomy partitions maximal forests")
+def anatomy_partitions(g):
+    for f in enumerate_maximal_induced_forests(g):
+        a = forest_anatomy(g, f)
+        ok = (
+            a.skeleton | a.leaves | a.trivial == f
+            and a.skeleton & a.leaves == 0
+            and a.skeleton & a.trivial == 0
+            and a.leaves & a.trivial == 0
+            and g.is_independent(a.leaves | a.trivial)
+        )
+        yield ok, (g.n, f)
+
+
+@claim("structured DP equals brute force")
+def structured_dp_matches_brute_force(g, w, td, met, nice):
+    """Forest, bipartite and max-degree d <= 2 optima, the last for every clique bound r."""
+
+    def solve(algebra, r):
+        result = generic_structured_dp(g, nice, w, algebra, r=r, k=met.alpha)
+        return None if result is None else result[0]
+
+    forest = brute_max_weight_induced_forest(g, w)[0]
+    yield solve(ForestAlgebra(), 2) == mwif_dp(g, nice, w)[0] == forest, ("forest", g.n)
+    bipartite = brute_best(g, w, lambda m: is_bipartite_within(g, m))
+    yield solve(BipartiteAlgebra(), 2) == bipartite, ("bipartite", g.n)
+    for d in (0, 1, 2):
+        algebra = MaxDegreeAlgebra(d)
+        # r = clique_bound leaves the degree bound in charge; a smaller r also
+        # caps the clique number, which the DP enforces as it goes
+        ok = all(
+            solve(algebra, r)
+            == brute_best(
+                g, w, lambda m: max_degree_within(g, m) <= d and clique_number_within(g, m) <= r
+            )
+            for r in range(1, algebra.clique_bound + 1)
+        )
+        yield ok, (f"max-degree:{d}", g.n)
+
+
+@claim("algebra compositionality")
+def algebra_compositional(alg, b1, b2, label):
+    t1, t2 = alg.type_of(b1), alg.type_of(b2)
+    ok = (
+        alg.type_of(glue(b1, b2)) == alg.glue(t1, t2)
+        and alg.type_of(forget_label(b1, label)) == alg.forget(t1, label)
+        and alg.accepting(t1) == alg.holds(b1.graph)
+    )
+    yield ok, alg.name
+
+
+# ---------------------------------------------------------------------------
+# Packings
+
+
+def _brute_packing(graph, family, mode, d=None):
+    """Heaviest valid subfamily, trying every subset of members."""
+    dist = distance_matrix(graph)
+    best = Fraction(0)
+    for r in range(len(family.members) + 1):
+        for combo in combinations(range(len(family.members)), r):
+            if is_valid_packing(graph, family, combo, mode, d=d, dist=dist) is None:
+                best = max(best, sum((family.members[i].weight for i in combo), Fraction(0)))
+    return best
+
+
+@claim("blob packing equals subfamily brute force")
+def independent_packing_optimal(g, td, family):
+    sol = max_weight_independent_packing(g, td, family)
+    ok = is_valid_packing(g, family, sol.chosen) is None
+    yield ok and sol.weight == _brute_packing(g, family, "independent"), (g.n, sol.weight)
+
+
+@claim("distance packing equals brute force")
+def distance_packing_optimal(g, td, family, d):
+    sol = max_weight_distance_packing(g, td, family, d)
+    ok = is_valid_packing(g, family, sol.chosen, "distance", d=d) is None
+    yield ok and sol.weight == _brute_packing(g, family, "distance", d), (g.n, d, sol.weight)
+
+
+@claim("power-blob identity")
+def power_blob_identity(g, k, d):
+    balls = SubgraphFamily([ball_mask(g, v, d) for v in range(g.n)])
+    gk = graph_power(g, k) if k > 1 else g
+    yield graph_power(g, k + 2 * d) == blob_graph(gk, balls), (g.n, k, d)
+
+
+@claim("ptas guarantee")
+def ptas_guarantee(g, td, eps):
+    """Within (1 - eps) of the largest induced forest, in small pieces of treewidth 1."""
+    opt = max(popcount(m) for m in submasks(g.vertex_mask()) if find_cycle_within(g, m) is None)
+    got = ptas_bounded_treewidth_subgraph(g, td, 1, eps)
+    cap = component_size_cap(1, eps)
+    pieces_ok = all(
+        popcount(c) <= cap and treewidth_at_most(g, c, 1) and find_cycle_within(g, c) is None
+        for c in g.components_within(got)
+    )
+    yield pieces_ok and popcount(got) >= (1 - eps) * opt, (g.n, eps, popcount(got), opt)
+
+
+# ---------------------------------------------------------------------------
+# Exact width parameters; ``ew`` is exact_width_parameters(g)
+
+
+@claim("width chain on random graphs")
+def width_chain(g, ew):
+    yield ew.tree_mu <= ew.tree_alpha <= ew.treewidth + 1, g.n
+
+
+@claim("line graph square equality")
+def line_square_equality(g, ew):
+    square, _ = line_graph_square(g)
+    yield exact_width_parameters(square).tree_alpha == ew.tree_mu, (g.n, g.m)
+
+
+@claim("corona equality")
+def corona_equality(g, ew):
+    yield exact_width_parameters(corona(g)).tree_mu == ew.tree_alpha, g.n
+
+
+@claim("power monotonicity")
+def power_monotone(g, ew):
+    for r in (1, 2):
+        er = exact_width_parameters(graph_power(g, r)) if r > 1 else ew
+        er2 = exact_width_parameters(graph_power(g, r + 2))
+        yield er2.tree_alpha <= er.tree_alpha and er2.tree_mu <= er.tree_mu, (g.n, r)
+
+
+@claim("odd power strong inequality")
+def odd_power_strong(g, ew):
+    alpha3 = exact_width_parameters(graph_power(g, 3)).tree_alpha
+    yield alpha3 <= ew.tree_alpha and (not g.m or alpha3 <= ew.tree_mu), (g.n, alpha3)
+
+
+@claim("degree bounds")
+def degree_bounds(g, ew):
+    if not g.m:  # with no edge the bounds read 0
+        return
+    delta = g.max_degree()
+    ok = (
+        ew.tree_alpha <= 2 * ew.tree_mu * delta**2
+        and ew.treewidth <= 2 * ew.tree_mu * delta**2 * (delta + 1)
+    )
+    yield ok, g.n
+
+
+@claim("recognition agrees with oracle")
+def recognition_agrees(g, ew):
+    yield recognize_imtw_at_most_1(g) == (ew.tree_mu <= 1), (g.n, g.m)
+
+
+@claim("induced minors keep tree-mu")
+def minor_keeps_tree_mu(g, op):
+    h, _, _ = induced_minor_decomposition(g, single_bag_decomposition(g), op)
+    yield exact_width_parameters(h).tree_mu <= exact_width_parameters(g).tree_mu, (g.n, op)
+
+
+@claim("chordal graphs have tree-alpha 1")
+def chordal_alpha_one(g):
+    yield chordality_test(g)[0] and exact_width_parameters(g).tree_alpha == 1, g.n
+
+
+@claim("anchors")
+def width_anchors():
+    k33 = exact_width_parameters(complete_bipartite(3, 3))
+    yield k33.tree_alpha == 3 and k33.tree_mu == 1, "K33"
+    yield exact_width_parameters(matching_join(2)).tree_mu >= 2, "matching_join(2)"
+    q4 = hypercube_graph(4)
+    for strategy in STRATEGIES:
+        td = heuristic_decomposition(q4, strategy)
+        ok = validate_decomposition(q4, td) == [] and decomposition_metrics(q4, td).mu >= 2
+        yield ok, f"Q4 {strategy}"
+
+
+# ---------------------------------------------------------------------------
+# The suites behind ``imtw verify``
 
 
 def suite_graphs(seed, max_n):
     rng = Random(seed)
-    checks = [Check("parse-serialize round trip"), Check("power definition"), Check("corona keeps original"), Check("fork decode round trip")]
-    from .graphs import distance_matrix, forked_version, decode_forked, parse_graph, serialize_graph, induced_subgraph
-
+    graphs, powers, forks = [], [], []
     for _ in range(60):
         n = rng.randint(1, max_n)
         g = random_graph(n, rng.choice([0.2, 0.5]), seed=rng.randrange(2**32))
-        text = serialize_graph(g)
-        checks[0].record(parse_graph(text) == g and serialize_graph(parse_graph(text)) == text, text)
-        k = rng.randint(1, 3)
-        power = graph_power(g, k) if n else None
-        dist = distance_matrix(g)
-        ok = all(
-            power.has_edge(u, v) == (1 <= dist[u][v] <= k)
-            for u in range(n)
-            for v in range(u + 1, n)
-        )
-        checks[1].record(ok, (n, k))
-        cg = corona(g)
-        sub, _ = induced_subgraph(cg, range(n))
-        checks[2].record(sub == g, n)
-        marked = {v for v in range(n) if rng.random() < 0.5 or g.degree(v) == 0}
-        forked, _ = forked_version(g, marked)
-        back_g, back_m = decode_forked(forked)
-        checks[3].record(back_g == g and set(back_m) == marked, (n, sorted(marked)))
-    return checks
+        graphs.append((g,))
+        powers.append((g, rng.randint(1, 3)))
+        forks.append((g, {v for v in range(n) if rng.random() < 0.5 or g.degree(v) == 0}))
+    return [
+        round_trip(graphs),
+        power_definition(powers),
+        corona_keeps_original(graphs),
+        fork_round_trip(forks),
+    ]
 
 
 def suite_decomp(seed, max_n):
     rng = Random(seed)
-    checks = [
-        Check("heuristic decompositions validate"),
-        Check("nice form validates, bags shrink"),
-        Check("metrics match matching oracle"),
-        Check("closed neighborhood degree bound"),
-        Check("bag-dominated vertex exists"),
-        Check("induced-minor mu monotone"),
-    ]
-    from .oracles import brute_induced_matching_touching
-
+    cases, minors = [], []
     for _ in range(40):
         n = rng.randint(2, max_n)
         g = random_graph(n, rng.choice([0.2, 0.5]), seed=rng.randrange(2**32))
-        strategy = rng.choice(["min-fill", "min-degree"])
-        td = heuristic_decomposition(g, strategy)
-        checks[0].record(validate_decomposition(g, td) == [], (n, strategy))
-        nice = make_nice(g, td)
-        as_td = nice.to_tree_decomposition()
-        ok = validate_decomposition(g, as_td) == [] and all(
-            any(b & ~orig == 0 for orig in td.bags) for b in as_td.bags
-        )
-        checks[1].record(ok, n)
-        met = decomposition_metrics(g, td)
-        oracle_mu = max(brute_induced_matching_touching(g, b)[0] for b in td.bags)
-        checks[2].record(met.mu == oracle_mu, (met.mu, oracle_mu))
-        if g.m:
-            expanded = closed_neighborhood_expansion(g, td)
-            met_exp = decomposition_metrics(g, expanded)
-            bound = 2 * met.mu * g.max_degree() ** 2
-            checks[3].record(
-                validate_decomposition(g, expanded) == [] and met_exp.alpha <= bound,
-                (met_exp.alpha, bound),
-            )
-        v, t = find_bag_dominated_vertex(g, td)
-        checks[4].record(g.closed_mask(v) & ~td.bags[t] == 0, (v, t))
+        td = heuristic_decomposition(g, rng.choice(STRATEGIES))
+        cases.append((g, td))
         if n >= 3:
-            if g.m and rng.random() < 0.5:
-                u, w = g.edges[rng.randrange(g.m)]
-                op = ("contract", u, w)
-            else:
-                op = ("delete", rng.randrange(n))
-            h, td2, _ = induced_minor_decomposition(g, td, op)
-            met2 = decomposition_metrics(h, td2)
-            checks[5].record(
-                validate_decomposition(h, td2) == [] and met2.mu <= met.mu, (op, met2.mu, met.mu)
-            )
-    return checks
+            minors.append((g, td, random_minor_op(rng, g)))
+    return [
+        decomposition_valid(cases),
+        nice_form_valid(cases),
+        metrics_match_oracle(cases),
+        closed_neighborhood_bound(cases),
+        bag_dominated_vertex(cases),
+        minor_keeps_mu(minors),
+    ]
 
 
 def suite_traces(seed, max_n):
-    rng = Random(seed)
-    checks = [Check("mwis equals oracle"), Check("trace coverage"), Check("family size bound")]
-    for g, w in random_corpus(seed, 40, max_n):
-        td, met, nice = _prepared(g)
-        got, _ = mwis_dp(g, nice, w, met.mu)
-        expected, _ = brute_mwis(g, w)
-        checks[0].record(got == expected, (g.n, got, expected))
-        maximal = enumerate_maximal_independent_sets(g)
-        n_bound = max(g.n, 1) ** (3 * met.mu)
-        for i, node in enumerate(nice.nodes):
-            fam = trace_family_for_bag(g, node.bag, met.mu, node=i)
-            members = set(fam.members)
-            checks[1].record(all(ind & node.bag in members for ind in maximal), (g.n, i))
-            checks[2].record(len(fam) <= n_bound, (len(fam), n_bound))
-    return checks
+    cases = [prepare(g, w, heuristic_decomposition(g)) for g, w in random_corpus(seed, 40, max_n)]
+    return [mwis_matches_oracle(cases), trace_coverage(cases), trace_family_bound(cases)]
 
 
 def suite_forest(seed, max_n):
-    rng = Random(seed)
-    checks = [
-        Check("forest optimum equals oracle, both providers"),
-        Check("signature coverage"),
-        Check("skeleton bag bound 8k"),
-        Check("anatomy partitions maximal forests"),
+    corpus = random_corpus(seed, 18, min(max_n, 8), n_min=3)
+    cases = [prepare(g, w, heuristic_decomposition(g)) for g, w in corpus]
+    return [
+        forest_matches_oracle(cases),
+        signature_coverage(cases),
+        skeleton_bound(cases),
+        anatomy_partitions([(g,) for g, _ in corpus]),
     ]
-    for g, w in random_corpus(seed, 18, min(max_n, 8), n_min=3):
-        td, met, nice = _prepared(g)
-        expected, _ = brute_max_weight_induced_forest(g, w)
-        w_ex, _ = mwif_dp(g, nice, w, provider="exhaustive")
-        w_pa, _ = mwif_dp(g, nice, w, provider="paper", k=met.mu)
-        checks[0].record(w_ex == w_pa == expected, (g.n, w_ex, w_pa, expected))
-        forests = enumerate_maximal_induced_forests(g)
-        vt = nice.subtree_vertex_masks()
-        for i, node in enumerate(nice.nodes):
-            traces = trace_family_for_bag(g, node.bag, met.mu, node=i).members
-            fam = signature_family_paper(g, node.bag, vt[i], met.mu, traces, node=i)
-            for f in forests:
-                checks[1].record(signature_in(g, f, node.bag, vt[i]) in fam, (g.n, i, f))
-                anatomy = forest_anatomy(g, f)
-                checks[2].record(
-                    popcount(anatomy.skeleton & node.bag) <= 8 * met.mu, (g.n, i, f)
-                )
-        for f in forests:
-            anatomy = forest_anatomy(g, f)
-            parts_ok = (
-                anatomy.skeleton | anatomy.leaves | anatomy.trivial == f
-                and anatomy.skeleton & anatomy.leaves == 0
-                and anatomy.skeleton & anatomy.trivial == 0
-                and anatomy.leaves & anatomy.trivial == 0
-                and g.is_independent(anatomy.leaves | anatomy.trivial)
-            )
-            checks[3].record(parts_ok, (g.n, f))
-    return checks
 
 
 def suite_packing(seed, max_n):
     rng = Random(seed)
-    checks = [
-        Check("blob packing equals subfamily brute force"),
-        Check("distance packing equals brute force"),
-        Check("power-blob identity"),
-        Check("blob transfer inequalities"),
-        Check("odd power transfer inequality"),
-        Check("ptas guarantee"),
-    ]
-    from .graphs import distance_matrix
-
-    def brute_pack(g, fam, mode, d=None):
-        dist = distance_matrix(g)
-        best = Fraction(0)
-        for r in range(len(fam.members) + 1):
-            for combo in combinations(range(len(fam.members)), r):
-                if is_valid_packing(g, fam, combo, mode, d=d, dist=dist) is None:
-                    wsum = sum((fam.members[i].weight for i in combo), Fraction(0))
-                    best = max(best, wsum)
-        return best
-
-    for idx in range(12):
+    packings, distance, balls, blobs, powers, ptas = [], [], [], [], [], []
+    for _ in range(12):
         n = rng.randint(4, max_n)
         g = random_graph(n, rng.choice([0.3, 0.5]), seed=rng.randrange(2**32))
         td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        pool = enumerate_small_connected_subgraphs(g, 3)
-        rng.shuffle(pool)
-        sets = pool[: min(9, len(pool))]
-        fam = SubgraphFamily(sets, [rng.randint(0, 20) for _ in sets])
-        sol = max_weight_independent_packing(g, td, fam)
-        checks[0].record(sol.weight == brute_pack(g, fam, "independent"), (n, idx))
-        for d in (2, 4):
-            sol_d = max_weight_distance_packing(g, td, fam, d)
-            checks[1].record(sol_d.weight == brute_pack(g, fam, "distance", d), (n, d))
-        for k, d in ((1, 1), (2, 1), (1, 2)):
-            balls = SubgraphFamily([ball_mask(g, v, d) for v in range(n)])
-            gk = graph_power(g, k) if k > 1 else g
-            checks[2].record(
-                graph_power(g, k + 2 * d) == blob_graph(gk, balls), (n, k, d)
-            )
-        multi = SubgraphFamily([m for m in sets for _ in (0, 1)])
-        if sets:
-            td_multi = blob_decomposition(g, td, fam)
-            met_multi = decomposition_metrics(blob_graph(g, fam), td_multi)
-            checks[3].record(met_multi.mu <= met.mu, (n, met_multi.mu, met.mu))
-            big = SubgraphFamily([m for m in pool if popcount(m) >= 2][:9] or [g.vertex_mask()])
-            bd = blob_decomposition(g, td, big)
-            met_big = decomposition_metrics(blob_graph(g, big), bd)
-            checks[3].record(met_big.alpha <= met.mu, (n, met_big.alpha, met.mu))
-        if g.m:
-            for r in (3, 5):
-                tdr = odd_power_decomposition(g, td, r)
-                gr = graph_power(g, r)
-                metr = decomposition_metrics(gr, tdr)
-                checks[4].record(
-                    validate_decomposition(gr, tdr) == [] and metr.alpha <= met.mu,
-                    (n, r, metr.alpha, met.mu),
-                )
+        pieces = shuffled_pieces(rng, g)
+        family = random_family(rng, pieces, 9)
+        packings.append((g, td, family))
+        distance += [(g, td, family, d) for d in (2, 4)]
+        balls += [(g, k, d) for k, d in ((1, 1), (2, 1), (1, 2))]
+        blobs.append((g, td, family))
+        big = [m for m in pieces if popcount(m) >= 2][:9]
+        if big:  # an edgeless graph has no connected piece of two vertices
+            blobs.append((g, td, SubgraphFamily(big)))
+        powers += [(g, td, r) for r in (3, 5)]
         if n <= 9:
-            opt = max(
-                popcount(m)
-                for m in submasks(g.vertex_mask())
-                if treewidth_at_most(g, m, 1)
-            )
-            for eps in (0.25, 0.5):
-                got = popcount(ptas_bounded_treewidth_subgraph(g, td, 1, eps))
-                checks[5].record(got >= (1 - eps) * opt, (n, eps, got, opt))
-    return checks
+            ptas += [(g, td, eps) for eps in (0.25, 0.5)]
+    return [
+        independent_packing_optimal(packings),
+        distance_packing_optimal(distance),
+        power_blob_identity(balls),
+        blob_transfer(blobs),
+        odd_power_transfer(powers),
+        ptas_guarantee(ptas),
+    ]
 
 
 def suite_boundaried(seed, max_n):
     rng = Random(seed)
-    checks = [
-        Check("algebra compositionality"),
-        Check("structured DP equals brute force"),
-    ]
-    algebras = [ForestAlgebra(), BipartiteAlgebra(), MaxDegreeAlgebra(0), MaxDegreeAlgebra(1), MaxDegreeAlgebra(2)]
-
-    def rand_bg(ell):
-        n = rng.randint(0, 6)
-        g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
-        labels = {}
-        for v in range(n):
-            if rng.random() < 0.5:
-                l = rng.randint(1, ell)
-                if l not in labels.values():
-                    labels[v] = l
-        return BoundariedGraph.make(g, labels, ell)
-
+    laws = []
     for _ in range(200):
         ell = rng.randint(1, 4)
-        b1, b2 = rand_bg(ell), rand_bg(ell)
-        merged = glue(b1, b2)
-        l = rng.randint(1, ell)
-        for alg in algebras:
-            ok = (
-                alg.type_of(merged) == alg.glue(alg.type_of(b1), alg.type_of(b2))
-                and alg.type_of(forget_label(b1, l)) == alg.forget(alg.type_of(b1), l)
-                and alg.accepting(alg.type_of(b1)) == alg.holds(b1.graph)
-            )
-            checks[0].record(ok, alg.name)
-
-    from .boundaried import generic_structured_dp
-
-    def brute_best(g, w, predicate):
-        best = Fraction(0)
-        for m in submasks(g.vertex_mask()):
-            if predicate(m):
-                best = max(best, w.of_set(m))
-        return best
-
-    def bip_mask(g, m):
-        return BipartiteAlgebra().holds(_induced(g, m))
-
-    def _induced(g, m):
-        verts = to_tuple(m)
-        idx = {v: i for i, v in enumerate(verts)}
-        return Graph(len(verts), [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx])
-
-    for g, w in random_corpus(seed + 1, 10, min(max_n, 9), n_min=2):
-        td, met, nice = _prepared(g)
-        res = generic_structured_dp(g, nice, w, ForestAlgebra(), r=2, k=met.alpha)
-        exp, _ = brute_max_weight_induced_forest(g, w)
-        checks[1].record(res is not None and res[0] == exp, ("forest", g.n))
-        res = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2, k=met.alpha)
-        checks[1].record(res is not None and res[0] == brute_best(g, w, lambda m: bip_mask(g, m)), ("bipartite", g.n))
-        for d in (0, 1, 2):
-            res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(d), r=d + 1, k=met.alpha)
-            exp_d = brute_best(
-                g, w, lambda m: all(popcount(g.adj_mask(v) & m) <= d for v in bits(m))
-            )
-            checks[1].record(res is not None and res[0] == exp_d, (f"max-degree:{d}", g.n))
-    return checks
+        b1, b2 = random_boundaried(rng, ell), random_boundaried(rng, ell)
+        label = rng.randint(1, ell)
+        laws += [(alg, b1, b2, label) for alg in ALGEBRAS]
+    corpus = random_corpus(seed + 1, 10, min(max_n, 9))
+    cases = [prepare(g, w, heuristic_decomposition(g)) for g, w in corpus]
+    return [algebra_compositional(laws), structured_dp_matches_brute_force(cases)]
 
 
 def suite_oracles(seed, max_n):
-    rng = Random(seed)
-    checks = [
-        Check("width chain on random graphs"),
-        Check("line graph square equality"),
-        Check("corona equality"),
-        Check("power monotonicity"),
-        Check("odd power strong inequality"),
-        Check("degree bounds"),
-        Check("recognition agrees with oracle"),
-        Check("anchors"),
+    # sparse_corpus keeps at most 9 edges, so every line graph square stays small
+    graphs = [(g, exact_width_parameters(g)) for g in sparse_corpus(seed, 15, min(max_n, 8))]
+    return [
+        width_chain(graphs),
+        line_square_equality(graphs),
+        corona_equality([(g, ew) for g, ew in graphs if g.n <= 4]),
+        power_monotone(graphs),
+        odd_power_strong(graphs),
+        degree_bounds(graphs),
+        recognition_agrees(graphs),
+        width_anchors([()]),
     ]
-    for g in sparse_corpus(seed, 15, min(max_n, 8)):
-        ew = exact_width_parameters(g)
-        checks[0].record(ew.tree_mu <= ew.tree_alpha <= ew.treewidth + 1, g.n)
-        if g.m <= 9:
-            sq, _ = line_graph_square(g)
-            checks[1].record(exact_width_parameters(sq).tree_alpha == ew.tree_mu, (g.n, g.m))
-            checks[6].record(recognize_imtw_at_most_1(g) == (ew.tree_mu <= 1), (g.n, g.m))
-        if g.n <= 4:
-            checks[2].record(
-                exact_width_parameters(corona(g)).tree_mu == ew.tree_alpha, g.n
-            )
-        if g.n <= 8:
-            for r in (1, 2):
-                er = exact_width_parameters(graph_power(g, r)) if r > 1 else ew
-                er2 = exact_width_parameters(graph_power(g, r + 2))
-                checks[3].record(
-                    er2.tree_alpha <= er.tree_alpha and er2.tree_mu <= er.tree_mu, (g.n, r)
-                )
-            e3 = exact_width_parameters(graph_power(g, 3))
-            checks[4].record(e3.tree_alpha <= ew.tree_mu if g.m else True, g.n)
-        if g.m:
-            delta = g.max_degree()
-            checks[5].record(
-                ew.tree_alpha <= 2 * ew.tree_mu * delta**2
-                and ew.treewidth <= 2 * ew.tree_mu * delta**2 * (delta + 1),
-                g.n,
-            )
-    k33 = exact_width_parameters(complete_bipartite(3, 3))
-    checks[7].record(k33.tree_alpha == 3 and k33.tree_mu == 1, "K33")
-    mj2 = exact_width_parameters(matching_join(2))
-    checks[7].record(mj2.tree_mu >= 2, "matching_join(2)")
-    q4 = hypercube_graph(4)
-    for strategy in ("min-fill", "min-degree"):
-        td = heuristic_decomposition(q4, strategy)
-        met = decomposition_metrics(q4, td)
-        checks[7].record(validate_decomposition(q4, td) == [] and met.mu >= 2, f"Q4 {strategy}")
-    return checks
 
 
 SUITES = {

@@ -1,68 +1,16 @@
-"""Shared helpers: independent brute-force recomputations used as oracles."""
+"""Shared helpers: seeded test corpora and the assertion that a claim held."""
 
-from fractions import Fraction
 from random import Random
 
-from imtw.bits import bits, popcount, submasks, to_tuple
-from imtw.graphs import Graph, random_graph
+from imtw.decomp import heuristic_decomposition
+from imtw.graphs import Graph, WeightMap, random_graph
+from imtw.verify import STRATEGIES, prepare
 
 
-def brute_subsets_mwis(graph, weights):
-    """Plain subset scan, independent of the package's branchy oracle."""
-    best = Fraction(0)
-    for m in submasks(graph.vertex_mask()):
-        if graph.is_independent(m):
-            best = max(best, weights.of_set(m))
-    return best
-
-
-def induced_on(graph, mask):
-    verts = to_tuple(mask)
-    idx = {v: i for i, v in enumerate(verts)}
-    edges = [(idx[u], idx[v]) for u, v in graph.edges if u in idx and v in idx]
-    return Graph(len(verts), edges)
-
-
-def has_cycle_within(graph, mask):
-    """DFS cycle test, independent of the edge-count formula in the package."""
-    seen = set()
-    for start in bits(mask):
-        if start in seen:
-            continue
-        stack = [(start, -1)]
-        seen.add(start)
-        while stack:
-            v, parent = stack.pop()
-            for u in bits(graph.adj_mask(v) & mask):
-                if u == parent:
-                    continue
-                if u in seen:
-                    return True
-                seen.add(u)
-                stack.append((u, v))
-    return False
-
-
-def is_bipartite_within(graph, mask):
-    color = {}
-    for start in bits(mask):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in bits(graph.adj_mask(v) & mask):
-                if u not in color:
-                    color[u] = color[v] ^ 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
-def max_degree_within(graph, mask):
-    return max((popcount(graph.adj_mask(v) & mask) for v in bits(mask)), default=0)
+def expect(*checks):
+    """Assert that every check ran at least once and never failed."""
+    for check in checks:
+        assert check.ok, check.as_dict()
 
 
 def chordal_completion(graph, rng=None):
@@ -98,3 +46,21 @@ def seeded_graphs(seed, count, n_lo, n_hi, ps=(0.2, 0.5)):
         n = n_lo + (i % (n_hi - n_lo + 1))
         out.append(random_graph(n, ps[i % len(ps)], seed=rng.randrange(2**32)))
     return out
+
+
+def solver_cases(graphs, weight_seed=None, max_weight=None, pick_strategy=False):
+    """Prepared (graph, weights, td, metrics, nice) cases.
+
+    Unit weights and min-fill unless a weight seed is given; then each graph
+    draws its weights, and its strategy when ``pick_strategy``, from that seed.
+    """
+    rng = Random(weight_seed)
+    cases = []
+    for g in graphs:
+        if weight_seed is None:
+            w = WeightMap.unit(g.n)
+        else:
+            w = WeightMap([rng.randint(0, max_weight) for _ in range(g.n)])
+        strategy = rng.choice(STRATEGIES) if pick_strategy else "min-fill"
+        cases.append(prepare(g, w, heuristic_decomposition(g, strategy)))
+    return cases

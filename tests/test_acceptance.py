@@ -1,376 +1,230 @@
 """Acceptance criteria, one test per criterion, exact comparisons throughout.
 
-Each test prints a single pass/fail line. The random corpora are regenerated
-from fixed seeds; nothing is stored.
+Each test builds its seeded corpus, hands it to the claims of ``imtw.verify``
+and prints a single pass/fail line. Nothing is stored.
 """
 
 import time
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 import pytest
 
-from imtw.bits import popcount, submasks
-from imtw.boundaried import (
-    BipartiteAlgebra,
-    BoundariedGraph,
-    ForestAlgebra,
-    MaxDegreeAlgebra,
-    forget_label,
-    generic_structured_dp,
-    glue,
+from imtw.bits import popcount
+from imtw.boundaried import BipartiteAlgebra, ForestAlgebra, MaxDegreeAlgebra
+from imtw.corpus import (
+    random_boundaried,
+    random_corpus,
+    random_family,
+    random_minor_op,
+    shuffled_pieces,
 )
-from imtw.corpus import random_corpus
 from imtw.decomp import (
-    blob_decomposition,
-    decomposition_metrics,
     heuristic_decomposition,
-    induced_minor_decomposition,
     make_nice,
-    odd_power_decomposition,
     single_bag_decomposition,
-    validate_decomposition,
 )
-from imtw.forest import (
-    forest_anatomy,
-    mwif_dp,
-    signature_family_paper,
-    signature_in,
+from imtw.forest import mwif_dp
+from imtw.graphs import WeightMap, complete_bipartite, random_graph
+from imtw.oracles import exact_width_parameters
+from imtw.packing import SubgraphFamily
+from imtw.traces import mwis_dp
+from imtw.verify import (
+    algebra_compositional,
+    blob_transfer,
+    chordal_alpha_one,
+    corona_equality,
+    degree_bounds,
+    distance_packing_optimal,
+    forest_matches_oracle,
+    line_square_equality,
+    minor_keeps_tree_mu,
+    mwis_matches_oracle,
+    odd_power_strong,
+    odd_power_transfer,
+    power_blob_identity,
+    power_monotone,
+    prepare,
+    ptas_guarantee,
+    recognition_agrees,
+    signature_coverage,
+    skeleton_bound,
+    structured_dp_matches_brute_force,
+    trace_coverage,
+    trace_family_bound,
+    width_anchors,
 )
-from imtw.graphs import (
-    WeightMap,
-    ball_mask,
-    complete_bipartite,
-    corona,
-    distance_matrix,
-    graph_power,
-    hypercube_graph,
-    line_graph_square,
-    matching_join,
-    random_graph,
-)
-from imtw.oracles import (
-    brute_max_weight_induced_forest,
-    brute_mwis,
-    chordality_test,
-    enumerate_maximal_induced_forests,
-    exact_width_parameters,
-    recognize_imtw_at_most_1,
-)
-from imtw.packing import (
-    SubgraphFamily,
-    blob_graph,
-    component_size_cap,
-    enumerate_small_connected_subgraphs,
-    is_valid_packing,
-    max_weight_distance_packing,
-    ptas_bounded_treewidth_subgraph,
-    treewidth_at_most,
-)
-from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
 
-from conftest import chordal_completion, has_cycle_within, is_bipartite_within, max_degree_within
+from conftest import chordal_completion, seeded_graphs
 
 
-def report(number, ok, text):
+def report(number, ok, text, *checks):
+    failed = [c.as_dict() for c in checks if not c.ok]
+    ok = ok and not failed
     print(f"criterion {number:2d}: {'PASS' if ok else 'FAIL'} - {text}")
-    assert ok, f"criterion {number} failed: {text}"
+    assert ok, f"criterion {number} failed: {text} {failed}"
 
 
 @pytest.fixture(scope="module")
 def corpus200():
-    instances = []
-    for g, w in random_corpus(42, 200, 10):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        instances.append((g, w, td, met, nice))
-    return instances
+    return [prepare(g, w, heuristic_decomposition(g)) for g, w in random_corpus(42, 200, 10)]
 
 
 def test_criterion_1_mwis_oracle_equivalence(corpus200):
     started = time.perf_counter()
-    for g, w, td, met, nice in corpus200:
-        got, solution = mwis_dp(g, nice, w, met.mu)
-        expected, _ = brute_mwis(g, w)
-        assert got == expected and g.is_independent(solution)
+    check = mwis_matches_oracle(corpus200)
     elapsed = time.perf_counter() - started
-    report(1, elapsed < 60, f"200 instances, dp equals oracle exactly, {elapsed:.1f}s < 60s")
+    report(1, elapsed < 60, f"200 instances, dp equals oracle exactly, {elapsed:.1f}s < 60s", check)
 
 
 def test_criterion_2_forest_oracle_equivalence(corpus200):
     started = time.perf_counter()
-    for g, w, td, met, nice in corpus200:
-        expected, _ = brute_max_weight_induced_forest(g, w)
-        w_exhaustive, _ = mwif_dp(g, nice, w, provider="exhaustive")
-        w_paper, _ = mwif_dp(g, nice, w, provider="paper", k=met.mu)
-        assert w_exhaustive == w_paper == expected
+    check = forest_matches_oracle(corpus200)
     elapsed = time.perf_counter() - started
-    report(2, elapsed < 600, f"200 instances, both providers equal oracle, {elapsed:.1f}s < 600s")
+    text = f"200 instances, both providers equal oracle, {elapsed:.1f}s < 600s"
+    report(2, elapsed < 600, text, check)
 
 
 def test_criterion_3_trace_coverage(corpus200):
-    for g, w, td, met, nice in corpus200:
-        maximal = enumerate_maximal_independent_sets(g)
-        bound = max(g.n, 1) ** (3 * met.mu)
-        for i, node in enumerate(nice.nodes):
-            family = trace_family_for_bag(g, node.bag, met.mu, node=i)
-            members = set(family.members)
-            assert len(members) <= bound
-            for ind in maximal:
-                assert ind & node.bag in members
-    report(3, True, "every maximal independent set trace covered, sizes within n^(3k)")
+    checks = trace_coverage(corpus200), trace_family_bound(corpus200)
+    report(3, True, "every maximal independent set trace covered, sizes within n^(3k)", *checks)
 
 
 def test_criterion_4_signature_coverage(corpus200):
-    checked = 0
-    for g, w, td, met, nice in corpus200:
-        if g.n > 8:
-            continue
-        checked += 1
-        forests = enumerate_maximal_induced_forests(g)
-        vt = nice.subtree_vertex_masks()
-        bound = ((12 * met.mu) ** (12 * met.mu) if met.mu else 1) * max(g.n, 1) ** (
-            14 * met.mu + 2
-        )
-        for i, node in enumerate(nice.nodes):
-            traces = trace_family_for_bag(g, node.bag, met.mu, node=i).members
-            family = signature_family_paper(g, node.bag, vt[i], met.mu, traces, node=i)
-            assert len(family) <= bound
-            for forest in forests:
-                assert signature_in(g, forest, node.bag, vt[i]) in family
-    report(4, checked >= 100, f"signatures of all maximal forests covered on {checked} graphs")
+    small = [case for case in corpus200 if case[0].n <= 8]
+    check = signature_coverage(small)
+    text = f"signatures of all maximal forests covered on {len(small)} graphs"
+    report(4, len(small) >= 100, text, check)
 
 
 def test_criterion_5_skeleton_bound(corpus200):
-    for g, w, td, met, nice in corpus200:
-        for forest in enumerate_maximal_induced_forests(g):
-            skeleton = forest_anatomy(g, forest).skeleton
-            for bag in td.bags:
-                assert popcount(skeleton & bag) <= 8 * met.mu
-    report(5, True, "skeleton bag intersections within 8k on the full corpus")
+    check = skeleton_bound(corpus200)
+    report(5, True, "skeleton bag intersections within 8k on the full corpus", check)
 
 
 def test_criterion_6_power_blob_identity():
-    rng = Random(606)
-    for i in range(24):
-        n = 4 + (i % 9)
-        g = random_graph(n, (0.25, 0.45)[i % 2], seed=rng.randrange(2**32))
-        for k in (1, 2):
-            gk = graph_power(g, k) if k > 1 else g
-            for d in (1, 2):
-                balls = SubgraphFamily([ball_mask(g, v, d) for v in range(g.n)])
-                assert graph_power(g, k + 2 * d) == blob_graph(gk, balls)
-    report(6, True, "power k+2d equals blob of radius-d balls, vertex for vertex")
+    graphs = seeded_graphs(606, 24, 4, 12, ps=(0.25, 0.45))
+    cases = [(g, k, d) for g in graphs for k in (1, 2) for d in (1, 2)]
+    check = power_blob_identity(cases)
+    report(6, True, "power k+2d equals blob of radius-d balls, vertex for vertex", check)
 
 
 def test_criterion_7_transfer_inequalities():
     rng = Random(707)
-    blob_set_checked = blob_big_checked = power_checked = 0
+    distinct, big, powers = [], [], []
     for i in range(25):
-        n = 4 + (i % 7)
-        g = random_graph(n, (0.25, 0.5)[i % 2], seed=rng.randrange(2**32))
+        g = random_graph(4 + (i % 7), (0.25, 0.5)[i % 2], seed=rng.randrange(2**32))
         td = heuristic_decomposition(g)
-        mu = decomposition_metrics(g, td).mu
-        pool = enumerate_small_connected_subgraphs(g, 3)
-        rng.shuffle(pool)
-        distinct = pool[:8]
-        if distinct:
-            fam = SubgraphFamily(distinct)
-            assert fam.duplicate_free
-            blob = blob_graph(g, fam)
-            td2 = blob_decomposition(g, td, fam)
-            assert validate_decomposition(blob, td2) == []
-            assert decomposition_metrics(blob, td2).mu <= mu
-            blob_set_checked += 1
-        big = [m for m in pool if popcount(m) >= 2][:6]
-        if big:
-            fam = SubgraphFamily(big + big[:2])
-            blob = blob_graph(g, fam)
-            td2 = blob_decomposition(g, td, fam)
-            assert decomposition_metrics(blob, td2).alpha <= mu
-            blob_big_checked += 1
-        if g.m:
-            for r in (3, 5):
-                tdr = odd_power_decomposition(g, td, r)
-                gr = graph_power(g, r)
-                assert validate_decomposition(gr, tdr) == []
-                assert decomposition_metrics(gr, tdr).alpha <= mu
-            power_checked += 1
-    ok = blob_set_checked >= 15 and blob_big_checked >= 15 and power_checked >= 15
-    report(7, ok, "blob and odd-power transfers within their bounds on all instances")
+        pieces = shuffled_pieces(rng, g)
+        if pieces[:8]:
+            distinct.append((g, td, SubgraphFamily(pieces[:8])))
+        two_plus = [m for m in pieces if popcount(m) >= 2][:6]
+        if two_plus:
+            big.append((g, td, SubgraphFamily(two_plus + two_plus[:2])))
+        powers += [(g, td, r) for r in (3, 5)]
+    assert all(family.duplicate_free for _, _, family in distinct)
+    blobs, odd = blob_transfer(distinct + big), odd_power_transfer(powers)
+    ok = len(distinct) >= 15 and len(big) >= 15 and odd.instances >= 2 * 15
+    report(7, ok, "blob and odd-power transfers within their bounds on all instances", blobs, odd)
 
 
 def test_criterion_8_packing_optimality():
     rng = Random(808)
-
-    def brute(graph, family, mode, d=None):
-        dist = distance_matrix(graph)
-        best = Fraction(0)
-        for r in range(len(family.members) + 1):
-            for combo in combinations(range(len(family.members)), r):
-                if is_valid_packing(graph, family, combo, mode, d=d, dist=dist) is None:
-                    best = max(
-                        best, sum((family.members[i].weight for i in combo), Fraction(0))
-                    )
-        return best
-
-    instances = 0
+    cases = []
     for i in range(16):
-        n = 4 + (i % 9)
-        g = random_graph(n, (0.3, 0.5)[i % 2], seed=rng.randrange(2**32))
-        pool = enumerate_small_connected_subgraphs(g, 3)
-        rng.shuffle(pool)
-        sets = pool[: min(12, len(pool))]
-        if not sets:
+        g = random_graph(4 + (i % 9), (0.3, 0.5)[i % 2], seed=rng.randrange(2**32))
+        pieces = shuffled_pieces(rng, g)
+        if not pieces:
             continue
-        fam = SubgraphFamily(sets, [rng.randint(0, 25) for _ in sets])
+        family = random_family(rng, pieces, 12, max_weight=25)
         td = heuristic_decomposition(g)
-        for d in (2, 4):
-            sol = max_weight_distance_packing(g, td, fam, d)
-            assert sol.weight == brute(g, fam, "distance", d)
-        instances += 1
-    report(8, instances >= 12, f"packing optima equal subfamily brute force on {instances} instances")
+        cases += [(g, td, family, d) for d in (2, 4)]
+    instances = len(cases) // 2
+    report(
+        8,
+        instances >= 12,
+        f"packing optima equal subfamily brute force on {instances} instances",
+        distance_packing_optimal(cases),
+    )
 
 
 def test_criterion_9_ptas_guarantee():
-    rng = Random(909)
-    for i in range(14):
-        n = 4 + (i % 7)
-        g = random_graph(n, (0.25, 0.5)[i % 2], seed=rng.randrange(2**32))
-        td = heuristic_decomposition(g)
-        opt = max(
-            popcount(m) for m in submasks(g.vertex_mask()) if not has_cycle_within(g, m)
-        )
-        for eps in (Fraction(1, 4), Fraction(1, 2)):
-            solution = ptas_bounded_treewidth_subgraph(g, td, 1, eps)
-            cap = component_size_cap(1, eps)
-            assert popcount(solution) >= (1 - eps) * opt
-            for comp in g.components_within(solution):
-                assert popcount(comp) <= cap
-                assert treewidth_at_most(g, comp, 1)
-    report(9, True, "ptas within (1-eps) of the exhaustive optimum, pieces valid")
+    graphs = seeded_graphs(909, 14, 4, 10, ps=(0.25, 0.5))
+    epsilons = Fraction(1, 4), Fraction(1, 2)
+    cases = [(g, heuristic_decomposition(g), eps) for g in graphs for eps in epsilons]
+    check = ptas_guarantee(cases)
+    report(9, True, "ptas within (1-eps) of the exhaustive optimum, pieces valid", check)
 
 
 def test_criterion_10_structured_dp_agreement():
     rng = Random(1010)
+    cases = []
     for i in range(12):
-        n = 4 + (i % 7)
-        g = random_graph(n, (0.3, 0.5)[i % 2], seed=rng.randrange(2**32))
+        g = random_graph(4 + (i % 7), (0.3, 0.5)[i % 2], seed=rng.randrange(2**32))
         w = WeightMap([rng.randint(0, 50) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        res = generic_structured_dp(g, nice, w, ForestAlgebra(), r=2, k=met.alpha)
-        via_forest, _ = mwif_dp(g, nice, w)
-        oracle, _ = brute_max_weight_induced_forest(g, w)
-        assert res[0] == via_forest == oracle
-        res = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2, k=met.alpha)
-        best_bip = max(
-            w.of_set(m) for m in submasks(g.vertex_mask()) if is_bipartite_within(g, m)
-        )
-        assert res[0] == best_bip
-        for d in (0, 1, 2):
-            res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(d), r=d + 1, k=met.alpha)
-            best_d = max(
-                w.of_set(m)
-                for m in submasks(g.vertex_mask())
-                if max_degree_within(g, m) <= d
-            )
-            assert res[0] == best_d
-
-    algebras = [ForestAlgebra(), BipartiteAlgebra(), MaxDegreeAlgebra(1)]
+        cases.append(prepare(g, w, heuristic_decomposition(g)))
+    laws = []
+    algebras = ForestAlgebra(), BipartiteAlgebra(), MaxDegreeAlgebra(1)
     for _ in range(200):
         ell = rng.randint(1, 4)
-
-        def rand_bg():
-            n = rng.randint(0, 6)
-            g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
-            labels = {}
-            for v in range(n):
-                if rng.random() < 0.5:
-                    l = rng.randint(1, ell)
-                    if l not in labels.values():
-                        labels[v] = l
-            return BoundariedGraph.make(g, labels, ell)
-
-        b1, b2 = rand_bg(), rand_bg()
-        merged = glue(b1, b2)
+        b1, b2 = random_boundaried(rng, ell), random_boundaried(rng, ell)
         label = rng.randint(1, ell)
-        for alg in algebras:
-            assert alg.type_of(merged) == alg.glue(alg.type_of(b1), alg.type_of(b2))
-            assert alg.type_of(forget_label(b1, label)) == alg.forget(alg.type_of(b1), label)
-    report(10, True, "structured dp agrees with oracles; 200 algebra law instances pass")
+        laws += [(alg, b1, b2, label) for alg in algebras]
+    report(
+        10,
+        True,
+        "structured dp agrees with oracles; 200 algebra law instances pass",
+        structured_dp_matches_brute_force(cases),
+        algebra_compositional(laws),
+    )
 
 
 def test_criterion_11_exact_width_anchors():
-    k33 = exact_width_parameters(complete_bipartite(3, 3))
-    assert k33.tree_alpha == 3 and k33.tree_mu == 1
     rng = Random(1111)
-    for _ in range(10):
-        g = chordal_completion(random_graph(rng.randint(1, 8), 0.4, seed=rng.randrange(2**32)))
-        assert chordality_test(g)[0]
-        assert exact_width_parameters(g).tree_alpha == 1
-    assert exact_width_parameters(matching_join(2)).tree_mu >= 2
-    q4 = hypercube_graph(4)
-    for strategy in ("min-fill", "min-degree"):
-        td = heuristic_decomposition(q4, strategy)
-        assert validate_decomposition(q4, td) == []
-        assert decomposition_metrics(q4, td).mu >= 2
-    checked = 0
+    chordal = [
+        (chordal_completion(random_graph(rng.randint(1, 8), 0.4, seed=rng.randrange(2**32))),)
+        for _ in range(10)
+    ]
+    recognized = []
     for _ in range(80):
         g = random_graph(rng.randint(2, 8), rng.uniform(0.15, 0.5), seed=rng.randrange(2**32))
-        if g.m > 9:
-            continue
-        assert recognize_imtw_at_most_1(g) == (exact_width_parameters(g).tree_mu <= 1)
-        checked += 1
-    report(11, checked >= 30, f"all width anchors hold; recognizer agreed on {checked} graphs")
+        if g.m <= 9:
+            recognized.append((g, exact_width_parameters(g)))
+    agree = recognition_agrees(recognized)
+    report(
+        11,
+        agree.instances >= 30,
+        f"all width anchors hold; recognizer agreed on {agree.instances} graphs",
+        width_anchors([()]),
+        chordal_alpha_one(chordal),
+        agree,
+    )
 
 
 def test_criterion_12_inequality_suite():
     rng = Random(1212)
-    prop23 = powers = degree = 0
+    graphs = []
     for _ in range(60):
-        n = rng.randint(2, 8)
-        g = random_graph(n, rng.uniform(0.15, 0.5), seed=rng.randrange(2**32))
-        ew = exact_width_parameters(g)
-        if 0 < g.m <= 9:
-            square, _ = line_graph_square(g)
-            assert exact_width_parameters(square).tree_alpha == ew.tree_mu
-            prop23 += 1
-        if g.n <= 4:
-            assert exact_width_parameters(corona(g)).tree_mu == ew.tree_alpha
-        for r in (1, 2):
-            er = exact_width_parameters(graph_power(g, r)) if r > 1 else ew
-            er2 = exact_width_parameters(graph_power(g, r + 2))
-            assert er2.tree_alpha <= er.tree_alpha and er2.tree_mu <= er.tree_mu
-        e3 = exact_width_parameters(graph_power(g, 3))
-        assert e3.tree_alpha <= ew.tree_alpha
-        if g.m:
-            assert e3.tree_alpha <= ew.tree_mu
-            powers += 1
-            delta = g.max_degree()
-            assert ew.tree_alpha <= 2 * ew.tree_mu * delta**2
-            assert ew.treewidth <= 2 * ew.tree_mu * delta**2 * (delta + 1)
-            degree += 1
-    minors = 0
-    while minors < 100:
-        n = rng.randint(2, 8)
-        g = random_graph(n, rng.choice([0.3, 0.5]), seed=rng.randrange(2**32))
-        before = exact_width_parameters(g).tree_mu
-        if g.m and rng.random() < 0.5:
-            u, v = g.edges[rng.randrange(g.m)]
-            op = ("contract", u, v)
-        else:
-            op = ("delete", rng.randrange(g.n))
-        h, _, _ = induced_minor_decomposition(g, single_bag_decomposition(g), op)
-        if h.n == 0:
-            continue
-        assert exact_width_parameters(h).tree_mu <= before
-        minors += 1
-    ok = prop23 >= 20 and powers >= 20 and degree >= 20 and minors == 100
-    report(12, ok, f"equalities and bounds hold ({prop23} line-square, {minors} minor ops)")
+        g = random_graph(rng.randint(2, 8), rng.uniform(0.15, 0.5), seed=rng.randrange(2**32))
+        graphs.append((g, exact_width_parameters(g)))
+    minors = []
+    for _ in range(100):  # two or more vertices, so no operation empties the graph
+        g = random_graph(rng.randint(2, 8), rng.choice([0.3, 0.5]), seed=rng.randrange(2**32))
+        minors.append((g, random_minor_op(rng, g)))
+    line = line_square_equality([(g, ew) for g, ew in graphs if 0 < g.m <= 9])
+    degree = degree_bounds(graphs)  # the graphs with an edge
+    minor = minor_keeps_tree_mu(minors)
+    checks = (
+        line,
+        corona_equality([(g, ew) for g, ew in graphs if g.n <= 4]),
+        power_monotone(graphs),
+        odd_power_strong(graphs),
+        degree,
+        minor,
+    )
+    ok = line.instances >= 20 and degree.instances >= 20 and minor.instances == 100
+    text = f"equalities and bounds hold ({line.instances} line-square, {minor.instances} minor ops)"
+    report(12, ok, text, *checks)
 
 
 def test_criterion_13_polynomial_smoke():
@@ -382,11 +236,9 @@ def test_criterion_13_polynomial_smoke():
     assert weight == 20
 
     g = complete_bipartite(8, 8)
-    td = heuristic_decomposition(g)
-    met = decomposition_metrics(g, td)
-    nice = make_nice(g, td)
+    g, w, _, met, nice = prepare(g, WeightMap.unit(16), heuristic_decomposition(g))
     started = time.perf_counter()
-    weight, _ = mwif_dp(g, nice, WeightMap.unit(16), provider="paper", k=met.mu)
+    weight, _ = mwif_dp(g, nice, w, provider="paper", k=met.mu)
     forest_elapsed = time.perf_counter() - started
     assert weight == 9
 

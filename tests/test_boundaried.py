@@ -1,10 +1,9 @@
-from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 import pytest
 
-from imtw.bits import bit, submasks
+from imtw.bits import bit
 from imtw.boundaried import (
     REJECT,
     BipartiteAlgebra,
@@ -17,13 +16,14 @@ from imtw.boundaried import (
     glue,
     ramsey_upper,
 )
+from imtw.corpus import random_boundaried
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.errors import InputError
-from imtw.forest import mwif_dp
-from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph, random_graph
-from imtw.oracles import brute_max_weight_induced_forest, brute_mwis
+from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph
+from imtw.oracles import brute_mwis
+from imtw.verify import ALGEBRAS, algebra_compositional, structured_dp_matches_brute_force
 
-from conftest import is_bipartite_within, max_degree_within, seeded_graphs
+from conftest import expect, seeded_graphs, solver_cases
 
 
 def test_ramsey_small_values():
@@ -94,47 +94,25 @@ def test_algebra_rejects():
     assert md.type_of(BoundariedGraph.make(path_graph(2), {}, 2)) != REJECT
 
 
-def _random_boundaried(rng, ell):
-    n = rng.randint(0, 6)
-    g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
-    labels = {}
-    for v in range(n):
-        if rng.random() < 0.5:
-            l = rng.randint(1, ell)
-            if l not in labels.values():
-                labels[v] = l
-    return BoundariedGraph.make(g, labels, ell)
-
-
-ALGEBRAS = [
-    ForestAlgebra(),
-    BipartiteAlgebra(),
-    MaxDegreeAlgebra(0),
-    MaxDegreeAlgebra(1),
-    MaxDegreeAlgebra(2),
-]
-
-
 def test_compositionality_200_instances():
     rng = Random(99)
+    laws = []
     for _ in range(200):
         ell = rng.randint(1, 4)
-        b1, b2 = _random_boundaried(rng, ell), _random_boundaried(rng, ell)
-        merged = glue(b1, b2)
+        b1, b2 = random_boundaried(rng, ell), random_boundaried(rng, ell)
         label = rng.randint(1, ell)
-        for alg in ALGEBRAS:
-            t1, t2 = alg.type_of(b1), alg.type_of(b2)
-            assert alg.type_of(merged) == alg.glue(t1, t2)
-            assert alg.type_of(forget_label(b1, label)) == alg.forget(t1, label)
-            assert alg.accepting(t1) == alg.holds(b1.graph)
-            assert alg.glue(t1, t2) == alg.glue(t2, t1)
+        laws += [(alg, b1, b2, label) for alg in ALGEBRAS]
+    expect(algebra_compositional(laws))
+    for alg, b1, b2, _ in laws:
+        t1, t2 = alg.type_of(b1), alg.type_of(b2)
+        assert alg.glue(t1, t2) == alg.glue(t2, t1)
 
 
 def test_glue_associative_on_types():
     rng = Random(98)
     for _ in range(100):
         ell = rng.randint(1, 4)
-        triple = [_random_boundaried(rng, ell) for _ in range(3)]
+        triple = [random_boundaried(rng, ell) for _ in range(3)]
         for alg in ALGEBRAS:
             t1, t2, t3 = (alg.type_of(b) for b in triple)
             assert alg.glue(alg.glue(t1, t2), t3) == alg.glue(t1, alg.glue(t2, t3))
@@ -148,80 +126,20 @@ def test_builtin_lookup():
         builtin_type_algebra("planar")
 
 
-def clique_number_within(graph, mask):
-    members = [v for v in range(graph.n) if mask >> v & 1]
-    return max(
-        (
-            size
-            for size in range(len(members) + 1)
-            for combo in combinations(members, size)
-            if all(graph.adj_mask(u) >> v & 1 for u, v in combinations(combo, 2))
-        ),
-        default=0,
-    )
-
-
-def brute_best(graph, weights, predicate):
-    best = Fraction(0)
-    for m in submasks(graph.vertex_mask()):
-        if predicate(m):
-            best = max(best, weights.of_set(m))
-    return best
-
-
 def test_structured_dp_three_way_forest():
-    rng = Random(97)
-    for g in seeded_graphs(97, 20, 2, 9):
-        w = WeightMap([rng.randint(0, 50) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        res = generic_structured_dp(g, nice, w, ForestAlgebra(), r=2, k=met.alpha)
-        via_forest, _ = mwif_dp(g, nice, w)
-        oracle, _ = brute_max_weight_induced_forest(g, w)
-        assert res is not None and res[0] == via_forest == oracle
+    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(97, 20, 2, 9), 97, 50)))
 
 
 def test_structured_dp_bipartite():
-    rng = Random(96)
-    for g in seeded_graphs(96, 15, 2, 9):
-        w = WeightMap([rng.randint(0, 50) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        res = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2, k=met.alpha)
-        expected = brute_best(g, w, lambda m: is_bipartite_within(g, m))
-        assert res is not None and res[0] == expected
+    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(96, 15, 2, 9), 96, 50)))
 
 
 def test_structured_dp_max_degree():
-    rng = Random(95)
-    for g in seeded_graphs(95, 12, 2, 9):
-        w = WeightMap([rng.randint(0, 50) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        for d in (0, 1, 2):
-            algebra = MaxDegreeAlgebra(d)
-            # r = clique_bound leaves the degree bound in charge; smaller r
-            # also caps the clique number, which the DP enforces as it goes
-            for r in range(1, algebra.clique_bound + 1):
-                res = generic_structured_dp(g, nice, w, algebra, r=r, k=met.alpha)
-                expected = brute_best(
-                    g,
-                    w,
-                    lambda m: max_degree_within(g, m) <= d and clique_number_within(g, m) <= r,
-                )
-                assert res is not None and res[0] == expected, (g.n, d, r)
+    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(95, 12, 2, 9), 95, 50)))
 
 
 def test_structured_dp_degree_zero_is_mwis():
-    rng = Random(94)
-    for g in seeded_graphs(94, 10, 2, 9):
-        w = WeightMap([rng.randint(0, 50) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
+    for g, w, _, met, nice in solver_cases(seeded_graphs(94, 10, 2, 9), 94, 50):
         res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(0), r=1, k=met.alpha)
         assert res is not None and res[0] == brute_mwis(g, w)[0]
 

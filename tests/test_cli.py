@@ -10,6 +10,14 @@ def run_cli(capsys, *argv):
     return code, json.loads(out), out
 
 
+def instance(tmp_path, capsys, *spec):
+    """Generate the graph ``spec`` names and its default decomposition; return both paths."""
+    stem = tmp_path / "_".join(spec)
+    run_cli(capsys, "gen", *spec, "-o", f"{stem}.gr")
+    run_cli(capsys, "decompose", f"{stem}.gr", "-o", f"{stem}.td")
+    return f"{stem}.gr", f"{stem}.td"
+
+
 def test_gen_and_solve_mwis_c5(tmp_path, capsys):
     graph_file = tmp_path / "c5.gr"
     td_file = tmp_path / "c5.td"
@@ -24,25 +32,19 @@ def test_gen_and_solve_mwis_c5(tmp_path, capsys):
 
 
 def test_solve_with_weight_file(tmp_path, capsys):
-    graph_file = tmp_path / "g.gr"
-    td_file = tmp_path / "g.td"
+    graph_file, td_file = instance(tmp_path, capsys, "path", "3")
     weight_file = tmp_path / "w.txt"
-    run_cli(capsys, "gen", "path", "3", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
     weight_file.write_text("w 2 10\n")
-    code, report, _ = run_cli(capsys, "solve", "mwis", str(graph_file), str(td_file), "-w", str(weight_file))
+    code, report, _ = run_cli(capsys, "solve", "mwis", graph_file, td_file, "-w", str(weight_file))
     assert code == 0 and report["result"]["optimum"] == "10"
     assert report["result"]["solution"] == [2]
 
 
 def test_solve_forest_both_families(tmp_path, capsys):
-    graph_file = tmp_path / "c5.gr"
-    td_file = tmp_path / "c5.td"
-    run_cli(capsys, "gen", "cycle", "5", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "5")
     for family in ("paper", "exhaustive"):
         code, report, _ = run_cli(
-            capsys, "solve", "forest", str(graph_file), str(td_file), "--family", family
+            capsys, "solve", "forest", graph_file, td_file, "--family", family
         )
         assert code == 0 and report["result"]["optimum"] == "4"
 
@@ -78,11 +80,8 @@ def test_transform_commands(tmp_path, capsys):
 
 
 def test_solve_pack_with_family_file(tmp_path, capsys):
-    graph_file = tmp_path / "p4.gr"
-    td_file = tmp_path / "p4.td"
+    graph_file, td_file = instance(tmp_path, capsys, "path", "4")
     family_file = tmp_path / "fam.json"
-    run_cli(capsys, "gen", "path", "4", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
     family_file.write_text(
         json.dumps(
             [
@@ -94,30 +93,27 @@ def test_solve_pack_with_family_file(tmp_path, capsys):
     )
     # members 1 and 3,4 are non-adjacent, so they pack together for weight 5;
     # at distance 4 no two members are far enough apart and the best single wins
-    code, report, _ = run_cli(capsys, "solve", "pack", str(graph_file), str(td_file), str(family_file))
+    code, report, _ = run_cli(capsys, "solve", "pack", graph_file, td_file, str(family_file))
     assert code == 0
     assert report["result"]["optimum"] == "5"
     code, report, _ = run_cli(
-        capsys, "solve", "dpack", str(graph_file), str(td_file), str(family_file), "-d", "4"
+        capsys, "solve", "dpack", graph_file, td_file, str(family_file), "-d", "4"
     )
     assert code == 0 and report["result"]["optimum"] == "4"
 
 
 def test_solve_ptas_and_generic(tmp_path, capsys):
-    graph_file = tmp_path / "c5.gr"
-    td_file = tmp_path / "c5.td"
-    run_cli(capsys, "gen", "cycle", "5", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "5")
     code, report, _ = run_cli(
-        capsys, "solve", "ptas", str(graph_file), str(td_file), "-r", "1", "--eps", "1/2"
+        capsys, "solve", "ptas", graph_file, td_file, "-r", "1", "--eps", "1/2"
     )
     assert code == 0 and report["result"]["size"] >= 2
     code, report, _ = run_cli(
         capsys,
         "solve",
         "generic",
-        str(graph_file),
-        str(td_file),
+        graph_file,
+        td_file,
         "--property",
         "bipartite",
         "-r",
@@ -137,12 +133,9 @@ def test_exit_code_input_error(tmp_path, capsys):
 
 
 def test_exit_code_resource_cap(tmp_path, capsys):
-    graph_file = tmp_path / "g.gr"
-    td_file = tmp_path / "g.td"
-    run_cli(capsys, "gen", "complete_bipartite", "4", "4", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "complete_bipartite", "4", "4")
     code, report, _ = run_cli(
-        capsys, "solve", "mwis", str(graph_file), str(td_file), "--budget", "2"
+        capsys, "solve", "mwis", graph_file, td_file, "--budget", "2"
     )
     assert code == 4
     assert report["error"]["type"] == "resource"
@@ -157,12 +150,9 @@ def test_error_reports_are_complete_json(tmp_path, capsys):
 
 
 def test_determinism_byte_identical(tmp_path, capsys):
-    graph_file = tmp_path / "g.gr"
-    td_file = tmp_path / "g.td"
-    run_cli(capsys, "gen", "random", "8", "0.4", "--seed", "7", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
-    _, _, first = run_cli(capsys, "solve", "forest", str(graph_file), str(td_file))
-    _, _, second = run_cli(capsys, "solve", "forest", str(graph_file), str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "random", "8", "0.4", "--seed", "7")
+    _, _, first = run_cli(capsys, "solve", "forest", graph_file, td_file)
+    _, _, second = run_cli(capsys, "solve", "forest", graph_file, td_file)
     assert first == second
     _, _, v1 = run_cli(capsys, "verify", "--suite", "graphs", "--seed", "5", "--max-n", "6")
     _, _, v2 = run_cli(capsys, "verify", "--suite", "graphs", "--seed", "5", "--max-n", "6")
@@ -183,33 +173,71 @@ def test_verify_suite_exit_zero(capsys):
     assert report["result"]["all_ok"] is True
 
 
+VERIFY_ALL_SEED_42_MAX_N_8 = [
+    ("graphs", "parse-serialize round trip", 60),
+    ("graphs", "power definition", 60),
+    ("graphs", "corona keeps original", 60),
+    ("graphs", "fork decode round trip", 60),
+    ("decomp", "heuristic decompositions validate", 40),
+    ("decomp", "nice form validates, bags shrink", 40),
+    ("decomp", "metrics match matching oracle", 40),
+    ("decomp", "closed neighborhood degree bound", 36),
+    ("decomp", "bag-dominated vertex exists", 40),
+    ("decomp", "induced-minor mu monotone", 36),
+    ("traces", "mwis equals oracle", 40),
+    ("traces", "trace coverage", 506),
+    ("traces", "family size bound", 506),
+    ("forest", "forest optimum equals oracle, both providers", 18),
+    ("forest", "signature coverage", 1356),
+    ("forest", "skeleton bag bound 8k", 1356),
+    ("forest", "anatomy partitions maximal forests", 63),
+    ("packing", "blob packing equals subfamily brute force", 12),
+    ("packing", "distance packing equals brute force", 24),
+    ("packing", "power-blob identity", 36),
+    ("packing", "blob transfer inequalities", 24),
+    ("packing", "odd power transfer inequality", 24),
+    ("packing", "ptas guarantee", 24),
+    ("boundaried", "algebra compositionality", 1000),
+    ("boundaried", "structured DP equals brute force", 50),
+    ("oracles", "width chain on random graphs", 15),
+    ("oracles", "line graph square equality", 15),
+    ("oracles", "corona equality", 8),
+    ("oracles", "power monotonicity", 30),
+    ("oracles", "odd power strong inequality", 15),
+    ("oracles", "degree bounds", 11),
+    ("oracles", "recognition agrees with oracle", 15),
+    ("oracles", "anchors", 4),
+]
+
+
 def test_verify_all_suites(capsys):
+    # the literal table pins each suite's corpus: a drifted seed, count or
+    # gate changes an instance count even when every check still passes
     code, report, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "42", "--max-n", "8")
     assert code == 0
     assert report["result"]["all_ok"] is True
-    suites = {s["suite"] for s in report["result"]["suites"]}
-    assert suites == {"graphs", "decomp", "traces", "forest", "packing", "boundaried", "oracles"}
-    assert all(c["ok"] for s in report["result"]["suites"] for c in s["checks"])
+    table = [
+        (s["suite"], c["check"], c["instances"])
+        for s in report["result"]["suites"]
+        for c in s["checks"]
+    ]
+    assert table == VERIFY_ALL_SEED_42_MAX_N_8
+    checks = [c for s in report["result"]["suites"] for c in s["checks"]]
+    assert all(c["ok"] and not c["failures"] for c in checks)
 
 
 def test_metrics_command(tmp_path, capsys):
-    graph_file = tmp_path / "k33.gr"
-    td_file = tmp_path / "k33.td"
-    run_cli(capsys, "gen", "complete_bipartite", "3", "3", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
-    code, report, _ = run_cli(capsys, "metrics", str(graph_file), str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "complete_bipartite", "3", "3")
+    code, report, _ = run_cli(capsys, "metrics", graph_file, td_file)
     assert code == 0
     assert report["result"]["mu"] == 1
 
 
 def test_generic_clique_bound_below_clique_number(tmp_path, capsys):
     # max degree 2 allows the whole triangle; clique number 2 allows only an edge
-    graph_file = tmp_path / "k3.gr"
-    td_file = tmp_path / "k3.td"
-    run_cli(capsys, "gen", "complete", "3", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "complete", "3")
     code, report, _ = run_cli(
-        capsys, "solve", "generic", str(graph_file), str(td_file),
+        capsys, "solve", "generic", graph_file, td_file,
         "--property", "max-degree:2", "-r", "2",
     )
     assert code == 0 and report["error"] is None
@@ -224,12 +252,9 @@ def test_flags_belong_to_their_commands(capsys):
 
 
 def test_nonpositive_budget_is_an_input_error(tmp_path, capsys):
-    graph_file = tmp_path / "c5.gr"
-    td_file = tmp_path / "c5.td"
-    run_cli(capsys, "gen", "cycle", "5", "-o", str(graph_file))
-    run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "5")
     code, report, _ = run_cli(
-        capsys, "solve", "mwis", str(graph_file), str(td_file), "--budget", "0"
+        capsys, "solve", "mwis", graph_file, td_file, "--budget", "0"
     )
     assert code == 2
     assert report["error"] == {"type": "input", "message": "budget must be positive"}
@@ -256,15 +281,12 @@ def test_tie_break_golden_solutions(tmp_path, capsys):
         ("path", "7"): {"mwis": [1, 3, 5, 7], "forest": [1, 2, 3, 4, 5, 6, 7]},
     }
     for spec, solutions in expected.items():
-        graph_file = tmp_path / ("_".join(spec) + ".gr")
-        td_file = tmp_path / ("_".join(spec) + ".td")
-        run_cli(capsys, "gen", *spec, "-o", str(graph_file))
-        run_cli(capsys, "decompose", str(graph_file), "-o", str(td_file))
-        _, report, _ = run_cli(capsys, "solve", "mwis", str(graph_file), str(td_file))
+        graph_file, td_file = instance(tmp_path, capsys, *spec)
+        _, report, _ = run_cli(capsys, "solve", "mwis", graph_file, td_file)
         assert report["result"]["solution"] == solutions["mwis"], spec
         for family in ("paper", "exhaustive"):
             _, report, _ = run_cli(
-                capsys, "solve", "forest", str(graph_file), str(td_file), "--family", family
+                capsys, "solve", "forest", graph_file, td_file, "--family", family
             )
             assert report["result"]["solution"] == solutions["forest"], (spec, family)
     c6 = tmp_path / "cycle_6"
@@ -272,3 +294,31 @@ def test_tie_break_golden_solutions(tmp_path, capsys):
         capsys, "solve", "generic", f"{c6}.gr", f"{c6}.td", "--property", "forest", "-r", "2"
     )
     assert report["result"]["solution"] == [1, 2, 3, 4, 5]
+
+
+def test_verify_packing_survives_edgeless_graphs(capsys):
+    # these corpora draw an edgeless graph, which has no connected piece of
+    # two vertices for the alpha transfer; that case is skipped, not an error
+    for seed, max_n in ((42, 6), (7, 6), (3, 4), (42, 4), (7, 4)):
+        code, report, _ = run_cli(
+            capsys, "verify", "--suite", "packing", "--seed", str(seed), "--max-n", str(max_n)
+        )
+        assert code == 0 and report["result"]["all_ok"] is True, (seed, max_n)
+
+
+def test_verify_rejects_max_n_below_four(capsys):
+    for max_n in ("1", "2", "3"):
+        code, report, _ = run_cli(capsys, "verify", "--max-n", max_n)
+        assert code == 2
+        message = f"--max-n must be at least 4 for verify, got {max_n}"
+        assert report["error"] == {"type": "input", "message": message}
+
+
+def test_solve_budget_caps_dp_states_only(tmp_path, capsys):
+    # the bag-metric search keeps its own budget, so --budget reaches the DP
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "12")
+    code, report, _ = run_cli(
+        capsys, "solve", "mwis", graph_file, td_file, "--budget", "3"
+    )
+    assert code == 4
+    assert report["error"] == {"type": "resource", "message": "MWIS state budget 3 exceeded"}

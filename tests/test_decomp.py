@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from imtw.bits import bit, mask_of, popcount, to_tuple
+from imtw.corpus import random_minor_op, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
     blob_decomposition,
@@ -23,16 +24,25 @@ from imtw.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
-    graph_power,
-    hypercube_graph,
     matching_join,
     path_graph,
     random_graph,
 )
-from imtw.oracles import brute_induced_matching_touching
 from imtw.packing import SubgraphFamily, blob_graph
+from imtw.verify import (
+    STRATEGIES,
+    bag_dominated_vertex,
+    blob_transfer,
+    closed_neighborhood_bound,
+    decomposition_valid,
+    metrics_match_oracle,
+    minor_keeps_mu,
+    nice_form_valid,
+    odd_power_transfer,
+    width_anchors,
+)
 
-from conftest import chordal_completion, seeded_graphs
+from conftest import chordal_completion, expect, seeded_graphs
 
 
 def test_validate_single_bag():
@@ -75,16 +85,9 @@ def test_make_nice_k2_chain():
 
 def test_make_nice_random_corpus():
     rng = Random(6)
-    for g in seeded_graphs(60, 100, 2, 9):
-        td = heuristic_decomposition(g, rng.choice(["min-fill", "min-degree"]))
-        nice = make_nice(g, td)
-        as_td = nice.to_tree_decomposition()
-        assert validate_decomposition(g, as_td) == []
-        for b in as_td.bags:
-            assert any(b & ~orig == 0 for orig in td.bags)
-        assert nice.size <= g.n * td.size + 2 * g.n + 2
-        met, met_nice = decomposition_metrics(g, td), decomposition_metrics(g, as_td)
-        assert met_nice.mu <= met.mu and met_nice.alpha <= met.alpha
+    graphs = seeded_graphs(60, 100, 2, 9)
+    cases = [(g, heuristic_decomposition(g, rng.choice(STRATEGIES))) for g in graphs]
+    expect(nice_form_valid(cases))
 
 
 def test_metrics_k33_single_bag():
@@ -100,13 +103,8 @@ def test_metrics_edgeless_bag():
 
 
 def test_metrics_match_oracle():
-    rng = Random(14)
-    for g in seeded_graphs(15, 30, 3, 9):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        oracle = max(brute_induced_matching_touching(g, b)[0] for b in td.bags)
-        assert met.mu == oracle
-        assert met.mu <= met.alpha
+    graphs = seeded_graphs(15, 30, 3, 9)
+    expect(metrics_match_oracle([(g, heuristic_decomposition(g)) for g in graphs]))
 
 
 def test_metrics_budget_blows_loudly():
@@ -138,9 +136,9 @@ def test_heuristic_min_fill_on_chordal_gives_cliques():
 
 
 def test_heuristic_random_corpus_validates():
-    for g in seeded_graphs(77, 40, 2, 10):
-        for strategy in ("min-fill", "min-degree"):
-            assert validate_decomposition(g, heuristic_decomposition(g, strategy)) == []
+    graphs = seeded_graphs(77, 40, 2, 10)
+    cases = [(g, heuristic_decomposition(g, s)) for g in graphs for s in STRATEGIES]
+    expect(decomposition_valid(cases))
 
 
 def test_closed_neighborhood_expansion_small():
@@ -153,15 +151,8 @@ def test_closed_neighborhood_expansion_small():
 
 
 def test_closed_neighborhood_expansion_bound():
-    for g in seeded_graphs(18, 30, 2, 9):
-        if not g.m:
-            continue
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        grown = closed_neighborhood_expansion(g, td)
-        assert validate_decomposition(g, grown) == []
-        met_grown = decomposition_metrics(g, grown)
-        assert met_grown.alpha <= 2 * met.mu * g.max_degree() ** 2
+    graphs = seeded_graphs(18, 30, 2, 9)
+    expect(closed_neighborhood_bound([(g, heuristic_decomposition(g)) for g in graphs]))
 
 
 def test_blob_decomposition_singletons():
@@ -196,26 +187,15 @@ def test_blob_decomposition_duplicate_singletons_alpha_blows():
 
 def test_blob_decomposition_transfer_bounds():
     rng = Random(33)
-    from imtw.packing import enumerate_small_connected_subgraphs
-
+    cases = []
     for g in seeded_graphs(90, 20, 4, 9):
         td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        pool = enumerate_small_connected_subgraphs(g, 3)
-        rng.shuffle(pool)
-        distinct = pool[:8]
-        if distinct:
-            fam = SubgraphFamily(distinct)
-            td2 = blob_decomposition(g, td, fam)
-            blob = blob_graph(g, fam)
-            assert validate_decomposition(blob, td2) == []
-            assert decomposition_metrics(blob, td2).mu <= met.mu
-        big = [m for m in pool if popcount(m) >= 2][:8]
+        pieces = shuffled_pieces(rng, g)
+        cases.append((g, td, SubgraphFamily(pieces[:8])))
+        big = [m for m in pieces if popcount(m) >= 2][:8]
         if big:
-            fam = SubgraphFamily(big + big[:2])  # duplicates allowed here
-            td2 = blob_decomposition(g, td, fam)
-            blob = blob_graph(g, fam)
-            assert decomposition_metrics(blob, td2).alpha <= met.mu
+            cases.append((g, td, SubgraphFamily(big + big[:2])))  # duplicates allowed here
+    expect(blob_transfer(cases))
 
 
 def test_blob_decomposition_rejects_bad_members():
@@ -229,12 +209,7 @@ def test_blob_decomposition_rejects_bad_members():
 
 def test_odd_power_decomposition_p5():
     g = path_graph(5)
-    td = heuristic_decomposition(g)
-    td3 = odd_power_decomposition(g, td, 3)
-    g3 = graph_power(g, 3)
-    assert validate_decomposition(g3, td3) == []
-    met = decomposition_metrics(g, td)
-    assert decomposition_metrics(g3, td3).alpha <= met.mu
+    expect(odd_power_transfer([(g, heuristic_decomposition(g), 3)]))
 
 
 def test_odd_power_decomposition_edgeless():
@@ -247,16 +222,8 @@ def test_odd_power_decomposition_edgeless():
 
 
 def test_odd_power_decomposition_corpus():
-    for g in seeded_graphs(52, 25, 2, 10):
-        if not g.m:
-            continue
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        for r in (3, 5):
-            tdr = odd_power_decomposition(g, td, r)
-            gr = graph_power(g, r)
-            assert validate_decomposition(gr, tdr) == []
-            assert decomposition_metrics(gr, tdr).alpha <= met.mu
+    graphs = seeded_graphs(52, 25, 2, 10)
+    expect(odd_power_transfer([(g, heuristic_decomposition(g), r) for g in graphs for r in (3, 5)]))
 
 
 def test_odd_power_rejects_even():
@@ -285,17 +252,9 @@ def test_induced_minor_rejects_non_edge():
 
 def test_induced_minor_mu_monotone():
     rng = Random(44)
-    for g in seeded_graphs(66, 30, 3, 9):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        if g.m and rng.random() < 0.5:
-            u, v = g.edges[rng.randrange(g.m)]
-            op = ("contract", u, v)
-        else:
-            op = ("delete", rng.randrange(g.n))
-        h, td2, _ = induced_minor_decomposition(g, td, op)
-        assert validate_decomposition(h, td2) == []
-        assert decomposition_metrics(h, td2).mu <= met.mu
+    graphs = seeded_graphs(66, 30, 3, 9)
+    cases = [(g, heuristic_decomposition(g), random_minor_op(rng, g)) for g in graphs]
+    expect(minor_keeps_mu(cases))
 
 
 def test_find_bag_dominated_vertex_small():
@@ -309,21 +268,13 @@ def test_find_bag_dominated_vertex_small():
 
 def test_find_bag_dominated_vertex_corpus():
     rng = Random(3)
-    count = 0
-    for g in seeded_graphs(8, 200, 1, 9):
-        td = heuristic_decomposition(g, rng.choice(["min-fill", "min-degree"]))
-        v, t = find_bag_dominated_vertex(g, td)
-        assert g.closed_mask(v) & ~td.bags[t] == 0
-        count += 1
-    assert count == 200
+    graphs = seeded_graphs(8, 200, 1, 9)
+    cases = [(g, heuristic_decomposition(g, rng.choice(STRATEGIES))) for g in graphs]
+    expect(bag_dominated_vertex(cases))
 
 
 def test_hypercube4_heuristics_mu_at_least_2():
-    q4 = hypercube_graph(4)
-    for strategy in ("min-fill", "min-degree"):
-        td = heuristic_decomposition(q4, strategy)
-        assert validate_decomposition(q4, td) == []
-        assert decomposition_metrics(q4, td).mu >= 2
+    expect(width_anchors([()]))  # the anchors include Q4 under both heuristics
 
 
 def test_matching_join_2_decompositions_mu_at_least_2():

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from imtw.bits import bit, bits, mask_of, popcount
+from imtw.bits import bit, bits, mask_of
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
 from imtw.errors import InputError, ResourceLimitError
 from imtw.forest import (
@@ -13,17 +13,23 @@ from imtw.forest import (
     signature_family_exhaustive,
     signature_family_paper,
     signature_in,
-    signature_of,
 )
 from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph, random_graph
 from imtw.oracles import (
-    brute_max_weight_induced_forest,
     enumerate_maximal_induced_forests,
+    find_cycle_within,
     is_induced_forest,
 )
 from imtw.traces import trace_family_for_bag
+from imtw.verify import (
+    anatomy_partitions,
+    forest_matches_oracle,
+    prepare,
+    signature_coverage,
+    skeleton_bound,
+)
 
-from conftest import has_cycle_within, seeded_graphs
+from conftest import expect, seeded_graphs, solver_cases
 
 
 def test_anatomy_path():
@@ -49,12 +55,7 @@ def test_anatomy_rejects_cycles():
 
 
 def test_anatomy_partition_properties():
-    for g in seeded_graphs(50, 15, 3, 9):
-        for f in enumerate_maximal_induced_forests(g):
-            an = forest_anatomy(g, f)
-            assert an.skeleton | an.leaves | an.trivial == f
-            assert an.skeleton & an.leaves == an.skeleton & an.trivial == an.leaves & an.trivial == 0
-            assert g.is_independent(an.leaves | an.trivial)
+    expect(anatomy_partitions([(g,) for g in seeded_graphs(50, 15, 3, 9)]))
 
 
 def test_signature_single_bag_components():
@@ -68,18 +69,6 @@ def test_signature_disjoint_forest():
     g = path_graph(4)
     z, blocks = signature_in(g, 0b0011, 0b1100, g.vertex_mask())
     assert (z, blocks) == (0, ())
-
-
-def test_signature_of_wrapper_matches_bag_level():
-    g = random_graph(7, 0.4, seed=12)
-    td = heuristic_decomposition(g)
-    nice = make_nice(g, td)
-    vt_td, vt_nice = td.subtree_vertex_masks(), nice.subtree_vertex_masks()
-    for f in enumerate_maximal_induced_forests(g)[:4]:
-        for t in range(td.size):
-            assert signature_of(g, td, t, f) == signature_in(g, f, td.bags[t], vt_td[t])
-        for i, node in enumerate(nice.nodes):
-            assert signature_of(g, nice, i, f) == signature_in(g, f, node.bag, vt_nice[i])
 
 
 def test_signature_union_find_vs_bfs():
@@ -128,13 +117,8 @@ def test_exhaustive_family_trivia():
 
 
 def test_exhaustive_family_contains_all_maximal_signatures():
-    for g in seeded_graphs(42, 10, 3, 8):
-        td = heuristic_decomposition(g)
-        vt = td.subtree_vertex_masks()
-        for t in range(td.size):
-            fam = signature_family_exhaustive(g, td.bags[t])
-            for f in enumerate_maximal_induced_forests(g):
-                assert signature_in(g, f, td.bags[t], vt[t]) in fam
+    # every bag of the decomposition is the bag of some nice node
+    expect(signature_coverage(solver_cases(seeded_graphs(42, 10, 3, 8))))
 
 
 def test_exhaustive_family_cap():
@@ -144,29 +128,12 @@ def test_exhaustive_family_cap():
 
 
 def test_paper_family_c4_single_bag():
-    g = cycle_graph(4)
-    traces = trace_family_for_bag(g, g.vertex_mask(), 1).members
-    fam = signature_family_paper(g, g.vertex_mask(), g.vertex_mask(), 1, traces)
-    for f in enumerate_maximal_induced_forests(g):
-        assert signature_in(g, f, g.vertex_mask(), g.vertex_mask()) in fam
+    g = cycle_graph(4)  # mu 1 on the single bag
+    expect(signature_coverage([prepare(g, WeightMap.unit(4), single_bag_decomposition(g))]))
 
 
 def test_paper_family_coverage_corpus():
-    for g in seeded_graphs(43, 12, 3, 8):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        vt = nice.subtree_vertex_masks()
-        forests = enumerate_maximal_induced_forests(g)
-        bound = ((12 * met.mu) ** (12 * met.mu) if met.mu else 1) * max(g.n, 1) ** (
-            14 * met.mu + 2
-        )
-        for i, node in enumerate(nice.nodes):
-            traces = trace_family_for_bag(g, node.bag, met.mu).members
-            fam = signature_family_paper(g, node.bag, vt[i], met.mu, traces, node=i)
-            assert len(fam) <= bound
-            for f in forests:
-                assert signature_in(g, f, node.bag, vt[i]) in fam
+    expect(signature_coverage(solver_cases(seeded_graphs(43, 12, 3, 8))))
 
 
 def test_paper_family_members_are_sound():
@@ -195,27 +162,17 @@ def test_paper_family_members_are_sound():
 def test_mwif_stress_beyond_acceptance_sizes():
     # n = 11..12 instances, outside the acceptance grid
     rng = Random(46)
+    cases = []
     for trial in range(8):
         n = 11 + (trial % 2)
         g = random_graph(n, (0.25, 0.5)[trial % 2], seed=rng.randrange(2**32))
         w = WeightMap([rng.randint(0, 100) for _ in range(n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        w_ex, _ = mwif_dp(g, nice, w, provider="exhaustive")
-        w_pa, _ = mwif_dp(g, nice, w, provider="paper", k=met.mu)
-        expected, _ = brute_max_weight_induced_forest(g, w)
-        assert w_ex == w_pa == expected
+        cases.append(prepare(g, w, heuristic_decomposition(g)))
+    expect(forest_matches_oracle(cases))
 
 
 def test_skeleton_bag_bound():
-    for g in seeded_graphs(44, 15, 3, 9):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        for f in enumerate_maximal_induced_forests(g):
-            an = forest_anatomy(g, f)
-            for bag in td.bags:
-                assert popcount(an.skeleton & bag) <= 8 * met.mu
+    expect(skeleton_bound(solver_cases(seeded_graphs(44, 15, 3, 9))))
 
 
 def test_merge_partitions_identity():
@@ -272,7 +229,7 @@ def test_merge_partitions_vs_brute_union():
         def random_forest(inside):
             f = 0
             for v in sorted(bits(inside), key=lambda _: rng.random()):
-                if not has_cycle_within(g, f | bit(v)):
+                if find_cycle_within(g, f | bit(v)) is None:
                     f |= bit(v)
             return f
 
@@ -280,15 +237,15 @@ def test_merge_partitions_vs_brute_union():
         z = f1 & bag
         f2 = z
         for v in sorted(bits(side2 & ~bag), key=lambda _: rng.random()):
-            if not has_cycle_within(g, f2 | bit(v)):
+            if find_cycle_within(g, f2 | bit(v)) is None:
                 f2 |= bit(v)
-        if has_cycle_within(g, f2) or f2 & bag != z:
+        if find_cycle_within(g, f2) is not None or f2 & bag != z:
             continue
         comps = g.components_within(z)
         b1 = signature_in(g, f1, bag, side1)[1]
         b2 = signature_in(g, f2, bag, side2)[1]
         merged = merge_partitions(z, comps, b1, b2)
-        union_ok = not has_cycle_within(g, f1 | f2)
+        union_ok = find_cycle_within(g, f1 | f2) is None
         if merged is None:
             assert not union_ok
             reject += 1
@@ -310,18 +267,8 @@ def test_mwif_small():
 
 
 def test_mwif_both_providers_vs_oracle():
-    rng = Random(90)
-    for g in seeded_graphs(90, 30, 2, 9):
-        w = WeightMap([rng.randint(0, 100) for _ in range(g.n)])
-        td = heuristic_decomposition(g, rng.choice(["min-fill", "min-degree"]))
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        expected, _ = brute_max_weight_induced_forest(g, w)
-        w_ex, sol_ex = mwif_dp(g, nice, w, provider="exhaustive")
-        w_pa, sol_pa = mwif_dp(g, nice, w, provider="paper", k=met.mu)
-        assert w_ex == w_pa == expected
-        assert is_induced_forest(g, sol_ex) and is_induced_forest(g, sol_pa)
-        assert w.of_set(sol_ex) == expected and w.of_set(sol_pa) == expected
+    cases = solver_cases(seeded_graphs(90, 30, 2, 9), 90, 100, pick_strategy=True)
+    expect(forest_matches_oracle(cases))
 
 
 def test_mwif_paper_requires_k():

@@ -3,7 +3,6 @@ from random import Random
 
 import pytest
 
-from imtw.bits import bit
 from imtw.errors import InputError
 from imtw.graphs import (
     INFINITY,
@@ -12,7 +11,6 @@ from imtw.graphs import (
     complete_graph,
     corona,
     cycle_graph,
-    decode_forked,
     distance_matrix,
     forked_version,
     graph_power,
@@ -24,10 +22,12 @@ from imtw.graphs import (
     parse_weights,
     path_graph,
     random_graph,
-    serialize_graph,
     serialize_weights,
 )
 from imtw.oracles import chordality_test
+from imtw.verify import corona_keeps_original, fork_round_trip, round_trip
+
+from conftest import expect
 
 
 def test_parse_tiny_path():
@@ -68,12 +68,10 @@ def test_parse_error_carries_line_number():
 
 def test_round_trip_random():
     rng = Random(4)
+    cases = []
     for _ in range(100):
-        n = rng.randint(1, 12)
-        g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
-        text = serialize_graph(g)
-        assert parse_graph(text) == g
-        assert serialize_graph(parse_graph(text)) == text
+        cases.append((random_graph(rng.randint(1, 12), rng.random(), seed=rng.randrange(2**32)),))
+    expect(round_trip(cases))
 
 
 def test_hypercube_2_is_c4():
@@ -214,12 +212,8 @@ def test_corona_small():
 
 def test_corona_preserves_original():
     rng = Random(2)
-    for _ in range(10):
-        g = random_graph(7, 0.4, seed=rng.randrange(2**32))
-        sub, _ = induced_subgraph(corona(g), range(7))
-        assert sub == g
-        for v in range(7):
-            assert corona(g).degree(7 + v) == 1
+    cases = [(random_graph(7, 0.4, seed=rng.randrange(2**32)),) for _ in range(10)]
+    expect(corona_keeps_original(cases))
 
 
 def test_forked_k1_is_star():
@@ -245,14 +239,11 @@ def test_forked_preserves_original():
 def test_fork_decode_round_trip():
     # isolated vertices must be marked for the degree rule to see them
     rng = Random(21)
+    cases = []
     for _ in range(50):
-        n = rng.randint(1, 8)
-        g = random_graph(n, rng.random(), seed=rng.randrange(2**32))
-        marked = {v for v in range(n) if rng.random() < 0.4 or g.degree(v) == 0}
-        forked, _ = forked_version(g, marked)
-        back_g, back_m = decode_forked(forked)
-        assert back_g == g
-        assert set(back_m) == marked
+        g = random_graph(rng.randint(1, 8), rng.random(), seed=rng.randrange(2**32))
+        cases.append((g, {v for v in range(g.n) if rng.random() < 0.4 or g.degree(v) == 0}))
+    expect(fork_round_trip(cases))
 
 
 def test_distance_matrix_small():

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 
 from imtw.bits import bit, bits, mask_of, popcount, submasks
+from imtw.corpus import random_minor_op
 from imtw.errors import ResourceLimitError
 from imtw.graphs import (
     Graph,
@@ -10,16 +11,14 @@ from imtw.graphs import (
     chordal_power_gadget,
     complete_bipartite,
     complete_graph,
-    corona,
     cycle_graph,
-    graph_power,
     line_graph_square,
-    matching_join,
     path_graph,
     petersen_graph,
     random_graph,
 )
 from imtw.oracles import (
+    brute_best,
     brute_induced_matching_touching,
     brute_max_weight_induced_forest,
     brute_mwis,
@@ -30,8 +29,23 @@ from imtw.oracles import (
     is_induced_forest,
     recognize_imtw_at_most_1,
 )
+from imtw.verify import (
+    chordal_alpha_one,
+    corona_equality,
+    degree_bounds,
+    line_square_equality,
+    minor_keeps_tree_mu,
+    odd_power_strong,
+    power_monotone,
+    recognition_agrees,
+    width_chain,
+)
 
-from conftest import brute_subsets_mwis, chordal_completion, has_cycle_within, seeded_graphs
+from conftest import chordal_completion, expect, seeded_graphs
+
+
+def with_widths(graphs):
+    return [(g, exact_width_parameters(g)) for g in graphs]
 
 
 def test_brute_mwis_small():
@@ -46,7 +60,7 @@ def test_brute_mwis_matches_subset_scan():
     rng = Random(7)
     for g in seeded_graphs(70, 25, 2, 10):
         w = WeightMap([rng.randint(0, 30) for _ in range(g.n)])
-        assert brute_mwis(g, w)[0] == brute_subsets_mwis(g, w)
+        assert brute_mwis(g, w)[0] == brute_best(g, w, g.is_independent)
 
 
 def test_brute_mwis_cap():
@@ -66,12 +80,9 @@ def test_forest_oracle_returns_forest_and_weight():
     for g in seeded_graphs(71, 15, 3, 10):
         w = WeightMap([rng.randint(0, 30) for _ in range(g.n)])
         weight, sol = brute_max_weight_induced_forest(g, w)
-        assert not has_cycle_within(g, sol)
+        assert find_cycle_within(g, sol) is None
         assert w.of_set(sol) == weight
-        expected = max(
-            (w.of_set(m) for m in submasks(g.vertex_mask()) if not has_cycle_within(g, m)),
-        )
-        assert weight == expected
+        assert weight == brute_best(g, w, lambda m: find_cycle_within(g, m) is None)
 
 
 def test_enumerate_maximal_forests_small():
@@ -88,9 +99,9 @@ def test_maximal_forests_are_maximal():
     for g in seeded_graphs(5, 10, 3, 9):
         forests = enumerate_maximal_induced_forests(g)
         for f in forests:
-            assert not has_cycle_within(g, f)
+            assert find_cycle_within(g, f) is None
             for v in bits(g.vertex_mask() & ~f):
-                assert has_cycle_within(g, f | bit(v))
+                assert find_cycle_within(g, f | bit(v)) is not None
 
 
 def test_matching_touching_small():
@@ -123,28 +134,24 @@ def test_matching_touching_vs_line_graph_square():
 
 
 def test_exact_widths_anchors():
-    k33 = exact_width_parameters(complete_bipartite(3, 3))
-    assert k33.tree_alpha == 3 and k33.tree_mu == 1
+    # the anchors claim covers K(3,3) and matching_join(2)
     c6 = exact_width_parameters(cycle_graph(6))
     assert c6.tree_mu == 2
     c5 = exact_width_parameters(cycle_graph(5))
     assert c5.tree_alpha == 2 and c5.tree_mu == 1 and c5.treewidth == 2
-    mj2 = exact_width_parameters(matching_join(2))
-    assert mj2.tree_mu >= 2
 
 
 def test_exact_widths_chordal_corpus():
     rng = Random(12)
+    cases = []
     for _ in range(12):
-        g = chordal_completion(random_graph(rng.randint(1, 8), 0.4, seed=rng.randrange(2**32)))
-        assert chordality_test(g)[0]
-        assert exact_width_parameters(g).tree_alpha == 1
+        g = random_graph(rng.randint(1, 8), 0.4, seed=rng.randrange(2**32))
+        cases.append((chordal_completion(g),))
+    expect(chordal_alpha_one(cases))
 
 
 def test_exact_widths_chain():
-    for g in seeded_graphs(4, 20, 1, 8):
-        ew = exact_width_parameters(g)
-        assert ew.tree_mu <= ew.tree_alpha <= ew.treewidth + 1
+    expect(width_chain(with_widths(seeded_graphs(4, 20, 1, 8))))
 
 
 def test_exact_widths_witness_orderings_are_permutations():
@@ -155,63 +162,31 @@ def test_exact_widths_witness_orderings_are_permutations():
 
 
 def test_prop_23_line_graph_square_equality():
-    rng = Random(9)
-    checked = 0
-    for g in seeded_graphs(9, 40, 2, 8):
-        if g.m == 0 or g.m > 9:
-            continue
-        sq, _ = line_graph_square(g)
-        assert exact_width_parameters(sq).tree_alpha == exact_width_parameters(g).tree_mu
-        checked += 1
-    assert checked >= 10
+    check = line_square_equality(with_widths(g for g in seeded_graphs(9, 40, 2, 8) if 0 < g.m <= 9))
+    expect(check)
+    assert check.instances >= 10
 
 
 def test_prop_23_corona_equality():
-    for g in seeded_graphs(10, 16, 1, 4):
-        assert exact_width_parameters(corona(g)).tree_mu == exact_width_parameters(g).tree_alpha
+    expect(corona_equality(with_widths(seeded_graphs(10, 16, 1, 4))))
 
 
 def test_power_monotonicity():
-    for g in seeded_graphs(11, 12, 2, 8):
-        ew1 = exact_width_parameters(g)
-        for r in (1, 2):
-            er = exact_width_parameters(graph_power(g, r)) if r > 1 else ew1
-            er2 = exact_width_parameters(graph_power(g, r + 2))
-            assert er2.tree_alpha <= er.tree_alpha
-            assert er2.tree_mu <= er.tree_mu
-        if g.m:
-            e3 = exact_width_parameters(graph_power(g, 3))
-            assert e3.tree_alpha <= ew1.tree_mu
+    cases = with_widths(seeded_graphs(11, 12, 2, 8))
+    expect(power_monotone(cases), odd_power_strong(cases))
 
 
 def test_degree_bounds():
-    for g in seeded_graphs(13, 20, 2, 8):
-        if not g.m:
-            continue
-        ew = exact_width_parameters(g)
-        delta = g.max_degree()
-        assert ew.tree_alpha <= 2 * ew.tree_mu * delta**2
-        assert ew.treewidth <= 2 * ew.tree_mu * delta**2 * (delta + 1)
+    expect(degree_bounds(with_widths(seeded_graphs(13, 20, 2, 8))))
 
 
 def test_induced_minor_monotone_exact():
-    from imtw.decomp import induced_minor_decomposition, single_bag_decomposition
-
     rng = Random(16)
-    done = 0
-    while done < 30:
+    cases = []
+    for _ in range(30):  # three or more vertices, so no operation empties the graph
         g = random_graph(rng.randint(3, 8), rng.choice([0.3, 0.5]), seed=rng.randrange(2**32))
-        before = exact_width_parameters(g).tree_mu
-        if g.m and rng.random() < 0.5:
-            u, v = g.edges[rng.randrange(g.m)]
-            op = ("contract", u, v)
-        else:
-            op = ("delete", rng.randrange(g.n))
-        h, _, _ = induced_minor_decomposition(g, single_bag_decomposition(g), op)
-        if h.n == 0:
-            continue
-        assert exact_width_parameters(h).tree_mu <= before
-        done += 1
+        cases.append((g, random_minor_op(rng, g)))
+    expect(minor_keeps_tree_mu(cases))
 
 
 def test_chordality_small():
@@ -272,13 +247,9 @@ def test_recognizer_small():
 
 
 def test_recognizer_agrees_with_oracle():
-    checked = 0
-    for g in seeded_graphs(21, 60, 2, 8):
-        if g.m > 9:
-            continue
-        assert recognize_imtw_at_most_1(g) == (exact_width_parameters(g).tree_mu <= 1)
-        checked += 1
-    assert checked >= 20
+    check = recognition_agrees(with_widths(g for g in seeded_graphs(21, 60, 2, 8) if g.m <= 9))
+    expect(check)
+    assert check.instances >= 20
 
 
 def test_find_cycle_witness():

@@ -5,15 +5,14 @@ from random import Random
 import pytest
 
 from imtw.bits import bit, mask_of, popcount, submasks
+from imtw.corpus import random_family, shuffled_pieces
 from imtw.decomp import heuristic_decomposition
 from imtw.errors import InputError
 from imtw.graphs import (
     Graph,
     WeightMap,
-    ball_mask,
     complete_bipartite,
     cycle_graph,
-    distance_matrix,
     graph_power,
     matching_join,
     path_graph,
@@ -22,7 +21,6 @@ from imtw.graphs import (
 from imtw.packing import (
     SubgraphFamily,
     blob_graph,
-    component_size_cap,
     enumerate_small_connected_subgraphs,
     is_valid_packing,
     max_weight_distance_packing,
@@ -33,25 +31,25 @@ from imtw.packing import (
     treewidth_at_most,
 )
 
-from conftest import has_cycle_within, max_degree_within, seeded_graphs
+from imtw.oracles import brute_best, max_degree_within
+from imtw.verify import (
+    distance_packing_optimal,
+    independent_packing_optimal,
+    power_blob_identity,
+    ptas_guarantee,
+)
+
+from conftest import expect, seeded_graphs
 
 
-def brute_best_packing(graph, family, mode, d=None):
-    dist = distance_matrix(graph)
-    best = Fraction(0)
-    for r in range(len(family.members) + 1):
-        for combo in combinations(range(len(family.members)), r):
-            if is_valid_packing(graph, family, combo, mode, d=d, dist=dist) is None:
-                total = sum((family.members[i].weight for i in combo), Fraction(0))
-                best = max(best, total)
-    return best
-
-
-def random_family(rng, graph, size, max_piece=3):
-    pool = enumerate_small_connected_subgraphs(graph, max_piece)
-    rng.shuffle(pool)
-    sets = pool[: min(size, len(pool))]
-    return SubgraphFamily(sets, [rng.randint(0, 20) for _ in sets])
+def family_cases(seed, count, n_lo, n_hi, size, max_piece=3):
+    """(graph, td, random family) per seeded graph; families draw from their own seed."""
+    rng = Random(seed)
+    cases = []
+    for g in seeded_graphs(seed, count, n_lo, n_hi):
+        family = random_family(rng, shuffled_pieces(rng, g, max_piece), size)
+        cases.append((g, heuristic_decomposition(g), family))
+    return cases
 
 
 def test_blob_singletons_give_back_graph():
@@ -77,11 +75,7 @@ def test_blob_knn_duplicate_singletons():
 
 def test_packing_reduction_equivalence():
     # a subfamily is an independent packing iff it is independent in the blob
-    rng = Random(55)
-    for g in seeded_graphs(55, 10, 4, 9):
-        fam = random_family(rng, g, 8)
-        if not len(fam):
-            continue
+    for g, _, fam in family_cases(55, 10, 4, 9, 8):
         blob = blob_graph(g, fam)
         for r in range(min(4, len(fam)) + 1):
             for combo in combinations(range(len(fam)), r):
@@ -137,15 +131,7 @@ def test_packing_duplicates_kept_heaviest():
 
 
 def test_packing_vs_brute_corpus():
-    rng = Random(58)
-    for g in seeded_graphs(58, 12, 4, 11):
-        fam = random_family(rng, g, 9)
-        if not len(fam):
-            continue
-        td = heuristic_decomposition(g)
-        sol = max_weight_independent_packing(g, td, fam)
-        assert is_valid_packing(g, fam, sol.chosen) is None
-        assert sol.weight == brute_best_packing(g, fam, "independent")
+    expect(independent_packing_optimal(family_cases(58, 12, 4, 11, 9)))
 
 
 def test_distance_packing_p5_singletons():
@@ -165,35 +151,18 @@ def test_distance_packing_rejects_odd():
 
 
 def test_distance_packing_vs_brute_corpus():
-    rng = Random(59)
-    for g in seeded_graphs(59, 10, 4, 11):
-        fam = random_family(rng, g, 8)
-        if not len(fam):
-            continue
-        td = heuristic_decomposition(g)
-        for d in (2, 4):
-            sol = max_weight_distance_packing(g, td, fam, d)
-            assert sol.weight == brute_best_packing(g, fam, "distance", d)
+    cases = family_cases(59, 10, 4, 11, 8)
+    expect(distance_packing_optimal([(g, td, fam, d) for g, td, fam in cases for d in (2, 4)]))
 
 
 def test_distance_packing_d6():
-    rng = Random(66)
-    for g in seeded_graphs(66, 6, 6, 10):
-        fam = random_family(rng, g, 6, max_piece=2)
-        if not len(fam):
-            continue
-        td = heuristic_decomposition(g)
-        sol = max_weight_distance_packing(g, td, fam, 6)
-        assert sol.weight == brute_best_packing(g, fam, "distance", 6)
+    cases = family_cases(66, 6, 6, 10, 6, max_piece=2)
+    expect(distance_packing_optimal([(g, td, fam, 6) for g, td, fam in cases]))
 
 
 def test_distance_equivalence_observation():
     # distance-d packing in G is independent packing in the (d-1)-st power
-    rng = Random(60)
-    for g in seeded_graphs(60, 8, 4, 9):
-        fam = random_family(rng, g, 6)
-        if not len(fam):
-            continue
+    for g, _, fam in family_cases(60, 8, 4, 9, 6):
         for d in (2, 4):
             power = graph_power(g, d - 1) if d > 2 else g
             for r in range(min(3, len(fam)) + 1):
@@ -204,13 +173,8 @@ def test_distance_equivalence_observation():
 
 
 def test_power_blob_identity():
-    rng = Random(61)
-    for g in seeded_graphs(61, 12, 3, 12):
-        for k in (1, 2):
-            for d in (1, 2):
-                balls = SubgraphFamily([ball_mask(g, v, d) for v in range(g.n)])
-                gk = graph_power(g, k) if k > 1 else g
-                assert graph_power(g, k + 2 * d) == blob_graph(gk, balls)
+    graphs = seeded_graphs(61, 12, 3, 12)
+    expect(power_blob_identity([(g, k, d) for g in graphs for k in (1, 2) for d in (1, 2)]))
 
 
 def test_enumerate_small_connected_trivia():
@@ -245,32 +209,20 @@ def test_treewidth_at_most():
 
 
 def test_ptas_tree_keeps_everything():
+    # the optimum of a tree is all 7 vertices
     tree = Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-    got = ptas_bounded_treewidth_subgraph(tree, heuristic_decomposition(tree), 1, 0.5)
-    assert popcount(got) >= 0.5 * 7
-    got = ptas_bounded_treewidth_subgraph(tree, heuristic_decomposition(tree), 1, 0.25)
-    assert popcount(got) >= 0.75 * 7
+    expect(ptas_guarantee([(tree, heuristic_decomposition(tree), eps) for eps in (0.5, 0.25)]))
 
 
 def test_ptas_c5():
     c5 = cycle_graph(5)
-    got = ptas_bounded_treewidth_subgraph(c5, heuristic_decomposition(c5), 1, 0.5)
-    assert popcount(got) >= 2
+    expect(ptas_guarantee([(c5, heuristic_decomposition(c5), 0.5)]))
 
 
 def test_ptas_guarantee_corpus():
-    for g in seeded_graphs(63, 8, 4, 9):
-        td = heuristic_decomposition(g)
-        opt = max(
-            popcount(m) for m in submasks(g.vertex_mask()) if not has_cycle_within(g, m)
-        )
-        for eps in (0.25, 0.5):
-            got = ptas_bounded_treewidth_subgraph(g, td, 1, eps)
-            cap = component_size_cap(1, eps)
-            assert popcount(got) >= (1 - eps) * opt
-            for comp in g.components_within(got):
-                assert popcount(comp) <= cap
-                assert not has_cycle_within(g, comp)
+    graphs = seeded_graphs(63, 8, 4, 9)
+    cases = [(g, heuristic_decomposition(g), eps) for g in graphs for eps in (0.25, 0.5)]
+    expect(ptas_guarantee(cases))
 
 
 def test_ptas_rejects_bad_eps():
@@ -287,12 +239,8 @@ def test_dissociation_set_encoding():
         sets = [bit(v) for v in range(g.n)] + [mask_of(e) for e in g.edges]
         fam = SubgraphFamily(sets)
         sol = max_weight_independent_packing(g, heuristic_decomposition(g), fam)
-        expected = max(
-            popcount(m)
-            for m in submasks(g.vertex_mask())
-            if max_degree_within(g, m) <= 1
-        )
-        assert sol.weight == expected
+        dissociation = lambda m: max_degree_within(g, m) <= 1
+        assert sol.weight == brute_best(g, WeightMap.unit(g.n), dissociation)
 
 
 def test_k_separator_encoding():
@@ -305,11 +253,8 @@ def test_k_separator_encoding():
         pieces = enumerate_small_connected_subgraphs(g, c)
         fam = SubgraphFamily(pieces, [w.of_set(m) for m in pieces])
         sol = max_weight_independent_packing(g, heuristic_decomposition(g), fam)
-        best = Fraction(0)
-        for m in submasks(g.vertex_mask()):
-            if all(popcount(comp) <= c for comp in g.components_within(m)):
-                best = max(best, w.of_set(m))
-        assert sol.weight == best
+        small = lambda m: all(popcount(comp) <= c for comp in g.components_within(m))
+        assert sol.weight == brute_best(g, w, small)
 
 
 def test_is_valid_packing_trivia():

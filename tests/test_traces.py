@@ -14,15 +14,10 @@ from imtw.graphs import (
     cycle_graph,
     random_graph,
 )
-from imtw.oracles import brute_mwis
-from imtw.traces import (
-    bag_trace_family,
-    enumerate_maximal_independent_sets,
-    mwis_dp,
-    trace_family_for_bag,
-)
+from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
+from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
-from conftest import seeded_graphs
+from conftest import expect, seeded_graphs, solver_cases
 
 
 def brute_maximal_independent_sets(graph, universe):
@@ -71,35 +66,22 @@ def test_trace_family_k33_whole_bag():
     g = complete_bipartite(3, 3)
     fam = trace_family_for_bag(g, g.vertex_mask(), 1)
     assert 0b000111 in set(fam.members) and 0b111000 in set(fam.members)
-    for ind in enumerate_maximal_independent_sets(g):
-        assert ind in set(fam.members)
+    expect(trace_coverage([prepare(g, WeightMap.unit(6), single_bag_decomposition(g))]))
 
 
 def test_trace_family_members_are_independent():
     for g in seeded_graphs(31, 20, 2, 9):
         td = heuristic_decomposition(g)
         met = decomposition_metrics(g, td)
-        for t in range(td.size):
-            fam = bag_trace_family(g, td, t, met.mu, keep_provenance=True)
-            for m in fam.members:
+        for bag in td.bags:
+            for m in trace_family_for_bag(g, bag, met.mu).members:
                 assert g.is_independent(m)
-                assert m & ~td.bags[t] == 0
-            jp, q = fam.provenance[fam.members[0]]
-            assert jp & ~td.bags[t] == 0 and q & td.bags[t] == 0
+                assert m & ~bag == 0
 
 
 def test_trace_coverage_on_corpus():
-    for g in seeded_graphs(32, 25, 2, 9):
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        maximal = enumerate_maximal_independent_sets(g)
-        bound = max(g.n, 1) ** (3 * met.mu)
-        for i, node in enumerate(nice.nodes):
-            fam = set(trace_family_for_bag(g, node.bag, met.mu).members)
-            assert len(fam) <= bound
-            for ind in maximal:
-                assert ind & node.bag in fam
+    cases = solver_cases(seeded_graphs(32, 25, 2, 9))
+    expect(trace_coverage(cases), trace_family_bound(cases))
 
 
 def test_trace_family_matches_naive_q_enumeration():
@@ -138,15 +120,10 @@ def test_mwis_dp_small():
 
 
 def test_mwis_dp_vs_oracle():
-    rng = Random(40)
-    for g in seeded_graphs(40, 60, 2, 10):
-        w = WeightMap([rng.randint(0, 100) for _ in range(g.n)])
-        td = heuristic_decomposition(g, rng.choice(["min-fill", "min-degree"]))
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        got, sol = mwis_dp(g, nice, w, met.mu, debug=True)
-        assert g.is_independent(sol)
-        assert got == brute_mwis(g, w)[0]
+    cases = solver_cases(seeded_graphs(40, 60, 2, 10), 40, 100, pick_strategy=True)
+    expect(mwis_matches_oracle(cases))
+    for g, w, _, met, nice in cases:
+        mwis_dp(g, nice, w, met.mu, debug=True)  # raises on a table inconsistency
 
 
 def test_mwis_rescaling_invariance():
