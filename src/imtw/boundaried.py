@@ -7,17 +7,24 @@ graph into a finite value that composes under both operations, so a bottom-up
 dynamic program over a nice tree decomposition can optimize any property the
 algebra recognizes.
 
-Each algebra's non-rejecting type records the used labels, the adjacency
-among labeled vertices, and property-specific state. Recording the boundary
+Every algebra shares one type shape. A non-rejecting type is the tuple
+``("ok", labels, adjacency, part)``: the sorted used labels, the sorted
+label pairs of boundary edges, and the algebra's own part (forest: blocks of
+labels; bipartite: blocks of (label, parity); max-degree: (label, degree)
+pairs). ``TypeAlgebra`` owns everything but the part. Recording the boundary
 adjacency matters: the two sides of a join both contain the bag-induced
-edges, and gluing must not count them twice. A rejecting type is absorbing,
-which is sound here because all three properties are closed under taking
-subgraphs, so no later gluing can repair a violation.
+edges, and gluing must not count them twice. The rejecting type ``REJECT``
+is absorbing, which is sound here because all three properties are closed
+under taking subgraphs, so no later gluing can repair a violation. Types are
+compared and ordered as plain tuples, and the DP breaks ties on them, so
+their exact form is part of every reported solution.
 
 Connectivity bookkeeping for the forest and bipartite algebras follows the
 same star trick: a block of boundary vertices connected through one side's
 interior behaves, for cycle and parity purposes, exactly like a star through
-a virtual hub vertex.
+a virtual hub vertex. One parity union-find serves both: a link between
+already joined elements closes a cycle, an odd one when their parity differs
+from the link's.
 """
 
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from math import comb
 
 from .bits import bit, bits, popcount, to_tuple
 from .errors import InputError, InvariantError
-from .graphs import Graph
+from .graphs import Graph, induced_subgraph
 from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
 from .oracles import is_induced_forest
 
@@ -105,37 +112,115 @@ def forget_label(b, label):
 # Type algebras
 
 
+def _uf_find(uf, x):
+    """Root of x's class and the parity of x relative to it.
+
+    ``uf`` maps each non-root element to (parent, parity to parent); an
+    element absent from it is the root of its own class.
+    """
+    path = []
+    while x in uf:
+        path.append(x)
+        x = uf[x][0]
+    parity = 0
+    for y in reversed(path):
+        parity ^= uf[y][1]
+        uf[y] = (x, parity)
+    return x, parity
+
+
+def _uf_link(uf, x, y, parity):
+    """Join x and y at ``parity``; if they were already joined, return their parity."""
+    rx, px = _uf_find(uf, x)
+    ry, py = _uf_find(uf, y)
+    if rx == ry:
+        return px ^ py
+    uf[rx] = (ry, px ^ py ^ parity)
+    return None
+
+
+def _classes(uf, pairs):
+    """The labels of (element, label) pairs grouped by class, as (label, parity) lists."""
+    groups = {}
+    for x, l in pairs:
+        root, parity = _uf_find(uf, x)
+        groups.setdefault(root, []).append((l, parity))
+    return groups.values()
+
+
+def _hubs(parts):
+    """Every block entry of both parts paired with its block's hub.
+
+    Hubs are negative, so they never meet a label.
+    """
+    hub = 0
+    for blocks in parts:
+        for block in blocks:
+            hub -= 1
+            for entry in block:
+                yield entry, hub
+
+
 def _blocks_canonical(groups):
     return tuple(sorted(tuple(sorted(g)) for g in groups))
 
 
-def _uf_make():
-    return {}
+class TypeAlgebra:
+    """What every algebra shares: labels, boundary adjacency and REJECT.
+
+    A subclass supplies ``holds`` and its part of the type: ``_part_of`` a
+    boundaried graph, ``_glue_parts`` of two types (None rejects),
+    ``_forget_part`` and ``_relabel_part``.
+    """
+
+    def type_of(self, b):
+        if not self.holds(b.graph):
+            return REJECT
+        lab = dict(b.labeling)
+        adj = {tuple(sorted((lab[u], lab[v]))) for u, v in b.graph.edges if u in lab and v in lab}
+        return ("ok", tuple(sorted(lab.values())), tuple(sorted(adj)), self._part_of(b, lab))
+
+    def glue(self, t1, t2):
+        if t1 == REJECT or t2 == REJECT:
+            return REJECT
+        labels = tuple(sorted(set(t1[1]) | set(t2[1])))
+        adj = tuple(sorted(set(t1[2]) | set(t2[2])))
+        part = self._glue_parts(t1, t2, labels, adj)
+        return REJECT if part is None else ("ok", labels, adj, part)
+
+    def forget(self, t, label):
+        if t == REJECT:
+            return REJECT
+        _, labels, adj, part = t
+        if label not in labels:
+            return t
+        return (
+            "ok",
+            tuple(l for l in labels if l != label),
+            tuple((a, c) for a, c in adj if label not in (a, c)),
+            self._forget_part(part, label, adj),
+        )
+
+    def relabel(self, t, mapping):
+        if t == REJECT:
+            return REJECT
+        _, labels, adj, part = t
+        return (
+            "ok",
+            tuple(sorted(mapping[l] for l in labels)),
+            tuple(sorted(tuple(sorted((mapping[a], mapping[c]))) for a, c in adj)),
+            self._relabel_part(part, mapping),
+        )
+
+    def accepting(self, t):
+        return t != REJECT
 
 
-def _uf_find(parent, x):
-    root = x
-    while parent.setdefault(root, root) != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
-def _uf_union(parent, x, y):
-    """Returns False if x and y were already joined (a cycle)."""
-    rx, ry = _uf_find(parent, x), _uf_find(parent, y)
-    if rx == ry:
-        return False
-    parent[rx] = ry
-    return True
-
-
-class ForestAlgebra:
+class ForestAlgebra(TypeAlgebra):
     """Accepts exactly the acyclic graphs.
 
-    Type: labels, boundary adjacency, and the partition of labels by
-    connectivity avoiding boundary-boundary edges (paths through interiors).
+    Part: the partition of labels by connectivity avoiding boundary-boundary
+    edges (paths through interiors).
     """
 
     name = "forest"
@@ -144,152 +229,57 @@ class ForestAlgebra:
     def holds(self, graph):
         return is_induced_forest(graph, graph.vertex_mask())
 
-    def type_of(self, b):
-        if not self.holds(b.graph):
-            return REJECT
-        lab = dict(b.labeling)
-        labels = tuple(sorted(lab[v] for v in lab))
-        label_verts = set(lab)
-        adj_pairs = set()
+    def _part_of(self, b, lab):
+        uf = {}
         for u, v in b.graph.edges:
-            if u in label_verts and v in label_verts:
-                adj_pairs.add(tuple(sorted((lab[u], lab[v]))))
-        # connectivity without the boundary-boundary edges
-        parent = _uf_make()
-        for u, v in b.graph.edges:
-            if u in label_verts and v in label_verts:
-                continue
-            _uf_union(parent, u, v)
-        groups = {}
-        for v, l in b.labeling:
-            groups.setdefault(_uf_find(parent, v), []).append(l)
-        return ("ok", labels, tuple(sorted(adj_pairs)), _blocks_canonical(groups.values()))
+            if u not in lab or v not in lab:
+                _uf_link(uf, u, v, 1)
+        return _blocks_canonical([l for l, _ in g] for g in _classes(uf, b.labeling))
 
-    def glue(self, t1, t2):
-        if t1 == REJECT or t2 == REJECT:
-            return REJECT
-        _, labels1, a1, p1 = t1
-        _, labels2, a2, p2 = t2
-        labels = tuple(sorted(set(labels1) | set(labels2)))
-        adj = tuple(sorted(set(a1) | set(a2)))
-        parent = _uf_make()
-        acyclic = True
-        for side, blocks in enumerate((p1, p2)):
-            for bi, block in enumerate(blocks):
-                hub = ("hub", side, bi)
-                for l in block:
-                    acyclic &= _uf_union(parent, ("l", l), hub)
-        # A edges close the model; any repeated connection is a cycle
+    def _glue_parts(self, t1, t2, labels, adj):
+        # joining two elements that are already joined closes a cycle; the
+        # partition is read before the boundary edges come in
+        uf = {}
+        for l, hub in _hubs((t1[3], t2[3])):
+            if _uf_link(uf, l, hub, 0) is not None:
+                return None
+        part = _blocks_canonical([l for l, _ in g] for g in _classes(uf, zip(labels, labels)))
         for a, c in adj:
-            acyclic &= _uf_union(parent, ("l", a), ("l", c))
-        if not acyclic:
-            return REJECT
-        # partition without A edges: recompute from the stars alone
-        parent2 = _uf_make()
-        for side, blocks in enumerate((p1, p2)):
-            for bi, block in enumerate(blocks):
-                hub = ("hub", side, bi)
-                for l in block:
-                    _uf_union(parent2, ("l", l), hub)
-        groups = {}
-        for l in labels:
-            groups.setdefault(_uf_find(parent2, ("l", l)), []).append(l)
-        return ("ok", labels, adj, _blocks_canonical(groups.values()))
+            if _uf_link(uf, a, c, 1) is not None:
+                return None
+        return part
 
-    def forget(self, t, label):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, blocks = t
-        if label not in labels:
-            return t
-        # the vertex stays: its boundary edges become interior, merging blocks
-        parent = _uf_make()
-        for bi, block in enumerate(blocks):
-            for l in block:
-                _uf_union(parent, ("l", l), ("hub", bi))
-        for a, c in adj:
-            if label in (a, c):
-                _uf_union(parent, ("l", a), ("l", c))
-        groups = {}
-        for l in labels:
-            if l != label:
-                groups.setdefault(_uf_find(parent, ("l", l)), []).append(l)
-        new_labels = tuple(l for l in labels if l != label)
-        new_adj = tuple((a, c) for a, c in adj if label not in (a, c))
-        return ("ok", new_labels, new_adj, _blocks_canonical(groups.values()))
+    def _forget_part(self, blocks, label, adj):
+        # the vertex stays: its boundary edges become interior, merging its
+        # block with its neighbours' blocks
+        near = {label}.union(*(e for e in adj if label in e))
+        merged = [l for block in blocks if near.intersection(block) for l in block if l != label]
+        rest = [block for block in blocks if not near.intersection(block)]
+        return _blocks_canonical(rest + [merged] if merged else rest)
 
-    def relabel(self, t, mapping):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, blocks = t
-        return (
-            "ok",
-            tuple(sorted(mapping[l] for l in labels)),
-            tuple(sorted(tuple(sorted((mapping[a], mapping[c]))) for a, c in adj)),
-            _blocks_canonical(tuple(mapping[l] for l in block) for block in blocks),
-        )
-
-    def accepting(self, t):
-        return t != REJECT
+    def _relabel_part(self, blocks, mapping):
+        return _blocks_canonical(tuple(mapping[l] for l in block) for block in blocks)
 
 
-class BipartiteAlgebra:
+class BipartiteAlgebra(TypeAlgebra):
     """Accepts exactly the graphs with no odd cycle.
 
-    Type: labels, boundary adjacency, and the blocks of full-graph
-    connectivity with each label's color parity relative to its block's
-    smallest label.
+    Part: the blocks of full-graph connectivity, each label with its colour
+    parity relative to its block's smallest label.
     """
 
     name = "bipartite"
     clique_bound = 2
 
     def holds(self, graph):
-        color = {}
-        for start in range(graph.n):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in bits(graph.adj_mask(v)):
-                    if u not in color:
-                        color[u] = color[v] ^ 1
-                        queue.append(u)
-                    elif color[u] == color[v]:
-                        return False
-        return True
+        uf = {}
+        return all(_uf_link(uf, u, v, 1) != 0 for u, v in graph.edges)
 
-    def type_of(self, b):
-        if not self.holds(b.graph):
-            return REJECT
-        lab = dict(b.labeling)
-        label_verts = set(lab)
-        labels = tuple(sorted(lab[v] for v in lab))
-        adj_pairs = set()
+    def _part_of(self, b, lab):
+        uf = {}
         for u, v in b.graph.edges:
-            if u in label_verts and v in label_verts:
-                adj_pairs.add(tuple(sorted((lab[u], lab[v]))))
-        color = {}
-        for start in range(b.graph.n):
-            if start in color:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in bits(b.graph.adj_mask(v)):
-                    if u not in color:
-                        color[u] = color[v] ^ 1
-                        queue.append(u)
-        parent = _uf_make()
-        for u, v in b.graph.edges:
-            _uf_union(parent, u, v)
-        groups = {}
-        for v, l in b.labeling:
-            groups.setdefault(_uf_find(parent, v), []).append((l, color[v]))
-        return ("ok", labels, tuple(sorted(adj_pairs)), self._blocks(groups.values()))
+            _uf_link(uf, u, v, 1)
+        return self._blocks(_classes(uf, b.labeling))
 
     @staticmethod
     def _blocks(groups):
@@ -300,94 +290,28 @@ class BipartiteAlgebra:
             out.append(tuple((l, p ^ base) for l, p in group))
         return tuple(sorted(out))
 
-    def glue(self, t1, t2):
-        if t1 == REJECT or t2 == REJECT:
-            return REJECT
-        _, labels1, a1, p1 = t1
-        _, labels2, a2, p2 = t2
-        labels = tuple(sorted(set(labels1) | set(labels2)))
-        adj = tuple(sorted(set(a1) | set(a2)))
-        # weighted union-find over labels and hubs; weight = parity to root
-        parent = {}
-        rank_parity = {}
+    def _glue_parts(self, t1, t2, labels, adj):
+        uf = {}
+        links = [(l, hub, parity) for (l, parity), hub in _hubs((t1[3], t2[3]))]
+        for x, y, parity in links + [(a, c, 1) for a, c in adj]:
+            if _uf_link(uf, x, y, parity) not in (None, parity):
+                return None
+        return self._blocks(_classes(uf, zip(labels, labels)))
 
-        def find_with_parity(x):
-            if x not in parent:
-                parent[x] = x
-                rank_parity[x] = 0
-                return x, 0
-            stack = []
-            while parent[x] != x:
-                stack.append(x)
-                x = parent[x]
-            parity = 0
-            for y in reversed(stack):
-                parity ^= rank_parity[y]
-                rank_parity[y] = parity
-                parent[y] = x
-            return x, rank_parity[stack[0]] if stack else 0
+    def _forget_part(self, blocks, label, adj):
+        kept = [[(l, p) for l, p in block if l != label] for block in blocks]
+        return self._blocks([group for group in kept if group])
 
-        def union(x, y, w):
-            rx, px = find_with_parity(x)
-            ry, py = find_with_parity(y)
-            if rx == ry:
-                return (px ^ py) == w
-            parent[rx] = ry
-            rank_parity[rx] = px ^ py ^ w
-            return True
-
-        ok = True
-        for side, blocks in enumerate((p1, p2)):
-            for bi, block in enumerate(blocks):
-                hub = ("hub", side, bi)
-                for l, par in block:
-                    ok &= union(("l", l), hub, par)
-        for a, c in adj:
-            ok &= union(("l", a), ("l", c), 1)
-        if not ok:
-            return REJECT
-        groups = {}
-        for l in labels:
-            root, par = find_with_parity(("l", l))
-            groups.setdefault(root, []).append((l, par))
-        return ("ok", labels, adj, self._blocks(groups.values()))
-
-    def forget(self, t, label):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, blocks = t
-        if label not in labels:
-            return t
-        new_labels = tuple(l for l in labels if l != label)
-        new_adj = tuple((a, c) for a, c in adj if label not in (a, c))
-        groups = []
-        for block in blocks:
-            kept = [(l, p) for l, p in block if l != label]
-            if kept:
-                groups.append(kept)
-        return ("ok", new_labels, new_adj, self._blocks(groups))
-
-    def relabel(self, t, mapping):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, blocks = t
-        return (
-            "ok",
-            tuple(sorted(mapping[l] for l in labels)),
-            tuple(sorted(tuple(sorted((mapping[a], mapping[c]))) for a, c in adj)),
-            self._blocks([[(mapping[l], p) for l, p in block] for block in blocks]),
-        )
-
-    def accepting(self, t):
-        return t != REJECT
+    def _relabel_part(self, blocks, mapping):
+        return self._blocks([(mapping[l], p) for l, p in block] for block in blocks)
 
 
-class MaxDegreeAlgebra:
+class MaxDegreeAlgebra(TypeAlgebra):
     """Accepts exactly the graphs of maximum degree at most d.
 
-    Type: labels, boundary adjacency, exact degree per label. Gluing adds the
-    two degrees and subtracts edges recorded on both sides; unlabeled
-    vertices never change degree, so one early check settles them for good.
+    Part: the exact degree of each label. Gluing adds the two degrees and
+    subtracts edges recorded on both sides; unlabeled vertices never change
+    degree, so one early check settles them for good.
     """
 
     def __init__(self, d):
@@ -400,67 +324,26 @@ class MaxDegreeAlgebra:
     def holds(self, graph):
         return graph.max_degree() <= self.d
 
-    def type_of(self, b):
-        if not self.holds(b.graph):
-            return REJECT
-        lab = dict(b.labeling)
-        label_verts = set(lab)
-        labels = tuple(sorted(lab[v] for v in lab))
-        adj_pairs = set()
-        for u, v in b.graph.edges:
-            if u in label_verts and v in label_verts:
-                adj_pairs.add(tuple(sorted((lab[u], lab[v]))))
-        degs = tuple(sorted((lab[v], b.graph.degree(v)) for v in lab))
-        return ("ok", labels, tuple(sorted(adj_pairs)), degs)
+    def _part_of(self, b, lab):
+        return tuple(sorted((lab[v], b.graph.degree(v)) for v in lab))
 
-    def glue(self, t1, t2):
-        if t1 == REJECT or t2 == REJECT:
-            return REJECT
-        _, labels1, a1, d1 = t1
-        _, labels2, a2, d2 = t2
-        deg = dict(d1)
-        shared = set(a1) & set(a2)
-        for l, d in d2:
-            if l in deg:
-                overlap = sum(1 for a, c in shared if l in (a, c))
-                deg[l] = deg[l] + d - overlap
-            else:
-                deg[l] = d
+    def _glue_parts(self, t1, t2, labels, adj):
+        deg = dict(t1[3])
+        shared = set(t1[2]) & set(t2[2])
+        for l, d in t2[3]:
+            deg[l] = deg.get(l, 0) + d - sum(1 for e in shared if l in e)
         if any(v > self.d for v in deg.values()):
-            return REJECT
-        labels = tuple(sorted(set(labels1) | set(labels2)))
-        adj = tuple(sorted(set(a1) | set(a2)))
-        return ("ok", labels, adj, tuple(sorted(deg.items())))
+            return None
+        return tuple(sorted(deg.items()))
 
-    def forget(self, t, label):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, degs = t
-        if label not in labels:
-            return t
-        return (
-            "ok",
-            tuple(l for l in labels if l != label),
-            tuple((a, c) for a, c in adj if label not in (a, c)),
-            tuple((l, d) for l, d in degs if l != label),
-        )
+    def _forget_part(self, degs, label, adj):
+        return tuple((l, d) for l, d in degs if l != label)
 
-    def relabel(self, t, mapping):
-        if t == REJECT:
-            return REJECT
-        _, labels, adj, degs = t
-        return (
-            "ok",
-            tuple(sorted(mapping[l] for l in labels)),
-            tuple(sorted(tuple(sorted((mapping[a], mapping[c]))) for a, c in adj)),
-            tuple(sorted((mapping[l], d) for l, d in degs)),
-        )
-
-    def accepting(self, t):
-        return t != REJECT
+    def _relabel_part(self, degs, mapping):
+        return tuple(sorted((mapping[l], d) for l, d in degs))
 
 
-def builtin_type_algebra(name, ell=None):
+def builtin_type_algebra(name):
     """Algebra by CLI-style name: forest | bipartite | max-degree:<d>."""
     if name == "forest":
         return ForestAlgebra()
@@ -493,16 +376,9 @@ def generic_structured_dp(
     ell = ramsey_upper(k + 1, r + 1)
     empty_type = algebra.type_of(BoundariedGraph.make(Graph(0, []), {}, ell))
 
-    def type_of_induced(members):
-        sub_edges = []
-        index = {v: i for i, v in enumerate(members)}
-        for i, v in enumerate(members):
-            for u in bits(graph.adj_mask(v)):
-                if u in index and index[u] > i:
-                    sub_edges.append((i, index[u]))
-        g = Graph(len(members), sub_edges)
-        labeling = {i: i + 1 for i in range(len(members))}
-        return algebra.type_of(BoundariedGraph.make(g, labeling, ell))
+    def type_of_induced(mask):
+        g, _ = induced_subgraph(graph, mask)
+        return algebra.type_of(BoundariedGraph.make(g, {i: i + 1 for i in range(g.n)}, ell))
 
     def introduce(v, state, value):
         yield state, value
@@ -516,7 +392,7 @@ def generic_structured_dp(
         new_members = to_tuple(new_mask)
         new_label = {u: j + 1 for j, u in enumerate(new_members)}
         mapping = {j + 1: new_label[u] for j, u in enumerate(old_members)}
-        tau_s = type_of_induced(new_members)
+        tau_s = type_of_induced(new_mask)
         glued = algebra.glue(tau_s, algebra.relabel(tau, mapping))
         yield (new_mask, glued), value + weights[v]
 
@@ -564,12 +440,7 @@ def generic_structured_dp(
         return None
     solution = chosen_vertices(nice_td, backptr, best_state, lambda state: state[0], check)
 
-    sub_members = to_tuple(solution)
-    index = {v: i for i, v in enumerate(sub_members)}
-    sub_edges = [
-        (index[u], index[v]) for u, v in graph.edges if u in index and v in index
-    ]
-    induced = Graph(len(sub_members), sub_edges)
+    induced, _ = induced_subgraph(graph, solution)
     if not algebra.holds(induced):
         raise InvariantError("reconstructed solution violates the property")
     if _has_clique(induced, induced.vertex_mask(), r + 1):

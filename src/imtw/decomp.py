@@ -267,33 +267,33 @@ def _max_independent_set(adj, candidates, budget):
     """
     best_size = 0
     best_set = 0
-
-    def rec(chosen, size, pool):
-        # the exclude branch loops in place, so recursion depth stays at the
-        # number of included vertices
-        nonlocal best_size, best_set
-        while True:
-            budget.spend()
-            if size + popcount(pool) <= best_size:
-                return
-            if pool == 0:
-                if size > best_size:
-                    best_size, best_set = size, chosen
-                return
-            pick, pick_deg = -1, -1
+    # (chosen, size, pool) frames; the include branch is pushed last, so it
+    # is searched before the exclude branch, and the first of several
+    # maximum sets found is the witness
+    stack = [(0, 0, candidates)]
+    while stack:
+        chosen, size, pool = stack.pop()
+        budget.spend()
+        if size + popcount(pool) <= best_size:
+            continue
+        pick, pick_deg = -1, -1
+        for v in bits(pool):
+            d = popcount(adj[v] & pool)
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg <= 1:
+            # the pool is a matching plus isolated vertices: the search would
+            # first take the lower end of every edge and every isolated
+            # vertex, and nothing later in this branch is larger
             for v in bits(pool):
-                d = popcount(adj[v] & pool)
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            if pick_deg == 0:
-                total = size + popcount(pool)
-                if total > best_size:
-                    best_size, best_set = total, chosen | pool
-                return
-            rec(chosen | bit(pick), size + 1, pool & ~(adj[pick] | bit(pick)))
-            pool &= ~bit(pick)
-
-    rec(0, 0, candidates)
+                if adj[v] & pool & (bit(v) - 1):
+                    pool &= ~bit(v)
+            total = size + popcount(pool)
+            if total > best_size:
+                best_size, best_set = total, chosen | pool
+            continue
+        stack.append((chosen, size, pool & ~bit(pick)))
+        stack.append((chosen | bit(pick), size + 1, pool & ~(adj[pick] | bit(pick))))
     return best_size, best_set
 
 

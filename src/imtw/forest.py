@@ -85,27 +85,8 @@ def canonical_blocks(blocks):
 
 def signature_in(graph, forest_mask, bag, vt):
     """Signature of a forest at a bag, connectivity taken inside ``vt``."""
-    inside = forest_mask & vt
     z = forest_mask & bag
-    parent = {v: v for v in bits(inside)}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in bits(inside):
-        for u in bits(graph.adj_mask(v) & inside):
-            if u > v:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-    groups = {}
-    for v in bits(z):
-        groups.setdefault(find(v), 0)
-        groups[find(v)] |= bit(v)
-    return z, canonical_blocks(groups.values())
+    return z, canonical_blocks(comp & z for comp in graph.components_within(forest_mask & vt))
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +261,7 @@ def _emit_for_witness(graph, adj, bag, vt, s_candidates, i_mask, q_mask, cnt, si
         z = s_mask | z_base
         # group S and the in-subtree part of Q by adjacency: adjacent members
         # are connected inside the subtree forest, so they share a block
-        universe = s_mask | q_in_vt
-        classes = []
-        restu = universe
-        while restu:
-            seed = restu & -restu
-            cls = seed
-            frontier = seed
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= adj[v] & universe
-                frontier = grow & ~cls
-                cls |= frontier
-            classes.append(cls)
-            restu &= ~cls
+        classes = graph.components_within(s_mask | q_in_vt)
         singles = []
         attached = [0] * len(classes)
         for v in full_leaves:

@@ -461,7 +461,7 @@ def induced_subgraph(graph, vertices):
             raise InputError(f"vertex {v} out of range for n={graph.n}")
     mapping = {old: new for new, old in enumerate(members)}
     mask = mask_of(members)
-    edges = [(mapping[u], mapping[v]) for (u, v) in graph.edges if bit(u) & mask and bit(v) & mask]
+    edges = [(mapping[u], mapping[v]) for u in members for v in bits(graph.adj_mask(u) & mask) if u < v]
     return Graph(len(members), edges), mapping
 
 

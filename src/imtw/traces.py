@@ -20,53 +20,43 @@ logger = logging.getLogger(__name__)
 def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     """All inclusion-maximal independent subsets of ``universe`` (default all).
 
-    Pivoting recursion on the complement graph; each set is produced once.
-    The result is sorted canonically. A limit overflow raises with the count
-    produced so far.
+    Pivoting Bron-Kerbosch search on the complement graph, run on an explicit
+    stack; each set is produced once. The result is sorted canonically. A
+    limit overflow raises with the count produced so far.
     """
     if universe is None:
         universe = graph.vertex_mask()
     nonadj = [universe & ~graph.adj_mask(v) & ~bit(v) for v in range(graph.n)]
     out = []
-
-    def expand(chosen, cand, excl):
+    stack = [(0, universe, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
         if cand == 0 and excl == 0:
             out.append(chosen)
             if limit is not None and len(out) > limit:
                 raise ResourceLimitError(
                     f"maximal independent set limit {limit} exceeded", partial_count=len(out)
                 )
-            return
+            continue
         pivot, coverage = -1, -1
         for u in bits(cand | excl):
             c = popcount(cand & nonadj[u])
             if c > coverage:
                 pivot, coverage = u, c
         for v in bits(cand & ~nonadj[pivot]):
-            expand(chosen | bit(v), cand & nonadj[v], excl & nonadj[v])
+            stack.append((chosen | bit(v), cand & nonadj[v], excl & nonadj[v]))
             cand &= ~bit(v)
             excl |= bit(v)
-
-    expand(0, universe, 0)
     return sorted(out, key=to_tuple)
 
 
 class TraceFamily:
     """Candidate traces of maximal independent sets at one bag."""
 
-    __slots__ = ("node", "bag", "k", "members")
+    __slots__ = ("members",)
 
-    def __init__(self, node, bag, k, members):
-        self.node = node
-        self.bag = bag
-        self.k = k
+    def __init__(self, members):
         self.members = tuple(members)
-
-    def __contains__(self, mask):
-        return mask in self._member_set()
-
-    def _member_set(self):
-        return set(self.members)
 
     def __len__(self):
         return len(self.members)
@@ -117,7 +107,7 @@ def trace_family_for_bag(graph, bag, k, node=None):
         raise InvariantError(
             f"trace family has {len(ordered)} members, above the n^(3k) bound"
         )
-    return TraceFamily(node, bag, k, ordered)
+    return TraceFamily(ordered)
 
 
 def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET, debug=False):

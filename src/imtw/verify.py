@@ -43,6 +43,7 @@ from .decomp import (
     single_bag_decomposition,
     validate_decomposition,
 )
+from .errors import InvariantError
 from .forest import (
     forest_anatomy,
     mwif_dp,
@@ -129,15 +130,22 @@ class Check:
 
 
 def claim(name):
-    """Turn a predicate over one case into a check over a list of case tuples."""
+    """Turn a predicate over one case into a check over a list of case tuples.
+
+    A solver self-check that fails inside one case (``InvariantError``) is
+    that case's failed verdict, and the remaining cases still run.
+    """
 
     def wrap(predicate):
         @wraps(predicate)
         def run(cases):
             check = Check(name)
             for case in cases:
-                for ok, witness in predicate(*case):
-                    check.record(ok, witness)
+                try:
+                    for ok, witness in predicate(*case):
+                        check.record(ok, witness)
+                except InvariantError as exc:
+                    check.record(False, f"{type(exc).__name__}: {exc}")
             return check
 
         return run

@@ -94,6 +94,99 @@ def test_algebra_rejects():
     assert md.type_of(BoundariedGraph.make(path_graph(2), {}, 2)) != REJECT
 
 
+GOLDEN_FIXTURES = {
+    "path": (path_graph(4), {0: 1, 1: 2, 3: 3}),
+    "edge": (path_graph(2), {0: 1, 1: 3}),
+    "p3": (path_graph(3), {0: 2, 2: 3}),
+    "c4": (cycle_graph(4), {0: 1, 1: 2, 2: 3}),
+    "c5": (cycle_graph(5), {0: 1, 2: 2}),
+    "triangle": (complete_graph(3), {0: 1, 1: 2, 2: 3}),
+}
+GOLDEN_RELABEL = {1: 3, 2: 1, 3: 2}
+# "a" is type_of(a), "a+b" glue, "a-l" forget label l, "a@" relabel by
+# GOLDEN_RELABEL; every ("ok", ...) value is (labels, boundary adjacency, part)
+GOLDEN_TYPES = {
+    "forest": {
+        "path": ("ok", (1, 2, 3), ((1, 2),), ((1,), (2, 3))),
+        "edge": ("ok", (1, 3), ((1, 3),), ((1,), (3,))),
+        "p3": ("ok", (2, 3), (), ((2, 3),)),
+        "c4": ("reject",),
+        "c5": ("reject",),
+        "triangle": ("reject",),
+        "edge+p3": ("ok", (1, 2, 3), ((1, 3),), ((1,), (2, 3))),
+        "path+edge": ("reject",),
+        "path+c4": ("reject",),
+        "triangle+edge": ("reject",),
+        "path-2": ("ok", (1, 3), (), ((1, 3),)),
+        "p3-3": ("ok", (2,), (), ((2,),)),
+        "c4-2": ("reject",),
+        "triangle-1": ("reject",),
+        "path@": ("ok", (1, 2, 3), ((1, 3),), ((1, 2), (3,))),
+        "c4@": ("reject",),
+        "triangle@": ("reject",),
+    },
+    "bipartite": {
+        "path": ("ok", (1, 2, 3), ((1, 2),), (((1, 0), (2, 1), (3, 1)),)),
+        "edge": ("ok", (1, 3), ((1, 3),), (((1, 0), (3, 1)),)),
+        "p3": ("ok", (2, 3), (), (((2, 0), (3, 0)),)),
+        "c4": ("ok", (1, 2, 3), ((1, 2), (2, 3)), (((1, 0), (2, 1), (3, 0)),)),
+        "c5": ("reject",),
+        "triangle": ("reject",),
+        "edge+p3": ("ok", (1, 2, 3), ((1, 3),), (((1, 0), (2, 1), (3, 1)),)),
+        "path+edge": ("ok", (1, 2, 3), ((1, 2), (1, 3)), (((1, 0), (2, 1), (3, 1)),)),
+        "path+c4": ("reject",),
+        "triangle+edge": ("reject",),
+        "path-2": ("ok", (1, 3), (), (((1, 0), (3, 1)),)),
+        "p3-3": ("ok", (2,), (), (((2, 0),),)),
+        "c4-2": ("ok", (1, 3), (), (((1, 0), (3, 0)),)),
+        "triangle-1": ("reject",),
+        "path@": ("ok", (1, 2, 3), ((1, 3),), (((1, 0), (2, 0), (3, 1)),)),
+        "c4@": ("ok", (1, 2, 3), ((1, 2), (1, 3)), (((1, 0), (2, 1), (3, 1)),)),
+        "triangle@": ("reject",),
+    },
+    "max-degree:2": {
+        "path": ("ok", (1, 2, 3), ((1, 2),), ((1, 1), (2, 2), (3, 1))),
+        "edge": ("ok", (1, 3), ((1, 3),), ((1, 1), (3, 1))),
+        "p3": ("ok", (2, 3), (), ((2, 1), (3, 1))),
+        "c4": ("ok", (1, 2, 3), ((1, 2), (2, 3)), ((1, 2), (2, 2), (3, 2))),
+        "c5": ("ok", (1, 2), (), ((1, 2), (2, 2))),
+        "triangle": ("ok", (1, 2, 3), ((1, 2), (1, 3), (2, 3)), ((1, 2), (2, 2), (3, 2))),
+        "edge+p3": ("ok", (1, 2, 3), ((1, 3),), ((1, 1), (2, 1), (3, 2))),
+        "path+edge": ("ok", (1, 2, 3), ((1, 2), (1, 3)), ((1, 2), (2, 2), (3, 2))),
+        "path+c4": ("reject",),
+        "triangle+edge": ("ok", (1, 2, 3), ((1, 2), (1, 3), (2, 3)), ((1, 2), (2, 2), (3, 2))),
+        "path-2": ("ok", (1, 3), (), ((1, 1), (3, 1))),
+        "p3-3": ("ok", (2,), (), ((2, 1),)),
+        "c4-2": ("ok", (1, 3), (), ((1, 2), (3, 2))),
+        "triangle-1": ("ok", (2, 3), ((2, 3),), ((2, 2), (3, 2))),
+        "path@": ("ok", (1, 2, 3), ((1, 3),), ((1, 2), (2, 1), (3, 1))),
+        "c4@": ("ok", (1, 2, 3), ((1, 2), (1, 3)), ((1, 2), (2, 2), (3, 2))),
+        "triangle@": ("ok", (1, 2, 3), ((1, 2), (1, 3), (2, 3)), ((1, 2), (2, 2), (3, 2))),
+    },
+}
+
+
+def test_golden_algebra_types():
+    # the DP breaks ties on these tuples, so their exact form is pinned, not
+    # just their meaning
+    for alg in (ForestAlgebra(), BipartiteAlgebra(), MaxDegreeAlgebra(2)):
+        types = {
+            name: alg.type_of(BoundariedGraph.make(g, labels, 3))
+            for name, (g, labels) in GOLDEN_FIXTURES.items()
+        }
+        got = dict(types)
+        for key in GOLDEN_TYPES[alg.name]:
+            if "+" in key:
+                a, b = key.split("+")
+                got[key] = alg.glue(types[a], types[b])
+            elif "-" in key:
+                a, label = key.split("-")
+                got[key] = alg.forget(types[a], int(label))
+            elif key.endswith("@"):
+                got[key] = alg.relabel(types[key[:-1]], GOLDEN_RELABEL)
+        assert got == GOLDEN_TYPES[alg.name], alg.name
+
+
 def test_compositionality_200_instances():
     rng = Random(99)
     laws = []

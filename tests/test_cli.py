@@ -1,7 +1,10 @@
 import json
 
-from imtw import cli
+from imtw import cli, verify
 from imtw.cli import main
+from imtw.corpus import random_corpus
+from imtw.decomp import heuristic_decomposition
+from imtw.errors import InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -322,3 +325,32 @@ def test_solve_budget_caps_dp_states_only(tmp_path, capsys):
     )
     assert code == 4
     assert report["error"] == {"type": "resource", "message": "MWIS state budget 3 exceeded"}
+
+
+def test_verify_records_a_failing_self_check(monkeypatch, capsys):
+    real = verify.mwis_dp
+    calls = []
+
+    def fails_on_second_case(graph, *args, **kwargs):
+        calls.append(graph)
+        if len(calls) == 2:
+            raise InvariantError("planted self-check failure")
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "mwis_dp", fails_on_second_case)
+    cases = [verify.prepare(g, w, heuristic_decomposition(g)) for g, w in random_corpus(3, 5, 6)]
+    check = verify.mwis_matches_oracle(cases)
+    assert check.instances == 5 and not check.ok
+    assert check.failures == ["InvariantError: planted self-check failure"]
+
+    calls.clear()
+    code, report, _ = run_cli(capsys, "verify", "--suite", "traces", "--seed", "42", "--max-n", "6")
+    assert code == 3 and report["error"] is None
+    assert report["result"]["all_ok"] is False
+    checks = report["result"]["suites"][0]["checks"]
+    assert [(c["check"], c["instances"], c["ok"]) for c in checks] == [
+        ("mwis equals oracle", 40, False),
+        ("trace coverage", checks[1]["instances"], True),
+        ("family size bound", checks[2]["instances"], True),
+    ]
+    assert checks[0]["failures"] == ["InvariantError: planted self-check failure"]

@@ -13,6 +13,7 @@ from imtw.decomp import (
     heuristic_decomposition,
     induced_minor_decomposition,
     make_nice,
+    max_independent_set_in_bag,
     odd_power_decomposition,
     parse_td,
     serialize_td,
@@ -100,6 +101,14 @@ def test_metrics_edgeless_bag():
     g = Graph(5, [])
     met = decomposition_metrics(g, single_bag_decomposition(g))
     assert met.alpha == 5 and met.mu == 0
+
+
+def test_bag_independent_set_needs_no_recursion():
+    # a perfect matching of 1100 edges: the search includes 1100 vertices in
+    # a row, and must not branch on every edge
+    g = Graph(2200, [(2 * i, 2 * i + 1) for i in range(1100)])
+    size, witness = max_independent_set_in_bag(g, g.vertex_mask())
+    assert size == 1100 and witness == sum(bit(2 * i) for i in range(1100))
 
 
 def test_metrics_match_oracle():

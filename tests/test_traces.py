@@ -56,6 +56,11 @@ def test_mis_enumeration_limit():
         enumerate_maximal_independent_sets(g, limit=0)
 
 
+def test_mis_enumeration_needs_no_recursion():
+    # one set of 1100 vertices: a recursive search would go 1100 calls deep
+    assert enumerate_maximal_independent_sets(Graph(1100)) == [(1 << 1100) - 1]
+
+
 def test_trace_family_empty_bag():
     g = cycle_graph(4)
     fam = trace_family_for_bag(g, 0, 1)
