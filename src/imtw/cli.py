@@ -51,7 +51,7 @@ from .packing import (
     ptas_bounded_treewidth_subgraph,
 )
 from .traces import mwis_dp
-from .verify import MIN_MAX_N, SUITES, run_suites
+from .verify import MAX_MAX_N, MIN_MAX_N, SUITES, run_suites
 
 
 def _digest(text):
@@ -311,6 +311,8 @@ def cmd_recognize(args, inputs):
 def cmd_verify(args, inputs):
     if args.max_n < MIN_MAX_N:
         raise InputError(f"--max-n must be at least {MIN_MAX_N} for verify, got {args.max_n}")
+    if args.max_n > MAX_MAX_N:
+        raise InputError(f"--max-n must be at most {MAX_MAX_N} for verify, got {args.max_n}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:

@@ -13,15 +13,16 @@ from dataclasses import dataclass
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, ball_mask
+from .graphs import Graph, ball_mask, induced_subgraph
 
 DEFAULT_SEARCH_BUDGET = 10**7
 
 
 class TreeDecomposition:
-    """A rooted tree of bags. Nodes are 0..size-1; bags are vertex masks."""
+    """A rooted tree of bags. Nodes are 0..size-1; bags are vertex masks;
+    ``tree`` is the Graph of the tree edges that are not self-loops."""
 
-    __slots__ = ("graph_n", "bags", "tree_edges", "root", "_nbrs")
+    __slots__ = ("graph_n", "bags", "tree_edges", "root", "tree")
 
     def __init__(self, graph_n, bags, tree_edges, root=0):
         norm = []
@@ -42,18 +43,11 @@ class TreeDecomposition:
         self.bags = tuple(norm)
         self.tree_edges = tuple(tuple(sorted(e)) for e in tree_edges)
         self.root = root
-        nbrs = [[] for _ in range(size)]
-        for u, v in self.tree_edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        self._nbrs = tuple(tuple(sorted(x)) for x in nbrs)
+        self.tree = Graph(size, [(u, v) for u, v in self.tree_edges if u != v])
 
     @property
     def size(self):
         return len(self.bags)
-
-    def node_neighbors(self, t):
-        return self._nbrs[t]
 
     def rooted_order(self):
         """(node, parent) pairs in a DFS preorder from the root."""
@@ -63,7 +57,7 @@ class TreeDecomposition:
         while stack:
             t, p = stack.pop()
             out.append((t, p))
-            for c in reversed(self._nbrs[t]):
+            for c in reversed(self.tree.neighbors(t)):
                 if c not in seen:
                     seen.add(c)
                     stack.append((c, t))
@@ -94,44 +88,23 @@ def validate_decomposition(graph, td):
         violations.append("duplicate tree edges")
     if len(td.tree_edges) != size - 1:
         violations.append(f"{size} nodes need {size - 1} tree edges, found {len(td.tree_edges)}")
-    stack = [0]
-    seen = {0}
-    while stack:
-        t = stack.pop()
-        for c in td.node_neighbors(t):
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    if len(seen) != size:
+    if not td.tree.is_connected_within(td.tree.vertex_mask()):
         violations.append("tree is not connected")
     if violations:
         return violations
-    # vertex and edge coverage
-    union = 0
-    for b in td.bags:
-        union |= b
+    # coverage and connected traces, from the node mask of each vertex
+    nodes_of = [0] * graph.n
+    for t, b in enumerate(td.bags):
+        for v in bits(b):
+            nodes_of[v] |= bit(t)
     for v in range(graph.n):
-        if not union & bit(v):
+        if not nodes_of[v]:
             violations.append(f"vertex {v} is in no bag")
     for u, v in graph.edges:
-        pair = bit(u) | bit(v)
-        if not any(b & pair == pair for b in td.bags):
+        if not nodes_of[u] & nodes_of[v]:
             violations.append(f"edge ({u}, {v}) is covered by no bag")
-    # connected traces
     for v in range(graph.n):
-        nodes = [t for t in range(size) if td.bags[t] & bit(v)]
-        if not nodes:
-            continue
-        reached = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            t = stack.pop()
-            for c in td.node_neighbors(t):
-                if c in node_set and c not in reached:
-                    reached.add(c)
-                    stack.append(c)
-        if len(reached) != len(nodes):
+        if nodes_of[v] and not td.tree.is_connected_within(nodes_of[v]):
             violations.append(f"trace of vertex {v} is disconnected")
     return violations
 
@@ -299,7 +272,7 @@ def _max_independent_set(adj, candidates, budget):
 
 def max_independent_set_in_bag(graph, bag, budget=None):
     budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag independent set")
-    masked = [graph.adj_mask(v) & bag for v in range(graph.n)]
+    masked = {v: graph.adj_mask(v) & bag for v in bits(bag)}
     return _max_independent_set(masked, bag, budget)
 
 
@@ -311,7 +284,8 @@ def max_induced_matching_touching(graph, bag, budget=None):
     Returns (size, tuple of edges).
     """
     budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag induced matching")
-    cands = [e for e in graph.edges if (bit(e[0]) | bit(e[1])) & bag]
+    # sorted, the touching edges come in the order of ``graph.edges``
+    cands = sorted({(min(u, w), max(u, w)) for u in bits(bag) for w in bits(graph.adj_mask(u))})
     k = len(cands)
     conflict = [0] * k
     masks = [bit(u) | bit(v) for u, v in cands]
@@ -339,10 +313,9 @@ def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
     Raises ResourceLimitError naming the bag when a per-bag search blows the
     budget.
     """
-    bags = td.bags if isinstance(td, TreeDecomposition) else [nd.bag for nd in td.nodes]
     alpha, mu = 0, 0
     alpha_witness, mu_witness = (0, 0), (0, ())
-    for t, bag in enumerate(bags):
+    for t, bag in enumerate(td.bags):
         try:
             a, a_set = max_independent_set_in_bag(graph, bag, _Budget(budget_limit, f"alpha of bag {t}"))
             m, m_edges = max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
@@ -481,10 +454,7 @@ def induced_minor_decomposition(graph, td, op):
         v = op[1]
         if not 0 <= v < graph.n:
             raise InputError(f"vertex {v} out of range")
-        keep = [u for u in range(graph.n) if u != v]
-        mapping = {old: new for new, old in enumerate(keep)}
-        edges = [(mapping[a], mapping[b]) for a, b in graph.edges if v not in (a, b)]
-        new_graph = Graph(graph.n - 1, edges)
+        new_graph, mapping = induced_subgraph(graph, graph.vertex_mask() & ~bit(v))
         bags = [mask_of(mapping[u] for u in to_tuple(b) if u != v) for b in td.bags]
     elif op[0] == "contract":
         u, v = op[1], op[2]

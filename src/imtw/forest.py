@@ -5,7 +5,7 @@ intersection with the bag and pi groups Z by connectivity inside the subtree's
 vertex set. Signatures are canonical tuples: Z as a bitmask, pi as a tuple of
 block masks sorted by lowest member.
 
-Two family enumerators feed the dynamic program. The exhaustive one lists all
+Two family enumerators describe the states. The exhaustive one lists all
 forest-inducing Z with every component-respecting partition; it is the oracle
 superset. The bounded one reproduces the witness structure of maximal induced
 forests: a forest partitions into skeleton (degree two or more, plus one
@@ -94,11 +94,9 @@ def signature_in(graph, forest_mask, bag, vt):
 
 
 class SignatureFamily:
-    __slots__ = ("node", "bag", "signatures", "provider")
+    __slots__ = ("signatures", "provider")
 
-    def __init__(self, node, bag, signatures, provider):
-        self.node = node
-        self.bag = bag
+    def __init__(self, signatures, provider):
         self.signatures = frozenset(signatures)
         self.provider = provider
 
@@ -132,11 +130,11 @@ def _partition_patterns(size):
     return _PARTITION_PATTERNS[size]
 
 
-def signature_family_exhaustive(graph, bag, node=None, cap=EXHAUSTIVE_BAG_CAP):
+def signature_family_exhaustive(graph, bag):
     """Every forest-inducing subset of the bag with every partition whose
     blocks are unions of its components. Superset of all true signatures."""
-    if popcount(bag) > cap:
-        raise ResourceLimitError(f"exhaustive families capped at bag size {cap}")
+    if popcount(bag) > EXHAUSTIVE_BAG_CAP:
+        raise ResourceLimitError(f"exhaustive families capped at bag size {EXHAUSTIVE_BAG_CAP}")
     budget_left = DEFAULT_ENUM_BUDGET
     sigs = set()
     members = to_tuple(bag)
@@ -156,10 +154,10 @@ def signature_family_exhaustive(graph, bag, node=None, cap=EXHAUSTIVE_BAG_CAP):
                     raise ResourceLimitError(
                         "exhaustive signature budget exceeded", partial_count=len(sigs)
                     )
-    return SignatureFamily(node, bag, sigs, "exhaustive")
+    return SignatureFamily(sigs, "exhaustive")
 
 
-def signature_family_paper(graph, bag, vt, k, traces, node=None):
+def signature_family_paper(graph, bag, vt, k, traces):
     """Bounded signature family covering every maximal induced forest.
 
     traces: the bag's trace family members (candidate I sets), built with the
@@ -207,7 +205,7 @@ def signature_family_paper(graph, bag, vt, k, traces, node=None):
     bound = ((12 * k) ** (12 * k) if k else 1) * max(n, 1) ** (14 * k + 2)
     if len(sigs) > bound:
         raise InvariantError(f"signature family has {len(sigs)} members, above the stated bound")
-    return SignatureFamily(node, bag, sigs, "paper")
+    return SignatureFamily(sigs, "paper")
 
 
 def _emit_for_witness(graph, adj, bag, vt, s_candidates, i_mask, q_mask, cnt, sigs, budget_left):
@@ -346,18 +344,6 @@ def merge_partitions(z, components, blocks1, blocks2):
 # The dynamic program
 
 
-def _families_for(graph, nice_td, provider, k):
-    vt = nice_td.subtree_vertex_masks()
-    fams = []
-    for i, node in enumerate(nice_td.nodes):
-        if provider == "exhaustive":
-            fams.append(signature_family_exhaustive(graph, node.bag, node=i))
-        else:
-            traces = trace_family_for_bag(graph, node.bag, k, node=i).members
-            fams.append(signature_family_paper(graph, node.bag, vt[i], k, traces, node=i))
-    return fams
-
-
 def mwif_dp(
     graph, nice_td, weights, provider="exhaustive", k=None, state_budget=DEFAULT_STATE_BUDGET
 ):
@@ -371,7 +357,18 @@ def mwif_dp(
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper" and k is None:
         raise InputError("the bounded family provider needs the matching bound k")
-    family_sets = [f.signatures for f in _families_for(graph, nice_td, provider, k)]
+    # the exhaustive provider runs unfiltered: introduce keeps Z
+    # forest-inducing and every block stays a union of components of G[Z],
+    # so every state the transitions reach lies in the exhaustive family
+    family_sets = None
+    if provider == "paper":
+        vt = nice_td.subtree_vertex_masks()
+        family_sets = [
+            signature_family_paper(
+                graph, node.bag, vt[i], k, trace_family_for_bag(graph, node.bag, k, node=i).members
+            ).signatures
+            for i, node in enumerate(nice_td.nodes)
+        ]
 
     def introduce(v, sig, value):
         yield sig, value
@@ -419,7 +416,7 @@ def mwif_dp(
     empty = (0, ())
     tables, backptr = run_nice_dp(
         nice_td, empty, introduce, forget, join,
-        keep=lambda i, sig: sig in family_sets[i],
+        keep=lambda i, sig: family_sets is None or sig in family_sets[i],
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
     )

@@ -532,15 +532,8 @@ def decode_forked(forked):
     vertex of the original graph was marked (otherwise it hides at degree 3).
     """
     originals = [v for v in range(forked.n) if forked.degree(v) >= 4]
-    mapping = {old: new for new, old in enumerate(originals)}
-    original_mask = mask_of(originals)
-    edges = [
-        (mapping[u], mapping[v])
-        for (u, v) in forked.edges
-        if bit(u) & original_mask and bit(v) & original_mask
+    graph, mapping = induced_subgraph(forked, originals)
+    marked = [
+        mapping[v] for v in originals if any(forked.degree(u) == 2 for u in forked.neighbors(v))
     ]
-    marked = []
-    for v in originals:
-        if any(forked.degree(u) == 2 for u in forked.neighbors(v)):
-            marked.append(mapping[v])
-    return Graph(len(originals), edges), tuple(marked)
+    return graph, tuple(marked)

@@ -16,8 +16,8 @@ from math import ceil
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
-from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, WeightMap, distance_matrix, graph_power
+from .errors import InputError, InvariantError
+from .graphs import Graph, WeightMap, distance_matrix, graph_power, induced_subgraph
 from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import is_induced_forest
 from .traces import mwis_dp
@@ -224,7 +224,7 @@ def max_weight_distance_packing(graph, td, family, d, k=None, state_budget=DEFAU
     return solution
 
 
-def enumerate_small_connected_subgraphs(graph, max_size, predicate=None, limit=None):
+def enumerate_small_connected_subgraphs(graph, max_size, predicate=None):
     """All connected vertex sets of size at most max_size, each exactly once.
 
     Grows sets layer by layer: every connected set of size s extends some
@@ -242,10 +242,6 @@ def enumerate_small_connected_subgraphs(graph, max_size, predicate=None, limit=N
                 grown.add(m | bit(u))
         layer = grown - seen
         seen |= layer
-        if limit is not None and len(seen) > limit:
-            raise ResourceLimitError(
-                f"connected subgraph limit {limit} exceeded", partial_count=len(seen)
-            )
         if not layer:
             break
     out = [m for m in seen if predicate is None or predicate(m)]
@@ -267,13 +263,9 @@ def treewidth_at_most(graph, mask, r):
         return is_induced_forest(graph, mask)
     if k <= r + 1:
         return True
-    vertices = to_tuple(mask)
-    index = {v: i for i, v in enumerate(vertices)}
-    adj = [0] * k
-    for i, v in enumerate(vertices):
-        for u in bits(graph.adj_mask(v) & mask):
-            adj[i] |= bit(index[u])
-    full = (1 << k) - 1
+    sub, _ = induced_subgraph(graph, mask)
+    adj = [sub.adj_mask(i) for i in range(k)]
+    full = sub.vertex_mask()
     memo = {full: True}
 
     def ok(eliminated):

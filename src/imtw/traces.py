@@ -26,7 +26,7 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     """
     if universe is None:
         universe = graph.vertex_mask()
-    nonadj = [universe & ~graph.adj_mask(v) & ~bit(v) for v in range(graph.n)]
+    nonadj = {v: universe & ~graph.adj_mask(v) & ~bit(v) for v in bits(universe)}
     out = []
     stack = [(0, universe, 0)]
     while stack:

@@ -68,6 +68,8 @@ from .graphs import (
     serialize_graph,
 )
 from .oracles import (
+    MATCHING_EDGE_CAP,
+    MWIS_CAP,
     brute_best,
     brute_induced_matching_touching,
     brute_max_weight_induced_forest,
@@ -103,6 +105,7 @@ ALGEBRAS = (
     MaxDegreeAlgebra(2),
 )
 MIN_MAX_N = 4  # the packing suite draws graphs of 4..max_n vertices
+MAX_MAX_N = MWIS_CAP  # the brute MWIS oracle refuses larger graphs
 
 
 class Check:
@@ -221,7 +224,8 @@ def nice_form_valid(g, td):
 @claim("metrics match matching oracle")
 def metrics_match_oracle(g, td):
     met = decomposition_metrics(g, td)
-    oracle_mu = max(brute_induced_matching_touching(g, b)[0] for b in td.bags)
+    cap = max(MATCHING_EDGE_CAP, g.m)
+    oracle_mu = max(brute_induced_matching_touching(g, b, cap=cap)[0] for b in td.bags)
     yield met.mu == oracle_mu and met.mu <= met.alpha, (met.mu, oracle_mu, met.alpha)
 
 
@@ -325,8 +329,8 @@ def signature_coverage(g, w, td, met, nice):
     vt = nice.subtree_vertex_masks()
     for i, node in enumerate(nice.nodes):
         traces = trace_family_for_bag(g, node.bag, k, node=i).members
-        family = signature_family_paper(g, node.bag, vt[i], k, traces, node=i)
-        exhaustive = signature_family_exhaustive(g, node.bag, node=i)
+        family = signature_family_paper(g, node.bag, vt[i], k, traces)
+        exhaustive = signature_family_exhaustive(g, node.bag)
         for f in forests:
             sig = signature_in(g, f, node.bag, vt[i])
             yield len(family) <= bound and sig in family and sig in exhaustive, (g.n, i, f)

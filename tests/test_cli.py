@@ -52,6 +52,16 @@ def test_solve_forest_both_families(tmp_path, capsys):
         assert code == 0 and report["result"]["optimum"] == "4"
 
 
+def test_solve_forest_exhaustive_past_the_family_cap(tmp_path, capsys):
+    # K_17's bag is wider than the exhaustive family's cap; the unfiltered
+    # dynamic program does not build that family
+    graph_file, td_file = instance(tmp_path, capsys, "complete", "17")
+    code, report, _ = run_cli(
+        capsys, "solve", "forest", graph_file, td_file, "--family", "exhaustive"
+    )
+    assert code == 0 and report["result"]["optimum"] == "2"
+
+
 def test_recognize_c6_false(tmp_path, capsys):
     graph_file = tmp_path / "c6.gr"
     run_cli(capsys, "gen", "cycle", "6", "-o", str(graph_file))
@@ -315,6 +325,23 @@ def test_verify_rejects_max_n_below_four(capsys):
         assert code == 2
         message = f"--max-n must be at least 4 for verify, got {max_n}"
         assert report["error"] == {"type": "input", "message": message}
+
+
+def test_verify_rejects_max_n_above_the_mwis_oracle_cap(capsys):
+    code, report, _ = run_cli(capsys, "verify", "--max-n", "25")
+    assert code == 2
+    message = "--max-n must be at most 24 for verify, got 25"
+    assert report["error"] == {"type": "input", "message": message}
+
+
+def test_verify_decomp_matching_oracle_takes_every_edge(capsys):
+    # these corpora draw graphs with more edges than the matching oracle's
+    # default cap of 28 candidates
+    for seed, max_n in ((1, 11), (8, 10)):
+        code, report, _ = run_cli(
+            capsys, "verify", "--suite", "decomp", "--seed", str(seed), "--max-n", str(max_n)
+        )
+        assert code == 0 and report["result"]["all_ok"] is True, (seed, max_n)
 
 
 def test_solve_budget_caps_dp_states_only(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import time
 from random import Random
 
 import pytest
@@ -25,11 +26,13 @@ from imtw.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     matching_join,
     path_graph,
     random_graph,
 )
 from imtw.packing import SubgraphFamily, blob_graph
+from imtw.traces import trace_family_for_bag
 from imtw.verify import (
     STRATEGIES,
     bag_dominated_vertex,
@@ -73,6 +76,51 @@ def test_validate_non_tree():
     g = path_graph(2)
     td = TreeDecomposition(2, [[0, 1], [0, 1], [0, 1]], [(0, 1)])
     assert any("tree" in v for v in validate_decomposition(g, td))
+
+
+def test_validate_violation_lists_are_pinned():
+    # the exact wording and order of every kind of violation
+    p4, bags = path_graph(4), [[0, 1], [1, 2], [2, 3]]
+    cases = [
+        (p4, 5, bags, [(0, 1), (1, 2)], ["decomposition is over n=5, graph has n=4"]),
+        (p4, 4, bags, [(0, 1), (1, 0)], ["duplicate tree edges", "tree is not connected"]),
+        (p4, 4, bags, [(0, 1), (2, 2)], ["tree is not connected"]),
+        (p4, 4, bags, [(0, 1), (1, 2), (0, 2)], ["3 nodes need 2 tree edges, found 3"]),
+        (p4, 4, bags, [(0, 1)], ["3 nodes need 2 tree edges, found 1", "tree is not connected"]),
+        (p4, 4, bags + [[3]], [(0, 1), (1, 2), (0, 2)], ["tree is not connected"]),
+        (Graph(4, [(0, 1)]), 4, [[0, 1], [2]], [(0, 1)], ["vertex 3 is in no bag"]),
+        (p4, 4, [[0, 1], [1, 2], [3]], [(0, 1), (1, 2)], ["edge (2, 3) is covered by no bag"]),
+        (p4, 4, [[0, 1], [2, 3], [1, 2]], [(0, 1), (1, 2)], ["trace of vertex 1 is disconnected"]),
+        (
+            cycle_graph(5), 5, [[0, 1], [2, 3], [1, 2], [0]], [(0, 1), (1, 2), (0, 3)],
+            [
+                "vertex 4 is in no bag",
+                "edge (0, 4) is covered by no bag",
+                "edge (3, 4) is covered by no bag",
+                "trace of vertex 1 is disconnected",
+            ],
+        ),
+    ]
+    for g, n, case_bags, edges, expected in cases:
+        assert validate_decomposition(g, TreeDecomposition(n, case_bags, edges)) == expected
+
+
+def test_path_3000_layers_are_near_linear():
+    # validation, metrics, nice form and trace families on a width-1 path
+    # decomposition of path(3000); each layer touches only its bags
+    n = 3000
+    g = path_graph(n)
+    bags = [bit(i) | bit(i + 1) for i in range(n - 1)]
+    td = TreeDecomposition(n, bags, [(i, i + 1) for i in range(n - 2)])
+    started = time.perf_counter()
+    assert validate_decomposition(g, td) == []
+    met = decomposition_metrics(g, td)
+    nice = make_nice(g, td)
+    for i, node in enumerate(nice.nodes):
+        trace_family_for_bag(g, node.bag, met.mu, node=i)
+    elapsed = time.perf_counter() - started
+    assert (met.alpha, met.mu) == (1, 1)
+    assert elapsed < 3, elapsed
 
 
 def test_make_nice_k2_chain():

@@ -146,7 +146,7 @@ def test_paper_family_members_are_sound():
         vt = nice.subtree_vertex_masks()
         for i, node in enumerate(nice.nodes):
             traces = trace_family_for_bag(g, node.bag, met.mu).members
-            fam = signature_family_paper(g, node.bag, vt[i], met.mu, traces, node=i)
+            fam = signature_family_paper(g, node.bag, vt[i], met.mu, traces)
             for z, blocks in fam.signatures:
                 assert z & ~node.bag == 0
                 assert is_induced_forest(g, z)
