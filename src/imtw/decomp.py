@@ -548,10 +548,11 @@ def parse_td(text):
     if header is None:
         raise InputError("missing 's td' header")
     count = header[0]
-    bag_list = [bags.get(i + 1, 0) for i in range(count)]
+    # bag ids are distinct and within 1..count, so this also means every id
+    # from 1 to count has its bag line
     if len(bags) != count:
         raise InputError(f"header declares {count} bags, found {len(bags)}")
-    return TreeDecomposition(header[2], bag_list, edges, root=0)
+    return TreeDecomposition(header[2], [bags[i + 1] for i in range(count)], edges, root=0)
 
 
 def serialize_td(td):

@@ -20,12 +20,18 @@ At a bag X with touching matchings of size at most k,
     more marks an impostor that is not in the solution at all,
   * a partition of S and Q by subtree connectivity determines pi.
 
-Enumerating (S, I, Q, partition) and reconstructing (Z, pi) covers the
-signature of every maximal induced forest. The enumerator prunes tuples that
-cannot arise from any such witness (each pruning rule is justified by a
-structural fact about maximal forests, see inline notes); every emitted pair
-is still one of the unrestricted construction's outputs, so the family bound
-(12k)^(12k) * n^(14k+2) continues to hold.
+The signatures of all (S, I, Q, partition) tuples cover the signature of
+every maximal induced forest. Tuples that cannot arise from any such witness
+are pruned (each rule is justified by a structural fact about maximal
+forests, see inline notes); every remaining signature is still one of the
+unrestricted construction's outputs, so the family bound
+(12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
+family: its filter enumerates the (I, Q) witnesses once per node and decides
+membership per (node, Z), visiting only the S that emit Z and expanding no
+partition (BoundedFamilyMembership). The eager enumerator
+signature_family_paper runs the same witness generator and the same rules
+and expands every partition; it is the coverage oracle for tests and
+``imtw verify``.
 """
 
 from itertools import combinations
@@ -157,141 +163,255 @@ def signature_family_exhaustive(graph, bag):
     return SignatureFamily(sigs, "exhaustive")
 
 
+def _family_bound(n, k):
+    """The stated size bound (12k)^(12k) n^(14k+2) of the bounded family."""
+    return ((12 * k) ** (12 * k) if k else 1) * max(n, 1) ** (14 * k + 2)
+
+
+class _Witness:
+    """What one (I, Q) witness at a node fixes before S is chosen.
+
+    I splits by Q-neighbor count: 1 puts a vertex among the leaves (``leaf_q``
+    pairs it with that neighbor), 0 among the trivial vertices, 2 or more
+    marks an impostor that is not in the solution. ``z_base`` is the leaves
+    and trivial vertices; the two unions let most S pass or fail the leaf and
+    trivial rules with O(1) work.
+    """
+
+    __slots__ = ("leaf_q", "trivial", "z_base", "q_in_bag", "q_in_vt", "trivial_adj", "leaf_bad")
+
+    def __init__(self, adj, cnt, q_mask, bag, vt):
+        self.leaf_q = tuple((v, lowest_bit(adj[v] & q_mask)) for v, c in cnt.items() if c == 1)
+        self.trivial = mask_of(v for v, c in cnt.items() if c == 0)
+        self.z_base = self.trivial | mask_of(v for v, _ in self.leaf_q)
+        self.q_in_bag = q_mask & bag
+        self.q_in_vt = q_mask & vt
+        self.trivial_adj = 0
+        for v in bits(self.trivial):
+            self.trivial_adj |= adj[v]
+        self.leaf_bad = 0
+        for v, q in self.leaf_q:
+            self.leaf_bad |= adj[v] & ~bit(q)
+
+
+def _witnesses(graph, adj, bag, vt, k, traces):
+    """Every (I, Q) witness at a node: I a member of the bag's trace family,
+    Q at most 4k skeleton vertices of the bag's closed neighborhood.
+
+    A minimal Q gives every member q a job: some I-vertex whose only
+    Q-neighbor is q, or one with exactly two Q-neighbors. One I-vertex has
+    jobs for at most two members, so no Q larger than 2|I| passes. Witnesses
+    that fix the same leaves, trivial vertices and Q within the subtree admit
+    the same S and give the same blocks, so only the first one is yielded.
+    """
+    closed_bag = graph.closed_neighborhood_of_set(bag)
+    seen = set()
+    for i_mask in traces:
+        pool = [q for q in bits(closed_bag) if adj[q] & i_mask]
+        i_members = to_tuple(i_mask)
+        for q_size in range(min(4 * k, len(pool), 2 * len(i_members)) + 1):
+            for q_tuple in combinations(pool, q_size):
+                q_mask = mask_of(q_tuple)
+                cnt = {v: popcount(adj[v] & q_mask) for v in i_members}
+                if q_size and not all(
+                    any(adj[q] & bit(v) and (cnt[v] == 1 or cnt[v] == 2) for v in i_members)
+                    for q in q_tuple
+                ):
+                    continue
+                w = _Witness(adj, cnt, q_mask, bag, vt)
+                key = (w.leaf_q, w.trivial, w.q_in_bag, w.q_in_vt)
+                if key not in seen:
+                    seen.add(key)
+                    yield w
+
+
+def _witness_blocks(adj, components, w, s_mask, vt):
+    """The blocks one (S, I, Q) tuple fixes, as (singles, fertile), or None.
+
+    In a true witness a leaf's single solution neighbor is its unique
+    Q-neighbor, so a leaf has no other neighbor inside Z, and trivial
+    vertices have none at all; an S violating that cannot come from a maximal
+    forest. Otherwise S and the in-subtree part of Q group by adjacency into
+    classes (adjacent members are connected inside the subtree forest, so
+    they share a block), and each leaf joins its Q-neighbor's class. The
+    fertile classes, sorted, are those holding S or leaves; ``singles`` masks
+    the trivial vertices outside S and the leaves outside S whose Q-neighbor
+    lies outside the subtree. The tuple's signatures are Z = S | z_base with
+    the singles as one-vertex blocks plus any coarsening of the fertile
+    classes.
+    """
+    if s_mask & w.trivial_adj and any(adj[v] & s_mask for v in bits(w.trivial & ~s_mask)):
+        return None
+    if s_mask & w.leaf_bad and any(
+        adj[v] & s_mask & ~bit(q) for v, q in w.leaf_q if not s_mask & bit(v)
+    ):
+        return None
+    classes = components(s_mask | w.q_in_vt)
+    singles = w.trivial & ~s_mask
+    attached = [0] * len(classes)
+    for v, q in w.leaf_q:
+        vb = bit(v)
+        if vb & s_mask:
+            continue
+        qb = bit(q)
+        if not qb & vt:
+            singles |= vb
+            continue
+        for idx, cls in enumerate(classes):
+            if cls & qb:
+                attached[idx] |= vb
+                break
+    fertile = tuple(sorted(
+        (cls & s_mask) | leaves for cls, leaves in zip(classes, attached) if cls & s_mask or leaves
+    ))
+    return singles, fertile
+
+
 def signature_family_paper(graph, bag, vt, k, traces):
     """Bounded signature family covering every maximal induced forest.
 
     traces: the bag's trace family members (candidate I sets), built with the
-    same k. vt: the subtree vertex set of the node.
+    same k. vt: the subtree vertex set of the node. Every (I, Q) witness is
+    tried with every forest-inducing S of at most 8k bag vertices that holds
+    Q's bag members, and each surviving tuple's partitions are expanded.
     """
-    n = graph.n
     budget_left = DEFAULT_ENUM_BUDGET
-    adj = [graph.adj_mask(v) for v in range(n)]
-    closed_bag = graph.closed_neighborhood_of_set(bag)
-    s_cap = 8 * k
-    q_cap = 4 * k
-
-    # candidate skeleton traces: forest-inducing subsets of the bag, size <= 8k
+    adj = [graph.adj_mask(v) for v in range(graph.n)]
     s_candidates = []
     members = to_tuple(bag)
-    for r in range(min(s_cap, len(members)) + 1):
+    for r in range(min(8 * k, len(members)) + 1):
         for chosen in combinations(members, r):
             s = mask_of(chosen)
             if is_induced_forest(graph, s):
                 s_candidates.append(s)
 
     sigs = set()
-    for i_mask in traces:
-        # Q lives in the closed neighborhood of the bag, inside the skeleton.
-        # A minimal Q gives every member q a private job: some I-vertex whose
-        # only Q-neighbor is q, or one with exactly two Q-neighbors.
-        pool = [q for q in bits(closed_bag) if adj[q] & i_mask]
-        i_members = to_tuple(i_mask)
-        for q_size in range(min(q_cap, len(pool)) + 1):
-            for q_tuple in combinations(pool, q_size):
-                q_mask = mask_of(q_tuple)
-                cnt = {v: popcount(adj[v] & q_mask) for v in i_members}
-                if q_size and not all(
-                    any(
-                        adj[q] & bit(v) and (cnt[v] == 1 or cnt[v] == 2)
-                        for v in i_members
-                    )
-                    for q in q_tuple
-                ):
-                    continue
-                budget_left = _emit_for_witness(
-                    graph, adj, bag, vt, s_candidates, i_mask, q_mask, cnt, sigs, budget_left
+    for w in _witnesses(graph, adj, bag, vt, k, traces):
+        for s_mask in s_candidates:
+            if w.q_in_bag & ~s_mask:
+                continue  # skeleton members of Q inside the bag must lie in S
+            budget_left -= 1
+            if budget_left < 0:
+                raise ResourceLimitError(
+                    "signature enumeration budget exceeded", partial_count=len(sigs)
                 )
+            fixed = _witness_blocks(adj, graph.components_within, w, s_mask, vt)
+            if fixed is None:
+                continue
+            singles, fertile = fixed
+            z = s_mask | w.z_base
+            base_blocks = [bit(v) for v in bits(singles)]
+            for pattern in _partition_patterns(len(fertile)):
+                blocks = list(base_blocks)
+                for part in pattern:
+                    blk = 0
+                    for idx in part:
+                        blk |= fertile[idx]
+                    blocks.append(blk)
+                sigs.add((z, canonical_blocks(blocks)))
+            budget_left -= len(fertile)
 
-    bound = ((12 * k) ** (12 * k) if k else 1) * max(n, 1) ** (14 * k + 2)
-    if len(sigs) > bound:
+    if len(sigs) > _family_bound(graph.n, k):
         raise InvariantError(f"signature family has {len(sigs)} members, above the stated bound")
     return SignatureFamily(sigs, "paper")
 
 
-def _emit_for_witness(graph, adj, bag, vt, s_candidates, i_mask, q_mask, cnt, sigs, budget_left):
-    """Emit the signatures of all (S, I, Q) tuples for one fixed (I, Q).
+def _coarsens(blocks, singles, fertile):
+    """Whether ``blocks``, a partition of singles | union(fertile), keeps each
+    single vertex as its own block and each fertile class inside one block."""
+    for b in blocks:
+        if b & singles and b & (b - 1):
+            return False
+    for cls in fertile:
+        low = cls & -cls
+        for b in blocks:
+            if b & low:
+                if cls & ~b:
+                    return False
+                break
+    return True
 
-    Classification of I minus S by Q-neighbor count: 1 puts the vertex among
-    the leaves, 0 among the trivial vertices, 2 or more marks an impostor.
-    In a true witness a leaf's single solution neighbor is its unique
-    Q-neighbor, so a leaf has no other neighbor inside Z, and trivial
-    vertices have none at all; tuples violating that cannot come from a
-    maximal forest and are skipped. Everything that does not depend on S is
-    hoisted out of the S loop.
+
+class BoundedFamilyMembership:
+    """Membership in ``signature_family_paper(graph, bag, vt, k, traces)``,
+    decided per Z without building the family.
+
+    Asked only about DP states: Z is a forest-inducing subset of the bag and
+    the blocks partition it. The witnesses are enumerated once and grouped by
+    z_base. The first query for a Z visits the (witness, S) tuples that emit
+    Z, that is z_base within Z and Z minus z_base within S within Z, and
+    keeps the (singles, fertile) pair of each one that passes. A signature is
+    a member exactly when some pair's singles and a coarsening of its fertile
+    classes are its blocks. The enumeration budget is charged per tuple
+    visited, and the family size bound is checked on the members found.
     """
-    full_leaves = []
-    full_trivial = 0
-    for v, c in cnt.items():
-        if c == 1:
-            full_leaves.append(v)
-        elif c == 0:
-            full_trivial |= bit(v)
-    leaf_q = {v: lowest_bit(adj[v] & q_mask) for v in full_leaves}
-    # masks that let most S candidates pass or fail with O(1) work
-    trivial_adj_union = 0
-    for v in bits(full_trivial):
-        trivial_adj_union |= adj[v]
-    leaf_bad_union = 0
-    for v in full_leaves:
-        leaf_bad_union |= adj[v] & ~bit(leaf_q[v])
-    full_leaf_mask = mask_of(full_leaves)
-    z_base = full_leaf_mask | full_trivial
-    q_in_bag = q_mask & bag
-    q_in_vt = q_mask & vt
 
-    for s_mask in s_candidates:
-        if q_in_bag & ~s_mask:
-            continue  # skeleton members of Q inside the bag must lie in S
-        budget_left -= 1
-        if budget_left < 0:
-            raise ResourceLimitError(
-                "signature enumeration budget exceeded", partial_count=len(sigs)
+    def __init__(self, graph, bag, vt, k, traces):
+        self._graph = graph
+        self._vt = vt
+        self._adj = [graph.adj_mask(v) for v in range(graph.n)]
+        self._s_cap = 8 * k
+        self._bound = _family_bound(graph.n, k)
+        self._by_base = {}
+        for w in _witnesses(graph, self._adj, bag, vt, k, traces):
+            self._by_base.setdefault(w.z_base, []).append(w)
+        self._pairs = {}  # Z -> set of (singles, fertile)
+        self._classes = {}  # mask -> components, shared by witnesses and Z
+        self._decided = {}  # signature -> membership
+        self._members = 0
+        self._budget_left = DEFAULT_ENUM_BUDGET
+
+    def __contains__(self, sig):
+        hit = self._decided.get(sig)
+        if hit is None:
+            z, blocks = sig
+            pairs = self._pairs.get(z)
+            if pairs is None:
+                pairs = self._pairs[z] = self._pairs_for(z)
+            hit = self._decided[sig] = any(
+                _coarsens(blocks, singles, fertile) for singles, fertile in pairs
             )
-        # trivial vertices may not see S; leaves may only see their Q-neighbor
-        if s_mask & trivial_adj_union and any(
-            adj[v] & s_mask for v in bits(full_trivial & ~s_mask)
-        ):
-            continue
-        if s_mask & leaf_bad_union and any(
-            adj[v] & s_mask & ~bit(leaf_q[v]) for v in full_leaves if not s_mask & bit(v)
-        ):
-            continue
-        z = s_mask | z_base
-        # group S and the in-subtree part of Q by adjacency: adjacent members
-        # are connected inside the subtree forest, so they share a block
-        classes = graph.components_within(s_mask | q_in_vt)
-        singles = []
-        attached = [0] * len(classes)
-        for v in full_leaves:
-            vb = bit(v)
-            if vb & s_mask:
+            if hit:
+                self._members += 1
+                if self._members > self._bound:
+                    raise InvariantError(
+                        f"signature family has {self._members} members, above the stated bound"
+                    )
+        return hit
+
+    def _components(self, mask):
+        classes = self._classes.get(mask)
+        if classes is None:
+            classes = self._classes[mask] = self._graph.components_within(mask)
+        return classes
+
+    def _pairs_for(self, z):
+        pairs = set()
+        for z_base, group in self._by_base.items():
+            if z_base & ~z:
                 continue
-            qb = bit(leaf_q[v])
-            if not qb & vt:
-                singles.append(vb)
+            required = z & ~z_base
+            room = self._s_cap - popcount(required)
+            # Q's bag members avoid I, so S holds them exactly when Z minus
+            # z_base does
+            group = [w for w in group if not w.q_in_bag & ~required]
+            if room < 0 or not group:
                 continue
-            for idx, cls in enumerate(classes):
-                if cls & qb:
-                    attached[idx] |= vb
-                    break
-        for v in bits(full_trivial & ~s_mask):
-            singles.append(bit(v))
-        fertile = [
-            (classes[idx] & s_mask) | attached[idx]
-            for idx in range(len(classes))
-            if classes[idx] & s_mask or attached[idx]
-        ]
-        base_blocks = canonical_blocks(singles)
-        for pattern in _partition_patterns(len(fertile)):
-            blocks = list(base_blocks)
-            for part in pattern:
-                blk = 0
-                for idx in part:
-                    blk |= fertile[idx]
-                blocks.append(blk)
-            sigs.add((z, canonical_blocks(blocks)))
-        budget_left -= len(fertile)
-    return budget_left
+            optional = to_tuple(z_base)
+            for r in range(min(room, len(optional)) + 1):
+                for extra in combinations(optional, r):
+                    s_mask = required | mask_of(extra)
+                    for w in group:
+                        self._budget_left -= 1
+                        if self._budget_left < 0:
+                            raise ResourceLimitError(
+                                "signature enumeration budget exceeded",
+                                partial_count=self._members,
+                            )
+                        fixed = _witness_blocks(self._adj, self._components, w, s_mask, self._vt)
+                        if fixed is not None:
+                            pairs.add(fixed)
+        return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +464,25 @@ def merge_partitions(z, components, blocks1, blocks2):
 # The dynamic program
 
 
+def _bounded_family_keep(graph, nice_td, k):
+    """The DP filter of the paper provider: membership in each node's
+    bounded family, built when the DP reaches the node. run_nice_dp fills
+    one node at a time, so only the test of the node being filled is kept."""
+    vt = nice_td.subtree_vertex_masks()
+    current = {}
+
+    def keep(i, sig):
+        family = current.get(i)
+        if family is None:
+            bag = nice_td.nodes[i].bag
+            traces = trace_family_for_bag(graph, bag, k, node=i).members
+            current.clear()
+            family = current[i] = BoundedFamilyMembership(graph, bag, vt[i], k, traces)
+        return sig in family
+
+    return keep
+
+
 def mwif_dp(
     graph, nice_td, weights, provider="exhaustive", k=None, state_budget=DEFAULT_STATE_BUDGET
 ):
@@ -357,18 +496,14 @@ def mwif_dp(
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper" and k is None:
         raise InputError("the bounded family provider needs the matching bound k")
-    # the exhaustive provider runs unfiltered: introduce keeps Z
-    # forest-inducing and every block stays a union of components of G[Z],
-    # so every state the transitions reach lies in the exhaustive family
-    family_sets = None
     if provider == "paper":
-        vt = nice_td.subtree_vertex_masks()
-        family_sets = [
-            signature_family_paper(
-                graph, node.bag, vt[i], k, trace_family_for_bag(graph, node.bag, k, node=i).members
-            ).signatures
-            for i, node in enumerate(nice_td.nodes)
-        ]
+        keep = _bounded_family_keep(graph, nice_td, k)
+    else:
+        # the exhaustive provider runs unfiltered: introduce keeps Z
+        # forest-inducing and every block stays a union of components of
+        # G[Z], so every state the transitions reach lies in the family
+        def keep(i, sig):
+            return True
 
     def introduce(v, sig, value):
         yield sig, value
@@ -416,7 +551,7 @@ def mwif_dp(
     empty = (0, ())
     tables, backptr = run_nice_dp(
         nice_td, empty, introduce, forget, join,
-        keep=lambda i, sig: family_sets is None or sig in family_sets[i],
+        keep=keep,
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
     )

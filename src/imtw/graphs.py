@@ -22,6 +22,9 @@ from .bits import bit, bits, mask_of, popcount, to_tuple
 from .errors import InputError
 
 INFINITY = float("inf")
+# Largest vertex count a graph file may declare. Every layer keeps per-vertex
+# bitmasks, so a header above this is refused before anything is allocated.
+MAX_VERTICES = 10**6
 
 
 class Graph:
@@ -176,7 +179,8 @@ class WeightMap:
 
 
 def parse_graph(text):
-    """Parse the ``p edge`` format. Raises InputError with a line number."""
+    """Parse the ``p edge`` format. Raises InputError with a line number,
+    also for a header declaring more than MAX_VERTICES vertices."""
     n = None
     declared_m = None
     edges = []
@@ -197,6 +201,10 @@ def parse_graph(text):
                 raise InputError(f"malformed header {line!r}", line=lineno) from None
             if n < 0 or declared_m < 0:
                 raise InputError(f"malformed header {line!r}", line=lineno)
+            if n > MAX_VERTICES:
+                raise InputError(
+                    f"header declares {n} vertices, above the cap of {MAX_VERTICES}", line=lineno
+                )
         elif parts[0] == "e":
             if n is None:
                 raise InputError("edge line before header", line=lineno)

@@ -21,8 +21,10 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     """All inclusion-maximal independent subsets of ``universe`` (default all).
 
     Pivoting Bron-Kerbosch search on the complement graph, run on an explicit
-    stack; each set is produced once. The result is sorted canonically. A
-    limit overflow raises with the count produced so far.
+    stack; each set is produced once. An independent ``cand`` is settled in
+    one step instead of one level per member: when no vertex misses all of
+    it, ``chosen | cand`` is its only result. The result is sorted
+    canonically. A limit overflow raises with the count produced so far.
     """
     if universe is None:
         universe = graph.vertex_mask()
@@ -31,22 +33,29 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     stack = [(0, universe, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
-        if cand == 0 and excl == 0:
-            out.append(chosen)
-            if limit is not None and len(out) > limit:
-                raise ResourceLimitError(
-                    f"maximal independent set limit {limit} exceeded", partial_count=len(out)
-                )
-            continue
-        pivot, coverage = -1, -1
-        for u in bits(cand | excl):
-            c = popcount(cand & nonadj[u])
-            if c > coverage:
-                pivot, coverage = u, c
-        for v in bits(cand & ~nonadj[pivot]):
-            stack.append((chosen | bit(v), cand & nonadj[v], excl & nonadj[v]))
-            cand &= ~bit(v)
-            excl |= bit(v)
+        if cand or excl:
+            pivot, coverage = -1, -1
+            for u in bits(cand | excl):
+                c = popcount(cand & nonadj[u])
+                if c > coverage:
+                    pivot, coverage = u, c
+            # An excluded vertex missing all of cand would cover all of it,
+            # so this holds only when cand is independent and maximal as is.
+            if coverage == popcount(cand) - 1 and all(
+                cand & ~nonadj[v] == bit(v) for v in bits(cand)
+            ):
+                chosen |= cand
+            else:
+                for v in bits(cand & ~nonadj[pivot]):
+                    stack.append((chosen | bit(v), cand & nonadj[v], excl & nonadj[v]))
+                    cand &= ~bit(v)
+                    excl |= bit(v)
+                continue
+        out.append(chosen)
+        if limit is not None and len(out) > limit:
+            raise ResourceLimitError(
+                f"maximal independent set limit {limit} exceeded", partial_count=len(out)
+            )
     return sorted(out, key=to_tuple)
 
 

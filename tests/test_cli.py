@@ -145,6 +145,18 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_huge_headers_are_input_errors(tmp_path, capsys):
+    # both headers are refused before their counts size any allocation
+    graph_file, _ = instance(tmp_path, capsys, "path", "5")
+    huge_graph = tmp_path / "huge.gr"
+    huge_graph.write_text("p edge 10000000 0\n")
+    huge_td = tmp_path / "huge.td"
+    huge_td.write_text("s td 10000000 5 5\nb 1 1 2 3 4 5\n")
+    for argv in (("solve", "mwis", str(huge_graph), str(huge_td)), ("metrics", graph_file, str(huge_td))):
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 2 and report["error"]["type"] == "input"
+
+
 def test_exit_code_resource_cap(tmp_path, capsys):
     graph_file, td_file = instance(tmp_path, capsys, "complete_bipartite", "4", "4")
     code, report, _ = run_cli(

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from random import Random
 
 import pytest
@@ -359,3 +360,18 @@ def test_td_parse_errors():
         parse_td("s td 1 1 2\nb 1 3\n")
     with pytest.raises(InputError, match="declares"):
         parse_td("s td 2 1 2\nb 1 1\n")
+
+
+def test_td_bag_count_checked_before_allocating():
+    # the declared bag count is compared with the bag lines read before any
+    # per-bag list is built; the larger value is tried only once the smaller
+    # one is known to allocate nothing
+    for count in (10**7, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"declares {count} bags, found 1"):
+                parse_td(f"s td {count} 5 5\nb 1 1 2\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -1,8 +1,11 @@
 from random import Random
+from time import perf_counter
 
 import pytest
 
+from imtw import forest
 from imtw.bits import bit, bits, mask_of
+from imtw.corpus import random_corpus
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
 from imtw.errors import InputError, ResourceLimitError
 from imtw.forest import (
@@ -14,7 +17,16 @@ from imtw.forest import (
     signature_family_paper,
     signature_in,
 )
-from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph, random_graph
+from imtw.graphs import (
+    Graph,
+    WeightMap,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_graph,
+)
+from imtw.nicedp import run_nice_dp
 from imtw.oracles import (
     enumerate_maximal_induced_forests,
     find_cycle_within,
@@ -297,3 +309,50 @@ def test_paper_family_degenerate_edgeless_k0():
     nice = make_nice(g, single_bag_decomposition(g))
     weight, solution = mwif_dp(g, nice, WeightMap.unit(4), provider="paper", k=0)
     assert weight == 4 and solution == bag
+
+
+def test_bounded_membership_equals_eager_family():
+    # at every nice node, the states the solver's filter keeps are exactly the
+    # generated states inside the eagerly built bounded family
+    cases = random_corpus(7, 150, 11) + [(complete_bipartite(5, 5), WeightMap.unit(10))]
+    queries = rejected = 0
+    for g, w in cases:
+        td = heuristic_decomposition(g)
+        met = decomposition_metrics(g, td)
+        nice = make_nice(g, td)
+        asked = []
+
+        def spy(nice_td, leaf, introduce, forget, join, keep, budget, budget_message):
+            def recorded(i, sig):
+                kept = keep(i, sig)
+                asked.append((i, sig, kept))
+                return kept
+
+            return run_nice_dp(nice_td, leaf, introduce, forget, join, recorded, budget, budget_message)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forest, "run_nice_dp", spy)
+            mwif_dp(g, nice, w, provider="paper", k=met.mu)
+        vt = nice.subtree_vertex_masks()
+        families = {}
+        for i, sig, kept in asked:
+            if i not in families:
+                bag = nice.nodes[i].bag
+                traces = trace_family_for_bag(g, bag, met.mu).members
+                families[i] = signature_family_paper(g, bag, vt[i], met.mu, traces)
+            assert kept == (sig in families[i]), (g.n, g.edges, i, sig)
+        queries += len(asked)
+        rejected += sum(1 for _, _, kept in asked if not kept)
+    # the filter is exercised: it rejects states the transitions generate
+    assert (rejected, queries) == (208, 23407)
+
+
+def test_bounded_family_k88_is_fast():
+    g = complete_bipartite(8, 8)
+    td = heuristic_decomposition(g)
+    met = decomposition_metrics(g, td)
+    nice = make_nice(g, td)
+    start = perf_counter()
+    weight, solution = mwif_dp(g, nice, WeightMap.unit(16), provider="paper", k=met.mu)
+    assert perf_counter() - start < 20
+    assert weight == 9 and is_induced_forest(g, solution)

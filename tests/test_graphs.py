@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -6,6 +7,7 @@ import pytest
 from imtw.errors import InputError
 from imtw.graphs import (
     INFINITY,
+    MAX_VERTICES,
     Graph,
     chordal_power_gadget,
     complete_graph,
@@ -59,6 +61,20 @@ def test_parse_comments_ignored():
 def test_parse_errors(text, fragment):
     with pytest.raises(InputError, match=fragment):
         parse_graph(text)
+
+
+def test_parse_vertex_cap_refuses_before_allocating():
+    assert parse_graph(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+    # the larger value is tried only once the smaller one allocates nothing
+    for n in (10**7, 10**9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="line 1: .* above the cap"):
+                parse_graph(f"p edge {n} 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_parse_error_carries_line_number():

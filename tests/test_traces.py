@@ -1,9 +1,10 @@
 from fractions import Fraction
 from random import Random
+from time import perf_counter
 
 import pytest
 
-from imtw.bits import bit, bits, mask_of, submasks, to_tuple
+from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
 from imtw.errors import ResourceLimitError
 from imtw.graphs import (
@@ -48,6 +49,52 @@ def test_mis_enumeration_vs_subset_scan():
         universe = mask_of(v for v in range(g.n) if rng.random() < 0.7)
         got = enumerate_maximal_independent_sets(g, universe=universe)
         assert got == brute_maximal_independent_sets(g, universe)
+
+
+def pivot_maximal_independent_sets(graph, universe):
+    """The pivoting search without the one-step settle of an independent
+    candidate set, as the enumerator ran before it had one."""
+    nonadj = {v: universe & ~graph.adj_mask(v) & ~bit(v) for v in bits(universe)}
+    out = []
+    stack = [(0, universe, 0)]
+    while stack:
+        chosen, cand, excl = stack.pop()
+        if cand == 0 and excl == 0:
+            out.append(chosen)
+            continue
+        pivot, coverage = -1, -1
+        for u in bits(cand | excl):
+            c = popcount(cand & nonadj[u])
+            if c > coverage:
+                pivot, coverage = u, c
+        for v in bits(cand & ~nonadj[pivot]):
+            stack.append((chosen | bit(v), cand & nonadj[v], excl & nonadj[v]))
+            cand &= ~bit(v)
+            excl |= bit(v)
+    return sorted(out, key=to_tuple)
+
+
+def test_mis_enumeration_vs_pivot_search():
+    rng = Random(12)
+    for _ in range(400):
+        n = rng.randint(0, 18)
+        g = random_graph(n, rng.choice((0.05, 0.15, 0.3, 0.6)), seed=rng.randrange(2**32))
+        universe = mask_of(v for v in range(n) if rng.random() < 0.8)
+        got = enumerate_maximal_independent_sets(g, universe=universe)
+        assert got == pivot_maximal_independent_sets(g, universe)
+
+
+def test_mis_enumeration_sparse_universe_is_fast():
+    # an independent universe is one set, found without a pivot scan per
+    # vertex; the MWIS run re-enumerates it at each of its 1001 nice nodes
+    start = perf_counter()
+    assert enumerate_maximal_independent_sets(Graph(2000)) == [(1 << 2000) - 1]
+    assert perf_counter() - start < 2
+    g = Graph(500)
+    start = perf_counter()
+    weight, _ = mwis_dp(g, make_nice(g, single_bag_decomposition(g)), WeightMap.unit(500), 0)
+    assert perf_counter() - start < 2
+    assert weight == 500
 
 
 def test_mis_enumeration_limit():
