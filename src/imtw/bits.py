@@ -37,6 +37,24 @@ def lowest_bit(mask):
     return (mask & -mask).bit_length() - 1
 
 
+def components(adj, mask):
+    """Connected components of ``mask`` under ``adj``, which maps a vertex to
+    its adjacency mask, as masks ordered by smallest member vertex."""
+    comps = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def submasks(mask):
     """Yield every submask of ``mask``, in descending numeric order."""
     sub = mask

@@ -376,57 +376,49 @@ def generic_structured_dp(
     ell = ramsey_upper(k + 1, r + 1)
     empty_type = algebra.type_of(BoundariedGraph.make(Graph(0, []), {}, ell))
 
-    def type_of_induced(mask):
-        g, _ = induced_subgraph(graph, mask)
-        return algebra.type_of(BoundariedGraph.make(g, {i: i + 1 for i in range(g.n)}, ell))
+    induced_types = {}  # mask -> type of G[mask] labelled in vertex order
 
-    def introduce(v, state, value):
-        yield state, value
+    def type_of_induced(mask):
+        if mask not in induced_types:
+            g, _ = induced_subgraph(graph, mask)
+            labeling = {i: i + 1 for i in range(g.n)}
+            induced_types[mask] = algebra.type_of(BoundariedGraph.make(g, labeling, ell))
+        return induced_types[mask]
+
+    def add(v, state):
         s_mask, tau = state
         new_mask = s_mask | bit(v)
         # every clique lies inside one bag, so refusing v next to an r-clique
         # of S keeps each solution's clique number at most r
         if popcount(new_mask) > ell or _has_clique(graph, s_mask & graph.adj_mask(v), r):
-            return
+            return None
         old_members = to_tuple(s_mask)
         new_members = to_tuple(new_mask)
         new_label = {u: j + 1 for j, u in enumerate(new_members)}
         mapping = {j + 1: new_label[u] for j, u in enumerate(old_members)}
-        tau_s = type_of_induced(new_mask)
-        glued = algebra.glue(tau_s, algebra.relabel(tau, mapping))
-        yield (new_mask, glued), value + weights[v]
+        glued = algebra.glue(type_of_induced(new_mask), algebra.relabel(tau, mapping))
+        return None if glued == REJECT else (new_mask, glued)
 
-    def forget(v, state, value):
+    def drop(v, state):
         s_mask, tau = state
-        if not s_mask & bit(v):
-            yield state, value
-            return
         old_members = to_tuple(s_mask)
         label_v = old_members.index(v) + 1
         new_mask = s_mask & ~bit(v)
         new_members = to_tuple(new_mask)
         mapping = {j + 1: new_members.index(u) + 1 for j, u in enumerate(old_members) if u != v}
-        yield (new_mask, algebra.relabel(algebra.forget(tau, label_v), mapping)), value
+        return new_mask, algebra.relabel(algebra.forget(tau, label_v), mapping)
 
-    def join(left, right):
-        by_mask = {}
-        for (s_mask, tau), value in left.items():
-            by_mask.setdefault(s_mask, []).append((tau, value))
-        for (s_mask, tau2), value2 in sorted(right.items()):
-            if s_mask not in by_mask:
-                continue
-            ws = weights.of_set(s_mask)
-            for tau1, value1 in by_mask[s_mask]:
-                glued = algebra.glue(tau1, tau2)
-                yield (s_mask, glued), value1 + value2 - ws, ((s_mask, tau1), (s_mask, tau2))
+    def merge(left, right):
+        glued = algebra.glue(left[1], right[1])
+        return None if glued == REJECT else (left[0], glued)
 
     def check(state):
         if popcount(state[0]) > ell:
             raise InvariantError("bag intersection exceeds the Ramsey bound")
 
     tables, backptr = run_nice_dp(
-        nice_td, (0, empty_type), introduce, forget, join,
-        keep=lambda i, state: state[1] != REJECT,
+        nice_td, (0, empty_type), lambda state: state[0], add, drop, merge, weights,
+        family=lambda i: None,
         budget=state_budget,
         budget_message=f"structured DP budget {state_budget} exceeded",
     )

@@ -11,7 +11,7 @@ caller never silently receives an under-approximated parameter.
 
 from dataclasses import dataclass
 
-from .bits import bit, bits, mask_of, popcount, to_tuple
+from .bits import bit, bits, components, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, ball_mask, induced_subgraph
 
@@ -236,38 +236,45 @@ class _Budget:
 def _max_independent_set(adj, candidates, budget):
     """Exact maximum independent set over the ``candidates`` mask.
 
-    adj maps vertex -> adjacency mask. Returns (size, witness mask).
+    adj maps vertex -> adjacency mask. Returns (size, witness mask). Each
+    connected component of the candidates is searched on its own, so t
+    disjoint cliques cost t small searches, not one with 2^t leaves. A pick
+    never changes another component's pool, so the union of the components'
+    witnesses is the witness one search over all candidates would find.
     """
-    best_size = 0
-    best_set = 0
-    # (chosen, size, pool) frames; the include branch is pushed last, so it
-    # is searched before the exclude branch, and the first of several
-    # maximum sets found is the witness
-    stack = [(0, 0, candidates)]
-    while stack:
-        chosen, size, pool = stack.pop()
-        budget.spend()
-        if size + popcount(pool) <= best_size:
-            continue
-        pick, pick_deg = -1, -1
-        for v in bits(pool):
-            d = popcount(adj[v] & pool)
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        if pick_deg <= 1:
-            # the pool is a matching plus isolated vertices: the search would
-            # first take the lower end of every edge and every isolated
-            # vertex, and nothing later in this branch is larger
+    size, witness = 0, 0
+    for component in components(adj, candidates):
+        best_size = 0
+        best_set = 0
+        # (chosen, found, pool) frames; the include branch is pushed last, so
+        # it is searched before the exclude branch, and the first of several
+        # maximum sets found is the witness
+        stack = [(0, 0, component)]
+        while stack:
+            chosen, found, pool = stack.pop()
+            budget.spend()
+            if found + popcount(pool) <= best_size:
+                continue
+            pick, pick_deg = -1, -1
             for v in bits(pool):
-                if adj[v] & pool & (bit(v) - 1):
-                    pool &= ~bit(v)
-            total = size + popcount(pool)
-            if total > best_size:
-                best_size, best_set = total, chosen | pool
-            continue
-        stack.append((chosen, size, pool & ~bit(pick)))
-        stack.append((chosen | bit(pick), size + 1, pool & ~(adj[pick] | bit(pick))))
-    return best_size, best_set
+                d = popcount(adj[v] & pool)
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+            if pick_deg <= 1:
+                # the pool is a matching plus isolated vertices: the search
+                # would first take the lower end of every edge and every
+                # isolated vertex, and nothing later in this branch is larger
+                for v in bits(pool):
+                    if adj[v] & pool & (bit(v) - 1):
+                        pool &= ~bit(v)
+                total = found + popcount(pool)
+                if total > best_size:
+                    best_size, best_set = total, chosen | pool
+                continue
+            stack.append((chosen, found, pool & ~bit(pick)))
+            stack.append((chosen | bit(pick), found + 1, pool & ~(adj[pick] | bit(pick))))
+        size, witness = size + best_size, witness | best_set
+    return size, witness
 
 
 def max_independent_set_in_bag(graph, bag, budget=None):

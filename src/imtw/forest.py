@@ -26,9 +26,10 @@ are pruned (each rule is justified by a structural fact about maximal
 forests, see inline notes); every remaining signature is still one of the
 unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
-family: its filter enumerates the (I, Q) witnesses once per node and decides
-membership per (node, Z), visiting only the S that emit Z and expanding no
-partition (BoundedFamilyMembership). The eager enumerator
+family: the DP driver asks for each node's family when it reaches the node,
+and that family enumerates the (I, Q) witnesses once and decides membership
+per Z, visiting only the S that emit Z and expanding no partition
+(BoundedFamilyMembership). The eager enumerator
 signature_family_paper runs the same witness generator and the same rules
 and expands every partition; it is the coverage oracle for tests and
 ``imtw verify``.
@@ -464,25 +465,6 @@ def merge_partitions(z, components, blocks1, blocks2):
 # The dynamic program
 
 
-def _bounded_family_keep(graph, nice_td, k):
-    """The DP filter of the paper provider: membership in each node's
-    bounded family, built when the DP reaches the node. run_nice_dp fills
-    one node at a time, so only the test of the node being filled is kept."""
-    vt = nice_td.subtree_vertex_masks()
-    current = {}
-
-    def keep(i, sig):
-        family = current.get(i)
-        if family is None:
-            bag = nice_td.nodes[i].bag
-            traces = trace_family_for_bag(graph, bag, k, node=i).members
-            current.clear()
-            family = current[i] = BoundedFamilyMembership(graph, bag, vt[i], k, traces)
-        return sig in family
-
-    return keep
-
-
 def mwif_dp(
     graph, nice_td, weights, provider="exhaustive", k=None, state_budget=DEFAULT_STATE_BUDGET
 ):
@@ -497,16 +479,20 @@ def mwif_dp(
     if provider == "paper" and k is None:
         raise InputError("the bounded family provider needs the matching bound k")
     if provider == "paper":
-        keep = _bounded_family_keep(graph, nice_td, k)
-    else:
-        # the exhaustive provider runs unfiltered: introduce keeps Z
-        # forest-inducing and every block stays a union of components of
-        # G[Z], so every state the transitions reach lies in the family
-        def keep(i, sig):
-            return True
+        vt = nice_td.subtree_vertex_masks()
 
-    def introduce(v, sig, value):
-        yield sig, value
+        def family(i):
+            bag = nice_td.nodes[i].bag
+            traces = trace_family_for_bag(graph, bag, k, node=i).members
+            return BoundedFamilyMembership(graph, bag, vt[i], k, traces)
+    else:
+        # the exhaustive provider runs unfiltered: add keeps Z forest-inducing
+        # and every block stays a union of components of G[Z], so every state
+        # the transitions reach lies in the family
+        def family(i):
+            return None
+
+    def add(v, sig):
         z, blocks = sig
         # v joins: its neighbors in Z must sit in pairwise distinct blocks,
         # which then merge around v
@@ -520,38 +506,26 @@ def mwif_dp(
             elif popcount(hit) == 1:
                 merged |= b
             else:
-                return
-        yield (z | bit(v), canonical_blocks(untouched + [merged])), value + weights[v]
+                return None
+        return z | bit(v), canonical_blocks(untouched + [merged])
 
-    def forget(v, sig, value):
+    def drop(v, sig):
         z, blocks = sig
-        if z & bit(v):
-            keep = ~bit(v)
-            yield (z & keep, canonical_blocks(b & keep for b in blocks)), value
-        else:
-            yield sig, value
+        rest = ~bit(v)
+        return z & rest, canonical_blocks(b & rest for b in blocks)
 
-    def join(left, right):
-        by_z = {}
-        for sig in left:
-            by_z.setdefault(sig[0], []).append(sig)
-        comp_cache = {}
-        for sig2 in sorted(right):
-            z = sig2[0]
-            if z not in by_z:
-                continue
-            if z not in comp_cache:
-                comp_cache[z] = (graph.components_within(z), weights.of_set(z))
-            comps, wz = comp_cache[z]
-            for sig1 in by_z[z]:
-                blocks = merge_partitions(z, comps, sig1[1], sig2[1])
-                if blocks is not None:
-                    yield (z, blocks), left[sig1] + right[sig2] - wz, (sig1, sig2)
+    components = {}  # Z -> components of G[Z], shared by all joins
+
+    def merge(sig1, sig2):
+        z = sig1[0]
+        if z not in components:
+            components[z] = graph.components_within(z)
+        blocks = merge_partitions(z, components[z], sig1[1], sig2[1])
+        return None if blocks is None else (z, blocks)
 
     empty = (0, ())
     tables, backptr = run_nice_dp(
-        nice_td, empty, introduce, forget, join,
-        keep=keep,
+        nice_td, empty, lambda sig: sig[0], add, drop, merge, weights, family,
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
     )

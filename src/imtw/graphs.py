@@ -18,7 +18,7 @@ vertex ids; omitted vertices default to weight 1.
 from fractions import Fraction
 from random import Random
 
-from .bits import bit, bits, mask_of, popcount, to_tuple
+from .bits import bit, bits, components, mask_of, popcount, to_tuple
 from .errors import InputError
 
 INFINITY = float("inf")
@@ -108,21 +108,7 @@ class Graph:
 
         Ordered by smallest member vertex.
         """
-        comps = []
-        rest = mask
-        while rest:
-            start = rest & -rest
-            comp = start
-            frontier = start
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self._adj[v] & mask
-                frontier = grow & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+        return components(self._adj, mask)
 
     def is_connected_within(self, mask):
         if mask == 0:

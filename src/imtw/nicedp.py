@@ -2,11 +2,13 @@
 
 The MWIS, induced-forest and structured solvers are one leaf / introduce /
 forget / join recursion (Kloks, Treewidth, 1994) that differs only in its
-state type and in the family filtering the states. This module owns what
-they share: the pass over the nodes, the state budget, the tie-break and the
-backpointer walk. A table maps each kept state to its best value; equal
-values go to the smallest origin, the tuple of child states it came from, so
-every table and every reconstruction is deterministic.
+state type and in the family filtering the states. A solver supplies the
+state algebra and a per-node family; this module owns the rest: the
+transitions and their value arithmetic, the pass over the nodes, the family
+lifetime, the state budget, the tie-break and the backpointer walk. A table
+maps each kept state to its best value; equal values go to the smallest
+origin, the tuple of child states it came from, so every table and every
+reconstruction is deterministic.
 """
 
 from fractions import Fraction
@@ -17,25 +19,33 @@ from .errors import ResourceLimitError
 DEFAULT_STATE_BUDGET = 10**7
 
 
-def run_nice_dp(nice_td, leaf, introduce, forget, join, keep, budget, budget_message):
+def run_nice_dp(
+    nice_td, empty, bag_part, add, drop, merge, weights, family, budget, budget_message
+):
     """Fill one table per node bottom-up and return (tables, backpointers).
 
-    ``introduce(v, state, value)`` and ``forget(v, state, value)`` yield
-    (state, value) pairs for each child state, visited in sorted order;
-    ``join(left, right)`` yields (state, value, origin) triples. Only states
-    with ``keep(node index, state)`` enter a table. More than ``budget``
-    table entries over all nodes raise ResourceLimitError(budget_message).
+    The state algebra: the leaf state ``empty``; ``bag_part(state)``, the
+    solution's mask inside the bag; ``add(v, state)``, the state with the
+    introduced v in the solution; ``drop(v, state)``, the state with the
+    forgotten v out of its bag part; ``merge(left, right)`` of two join
+    partners with equal bag parts. ``add`` and ``merge`` return None to
+    refuse. An added v gains ``weights[v]``; a join is worth left + right
+    minus the weight of their bag part. ``family(i)`` is asked once per node,
+    in order, and only its members enter node i's table (None keeps all).
+    More than ``budget`` table entries over all nodes raise
+    ResourceLimitError(budget_message).
     """
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
     states_seen = 0
     for i, node in enumerate(nice_td.nodes):
+        members = family(i)
         table = {}
         bp = {}
 
         def push(state, value, origin):
             nonlocal states_seen
-            if not keep(i, state):
+            if members is not None and state not in members:
                 return
             cur = table.get(state)
             if cur is None:
@@ -47,16 +57,33 @@ def run_nice_dp(nice_td, leaf, introduce, forget, join, keep, budget, budget_mes
                 bp[state] = origin
 
         if node.kind == "leaf":
-            push(leaf, Fraction(0), ())
+            push(empty, Fraction(0), ())
         elif node.kind == "join":
-            for state, value, origin in join(*(tables[c] for c in node.children)):
-                push(state, value, origin)
+            left, right = (tables[c] for c in node.children)
+            by_part = {}
+            for s1 in left:
+                by_part.setdefault(bag_part(s1), []).append(s1)
+            for s2 in sorted(right):
+                part = bag_part(s2)
+                if part in by_part:
+                    part_weight = weights.of_set(part)
+                    for s1 in by_part[part]:
+                        merged = merge(s1, s2)
+                        if merged is not None:
+                            push(merged, left[s1] + right[s2] - part_weight, (s1, s2))
         else:
-            step = introduce if node.kind == "introduce" else forget
+            v = node.vertex
             child = tables[node.children[0]]
             for state in sorted(child):
-                for new_state, value in step(node.vertex, state, child[state]):
-                    push(new_state, value, (state,))
+                value = child[state]
+                if node.kind == "forget" and bag_part(state) & bit(v):
+                    push(drop(v, state), value, (state,))
+                    continue
+                push(state, value, (state,))
+                if node.kind == "introduce":
+                    grown = add(v, state)
+                    if grown is not None:
+                        push(grown, value + weights[v], (state,))
         tables[i] = table
         backptr[i] = bp
     return tables, backptr

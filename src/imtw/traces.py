@@ -119,43 +119,26 @@ def trace_family_for_bag(graph, bag, k, node=None):
     return TraceFamily(ordered)
 
 
-def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET, debug=False):
+def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
     """Max weight independent set over a nice decomposition with mu at most k.
 
-    Table states at each node are the members of the node's trace family;
-    anything outside a family is treated as minus infinity. Returns the exact
-    optimum (weight, vertex mask); the result is re-validated before return.
+    A state is the solution's part of the bag. Each node's trace family,
+    built when the DP reaches the node, filters its table; anything outside
+    a family is treated as minus infinity. Returns the exact optimum
+    (weight, vertex mask); the result is re-validated before return.
     """
-    families = [
-        set(trace_family_for_bag(graph, node.bag, k, node=i).members)
-        for i, node in enumerate(nice_td.nodes)
-    ]
-
-    def introduce(v, state, value):
-        yield state, value
-        if not graph.adj_mask(v) & state:
-            yield state | bit(v), value + weights[v]
-
-    def forget(v, state, value):
-        yield state & ~bit(v), value
-
-    def join(left, right):
-        for state in sorted(left):
-            if state in right:
-                yield state, left[state] + right[state] - weights.of_set(state), (state, state)
-
     tables, backptr = run_nice_dp(
-        nice_td, 0, introduce, forget, join,
-        keep=lambda i, state: state in families[i],
+        nice_td,
+        empty=0,
+        bag_part=lambda state: state,
+        add=lambda v, state: None if graph.adj_mask(v) & state else state | bit(v),
+        drop=lambda v, state: state & ~bit(v),
+        merge=lambda left, right: left,
+        weights=weights,
+        family=lambda i: set(trace_family_for_bag(graph, nice_td.nodes[i].bag, k, node=i).members),
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
     )
-    if debug:
-        for i, table in enumerate(tables):
-            for state in table:
-                if not graph.is_independent(state):
-                    raise InvariantError(f"dependent state {state:#x} at node {i}")
-
     root_table = tables[nice_td.root]
     if 0 not in root_table:
         raise InvariantError("empty state missing at the root; families are broken")

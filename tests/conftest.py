@@ -1,9 +1,12 @@
-"""Shared helpers: seeded test corpora and the assertion that a claim held."""
+"""Shared helpers: seeded test corpora, the assertion that a claim held and
+a spy on the DP driver."""
 
+from inspect import signature
 from random import Random
 
 from imtw.decomp import heuristic_decomposition
 from imtw.graphs import Graph, WeightMap, random_graph
+from imtw.nicedp import run_nice_dp
 from imtw.verify import STRATEGIES, prepare
 
 
@@ -64,3 +67,19 @@ def solver_cases(graphs, weight_seed=None, max_weight=None, pick_strategy=False)
         strategy = rng.choice(STRATEGIES) if pick_strategy else "min-fill"
         cases.append(prepare(g, w, heuristic_decomposition(g, strategy)))
     return cases
+
+
+def driver_spy(wrap, results=None):
+    """A stand-in for ``run_nice_dp``: ``wrap`` sees its arguments by name
+    and may replace them, and each (tables, backpointers) result is appended
+    to ``results`` when given."""
+
+    def spy(*args, **kwargs):
+        arguments = signature(run_nice_dp).bind(*args, **kwargs).arguments
+        wrap(arguments)
+        result = run_nice_dp(**arguments)
+        if results is not None:
+            results.append(result)
+        return result
+
+    return spy

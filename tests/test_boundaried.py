@@ -21,7 +21,12 @@ from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nic
 from imtw.errors import InputError
 from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph
 from imtw.oracles import brute_mwis
-from imtw.verify import ALGEBRAS, algebra_compositional, structured_dp_matches_brute_force
+from imtw.verify import (
+    ALGEBRAS,
+    algebra_compositional,
+    per_algebra,
+    structured_dp_matches_brute_force,
+)
 
 from conftest import expect, seeded_graphs, solver_cases
 
@@ -220,15 +225,18 @@ def test_builtin_lookup():
 
 
 def test_structured_dp_three_way_forest():
-    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(97, 20, 2, 9), 97, 50)))
+    cases = solver_cases(seeded_graphs(97, 20, 2, 9), 97, 50)
+    expect(structured_dp_matches_brute_force(per_algebra(cases)))
 
 
 def test_structured_dp_bipartite():
-    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(96, 15, 2, 9), 96, 50)))
+    cases = solver_cases(seeded_graphs(96, 15, 2, 9), 96, 50)
+    expect(structured_dp_matches_brute_force(per_algebra(cases)))
 
 
 def test_structured_dp_max_degree():
-    expect(structured_dp_matches_brute_force(solver_cases(seeded_graphs(95, 12, 2, 9), 95, 50)))
+    cases = solver_cases(seeded_graphs(95, 12, 2, 9), 95, 50)
+    expect(structured_dp_matches_brute_force(per_algebra(cases)))
 
 
 def test_structured_dp_degree_zero_is_mwis():

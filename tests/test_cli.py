@@ -393,3 +393,27 @@ def test_verify_records_a_failing_self_check(monkeypatch, capsys):
         ("family size bound", checks[2]["instances"], True),
     ]
     assert checks[0]["failures"] == ["InvariantError: planted self-check failure"]
+
+
+def test_verify_counts_every_verdict_after_a_raise(monkeypatch, capsys):
+    # each (case, algebra) pair is its own case, so a raise costs exactly one
+    # verdict and the instance count stays that of a clean run
+    real = verify.generic_structured_dp
+    calls = []
+
+    def fails_now_and_then(*args, **kwargs):
+        calls.append(args)
+        if len(calls) % 9 == 1:
+            raise InvariantError("planted self-check failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "generic_structured_dp", fails_now_and_then)
+    code, report, _ = run_cli(
+        capsys, "verify", "--suite", "boundaried", "--seed", "42", "--max-n", "8"
+    )
+    assert code == 3
+    checks = report["result"]["suites"][0]["checks"]
+    assert [(c["check"], c["instances"], c["ok"]) for c in checks] == [
+        ("algebra compositionality", 1000, True),
+        ("structured DP equals brute force", 50, False),
+    ]

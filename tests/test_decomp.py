@@ -160,6 +160,16 @@ def test_bag_independent_set_needs_no_recursion():
     assert size == 1100 and witness == sum(bit(2 * i) for i in range(1100))
 
 
+def test_bag_independent_set_on_disjoint_cliques():
+    # forty disjoint triangles: each component is searched on its own, where
+    # one search over all of them would branch into 2^41 - 1 nodes
+    g = Graph(120, [(3 * i + a, 3 * i + b) for i in range(40) for a, b in ((0, 1), (0, 2), (1, 2))])
+    start = time.perf_counter()
+    size, witness = max_independent_set_in_bag(g, g.vertex_mask())
+    assert time.perf_counter() - start < 0.1
+    assert size == 40 and witness == sum(bit(3 * i) for i in range(40))
+
+
 def test_metrics_match_oracle():
     graphs = seeded_graphs(15, 30, 3, 9)
     expect(metrics_match_oracle([(g, heuristic_decomposition(g)) for g in graphs]))

@@ -23,10 +23,10 @@ from imtw.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     path_graph,
     random_graph,
 )
-from imtw.nicedp import run_nice_dp
 from imtw.oracles import (
     enumerate_maximal_induced_forests,
     find_cycle_within,
@@ -41,7 +41,7 @@ from imtw.verify import (
     skeleton_bound,
 )
 
-from conftest import expect, seeded_graphs, solver_cases
+from conftest import driver_spy, expect, seeded_graphs, solver_cases
 
 
 def test_anatomy_path():
@@ -311,6 +311,18 @@ def test_paper_family_degenerate_edgeless_k0():
     assert weight == 4 and solution == bag
 
 
+class RecordedFamily:
+    """A node's family that logs each membership test as (node, state, kept)."""
+
+    def __init__(self, i, members, log):
+        self.i, self.members, self.log = i, members, log
+
+    def __contains__(self, state):
+        kept = state in self.members
+        self.log.append((self.i, state, kept))
+        return kept
+
+
 def test_bounded_membership_equals_eager_family():
     # at every nice node, the states the solver's filter keeps are exactly the
     # generated states inside the eagerly built bounded family
@@ -322,16 +334,12 @@ def test_bounded_membership_equals_eager_family():
         nice = make_nice(g, td)
         asked = []
 
-        def spy(nice_td, leaf, introduce, forget, join, keep, budget, budget_message):
-            def recorded(i, sig):
-                kept = keep(i, sig)
-                asked.append((i, sig, kept))
-                return kept
-
-            return run_nice_dp(nice_td, leaf, introduce, forget, join, recorded, budget, budget_message)
+        def wrap(arguments):
+            family = arguments["family"]
+            arguments["family"] = lambda i: RecordedFamily(i, family(i), asked)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(forest, "run_nice_dp", spy)
+            mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
             mwif_dp(g, nice, w, provider="paper", k=met.mu)
         vt = nice.subtree_vertex_masks()
         families = {}
@@ -345,6 +353,31 @@ def test_bounded_membership_equals_eager_family():
         rejected += sum(1 for _, _, kept in asked if not kept)
     # the filter is exercised: it rejects states the transitions generate
     assert (rejected, queries) == (208, 23407)
+
+
+def test_join_merges_only_equal_bag_parts(monkeypatch):
+    g = hypercube_graph(4)
+    nice = make_nice(g, heuristic_decomposition(g))
+    merged = []
+
+    def wrap(arguments):
+        bag_part, merge = arguments["bag_part"], arguments["merge"]
+
+        def checked(left, right):
+            assert bag_part(left) == bag_part(right)
+            return merge(left, right)
+
+        arguments["merge"] = checked
+
+    def counted(*args):
+        merged.append(args)
+        return merge_partitions(*args)
+
+    monkeypatch.setattr(forest, "run_nice_dp", driver_spy(wrap))
+    monkeypatch.setattr(forest, "merge_partitions", counted)
+    assert mwif_dp(g, nice, WeightMap.unit(16))[0] == 10
+    # one merge_partitions call per pair of join partners with equal Z
+    assert len(merged) == 5908
 
 
 def test_bounded_family_k88_is_fast():

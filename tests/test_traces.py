@@ -4,6 +4,7 @@ from time import perf_counter
 
 import pytest
 
+from imtw import traces
 from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
 from imtw.errors import ResourceLimitError
@@ -18,7 +19,7 @@ from imtw.graphs import (
 from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
 from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
-from conftest import expect, seeded_graphs, solver_cases
+from conftest import driver_spy, expect, seeded_graphs, solver_cases
 
 
 def brute_maximal_independent_sets(graph, universe):
@@ -171,11 +172,35 @@ def test_mwis_dp_small():
     assert mwis_dp(k44, nice, w, 1)[0] == 5 + 6 + 7 + 8
 
 
-def test_mwis_dp_vs_oracle():
+def test_mwis_dp_vs_oracle(monkeypatch):
     cases = solver_cases(seeded_graphs(40, 60, 2, 10), 40, 100, pick_strategy=True)
     expect(mwis_matches_oracle(cases))
+    filled = []
+    monkeypatch.setattr(traces, "run_nice_dp", driver_spy(lambda arguments: None, filled))
     for g, w, _, met, nice in cases:
-        mwis_dp(g, nice, w, met.mu, debug=True)  # raises on a table inconsistency
+        filled.clear()
+        mwis_dp(g, nice, w, met.mu)
+        [(tables, _)] = filled
+        assert all(g.is_independent(state) for table in tables for state in table)
+
+
+def test_driver_builds_each_family_once_in_node_order(monkeypatch):
+    asked = []
+
+    def wrap(arguments):
+        family = arguments["family"]
+
+        def recorded(i):
+            asked.append(i)
+            return family(i)
+
+        arguments["family"] = recorded
+
+    monkeypatch.setattr(traces, "run_nice_dp", driver_spy(wrap))
+    for g, w, _, met, nice in solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20):
+        asked.clear()
+        mwis_dp(g, nice, w, met.mu)
+        assert asked == list(range(nice.size))
 
 
 def test_mwis_rescaling_invariance():
