@@ -10,8 +10,9 @@ caller never silently receives an under-approximated parameter.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
-from .bits import bit, bits, components, mask_of, popcount, to_tuple
+from .bits import bit, bits, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import Graph, ball_mask, induced_subgraph
 
@@ -236,45 +237,78 @@ class _Budget:
 def _max_independent_set(adj, candidates, budget):
     """Exact maximum independent set over the ``candidates`` mask.
 
-    adj maps vertex -> adjacency mask. Returns (size, witness mask). Each
-    connected component of the candidates is searched on its own, so t
-    disjoint cliques cost t small searches, not one with 2^t leaves. A pick
-    never changes another component's pool, so the union of the components'
-    witnesses is the witness one search over all candidates would find.
+    adj maps vertex -> adjacency mask. Returns (size, witness mask). Wherever
+    the pool of a search node falls apart, each connected piece is searched
+    on its own, so t disjoint cliques, at the top or below a hub vertex, cost
+    t small searches, not one with 2^t leaves. A pick never changes another
+    piece's pool, so the union of the pieces' witnesses is the witness one
+    search over the whole pool would find.
     """
-    size, witness = 0, 0
-    for component in components(adj, candidates):
-        best_size = 0
-        best_set = 0
-        # (chosen, found, pool) frames; the include branch is pushed last, so
-        # it is searched before the exclude branch, and the first of several
-        # maximum sets found is the witness
-        stack = [(0, 0, component)]
-        while stack:
-            chosen, found, pool = stack.pop()
-            budget.spend()
-            if found + popcount(pool) <= best_size:
-                continue
-            pick, pick_deg = -1, -1
+    # The search in progress: (chosen, found, pool) nodes, the best set so
+    # far and its size. The include branch is pushed last, so it is searched
+    # before the exclude branch, and the first of several maximum sets found
+    # is the witness. A piece split off a pool gets a search of its own,
+    # which starts at the size the piece must beat to matter, with best_set
+    # None, and suspends the searches below it in ``outer``; when it ends,
+    # its witness completes the node ``resume`` = (chosen, found, rest) of
+    # the search it was split from.
+    nodes, best_size, best_set, resume = [(0, 0, candidates)], 0, 0, None
+    outer = []
+    while True:
+        if not nodes:
+            if resume is None:
+                return best_size, best_set
+            piece_size, piece_set, (chosen, found, rest) = best_size, best_set, resume
+            nodes, best_size, best_set, resume = outer.pop()
+            if piece_set is not None:
+                nodes.append((chosen | piece_set, found + piece_size, rest))
+            continue
+        chosen, found, pool = nodes.pop()
+        budget.spend()
+        if found + popcount(pool) <= best_size:
+            continue
+        pick, pick_deg = -1, -1
+        for v in bits(pool):
+            d = popcount(adj[v] & pool)
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        if pick_deg <= 1:
+            # the pool is a matching plus isolated vertices: the search
+            # would first take the lower end of every edge and every
+            # isolated vertex, and nothing later in this branch is larger
             for v in bits(pool):
-                d = popcount(adj[v] & pool)
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            if pick_deg <= 1:
-                # the pool is a matching plus isolated vertices: the search
-                # would first take the lower end of every edge and every
-                # isolated vertex, and nothing later in this branch is larger
-                for v in bits(pool):
-                    if adj[v] & pool & (bit(v) - 1):
-                        pool &= ~bit(v)
-                total = found + popcount(pool)
-                if total > best_size:
-                    best_size, best_set = total, chosen | pool
-                continue
-            stack.append((chosen, found, pool & ~bit(pick)))
-            stack.append((chosen | bit(pick), found + 1, pool & ~(adj[pick] | bit(pick))))
-        size, witness = size + best_size, witness | best_set
-    return size, witness
+                if adj[v] & pool & (bit(v) - 1):
+                    pool &= ~bit(v)
+            total = found + popcount(pool)
+            if total > best_size:
+                best_size, best_set = total, chosen | pool
+            continue
+        # the piece of the pool around the pick, grown layer by layer from
+        # the new layer's neighbors or from the unreached vertices' (the
+        # smaller side), until the pool is all reached or a layer is empty
+        frontier = adj[pick] & pool
+        piece = frontier | bit(pick)
+        rest = pool & ~piece
+        while frontier and rest:
+            grow = 0
+            if popcount(frontier) < popcount(rest):
+                for v in bits(frontier):
+                    grow |= adj[v]
+                frontier = grow & rest
+            else:
+                for v in bits(rest):
+                    if adj[v] & frontier:
+                        grow |= bit(v)
+                frontier = grow
+            piece |= frontier
+            rest &= ~frontier
+        if rest:
+            outer.append((nodes, best_size, best_set, resume))
+            bar = best_size - found - popcount(rest)
+            nodes, best_size, best_set, resume = [(0, 0, piece)], bar, None, (chosen, found, rest)
+            continue
+        nodes.append((chosen, found, pool & ~bit(pick)))
+        nodes.append((chosen | bit(pick), found + 1, pool & ~(adj[pick] | bit(pick))))
 
 
 def max_independent_set_in_bag(graph, bag, budget=None):
@@ -341,30 +375,50 @@ def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
 # Heuristic construction
 
 
+def _cost(work, alive, v, strategy):
+    """Greedy cost of eliminating v now: its alive degree for min-degree, the
+    number of non-adjacent pairs among its alive neighbors for min-fill."""
+    nbrs = work[v] & alive
+    if strategy == "min-degree":
+        return popcount(nbrs)
+    fill = 0
+    nbr_list = to_tuple(nbrs)
+    for i, u in enumerate(nbr_list):
+        fill += len(nbr_list) - 1 - i - popcount(work[u] & nbrs & ~((bit(u) << 1) - 1))
+    return fill
+
+
 def _elimination_order(graph, strategy):
     work = [graph.adj_mask(v) for v in range(graph.n)]
     alive = graph.vertex_mask()
+    cost = [_cost(work, alive, v, strategy) for v in range(graph.n)]
+    # every alive vertex has an entry holding its current cost, so the first
+    # live entry popped is the lowest-cost vertex, lowest id among ties
+    heap = [(c, v) for v, c in enumerate(cost)]
+    heapify(heap)
     order = []
-    while alive:
-        best_v, best_cost = -1, None
-        for v in bits(alive):
-            nbrs = work[v] & alive
-            if strategy == "min-degree":
-                cost = popcount(nbrs)
-            else:  # min-fill
-                fill = 0
-                nbr_list = to_tuple(nbrs)
-                for i, u in enumerate(nbr_list):
-                    fill += len(nbr_list) - 1 - i - popcount(work[u] & nbrs & ~((bit(u) << 1) - 1))
-                cost = fill
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
-        v = best_v
+    while heap:
+        c, v = heappop(heap)
+        if not alive >> v & 1 or c != cost[v]:
+            continue
         nbrs = work[v] & alive
         for u in bits(nbrs):
             work[u] |= nbrs & ~bit(u)
         order.append(v)
         alive &= ~bit(v)
+        # only the neighbors lose v and gain fill edges; a min-fill cost also
+        # counts the edges among a vertex's neighbors, so the new fill edges
+        # reach every alive neighbor of a neighbor as well
+        dirty = nbrs
+        if strategy == "min-fill":
+            for u in bits(nbrs):
+                dirty |= work[u]
+            dirty &= alive
+        for u in bits(dirty):
+            c = _cost(work, alive, u, strategy)
+            if c != cost[u]:
+                cost[u] = c
+                heappush(heap, (c, u))
     return order, work
 
 
@@ -373,7 +427,11 @@ def heuristic_decomposition(graph, strategy="min-fill"):
 
     Bag i holds vertex order[i] plus its not-yet-eliminated fill neighbors;
     node i hangs below the node of its earliest-eliminated such neighbor.
-    Ties in the greedy choice go to the lowest vertex id.
+    Each step eliminates an alive vertex of least cost, the lowest vertex id
+    among ties. Costs sit in a heap with lazy deletion and are recomputed
+    only where an elimination can change them: for min-degree at the
+    neighbors N(v) of the eliminated vertex v, for min-fill at N(v) and the
+    alive neighbors of N(v), taken after v's fill edges are added.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise InputError(f"unknown strategy {strategy!r}")

@@ -2,15 +2,18 @@
 
 Each claim is a predicate over one case that yields ``(ok, witness)``
 verdicts, one per sub-case it checks (a nice node, a maximal forest, a
-property). ``claim(name)`` turns it into a function from a list of cases to a
-``Check``. Every caller keeps its own corpus: the ``suite_*`` functions behind
-``imtw verify``, the acceptance criteria and the corpus unit tests all build
-their cases and hand them to the same claims. Reference answers come from the
-brute-force searches of ``imtw.oracles``.
+property). A claim with several verdicts per case yields each as a function
+that returns it, so a solver self-check that fails while one verdict is
+computed costs that verdict alone. ``claim(name)`` turns a predicate into a
+function from a list of cases to a ``Check``. Every caller keeps its own
+corpus: the ``suite_*`` functions behind ``imtw verify``, the acceptance
+criteria and the corpus unit tests all build their cases and hand them to the
+same claims. Reference answers come from the brute-force searches of
+``imtw.oracles``.
 """
 
 from fractions import Fraction
-from functools import wraps
+from functools import cache, partial, wraps
 from itertools import combinations
 from random import Random
 
@@ -135,8 +138,10 @@ class Check:
 def claim(name):
     """Turn a predicate over one case into a check over a list of case tuples.
 
-    A solver self-check that fails inside one case (``InvariantError``) is
-    that case's failed verdict, and the remaining cases still run.
+    A solver self-check that fails (``InvariantError``) inside a verdict
+    function is that verdict's failure; one that fails in the predicate
+    itself is its case's failed verdict. Either way the remaining verdicts
+    and cases still run.
     """
 
     def wrap(predicate):
@@ -145,15 +150,29 @@ def claim(name):
             check = Check(name)
             for case in cases:
                 try:
-                    for ok, witness in predicate(*case):
-                        check.record(ok, witness)
+                    for verdict in predicate(*case):
+                        check.record(*_settle(verdict))
                 except InvariantError as exc:
-                    check.record(False, f"{type(exc).__name__}: {exc}")
+                    check.record(*_failed(exc))
             return check
 
         return run
 
     return wrap
+
+
+def _failed(exc):
+    return False, f"{type(exc).__name__}: {exc}"
+
+
+def _settle(verdict):
+    """The (ok, witness) of a verdict, calling it first when it is a function."""
+    if not callable(verdict):
+        return verdict
+    try:
+        return verdict()
+    except InvariantError as exc:
+        return _failed(exc)
 
 
 def prepare(graph, weights, td):
@@ -292,17 +311,25 @@ def mwis_matches_oracle(g, w, td, met, nice):
 @claim("trace coverage")
 def trace_coverage(g, w, td, met, nice):
     maximal = enumerate_maximal_independent_sets(g)
+
+    def covered(i, bag):
+        members = set(trace_family_for_bag(g, bag, met.mu, node=i).members)
+        return all(ind & bag in members for ind in maximal), (g.n, i)
+
     for i, node in enumerate(nice.nodes):
-        members = set(trace_family_for_bag(g, node.bag, met.mu, node=i).members)
-        yield all(ind & node.bag in members for ind in maximal), (g.n, i)
+        yield partial(covered, i, node.bag)
 
 
 @claim("family size bound")
 def trace_family_bound(g, w, td, met, nice):
     bound = max(g.n, 1) ** (3 * met.mu)
+
+    def bounded(i, bag):
+        size = len(trace_family_for_bag(g, bag, met.mu, node=i))
+        return size <= bound, (size, bound)
+
     for i, node in enumerate(nice.nodes):
-        size = len(trace_family_for_bag(g, node.bag, met.mu, node=i))
-        yield size <= bound, (size, bound)
+        yield partial(bounded, i, node.bag)
 
 
 @claim("forest optimum equals oracle, both providers")
@@ -327,27 +354,38 @@ def signature_coverage(g, w, td, met, nice):
     bound = ((12 * k) ** (12 * k) if k else 1) * max(g.n, 1) ** (14 * k + 2)
     forests = enumerate_maximal_induced_forests(g)
     vt = nice.subtree_vertex_masks()
+
+    def families(i, bag):
+        traces = trace_family_for_bag(g, bag, k, node=i).members
+        return signature_family_paper(g, bag, vt[i], k, traces), signature_family_exhaustive(g, bag)
+
+    def covered(node_families, i, bag, f):
+        family, exhaustive = node_families()
+        sig = signature_in(g, f, bag, vt[i])
+        return len(family) <= bound and sig in family and sig in exhaustive, (g.n, i, f)
+
     for i, node in enumerate(nice.nodes):
-        traces = trace_family_for_bag(g, node.bag, k, node=i).members
-        family = signature_family_paper(g, node.bag, vt[i], k, traces)
-        exhaustive = signature_family_exhaustive(g, node.bag)
+        # built once per node, unless building raised
+        node_families = cache(partial(families, i, node.bag))
         for f in forests:
-            sig = signature_in(g, f, node.bag, vt[i])
-            yield len(family) <= bound and sig in family and sig in exhaustive, (g.n, i, f)
+            yield partial(covered, node_families, i, node.bag, f)
 
 
 @claim("skeleton bag bound 8k")
 def skeleton_bound(g, w, td, met, nice):
     # every bag of td is also the bag of some nice node
+    def bounded(anatomy, i, bag, f):
+        return popcount(anatomy().skeleton & bag) <= 8 * met.mu, (g.n, i, f)
+
     for f in enumerate_maximal_induced_forests(g):
-        skeleton = forest_anatomy(g, f).skeleton
+        anatomy = cache(partial(forest_anatomy, g, f))
         for i, node in enumerate(nice.nodes):
-            yield popcount(skeleton & node.bag) <= 8 * met.mu, (g.n, i, f)
+            yield partial(bounded, anatomy, i, node.bag, f)
 
 
 @claim("anatomy partitions maximal forests")
 def anatomy_partitions(g):
-    for f in enumerate_maximal_induced_forests(g):
+    def partitioned(f):
         a = forest_anatomy(g, f)
         ok = (
             a.skeleton | a.leaves | a.trivial == f
@@ -356,7 +394,10 @@ def anatomy_partitions(g):
             and a.leaves & a.trivial == 0
             and g.is_independent(a.leaves | a.trivial)
         )
-        yield ok, (g.n, f)
+        return ok, (g.n, f)
+
+    for f in enumerate_maximal_induced_forests(g):
+        yield partial(partitioned, f)
 
 
 @claim("structured DP equals brute force")
@@ -475,10 +516,13 @@ def corona_equality(g, ew):
 
 @claim("power monotonicity")
 def power_monotone(g, ew):
-    for r in (1, 2):
+    def monotone(r):
         er = exact_width_parameters(graph_power(g, r)) if r > 1 else ew
         er2 = exact_width_parameters(graph_power(g, r + 2))
-        yield er2.tree_alpha <= er.tree_alpha and er2.tree_mu <= er.tree_mu, (g.n, r)
+        return er2.tree_alpha <= er.tree_alpha and er2.tree_mu <= er.tree_mu, (g.n, r)
+
+    for r in (1, 2):
+        yield partial(monotone, r)
 
 
 @claim("odd power strong inequality")
@@ -517,14 +561,23 @@ def chordal_alpha_one(g):
 
 @claim("anchors")
 def width_anchors():
-    k33 = exact_width_parameters(complete_bipartite(3, 3))
-    yield k33.tree_alpha == 3 and k33.tree_mu == 1, "K33"
-    yield exact_width_parameters(matching_join(2)).tree_mu >= 2, "matching_join(2)"
-    q4 = hypercube_graph(4)
+    def k33():
+        ew = exact_width_parameters(complete_bipartite(3, 3))
+        return ew.tree_alpha == 3 and ew.tree_mu == 1, "K33"
+
+    def joined_matching():
+        return exact_width_parameters(matching_join(2)).tree_mu >= 2, "matching_join(2)"
+
+    def q4(strategy):
+        g = hypercube_graph(4)
+        td = heuristic_decomposition(g, strategy)
+        ok = validate_decomposition(g, td) == [] and decomposition_metrics(g, td).mu >= 2
+        return ok, f"Q4 {strategy}"
+
+    yield k33
+    yield joined_matching
     for strategy in STRATEGIES:
-        td = heuristic_decomposition(q4, strategy)
-        ok = validate_decomposition(q4, td) == [] and decomposition_metrics(q4, td).mu >= 2
-        yield ok, f"Q4 {strategy}"
+        yield partial(q4, strategy)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from imtw import cli, verify
 from imtw.cli import main
 from imtw.corpus import random_corpus
@@ -416,4 +418,39 @@ def test_verify_counts_every_verdict_after_a_raise(monkeypatch, capsys):
     assert [(c["check"], c["instances"], c["ok"]) for c in checks] == [
         ("algebra compositionality", 1000, True),
         ("structured DP equals brute force", 50, False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "target, nth, suite, failed_check",
+    [
+        ("trace_family_for_bag", 3, "traces", "trace coverage"),
+        # trace coverage asks once per nice node, 506 times in all
+        ("trace_family_for_bag", 506 + 3, "traces", "family size bound"),
+        ("signature_family_paper", 3, "forest", "signature coverage"),
+        ("forest_anatomy", 3, "forest", "skeleton bag bound 8k"),
+        # the skeleton bound asks once per maximal forest, 63 times in all
+        ("forest_anatomy", 63 + 3, "forest", "anatomy partitions maximal forests"),
+        ("graph_power", 1, "oracles", "power monotonicity"),
+        ("heuristic_decomposition", 1, "oracles", "anchors"),
+    ],
+)
+def test_verify_raise_costs_only_its_own_verdict(monkeypatch, target, nth, suite, failed_check):
+    # a self-check that fails while one verdict is computed fails that verdict
+    # alone: every instance count stays that of a clean run
+    real = getattr(verify, target)
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == nth:
+            raise InvariantError("planted self-check failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, target, fails_once)
+    checks = verify.SUITES[suite](42, 8)
+    clean = [(check, count) for s, check, count in VERIFY_ALL_SEED_42_MAX_N_8 if s == suite]
+    assert [(c.name, c.instances) for c in checks] == clean
+    assert [(c.name, f) for c in checks for f in c.failures] == [
+        (failed_check, "InvariantError: planted self-check failure")
     ]

@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 from random import Random
@@ -5,9 +6,10 @@ from random import Random
 import pytest
 
 from imtw.bits import bit, mask_of, popcount, to_tuple
-from imtw.corpus import random_minor_op, shuffled_pieces
+from imtw.corpus import random_corpus, random_minor_op, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
+    _elimination_order,
     blob_decomposition,
     closed_neighborhood_expansion,
     decomposition_metrics,
@@ -28,8 +30,10 @@ from imtw.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     matching_join,
     path_graph,
+    petersen_graph,
     random_graph,
 )
 from imtw.packing import SubgraphFamily, blob_graph
@@ -170,6 +174,20 @@ def test_bag_independent_set_on_disjoint_cliques():
     assert size == 40 and witness == sum(bit(3 * i) for i in range(40))
 
 
+def test_bag_independent_set_splits_below_a_hub():
+    # forty triangles with a hub joined to one corner of each: the pool falls
+    # apart only once the hub is excluded, and each triangle is then searched
+    # on its own
+    t = 40
+    hub = 3 * t
+    triangles = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((0, 1), (0, 2), (1, 2))]
+    g = Graph(3 * t + 1, triangles + [(3 * i, hub) for i in range(t)])
+    start = time.perf_counter()
+    size, witness = max_independent_set_in_bag(g, g.vertex_mask())
+    assert time.perf_counter() - start < 0.1
+    assert size == t + 1 and witness == bit(hub) | sum(bit(3 * i + 1) for i in range(t))
+
+
 def test_metrics_match_oracle():
     graphs = seeded_graphs(15, 30, 3, 9)
     expect(metrics_match_oracle([(g, heuristic_decomposition(g)) for g in graphs]))
@@ -207,6 +225,107 @@ def test_heuristic_random_corpus_validates():
     graphs = seeded_graphs(77, 40, 2, 10)
     cases = [(g, heuristic_decomposition(g, s)) for g in graphs for s in STRATEGIES]
     expect(decomposition_valid(cases))
+
+
+def _scan_elimination_order(graph, strategy):
+    """The greedy order by a full scan that re-costs every alive vertex at
+    every step; the heap-driven order must reproduce it exactly."""
+    work = [graph.adj_mask(v) for v in range(graph.n)]
+    alive = graph.vertex_mask()
+    order = []
+    while alive:
+        best_v, best_cost = -1, None
+        for v in to_tuple(alive):
+            nbrs = work[v] & alive
+            if strategy == "min-degree":
+                cost = popcount(nbrs)
+            else:  # min-fill
+                cost = 0
+                nbr_list = to_tuple(nbrs)
+                for i, u in enumerate(nbr_list):
+                    cost += len(nbr_list) - 1 - i - popcount(work[u] & nbrs & ~((bit(u) << 1) - 1))
+            if best_cost is None or cost < best_cost:
+                best_v, best_cost = v, cost
+        v = best_v
+        nbrs = work[v] & alive
+        for u in to_tuple(nbrs):
+            work[u] |= nbrs & ~bit(u)
+        order.append(v)
+        alive &= ~bit(v)
+    return order, work
+
+
+def test_elimination_order_equals_full_scan():
+    graphs = [g for g, _ in random_corpus(12, 150, 16)]
+    graphs += [random_graph(30, p, seed=s) for s in range(5) for p in (0.1, 0.3, 0.7)]
+    for g in graphs:
+        for strategy in STRATEGIES:
+            assert _elimination_order(g, strategy) == _scan_elimination_order(g, strategy)
+
+
+def _grid(a, b):
+    edges = [(a * i + j, a * i + j + 1) for i in range(b) for j in range(a - 1)]
+    edges += [(a * i + j, a * (i + 1) + j) for i in range(b - 1) for j in range(a)]
+    return Graph(a * b, edges)
+
+
+def _random_tree(n, seed):
+    rng = Random(seed)
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+# graphs full of cost ties, where the lowest-id tie-break decides most steps
+TIE_HEAVY = {
+    "cycle(12)": cycle_graph(12),
+    "K(3,3)": complete_bipartite(3, 3),
+    "K_6": complete_graph(6),
+    "Q4": hypercube_graph(4),
+    "petersen": petersen_graph(),
+    "grid(5,5)": _grid(5, 5),
+    "path(50)": path_graph(50),
+    "tree(30)": _random_tree(30, 8),
+}
+
+# sha256 of serialize_td(heuristic_decomposition(graph, strategy))
+PINNED_TD_DIGESTS = {
+    ("cycle(12)", "min-fill"): "29dd2d67fe03bdbf17024c55a0b9550c761f456f6b053acc155d2c0f8b3d14a9",
+    ("cycle(12)", "min-degree"): "29dd2d67fe03bdbf17024c55a0b9550c761f456f6b053acc155d2c0f8b3d14a9",
+    ("K(3,3)", "min-fill"): "b9cdccc61685168e4588ccbccfe80f113a1a09b274dc843b610171d701c8eb64",
+    ("K(3,3)", "min-degree"): "b9cdccc61685168e4588ccbccfe80f113a1a09b274dc843b610171d701c8eb64",
+    ("K_6", "min-fill"): "275551447e5ee322d08c5b6ee10c9ebbd67bb23d25e9b9b86288a025c1f74a69",
+    ("K_6", "min-degree"): "275551447e5ee322d08c5b6ee10c9ebbd67bb23d25e9b9b86288a025c1f74a69",
+    ("Q4", "min-fill"): "0d0ff8961b4aefb9c4e24dfad88090406a0e56ac1664cf57a398e02be0056b47",
+    ("Q4", "min-degree"): "0d0ff8961b4aefb9c4e24dfad88090406a0e56ac1664cf57a398e02be0056b47",
+    ("petersen", "min-fill"): "acf3e75914c318f69fdffbfbcdd37850a9677021d657130c53988f99858938dd",
+    ("petersen", "min-degree"): "acf3e75914c318f69fdffbfbcdd37850a9677021d657130c53988f99858938dd",
+    ("grid(5,5)", "min-fill"): "94e34a682733e8ba8829671b77116f692ccf0dd13d7c6817f68c266b1c6d39d8",
+    ("grid(5,5)", "min-degree"): "40130674d1a3fe2f8d2b399bc23c20ea9ae8b0aea5e434279c17aea996593dc1",
+    ("path(50)", "min-fill"): "ca6a7ab331de761820caaba701b3ad57fd9c1a44aa4b52a44b5fc4e15a3b943e",
+    ("path(50)", "min-degree"): "ca6a7ab331de761820caaba701b3ad57fd9c1a44aa4b52a44b5fc4e15a3b943e",
+    ("tree(30)", "min-fill"): "88bc37220924e3b10d7636574c25dad726d7540fc1203a73ae11cb413a6bc7e3",
+    ("tree(30)", "min-degree"): "88bc37220924e3b10d7636574c25dad726d7540fc1203a73ae11cb413a6bc7e3",
+}
+
+
+def test_heuristic_decompositions_are_pinned():
+    for (name, strategy), digest in PINNED_TD_DIGESTS.items():
+        text = serialize_td(heuristic_decomposition(TIE_HEAVY[name], strategy))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (name, strategy)
+
+
+def test_heuristic_path_3000_is_fast():
+    # both strategies eliminate the path from one end: a chain of 2-vertex
+    # bags, found without re-costing every alive vertex at every step
+    g = path_graph(3000)
+    for strategy in STRATEGIES:
+        start = time.perf_counter()
+        td = heuristic_decomposition(g, strategy)
+        assert time.perf_counter() - start < 1, strategy
+        text = serialize_td(td)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ebf28519cc92afa018c23b39de268897afadf78b713a6321004cd12c38563edc"
+        )
+        assert td.bags[:-1] == tuple(bit(i) | bit(i + 1) for i in range(2999))
 
 
 def test_closed_neighborhood_expansion_small():
