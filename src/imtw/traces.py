@@ -4,8 +4,12 @@ The bag family construction: every maximal independent set I of the whole
 graph meets a bag X in a set of the form J' minus N(Q), where J' is some
 maximal independent set of the bag-induced subgraph and Q is a small subset
 of the bag's outside neighborhood (at most k vertices when induced matchings
-touching the bag have size at most k). Enumerating all such (J', Q) pairs
-therefore covers every trace, with at most n^(3k) distinct outcomes.
+touching the bag have size at most k), with at most n^(3k) distinct outcomes.
+Since J' minus N(Q) is J' with the reaches N(q) & X of the members of Q
+removed one at a time, the family is grown from the maximal sets of the bag
+by removing one distinct reach per level, k levels deep. Each member is
+expanded once, at the level where it first appears, so the work is the family
+size times the number of distinct reaches.
 """
 
 import logging
@@ -23,14 +27,20 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     Pivoting Bron-Kerbosch search on the complement graph, run on an explicit
     stack; each set is produced once. An independent ``cand`` is settled in
     one step instead of one level per member: when no vertex misses all of
-    it, ``chosen | cand`` is its only result. The result is sorted
-    canonically. A limit overflow raises with the count produced so far.
+    it, ``chosen | cand`` is its only result. An independent universe is
+    settled before any universe-wide complement mask is built, by a check
+    that stops at the first edge, so an edgeless bag costs one pass. The
+    result is sorted canonically. A limit overflow raises with the count
+    produced so far.
     """
     if universe is None:
         universe = graph.vertex_mask()
-    nonadj = {v: universe & ~graph.adj_mask(v) & ~bit(v) for v in bits(universe)}
+    if graph.is_independent(universe):
+        nonadj, stack = {}, [(universe, 0, 0)]
+    else:
+        nonadj = {v: universe & ~graph.adj_mask(v) & ~bit(v) for v in bits(universe)}
+        stack = [(0, universe, 0)]
     out = []
-    stack = [(0, universe, 0)]
     while stack:
         chosen, cand, excl = stack.pop()
         if cand or excl:
@@ -74,6 +84,11 @@ class TraceFamily:
 def trace_family_for_bag(graph, bag, k, node=None):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
+    The members are J' minus N(Q) for every maximal independent set J' of
+    the bag and every set Q of at most k vertices outside it, sorted
+    canonically. Level l holds the sets first reached by removing l distinct
+    reaches N(q) & X; it comes from removing each reach from level l - 1 alone,
+    since removing one from an earlier level gives a set already found.
     Coverage: if every induced matching touching the bag has size at most k,
     the trace of every maximal independent set of the graph is in the family.
     """
@@ -92,26 +107,16 @@ def trace_family_for_bag(graph, bag, k, node=None):
         alekseev_ok = False
     else:
         alekseev_ok = True
-    outside = graph.neighborhood_of_set(bag)
-    # Distinct bag-side hit sets N(Q) over |Q| <= k, built level by level so
-    # that subsets of the outside neighborhood never get enumerated directly.
-    union_j = 0
-    for j_prime in maximal_in_bag:
-        union_j |= j_prime
-    hits = {0}
-    frontier = {0}
+    # the complement of each distinct reach N(q) & X, so removing it is one AND
+    keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))}
+    members = set(maximal_in_bag)
+    frontier = members
     for _ in range(k):
-        grown = set()
-        for h in frontier:
-            for q in bits(outside):
-                h2 = h | (graph.adj_mask(q) & union_j)
-                if h2 not in hits:
-                    grown.add(h2)
-        frontier = grown
-        hits |= grown
+        frontier = {m & keep for keep in keeps for m in frontier} - members
         if not frontier:
             break
-    ordered = sorted({j_prime & ~h for h in hits for j_prime in maximal_in_bag}, key=to_tuple)
+        members |= frontier
+    ordered = sorted(members, key=to_tuple)
     if alekseev_ok and graph.n > 0 and len(ordered) > max(graph.n, 1) ** (3 * k):
         raise InvariantError(
             f"trace family has {len(ordered)} members, above the n^(3k) bound"

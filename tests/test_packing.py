@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -223,6 +224,18 @@ def test_ptas_guarantee_corpus():
     graphs = seeded_graphs(63, 8, 4, 9)
     cases = [(g, heuristic_decomposition(g), eps) for g in graphs for eps in (0.25, 0.5)]
     expect(ptas_guarantee(cases))
+
+
+def test_ptas_cycle_20_is_fast():
+    # the trace families dominate here: grown one removed outside reach per
+    # level they take well under a second, paired as every bag-wide hit set
+    # times every maximal bag set they took about 2.3 s
+    g = cycle_graph(20)
+    td = heuristic_decomposition(g)
+    start = time.perf_counter()
+    result = ptas_bounded_treewidth_subgraph(g, td, 1, Fraction(4, 5))
+    assert time.perf_counter() - start < 1.5
+    assert popcount(result) == 16
 
 
 def test_ptas_rejects_bad_eps():

@@ -16,6 +16,7 @@ from imtw.graphs import (
     cycle_graph,
     random_graph,
 )
+from imtw.packing import ptas_bounded_treewidth_subgraph
 from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
 from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
@@ -98,6 +99,25 @@ def test_mis_enumeration_sparse_universe_is_fast():
     assert weight == 500
 
 
+def test_mis_enumeration_settles_independent_universe_first(monkeypatch):
+    # an independent universe needs neither the universe-wide complement
+    # masks nor a pivot scan, whose coverage counts are the popcounts here
+    counted = []
+
+    def counting_popcount(mask):
+        counted.append(mask)
+        return mask.bit_count()
+
+    monkeypatch.setattr(traces, "popcount", counting_popcount)
+    g = Graph(300, [(298, 299)])
+    universe = (1 << 298) - 1
+    assert enumerate_maximal_independent_sets(g, universe=universe) == [universe]
+    assert enumerate_maximal_independent_sets(Graph(300)) == [(1 << 300) - 1]
+    assert counted == []
+    assert enumerate_maximal_independent_sets(g) == [universe | bit(298), universe | bit(299)]
+    assert counted
+
+
 def test_mis_enumeration_limit():
     g = Graph(8, [])
     with pytest.raises(ResourceLimitError):
@@ -160,6 +180,65 @@ def test_trace_family_matches_naive_q_enumeration():
                         naive.add(j_prime & ~nq)
             fam = trace_family_for_bag(g, bag, k)
             assert set(fam.members) == naive, (trial, n, k)
+
+
+def product_trace_family(graph, bag, k):
+    """The trace family as a bag-wide product: every hit set N(Q) & bag over
+    |Q| <= k, grown level by level, removed from every maximal set of the
+    bag, as ``trace_family_for_bag`` built it before it grew the family one
+    removed reach per level."""
+    maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
+    outside = graph.neighborhood_of_set(bag)
+    union_j = 0
+    for j_prime in maximal_in_bag:
+        union_j |= j_prime
+    hits = {0}
+    frontier = {0}
+    for _ in range(k):
+        grown = set()
+        for h in frontier:
+            for q in bits(outside):
+                h2 = h | (graph.adj_mask(q) & union_j)
+                if h2 not in hits:
+                    grown.add(h2)
+        frontier = grown
+        hits |= grown
+        if not frontier:
+            break
+    return tuple(sorted({j_prime & ~h for h in hits for j_prime in maximal_in_bag}, key=to_tuple))
+
+
+def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch):
+    # blob graphs of small pieces, where the bag-wide product pairs far more
+    # (J', hit set) than the family has members; their k = 2 families equal
+    # their k = 1 families, so the corpus bags below tell the levels apart
+    asked = []
+
+    def recorded(graph, bag, k, node=None):
+        asked.append((graph, bag, k))
+        return trace_family_for_bag(graph, bag, k, node)
+
+    monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
+    for n in (10, 12, 14, 20):
+        g = cycle_graph(n)
+        asked.clear()
+        ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5), k=2)
+        assert asked
+        for blob, bag, k in {(id(blob), bag): (blob, bag, k) for blob, bag, k in asked}.values():
+            assert trace_family_for_bag(blob, bag, k).members == product_trace_family(blob, bag, k)
+
+
+def test_trace_family_matches_product_on_corpus_bags():
+    cases = [
+        (g, bag)
+        for g in seeded_graphs(33, 24, 2, 10)
+        for bag in heuristic_decomposition(g).bags + (g.vertex_mask(),)
+    ]
+    # one side of three disjoint edges: each level up to k = 3 adds members
+    cases.append((Graph(6, [(0, 3), (1, 4), (2, 5)]), 0b111))
+    for g, bag in cases:
+        for k in (0, 1, 2, 3):
+            assert trace_family_for_bag(g, bag, k).members == product_trace_family(g, bag, k)
 
 
 def test_mwis_dp_small():
