@@ -287,13 +287,18 @@ def cmd_transform(args, inputs):
         result, edge_map = line_graph_square(graph)
         extra = {"edge_of_vertex": {i + 1: [u + 1, v + 1] for i, (u, v) in enumerate(edge_map)}}
     elif args.what == "blob":
+        if args.family_file is None:
+            raise InputError("blob transform needs a family file")
         family = parse_subgraph_family(_read(args.family_file, inputs))
         result = blob_graph(graph, family)
         extra = {"members": len(family)}
     elif args.what == "forked":
         marked = []
-        if args.marked:
-            marked = [int(x) - 1 for x in args.marked.split(",")]
+        for entry in args.marked.split(",") if args.marked else ():
+            try:
+                marked.append(int(entry) - 1)
+            except ValueError:
+                raise InputError(f"bad --marked entry {entry!r}") from None
         result, roles = forked_version(graph, marked)
         extra = {"roles": list(roles)}
     else:

@@ -226,8 +226,10 @@ def serialize_graph(graph):
 
 
 def parse_weights(text, n):
-    """Parse ``w <v> <num>[/<den>]`` lines; unlisted vertices get weight 1."""
+    """Parse ``w <v> <num>[/<den>]`` lines, at most one per vertex; unlisted
+    vertices get weight 1."""
     values = [Fraction(1)] * n
+    listed = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -244,6 +246,9 @@ def parse_weights(text, n):
             raise InputError(f"vertex out of range in {line!r}", line=lineno)
         if value < 0:
             raise InputError(f"negative weight in {line!r}", line=lineno)
+        if v in listed:
+            raise InputError(f"duplicate weight for vertex {v} in {line!r}", line=lineno)
+        listed.add(v)
         values[v - 1] = value
     return WeightMap(values)
 

@@ -14,14 +14,14 @@ size times the number of distinct reaches.
 
 import logging
 
-from .bits import bit, bits, popcount, to_tuple
-from .errors import InvariantError, ResourceLimitError
+from .bits import bit, bits, popcount
+from .errors import InvariantError
 from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
 
 logger = logging.getLogger(__name__)
 
 
-def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
+def enumerate_maximal_independent_sets(graph, universe=None):
     """All inclusion-maximal independent subsets of ``universe`` (default all).
 
     Pivoting Bron-Kerbosch search on the complement graph, run on an explicit
@@ -30,8 +30,7 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
     it, ``chosen | cand`` is its only result. An independent universe is
     settled before any universe-wide complement mask is built, by a check
     that stops at the first edge, so an edgeless bag costs one pass. The
-    result is sorted canonically. A limit overflow raises with the count
-    produced so far.
+    sets come in the search's discovery order, which is deterministic.
     """
     if universe is None:
         universe = graph.vertex_mask()
@@ -62,33 +61,27 @@ def enumerate_maximal_independent_sets(graph, universe=None, limit=None):
                     excl |= bit(v)
                 continue
         out.append(chosen)
-        if limit is not None and len(out) > limit:
-            raise ResourceLimitError(
-                f"maximal independent set limit {limit} exceeded", partial_count=len(out)
-            )
-    return sorted(out, key=to_tuple)
+    return out
 
 
 class TraceFamily:
-    """Candidate traces of maximal independent sets at one bag."""
+    """Candidate traces of maximal independent sets at one bag, as the
+    frozenset ``members``: the DP and the checks only test membership."""
 
     __slots__ = ("members",)
 
     def __init__(self, members):
-        self.members = tuple(members)
-
-    def __len__(self):
-        return len(self.members)
+        self.members = members
 
 
 def trace_family_for_bag(graph, bag, k, node=None):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
     The members are J' minus N(Q) for every maximal independent set J' of
-    the bag and every set Q of at most k vertices outside it, sorted
-    canonically. Level l holds the sets first reached by removing l distinct
-    reaches N(q) & X; it comes from removing each reach from level l - 1 alone,
-    since removing one from an earlier level gives a set already found.
+    the bag and every set Q of at most k vertices outside it. Level l holds
+    the sets first reached by removing l distinct reaches N(q) & X; it comes
+    from removing each reach from level l - 1 alone, since removing one from
+    an earlier level gives a set already found.
     Coverage: if every induced matching touching the bag has size at most k,
     the trace of every maximal independent set of the graph is in the family.
     """
@@ -116,12 +109,11 @@ def trace_family_for_bag(graph, bag, k, node=None):
         if not frontier:
             break
         members |= frontier
-    ordered = sorted(members, key=to_tuple)
-    if alekseev_ok and graph.n > 0 and len(ordered) > max(graph.n, 1) ** (3 * k):
+    if alekseev_ok and graph.n > 0 and len(members) > max(graph.n, 1) ** (3 * k):
         raise InvariantError(
-            f"trace family has {len(ordered)} members, above the n^(3k) bound"
+            f"trace family has {len(members)} members, above the n^(3k) bound"
         )
-    return TraceFamily(ordered)
+    return TraceFamily(frozenset(members))
 
 
 def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
@@ -140,7 +132,7 @@ def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
         drop=lambda v, state: state & ~bit(v),
         merge=lambda left, right: left,
         weights=weights,
-        family=lambda i: set(trace_family_for_bag(graph, nice_td.nodes[i].bag, k, node=i).members),
+        family=lambda i: trace_family_for_bag(graph, nice_td.nodes[i].bag, k, node=i).members,
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
     )

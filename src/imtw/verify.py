@@ -313,7 +313,7 @@ def trace_coverage(g, w, td, met, nice):
     maximal = enumerate_maximal_independent_sets(g)
 
     def covered(i, bag):
-        members = set(trace_family_for_bag(g, bag, met.mu, node=i).members)
+        members = trace_family_for_bag(g, bag, met.mu, node=i).members
         return all(ind & bag in members for ind in maximal), (g.n, i)
 
     for i, node in enumerate(nice.nodes):
@@ -325,7 +325,7 @@ def trace_family_bound(g, w, td, met, nice):
     bound = max(g.n, 1) ** (3 * met.mu)
 
     def bounded(i, bag):
-        size = len(trace_family_for_bag(g, bag, met.mu, node=i))
+        size = len(trace_family_for_bag(g, bag, met.mu, node=i).members)
         return size <= bound, (size, bound)
 
     for i, node in enumerate(nice.nodes):

@@ -94,6 +94,20 @@ def test_transform_commands(tmp_path, capsys):
     assert code == 0 and report["result"]["n"] == 3 + 9 + 2
 
 
+def test_transform_rejects_bad_marked_lists_and_a_missing_family(tmp_path, capsys):
+    graph_file = tmp_path / "p3.gr"
+    run_cli(capsys, "gen", "path", "3", "-o", str(graph_file))
+    for marked, entry in (("a", "'a'"), ("1,,2", "''")):
+        code, report, _ = run_cli(
+            capsys, "transform", "forked", str(graph_file), "--marked", marked
+        )
+        assert code == 2
+        assert report["error"] == {"type": "input", "message": f"bad --marked entry {entry}"}
+    code, report, _ = run_cli(capsys, "transform", "blob", str(graph_file))
+    assert code == 2
+    assert report["error"] == {"type": "input", "message": "blob transform needs a family file"}
+
+
 def test_solve_pack_with_family_file(tmp_path, capsys):
     graph_file, td_file = instance(tmp_path, capsys, "path", "4")
     family_file = tmp_path / "fam.json"

@@ -303,7 +303,7 @@ def test_paper_family_degenerate_edgeless_k0():
     g = Graph(4, [])
     bag = g.vertex_mask()
     traces = trace_family_for_bag(g, bag, 0).members
-    assert traces == (bag,)
+    assert traces == {bag}
     fam = signature_family_paper(g, bag, bag, 0, traces)
     assert fam.signatures == {(bag, (0b0001, 0b0010, 0b0100, 0b1000))}
     nice = make_nice(g, single_bag_decomposition(g))

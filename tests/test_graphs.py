@@ -306,3 +306,8 @@ def test_weight_parsing():
         parse_weights("w 4 1\n", 3)
     with pytest.raises(InputError):
         parse_weights("w 1 -2\n", 3)
+
+
+def test_duplicate_weight_line_is_rejected():
+    with pytest.raises(InputError, match="line 3: duplicate weight for vertex 1"):
+        parse_weights("w 1 3\nw 2 1\nw 1 5\n", 3)

@@ -14,6 +14,8 @@ from imtw.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    graph_power,
+    path_graph,
     random_graph,
 )
 from imtw.packing import ptas_bounded_treewidth_subgraph
@@ -33,16 +35,23 @@ def brute_maximal_independent_sets(graph, universe):
             for v in bits(universe & ~m)
         ):
             out.append(m)
-    return sorted(out, key=to_tuple)
+    return set(out)
+
+
+def distinct(sets):
+    """The enumerated sets as a set, after checking that none came twice."""
+    unique = set(sets)
+    assert len(unique) == len(sets)
+    return unique
 
 
 def test_mis_enumeration_small():
-    assert len(enumerate_maximal_independent_sets(cycle_graph(5))) == 5
+    assert len(distinct(enumerate_maximal_independent_sets(cycle_graph(5)))) == 5
     kn = complete_graph(6)
-    assert enumerate_maximal_independent_sets(kn) == [bit(v) for v in range(6)]
+    assert distinct(enumerate_maximal_independent_sets(kn)) == {bit(v) for v in range(6)}
     kab = complete_bipartite(2, 3)
     sides = enumerate_maximal_independent_sets(kab)
-    assert sides == sorted([0b00011, 0b11100], key=to_tuple)
+    assert distinct(sides) == {0b00011, 0b11100}
 
 
 def test_mis_enumeration_vs_subset_scan():
@@ -50,7 +59,7 @@ def test_mis_enumeration_vs_subset_scan():
     for g in seeded_graphs(3, 30, 1, 9):
         universe = mask_of(v for v in range(g.n) if rng.random() < 0.7)
         got = enumerate_maximal_independent_sets(g, universe=universe)
-        assert got == brute_maximal_independent_sets(g, universe)
+        assert distinct(got) == brute_maximal_independent_sets(g, universe)
 
 
 def pivot_maximal_independent_sets(graph, universe):
@@ -73,7 +82,7 @@ def pivot_maximal_independent_sets(graph, universe):
             stack.append((chosen | bit(v), cand & nonadj[v], excl & nonadj[v]))
             cand &= ~bit(v)
             excl |= bit(v)
-    return sorted(out, key=to_tuple)
+    return set(out)
 
 
 def test_mis_enumeration_vs_pivot_search():
@@ -83,7 +92,7 @@ def test_mis_enumeration_vs_pivot_search():
         g = random_graph(n, rng.choice((0.05, 0.15, 0.3, 0.6)), seed=rng.randrange(2**32))
         universe = mask_of(v for v in range(n) if rng.random() < 0.8)
         got = enumerate_maximal_independent_sets(g, universe=universe)
-        assert got == pivot_maximal_independent_sets(g, universe)
+        assert distinct(got) == pivot_maximal_independent_sets(g, universe)
 
 
 def test_mis_enumeration_sparse_universe_is_fast():
@@ -114,14 +123,9 @@ def test_mis_enumeration_settles_independent_universe_first(monkeypatch):
     assert enumerate_maximal_independent_sets(g, universe=universe) == [universe]
     assert enumerate_maximal_independent_sets(Graph(300)) == [(1 << 300) - 1]
     assert counted == []
-    assert enumerate_maximal_independent_sets(g) == [universe | bit(298), universe | bit(299)]
+    got = enumerate_maximal_independent_sets(g)
+    assert distinct(got) == {universe | bit(298), universe | bit(299)}
     assert counted
-
-
-def test_mis_enumeration_limit():
-    g = Graph(8, [])
-    with pytest.raises(ResourceLimitError):
-        enumerate_maximal_independent_sets(g, limit=0)
 
 
 def test_mis_enumeration_needs_no_recursion():
@@ -132,7 +136,7 @@ def test_mis_enumeration_needs_no_recursion():
 def test_trace_family_empty_bag():
     g = cycle_graph(4)
     fam = trace_family_for_bag(g, 0, 1)
-    assert fam.members == (0,)
+    assert fam.members == {0}
 
 
 def test_trace_family_k33_whole_bag():
@@ -205,7 +209,7 @@ def product_trace_family(graph, bag, k):
         hits |= grown
         if not frontier:
             break
-    return tuple(sorted({j_prime & ~h for h in hits for j_prime in maximal_in_bag}, key=to_tuple))
+    return {j_prime & ~h for h in hits for j_prime in maximal_in_bag}
 
 
 def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch):
@@ -239,6 +243,34 @@ def test_trace_family_matches_product_on_corpus_bags():
     for g, bag in cases:
         for k in (0, 1, 2, 3):
             assert trace_family_for_bag(g, bag, k).members == product_trace_family(g, bag, k)
+
+
+def test_trace_families_are_never_ordered(monkeypatch):
+    # the DP filter and the checks only test membership, so neither the
+    # enumeration nor the family build puts its sets in order
+    asked = []
+
+    def recorded(graph, bag, k, node=None):
+        asked.append((graph, bag, k))
+        return trace_family_for_bag(graph, bag, k, node)
+
+    monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
+    g = cycle_graph(12)
+    ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5), k=2)
+    blob, bag, k = max(asked, key=lambda a: popcount(a[1]))
+    ordered = []
+
+    def counting_to_tuple(mask):
+        ordered.append(mask)
+        return to_tuple(mask)
+
+    monkeypatch.setattr(traces, "to_tuple", counting_to_tuple, raising=False)
+    fam = trace_family_for_bag(blob, bag, k)
+    cube = graph_power(path_graph(30), 3)
+    td = heuristic_decomposition(cube)
+    mwis_dp(cube, make_nice(cube, td), WeightMap.unit(30), decomposition_metrics(cube, td).mu)
+    assert ordered == []
+    assert isinstance(fam.members, frozenset) and len(fam.members) > 1
 
 
 def test_mwis_dp_small():
