@@ -296,9 +296,12 @@ def cmd_transform(args, inputs):
         marked = []
         for entry in args.marked.split(",") if args.marked else ():
             try:
-                marked.append(int(entry) - 1)
+                v = int(entry)
             except ValueError:
                 raise InputError(f"bad --marked entry {entry!r}") from None
+            if not 1 <= v <= graph.n:
+                raise InputError(f"--marked entry {entry!r} out of range 1..{graph.n}")
+            marked.append(v - 1)
         result, roles = forked_version(graph, marked)
         extra = {"roles": list(roles)}
     else:

@@ -27,9 +27,11 @@ forests, see inline notes); every remaining signature is still one of the
 unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
 family: the DP driver asks for each node's family when it reaches the node,
-and that family enumerates the (I, Q) witnesses once and decides membership
-per Z, visiting only the S that emit Z and expanding no partition
-(BoundedFamilyMembership). The eager enumerator
+and that family decides each signature it is asked about at the first
+(witness, S) tuple that covers it (BoundedFamilyMembership). Per Z it
+resumes a walk over only the tuples that emit Z, pulling witnesses from one
+shared generator as far as some walk needs them and expanding no partition;
+only a non-member walks all of its Z's tuples. The eager enumerator
 signature_family_paper runs the same witness generator and the same rules
 and expands every partition; it is the coverage oracle for tests and
 ``imtw verify``.
@@ -287,20 +289,24 @@ def signature_family_paper(graph, bag, vt, k, traces):
                 s_candidates.append(s)
 
     sigs = set()
+    expanded = set()  # (Z, pair): tuples that agree on these emit the same signatures
     for w in _witnesses(graph, adj, bag, vt, k, traces):
         for s_mask in s_candidates:
             if w.q_in_bag & ~s_mask:
                 continue  # skeleton members of Q inside the bag must lie in S
-            budget_left -= 1
+            # one unit per tuple and one per fertile class, all charged
+            # before the tuple's partitions are expanded
+            fixed = _witness_blocks(adj, graph.components_within, w, s_mask, vt)
+            budget_left -= 1 if fixed is None else 1 + len(fixed[1])
             if budget_left < 0:
                 raise ResourceLimitError(
                     "signature enumeration budget exceeded", partial_count=len(sigs)
                 )
-            fixed = _witness_blocks(adj, graph.components_within, w, s_mask, vt)
-            if fixed is None:
-                continue
-            singles, fertile = fixed
             z = s_mask | w.z_base
+            if fixed is None or (z, fixed) in expanded:
+                continue
+            expanded.add((z, fixed))
+            singles, fertile = fixed
             base_blocks = [bit(v) for v in bits(singles)]
             for pattern in _partition_patterns(len(fertile)):
                 blocks = list(base_blocks)
@@ -310,7 +316,6 @@ def signature_family_paper(graph, bag, vt, k, traces):
                         blk |= fertile[idx]
                     blocks.append(blk)
                 sigs.add((z, canonical_blocks(blocks)))
-            budget_left -= len(fertile)
 
     if len(sigs) > _family_bound(graph.n, k):
         raise InvariantError(f"signature family has {len(sigs)} members, above the stated bound")
@@ -335,16 +340,22 @@ def _coarsens(blocks, singles, fertile):
 
 class BoundedFamilyMembership:
     """Membership in ``signature_family_paper(graph, bag, vt, k, traces)``,
-    decided per Z without building the family.
+    decided per signature at its first covering tuple.
 
     Asked only about DP states: Z is a forest-inducing subset of the bag and
-    the blocks partition it. The witnesses are enumerated once and grouped by
-    z_base. The first query for a Z visits the (witness, S) tuples that emit
-    Z, that is z_base within Z and Z minus z_base within S within Z, and
-    keeps the (singles, fertile) pair of each one that passes. A signature is
-    a member exactly when some pair's singles and a coarsening of its fertile
-    classes are its blocks. The enumeration budget is charged per tuple
-    visited, and the family size bound is checked on the members found.
+    the blocks partition it. A signature is a member exactly when some
+    (witness, S) tuple emitting its Z (z_base within Z and Z minus z_base
+    within S within Z) yields a (singles, fertile) pair whose singles and a
+    coarsening of whose fertile classes are its blocks, whatever order the
+    tuples are visited in. So each Z keeps a resumable walk over its tuples,
+    a (witness index, S index) cursor, and the distinct pairs found so far:
+    a query first tries those pairs, then pulls tuples until one covers (a
+    member) or the walk is spent (a non-member). The walks share one witness
+    generator, pulled into a growing list only as far as some walk has
+    reached. The enumeration budget is charged per tuple visited; a query
+    that overruns it leaves its cursor on that tuple, so repeating the query
+    overruns again instead of reading the walk as spent. The family size
+    bound is checked on the members decided.
     """
 
     def __init__(self, graph, bag, vt, k, traces):
@@ -353,10 +364,9 @@ class BoundedFamilyMembership:
         self._adj = [graph.adj_mask(v) for v in range(graph.n)]
         self._s_cap = 8 * k
         self._bound = _family_bound(graph.n, k)
-        self._by_base = {}
-        for w in _witnesses(graph, self._adj, bag, vt, k, traces):
-            self._by_base.setdefault(w.z_base, []).append(w)
-        self._pairs = {}  # Z -> set of (singles, fertile)
+        self._witness_source = _witnesses(graph, self._adj, bag, vt, k, traces)
+        self._witness_list = []
+        self._walks = {}  # Z -> [pairs found, witness index or None once spent, S index]
         self._classes = {}  # mask -> components, shared by witnesses and Z
         self._decided = {}  # signature -> membership
         self._members = 0
@@ -365,13 +375,7 @@ class BoundedFamilyMembership:
     def __contains__(self, sig):
         hit = self._decided.get(sig)
         if hit is None:
-            z, blocks = sig
-            pairs = self._pairs.get(z)
-            if pairs is None:
-                pairs = self._pairs[z] = self._pairs_for(z)
-            hit = self._decided[sig] = any(
-                _coarsens(blocks, singles, fertile) for singles, fertile in pairs
-            )
+            hit = self._decided[sig] = self._covered(*sig)
             if hit:
                 self._members += 1
                 if self._members > self._bound:
@@ -380,39 +384,63 @@ class BoundedFamilyMembership:
                     )
         return hit
 
+    def _covered(self, z, blocks):
+        walk = self._walks.get(z)
+        if walk is None:
+            walk = self._walks[z] = [set(), 0, 0]
+        pairs, i, j = walk
+        for singles, fertile in pairs:
+            if _coarsens(blocks, singles, fertile):
+                return True
+        witnesses = self._witness_list
+        while i is not None:
+            w = witnesses[i] if i < len(witnesses) else self._pull_witness()
+            if w is None:
+                walk[1] = None
+                return False
+            s_masks = () if w.z_base & ~z else self._s_masks(w, z)
+            for j in range(j, len(s_masks)):
+                self._budget_left -= 1
+                if self._budget_left < 0:
+                    walk[1], walk[2] = i, j
+                    raise ResourceLimitError(
+                        "signature enumeration budget exceeded", partial_count=self._members
+                    )
+                fixed = _witness_blocks(self._adj, self._components, w, s_masks[j], self._vt)
+                if fixed is not None and fixed not in pairs:
+                    pairs.add(fixed)
+                    if _coarsens(blocks, *fixed):
+                        walk[1], walk[2] = i, j + 1
+                        return True
+            i, j = i + 1, 0
+        return False
+
     def _components(self, mask):
         classes = self._classes.get(mask)
         if classes is None:
             classes = self._classes[mask] = self._graph.components_within(mask)
         return classes
 
-    def _pairs_for(self, z):
-        pairs = set()
-        for z_base, group in self._by_base.items():
-            if z_base & ~z:
-                continue
-            required = z & ~z_base
-            room = self._s_cap - popcount(required)
-            # Q's bag members avoid I, so S holds them exactly when Z minus
-            # z_base does
-            group = [w for w in group if not w.q_in_bag & ~required]
-            if room < 0 or not group:
-                continue
-            optional = to_tuple(z_base)
-            for r in range(min(room, len(optional)) + 1):
-                for extra in combinations(optional, r):
-                    s_mask = required | mask_of(extra)
-                    for w in group:
-                        self._budget_left -= 1
-                        if self._budget_left < 0:
-                            raise ResourceLimitError(
-                                "signature enumeration budget exceeded",
-                                partial_count=self._members,
-                            )
-                        fixed = _witness_blocks(self._adj, self._components, w, s_mask, self._vt)
-                        if fixed is not None:
-                            pairs.add(fixed)
-        return pairs
+    def _pull_witness(self):
+        w = next(self._witness_source, None)
+        if w is not None:
+            self._witness_list.append(w)
+        return w
+
+    def _s_masks(self, w, z):
+        """The S with which witness w, its z_base within Z, emits Z."""
+        required = z & ~w.z_base
+        room = self._s_cap - popcount(required)
+        # Q's bag members avoid I, so S holds them exactly when Z minus
+        # z_base does
+        if room < 0 or w.q_in_bag & ~required:
+            return ()
+        optional = to_tuple(w.z_base)
+        return [
+            required | mask_of(extra)
+            for r in range(min(room, len(optional)) + 1)
+            for extra in combinations(optional, r)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,18 @@ def test_transform_commands(tmp_path, capsys):
 def test_transform_rejects_bad_marked_lists_and_a_missing_family(tmp_path, capsys):
     graph_file = tmp_path / "p3.gr"
     run_cli(capsys, "gen", "path", "3", "-o", str(graph_file))
-    for marked, entry in (("a", "'a'"), ("1,,2", "''")):
+    # entries are named as typed: 1-based, not shifted to the 0-based ids
+    for marked, message in (
+        ("a", "bad --marked entry 'a'"),
+        ("1,,2", "bad --marked entry ''"),
+        ("0", "--marked entry '0' out of range 1..3"),
+        ("4", "--marked entry '4' out of range 1..3"),
+    ):
         code, report, _ = run_cli(
             capsys, "transform", "forked", str(graph_file), "--marked", marked
         )
         assert code == 2
-        assert report["error"] == {"type": "input", "message": f"bad --marked entry {entry}"}
+        assert report["error"] == {"type": "input", "message": message}
     code, report, _ = run_cli(capsys, "transform", "blob", str(graph_file))
     assert code == 2
     assert report["error"] == {"type": "input", "message": "blob transform needs a family file"}

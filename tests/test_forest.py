@@ -355,6 +355,129 @@ def test_bounded_membership_equals_eager_family():
     assert (rejected, queries) == (208, 23407)
 
 
+def paper_queries(g, w):
+    """The (node, signature) membership queries of one ``mwif_dp --family
+    paper`` run, in the order asked, with the run's nice decomposition and k."""
+    td = heuristic_decomposition(g)
+    k = decomposition_metrics(g, td).mu
+    nice = make_nice(g, td)
+    asked = []
+
+    def wrap(arguments):
+        family = arguments["family"]
+        arguments["family"] = lambda i: RecordedFamily(i, family(i), asked)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
+        mwif_dp(g, nice, w, provider="paper", k=k)
+    return nice, k, [(i, sig) for i, sig, _ in asked]
+
+
+def test_bounded_membership_is_query_order_independent():
+    # each Z's walk stops at its first covering tuple and resumes on a later
+    # query, so the answers must not depend on the order of the queries;
+    # sampled non-members of the exhaustive family walk their Z to the end
+    cases = random_corpus(7, 150, 11) + [
+        (complete_bipartite(5, 5), WeightMap.unit(10)),
+        (hypercube_graph(4), WeightMap.unit(16)),
+    ]
+    rng = Random(5)
+    queries = spent = 0
+    for g, w in cases:
+        nice, k, asked = paper_queries(g, w)
+        vt = nice.subtree_vertex_masks()
+        traces, eager = {}, {}
+        for i in sorted({i for i, _ in asked}):
+            bag = nice.nodes[i].bag
+            traces[i] = trace_family_for_bag(g, bag, k).members
+            eager[i] = signature_family_paper(g, bag, vt[i], k, traces[i])
+            outside = sorted(signature_family_exhaustive(g, bag).signatures - eager[i].signatures)
+            asked += [(i, sig) for sig in rng.sample(outside, min(3, len(outside)))]
+        for order in (asked, asked[::-1], rng.sample(asked, len(asked))):
+            fresh = {}
+            for i, sig in order:
+                if i not in fresh:
+                    bag = nice.nodes[i].bag
+                    fresh[i] = forest.BoundedFamilyMembership(g, bag, vt[i], k, traces[i])
+                assert (sig in fresh[i]) == (sig in eager[i]), (g.n, g.edges, i, sig)
+        queries += len(asked)
+        spent += sum(1 for i, sig in asked if sig not in eager[i])
+    assert spent and queries > spent
+
+
+def test_bounded_membership_overrun_is_not_a_spent_walk(monkeypatch):
+    # a query cut short by the budget must raise again when repeated: an
+    # overrun on a walk's last tuple must not leave the walk looking spent
+    g = complete_bipartite(3, 3)
+    nice, k, asked = paper_queries(g, WeightMap.unit(6))
+    vt = nice.subtree_vertex_masks()
+    tried = 0
+    for i, sig in dict.fromkeys(asked):
+        bag = nice.nodes[i].bag
+        traces = trace_family_for_bag(g, bag, k).members
+        members = forest.BoundedFamilyMembership(g, bag, vt[i], k, traces)
+        answer = sig in members
+        visited = forest.DEFAULT_ENUM_BUDGET - members._budget_left
+        if not visited:
+            continue
+        tried += 1
+        with monkeypatch.context() as mp:
+            mp.setattr(forest, "DEFAULT_ENUM_BUDGET", visited - 1)
+            members = forest.BoundedFamilyMembership(g, bag, vt[i], k, traces)
+            for _ in range(3):
+                with pytest.raises(ResourceLimitError):
+                    sig in members
+            mp.setattr(forest, "DEFAULT_ENUM_BUDGET", visited)
+            members = forest.BoundedFamilyMembership(g, bag, vt[i], k, traces)
+            assert (sig in members) == answer
+    assert tried
+
+
+def test_bounded_family_budget_counts_only_tuples_visited(monkeypatch):
+    # on Q4 the lazy walks visit at most 5,663 tuples at one node, where
+    # walking every queried Z in full visits 130,560 at the busiest node, so
+    # this budget only overran before the walks stopped at a covering tuple
+    g = hypercube_graph(4)
+    td = heuristic_decomposition(g)
+    k = decomposition_metrics(g, td).mu
+    nice = make_nice(g, td)
+    w = WeightMap.unit(16)
+    monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", 10_000)
+    assert mwif_dp(g, nice, w, provider="paper", k=k)[0] == mwif_dp(g, nice, w)[0] == 10
+    monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", 1)
+    with pytest.raises(ResourceLimitError) as raised:
+        mwif_dp(g, nice, w, provider="paper", k=k)
+    assert raised.value.partial_count == 1  # members decided before the overrun
+
+
+def test_eager_family_budget_ends_on_its_last_tuple(monkeypatch):
+    # each tuple is charged one unit plus one per fertile class before its
+    # partitions are expanded, so a budget of exactly the total passes and
+    # one unit less overruns on the last tuple, whatever the witness order
+    g = cycle_graph(4)
+    bag = g.vertex_mask()
+    traces = trace_family_for_bag(g, bag, 1).members
+    charged = []
+    blocks_of = forest._witness_blocks
+
+    def counted(*args):
+        fixed = blocks_of(*args)
+        charged.append(1 if fixed is None else 1 + len(fixed[1]))
+        return fixed
+
+    monkeypatch.setattr(forest, "_witness_blocks", counted)
+    family = signature_family_paper(g, bag, bag, 1, traces)
+    tuples, total = len(charged), sum(charged)
+    assert (tuples, total) == (64, 100) and charged[-1] > 1
+    monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", total)
+    assert signature_family_paper(g, bag, bag, 1, traces).signatures == family.signatures
+    monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", total - 1)
+    charged.clear()
+    with pytest.raises(ResourceLimitError):
+        signature_family_paper(g, bag, bag, 1, traces)
+    assert len(charged) == tuples
+
+
 def test_join_merges_only_equal_bag_parts(monkeypatch):
     g = hypercube_graph(4)
     nice = make_nice(g, heuristic_decomposition(g))
