@@ -8,6 +8,7 @@ unexpected exception; the report still carries its type and message).
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -351,7 +352,10 @@ FLAGS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built on the first call and shared by every later
+    ``main`` call in the process (parsing leaves the parser unchanged)."""
     parser = argparse.ArgumentParser(prog="imtw", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -265,13 +265,16 @@ def _max_independent_set(adj, candidates, budget):
             continue
         chosen, found, pool = nodes.pop()
         budget.spend()
-        if found + popcount(pool) <= best_size:
+        size = popcount(pool)
+        if found + size <= best_size:
             continue
-        pick, pick_deg = -1, -1
+        pick, pick_deg, least_deg = -1, -1, size
         for v in bits(pool):
             d = popcount(adj[v] & pool)
             if d > pick_deg:
                 pick, pick_deg = v, d
+            if d < least_deg:
+                least_deg = d
         if pick_deg <= 1:
             # the pool is a matching plus isolated vertices: the search
             # would first take the lower end of every edge and every
@@ -282,6 +285,13 @@ def _max_independent_set(adj, candidates, budget):
             total = found + popcount(pool)
             if total > best_size:
                 best_size, best_set = total, chosen | pool
+            continue
+        if least_deg == size - 1:
+            # the pool is a clique of at least three vertices: the include
+            # branch ends at once with the pick alone, and nothing later in
+            # this branch is larger
+            if found + 1 > best_size:
+                best_size, best_set = found + 1, chosen | bit(pick)
             continue
         # the piece of the pool around the pick, grown layer by layer from
         # the new layer's neighbors or from the unreached vertices' (the
@@ -317,26 +327,41 @@ def max_independent_set_in_bag(graph, bag, budget=None):
     return _max_independent_set(masked, bag, budget)
 
 
+def _conflict_rows(graph, edges):
+    """Row i holds the edges j != i that conflict with edge i: an endpoint
+    of one lies in the closed neighborhood of an endpoint of the other.
+
+    Built from per-endpoint masks: ``inc[x]``, the edges at x, and
+    ``cover[x]``, the OR of ``inc`` over N[x]; the row of edge e = uv is
+    ``(cover[u] | cover[v]) & ~bit(e)``.
+    """
+    inc = {}
+    for e, (u, v) in enumerate(edges):
+        inc[u] = inc.get(u, 0) | bit(e)
+        inc[v] = inc.get(v, 0) | bit(e)
+    ends = mask_of(inc)
+    cover = {}
+    for x in inc:
+        c = 0
+        for y in bits(graph.closed_mask(x) & ends):
+            c |= inc[y]
+        cover[x] = c
+    return [(cover[u] | cover[v]) & ~bit(e) for e, (u, v) in enumerate(edges)]
+
+
 def max_induced_matching_touching(graph, bag, budget=None):
     """Largest induced matching all of whose edges touch ``bag``.
 
     Reduces to a maximum independent set among the touching edges, where two
     edges conflict when their four endpoints induce a connected subgraph.
-    Returns (size, tuple of edges).
+    Each conflict row is the OR of two per-endpoint covers, one per end of
+    the edge, so building the rows costs the edges' endpoint degrees, not
+    a pass over every pair of touching edges. Returns (size, tuple of edges).
     """
     budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag induced matching")
     # sorted, the touching edges come in the order of ``graph.edges``
     cands = sorted({(min(u, w), max(u, w)) for u in bits(bag) for w in bits(graph.adj_mask(u))})
-    k = len(cands)
-    conflict = [0] * k
-    masks = [bit(u) | bit(v) for u, v in cands]
-    for i in range(k):
-        cover_i = graph.neighborhood_of_set(masks[i]) | masks[i]
-        for j in range(i + 1, k):
-            if cover_i & masks[j]:
-                conflict[i] |= bit(j)
-                conflict[j] |= bit(i)
-    size, chosen = _max_independent_set(conflict, (1 << k) - 1, budget)
+    size, chosen = _max_independent_set(_conflict_rows(graph, cands), (1 << len(cands)) - 1, budget)
     return size, tuple(cands[i] for i in bits(chosen))
 
 

@@ -265,29 +265,42 @@ def serialize_weights(weights):
 
 # ---------------------------------------------------------------------------
 # Generators
+#
+# The sized generators check their vertex count against MAX_VERTICES before
+# they allocate, so ``imtw gen`` never builds a graph that parse_graph would
+# refuse.
+
+
+def _check_vertex_cap(n):
+    if n > MAX_VERTICES:
+        raise InputError(f"graph would have {n} vertices, above the cap of {MAX_VERTICES}")
 
 
 def path_graph(n):
     if n < 1:
         raise InputError("path requires n >= 1")
+    _check_vertex_cap(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
     if n < 3:
         raise InputError("cycle requires n >= 3")
+    _check_vertex_cap(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n):
     if n < 1:
         raise InputError("complete graph requires n >= 1")
+    _check_vertex_cap(n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(a, b):
     if a < 0 or b < 0 or a + b < 1:
         raise InputError("complete bipartite graph requires nonnegative sides, at least one vertex")
+    _check_vertex_cap(a + b)
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -295,6 +308,8 @@ def hypercube_graph(dim):
     """The dim-dimensional hypercube: 2^dim vertices, dim * 2^(dim-1) edges."""
     if dim < 1:
         raise InputError("hypercube requires dimension >= 1")
+    if dim >= MAX_VERTICES.bit_length():
+        raise InputError(f"graph would have 2^{dim} vertices, above the cap of {MAX_VERTICES}")
     n = 1 << dim
     edges = []
     for v in range(n):
@@ -312,6 +327,7 @@ def matching_join(n):
     """
     if n < 1:
         raise InputError("matching join requires n >= 1")
+    _check_vertex_cap(4 * n)
     edges = [(2 * i, 2 * i + 1) for i in range(n)]
     edges += [(2 * n + 2 * i, 2 * n + 2 * i + 1) for i in range(n)]
     edges += [(x, 2 * n + y) for x in range(2 * n) for y in range(2 * n)]
@@ -329,6 +345,7 @@ def random_graph(n, p, seed):
     """Erdos-Renyi graph, deterministic for a given seed."""
     if n < 0 or not 0 <= p <= 1:
         raise InputError(f"bad random graph parameters n={n}, p={p}")
+    _check_vertex_cap(n)
     rng = Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph(n, edges)

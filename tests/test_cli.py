@@ -1,4 +1,6 @@
+import argparse
 import json
+import time
 
 import pytest
 
@@ -290,6 +292,59 @@ def test_generic_clique_bound_below_clique_number(tmp_path, capsys):
     assert code == 0 and report["error"] is None
     assert report["result"]["optimum"] == "2"
     assert len(report["result"]["solution"]) == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    # every construction of a parser or subcommand parser, by prog
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    try:
+        assert main(["gen", "cycle", "5"]) == 0
+        first = capsys.readouterr().out
+        one_tree = list(built)
+        assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2
+        assert main(["--version"]) == 0
+        capsys.readouterr()
+        assert main(["gen", "cycle", "5"]) == 0
+        assert capsys.readouterr().out == first
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == one_tree and built.count("imtw") == 1
+
+
+def test_gen_refuses_graphs_above_the_vertex_cap(capsys):
+    # each count is checked before the generator allocates anything
+    for spec, count in (
+        (("hypercube", "30"), "2^30"),
+        (("path", "1000001"), "1000001"),
+        (("complete_bipartite", "600000", "600000"), "1200000"),
+    ):
+        start = time.perf_counter()
+        code, report, _ = run_cli(capsys, "gen", *spec)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert report["error"] == {
+            "type": "input",
+            "message": f"graph would have {count} vertices, above the cap of 1000000",
+        }
+
+
+def test_metrics_settles_a_clique_bag_within_a_tiny_budget(tmp_path, capsys):
+    graph_file = tmp_path / "k40.gr"
+    td_file = tmp_path / "k40.td"
+    run_cli(capsys, "gen", "complete", "40", "-o", str(graph_file))
+    td_file.write_text("s td 1 40 40\nb 1 " + " ".join(str(v) for v in range(1, 41)) + "\n")
+    code, report, _ = run_cli(capsys, "metrics", str(graph_file), str(td_file), "--budget", "2")
+    assert code == 0
+    assert report["result"]["alpha_witness"] == {"node": 1, "vertices": [1]}
+    assert report["result"]["mu_witness"] == {"node": 1, "edges": [[1, 2]]}
 
 
 def test_flags_belong_to_their_commands(capsys):

@@ -9,6 +9,8 @@ from imtw.bits import bit, mask_of, popcount, to_tuple
 from imtw.corpus import random_corpus, random_minor_op, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
+    _Budget,
+    _conflict_rows,
     _elimination_order,
     blob_decomposition,
     closed_neighborhood_expansion,
@@ -18,6 +20,7 @@ from imtw.decomp import (
     induced_minor_decomposition,
     make_nice,
     max_independent_set_in_bag,
+    max_induced_matching_touching,
     odd_power_decomposition,
     parse_td,
     serialize_td,
@@ -30,6 +33,7 @@ from imtw.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    graph_power,
     hypercube_graph,
     matching_join,
     path_graph,
@@ -186,6 +190,45 @@ def test_bag_independent_set_splits_below_a_hub():
     size, witness = max_independent_set_in_bag(g, g.vertex_mask())
     assert time.perf_counter() - start < 0.1
     assert size == t + 1 and witness == bit(hub) | sum(bit(3 * i + 1) for i in range(t))
+
+
+def test_clique_pools_settle_in_one_step():
+    # the single bag of K_40: alpha's pool and mu's pool of 780 pairwise
+    # conflicting edges are cliques, so each search settles at its first
+    # node and takes the lowest vertex or edge
+    g = complete_graph(40)
+    bag = g.vertex_mask()
+    assert max_independent_set_in_bag(g, bag, _Budget(2, "alpha")) == (1, 1)
+    assert max_induced_matching_touching(g, bag, _Budget(2, "mu")) == (1, ((0, 1),))
+
+
+def _pairwise_conflicts(graph, edges):
+    """The conflict rows by a pass over every pair of edges: j conflicts
+    with i when an endpoint of j lies in the closed neighborhood of i."""
+    k = len(edges)
+    rows = [0] * k
+    masks = [bit(u) | bit(v) for u, v in edges]
+    for i in range(k):
+        cover_i = graph.closed_neighborhood_of_set(masks[i])
+        for j in range(i + 1, k):
+            if cover_i & masks[j]:
+                rows[i] |= bit(j)
+                rows[j] |= bit(i)
+    return rows
+
+
+def test_conflict_rows_equal_the_pairwise_construction():
+    graphs = [g for g, _ in random_corpus(4, 400, 16)]
+    graphs += [
+        hypercube_graph(4),
+        complete_bipartite(8, 8),
+        complete_graph(17),
+        graph_power(path_graph(60), 3),
+    ]
+    for g in graphs:
+        for bag in [g.vertex_mask()] + [b for s in STRATEGIES for b in heuristic_decomposition(g, s).bags]:
+            touching = [(u, v) for u, v in g.edges if (bit(u) | bit(v)) & bag]
+            assert _conflict_rows(g, touching) == _pairwise_conflicts(g, touching)
 
 
 def test_metrics_match_oracle():
