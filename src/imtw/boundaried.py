@@ -33,7 +33,7 @@ from math import comb
 from .bits import bit, bits, popcount, to_tuple
 from .errors import InputError, InvariantError
 from .graphs import Graph, induced_subgraph
-from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
+from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import is_induced_forest
 
 REJECT = ("reject",)
@@ -422,24 +422,18 @@ def generic_structured_dp(
         budget=state_budget,
         budget_message=f"structured DP budget {state_budget} exceeded",
     )
-    best = None
-    best_state = None
-    for (s_mask, tau), value in sorted(tables[nice_td.root].items()):
-        if s_mask == 0 and algebra.accepting(tau):
-            if best is None or value > best:
-                best, best_state = value, (s_mask, tau)
-    if best is None:
+    found = best_solution(
+        nice_td, tables, backptr, weights, lambda state: state[0],
+        lambda state: state[0] == 0 and algebra.accepting(state[1]), check,
+    )
+    if found is None:
         return None
-    solution = chosen_vertices(nice_td, backptr, best_state, lambda state: state[0], check)
-
-    induced, _ = induced_subgraph(graph, solution)
+    induced, _ = induced_subgraph(graph, found[1])
     if not algebra.holds(induced):
         raise InvariantError("reconstructed solution violates the property")
     if _has_clique(induced, induced.vertex_mask(), r + 1):
         raise InvariantError(f"reconstructed solution has a clique larger than {r}")
-    if weights.of_set(solution) != best:
-        raise InvariantError("reconstructed weight differs from the table optimum")
-    return best, solution
+    return found
 
 
 def _has_clique(graph, pool, size):

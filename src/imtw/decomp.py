@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heappush
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, ball_mask, induced_subgraph
+from .graphs import Graph, ball_mask, induced_subgraph, touch_rows
 
 DEFAULT_SEARCH_BUDGET = 10**7
 
@@ -327,41 +327,18 @@ def max_independent_set_in_bag(graph, bag, budget=None):
     return _max_independent_set(masked, bag, budget)
 
 
-def _conflict_rows(graph, edges):
-    """Row i holds the edges j != i that conflict with edge i: an endpoint
-    of one lies in the closed neighborhood of an endpoint of the other.
-
-    Built from per-endpoint masks: ``inc[x]``, the edges at x, and
-    ``cover[x]``, the OR of ``inc`` over N[x]; the row of edge e = uv is
-    ``(cover[u] | cover[v]) & ~bit(e)``.
-    """
-    inc = {}
-    for e, (u, v) in enumerate(edges):
-        inc[u] = inc.get(u, 0) | bit(e)
-        inc[v] = inc.get(v, 0) | bit(e)
-    ends = mask_of(inc)
-    cover = {}
-    for x in inc:
-        c = 0
-        for y in bits(graph.closed_mask(x) & ends):
-            c |= inc[y]
-        cover[x] = c
-    return [(cover[u] | cover[v]) & ~bit(e) for e, (u, v) in enumerate(edges)]
-
-
 def max_induced_matching_touching(graph, bag, budget=None):
     """Largest induced matching all of whose edges touch ``bag``.
 
     Reduces to a maximum independent set among the touching edges, where two
-    edges conflict when their four endpoints induce a connected subgraph.
-    Each conflict row is the OR of two per-endpoint covers, one per end of
-    the edge, so building the rows costs the edges' endpoint degrees, not
-    a pass over every pair of touching edges. Returns (size, tuple of edges).
+    edges conflict when their four endpoints induce a connected subgraph:
+    the independent sets of the square of the line graph, with the conflict
+    rows from ``touch_rows``. Returns (size, tuple of edges).
     """
     budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag induced matching")
     # sorted, the touching edges come in the order of ``graph.edges``
     cands = sorted({(min(u, w), max(u, w)) for u in bits(bag) for w in bits(graph.adj_mask(u))})
-    size, chosen = _max_independent_set(_conflict_rows(graph, cands), (1 << len(cands)) - 1, budget)
+    size, chosen = _max_independent_set(touch_rows(graph, cands), (1 << len(cands)) - 1, budget)
     return size, tuple(cands[i] for i in bits(chosen))
 
 

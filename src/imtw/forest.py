@@ -41,7 +41,7 @@ from itertools import combinations
 
 from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
-from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
+from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
 from .traces import trace_family_for_bag
 
@@ -359,7 +359,7 @@ class BoundedFamilyMembership:
     """
 
     def __init__(self, graph, bag, vt, k, traces):
-        self._graph = graph
+        self._components = graph.components_within
         self._vt = vt
         self._adj = [graph.adj_mask(v) for v in range(graph.n)]
         self._s_cap = 8 * k
@@ -367,7 +367,6 @@ class BoundedFamilyMembership:
         self._witness_source = _witnesses(graph, self._adj, bag, vt, k, traces)
         self._witness_list = []
         self._walks = {}  # Z -> [pairs found, witness index or None once spent, S index]
-        self._classes = {}  # mask -> components, shared by witnesses and Z
         self._decided = {}  # signature -> membership
         self._members = 0
         self._budget_left = DEFAULT_ENUM_BUDGET
@@ -414,12 +413,6 @@ class BoundedFamilyMembership:
                         return True
             i, j = i + 1, 0
         return False
-
-    def _components(self, mask):
-        classes = self._classes.get(mask)
-        if classes is None:
-            classes = self._classes[mask] = self._graph.components_within(mask)
-        return classes
 
     def _pull_witness(self):
         w = next(self._witness_source, None)
@@ -557,16 +550,11 @@ def mwif_dp(
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
     )
-    root_table = tables[nice_td.root]
-    if empty not in root_table:
+    found = best_solution(
+        nice_td, tables, backptr, weights, lambda sig: sig[0], lambda sig: sig == empty
+    )
+    if found is None:
         raise InvariantError("empty signature missing at the root; families are broken")
-    best = root_table[empty]
-    solution = chosen_vertices(nice_td, backptr, empty, lambda sig: sig[0])
-
-    if not is_induced_forest(graph, solution):
+    if not is_induced_forest(graph, found[1]):
         raise InvariantError("reconstructed solution does not induce a forest")
-    if weights.of_set(solution) != best:
-        raise InvariantError(
-            f"reconstructed weight {weights.of_set(solution)} differs from optimum {best}"
-        )
-    return best, solution
+    return found

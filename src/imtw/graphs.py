@@ -481,20 +481,44 @@ def induced_subgraph(graph, vertices):
     return Graph(len(members), edges), mapping
 
 
+def touch_rows(graph, members):
+    """Row i masks the members j != i that touch member i: a vertex of j lies
+    in N[member i]. Members are vertex tuples (edges, connected pieces). Row i
+    is the OR over member i's vertices x of ``cover[x]``, the members with a
+    vertex in N[x], so the cost is the members' degrees, not their pairs.
+    """
+    at = {}
+    for i, member in enumerate(members):
+        for x in member:
+            at[x] = at.get(x, 0) | bit(i)
+    held = mask_of(at)
+    cover = {}
+    for x in at:
+        c = 0
+        for y in bits(graph.closed_mask(x) & held):
+            c |= at[y]
+        cover[x] = c
+    rows = []
+    for i, member in enumerate(members):
+        row = 0
+        for x in member:
+            row |= cover[x]
+        rows.append(row & ~bit(i))
+    return rows
+
+
+def graph_of_rows(rows):
+    """The graph whose vertex i is adjacent to the bits of symmetric ``rows[i]``."""
+    return Graph(len(rows), [(i, j) for i, row in enumerate(rows) for j in bits(row >> i << i)])
+
+
 def line_graph_square(graph):
     """The square of the line graph and the index -> edge correspondence.
 
     Vertices are the edges of the input; two of them are adjacent exactly when
     the subgraph induced by their endpoints is connected.
     """
-    edge_list = graph.edges
-    idx_edges = []
-    for i in range(len(edge_list)):
-        for j in range(i + 1, len(edge_list)):
-            endpoints = mask_of(edge_list[i]) | mask_of(edge_list[j])
-            if graph.is_connected_within(endpoints):
-                idx_edges.append((i, j))
-    return Graph(len(edge_list), idx_edges), edge_list
+    return graph_of_rows(touch_rows(graph, graph.edges)), graph.edges
 
 
 def corona(graph):

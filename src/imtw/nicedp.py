@@ -14,7 +14,7 @@ reconstruction is deterministic.
 from fractions import Fraction
 
 from .bits import bit
-from .errors import ResourceLimitError
+from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_STATE_BUDGET = 10**7
 
@@ -89,11 +89,19 @@ def run_nice_dp(
     return tables, backptr
 
 
-def chosen_vertices(nice_td, backptr, root_state, bag_mask, check=None):
-    """Vertex mask of the solution behind ``root_state``, found by walking the
-    backpointers down from the root; ``bag_mask(state)`` is the state's part
-    of the solution and ``check(state)``, if given, sees every non-leaf state
-    on the way."""
+def best_solution(nice_td, tables, backptr, weights, bag_mask, accept=None, check=None):
+    """(value, vertex mask) of the best root state ``accept`` admits (all when
+    None; the first in sorted order on ties), or None when it admits none.
+    The mask comes from the backpointer walk down from the root, where
+    ``bag_mask(state)`` is the state's part of the solution and ``check``
+    sees every non-leaf state; a mask whose weight is not the value raises
+    InvariantError."""
+    best = root_state = None
+    for state, value in sorted(tables[nice_td.root].items()):
+        if (accept is None or accept(state)) and (best is None or value > best):
+            best, root_state = value, state
+    if best is None:
+        return None
     solution = 0
     stack = [(nice_td.root, root_state)]
     while stack:
@@ -106,4 +114,8 @@ def chosen_vertices(nice_td, backptr, root_state, bag_mask, check=None):
         if node.kind == "introduce" and bag_mask(state) & bit(node.vertex):
             solution |= bit(node.vertex)
         stack.extend(zip(node.children, backptr[i][state]))
-    return solution
+    if weights.of_set(solution) != best:
+        raise InvariantError(
+            f"reconstructed weight {weights.of_set(solution)} differs from optimum {best}"
+        )
+    return best, solution

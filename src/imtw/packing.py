@@ -16,8 +16,10 @@ from math import ceil
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
-from .errors import InputError, InvariantError
-from .graphs import Graph, WeightMap, distance_matrix, graph_power, induced_subgraph
+from .errors import InputError, InvariantError, ResourceLimitError
+from .graphs import (
+    WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph, touch_rows
+)
 from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import is_induced_forest
 from .traces import mwis_dp
@@ -112,17 +114,18 @@ class PackingSolution:
     weight: Fraction
 
 
-def blob_graph(graph, family):
-    """Graph on the member indices; adjacency is shared vertex or joining edge."""
+def blob_graph(graph, family, budget=DEFAULT_STATE_BUDGET):
+    """Graph on the member indices; adjacency is shared vertex or joining edge.
+    More than ``budget`` edges, counted before any is listed, raise
+    ResourceLimitError."""
     family.require_valid_members(graph)
-    covers = [graph.closed_neighborhood_of_set(m.vertices) for m in family.members]
-    edges = []
-    for i in range(len(family.members)):
-        vi = family.members[i].vertices
-        for j in range(i + 1, len(family.members)):
-            if covers[i] & family.members[j].vertices or vi & covers[j]:
-                edges.append((i, j))
-    return Graph(len(family.members), edges)
+    rows = touch_rows(graph, [to_tuple(m.vertices) for m in family.members])
+    edges = sum(popcount(row) for row in rows) // 2
+    if edges > budget:
+        raise ResourceLimitError(
+            f"blob graph of {len(rows)} pieces has {edges} edges, above the budget {budget}"
+        )
+    return graph_of_rows(rows)
 
 
 def is_valid_packing(graph, family, chosen, mode="independent", d=None, dist=None):
@@ -184,7 +187,7 @@ def max_weight_independent_packing(graph, td, family, k=None, state_budget=DEFAU
     if k is None:
         k = decomposition_metrics(graph, td).mu
     reduced, kept = family.deduplicated()
-    blob = blob_graph(graph, reduced)
+    blob = blob_graph(graph, reduced, state_budget)
     blob_td = blob_decomposition(graph, td, reduced)
     nice = make_nice(blob, blob_td)
     weights = WeightMap([m.weight for m in reduced.members])

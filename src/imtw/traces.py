@@ -16,7 +16,7 @@ import logging
 
 from .bits import bit, bits, popcount
 from .errors import InvariantError
-from .nicedp import DEFAULT_STATE_BUDGET, chosen_vertices, run_nice_dp
+from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 
 logger = logging.getLogger(__name__)
 
@@ -136,16 +136,11 @@ def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
     )
-    root_table = tables[nice_td.root]
-    if 0 not in root_table:
+    found = best_solution(
+        nice_td, tables, backptr, weights, lambda state: state, lambda state: state == 0
+    )
+    if found is None:
         raise InvariantError("empty state missing at the root; families are broken")
-    best = root_table[0]
-    solution = chosen_vertices(nice_td, backptr, 0, lambda state: state)
-
-    if not graph.is_independent(solution):
+    if not graph.is_independent(found[1]):
         raise InvariantError("reconstructed MWIS solution is not independent")
-    if weights.of_set(solution) != best:
-        raise InvariantError(
-            f"reconstructed weight {weights.of_set(solution)} differs from optimum {best}"
-        )
-    return best, solution
+    return found

@@ -1,6 +1,11 @@
 import argparse
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +162,33 @@ def test_solve_ptas_and_generic(tmp_path, capsys):
         "2",
     )
     assert code == 0 and report["result"]["optimum"] == "4"
+
+
+def test_ptas_blob_over_budget_exits_4_under_a_memory_cap(tmp_path, capsys):
+    # the forked path(6) with vertices 1 and 3 marked has 9,882 pieces at
+    # r = 1, eps = 1/2, and their blob graph 48,410,911 edges: the edges are
+    # counted against the state budget before any is listed, so the run
+    # fails over budget instead of running out of memory
+    path6, forked, td = (str(tmp_path / name) for name in ("p6.gr", "f.gr", "f.td"))
+    run_cli(capsys, "gen", "path", "6", "-o", path6)
+    run_cli(capsys, "transform", "forked", path6, "--marked", "1,3", "-o", forked)
+    run_cli(capsys, "decompose", forked, "-o", td)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for budget in (["--budget", "10000"], []):
+        argv = ["solve", "ptas", forked, td, "-r", "1", "--eps", "1/2", *budget]
+        done = subprocess.run(
+            [sys.executable, "-m", "imtw.cli", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+        )
+        report = json.loads(done.stdout)
+        assert done.returncode == 4, report["error"]
+        assert report["command"] == ["imtw", *argv] and report["error"]["type"] == "resource"
+        assert "blob graph of 9882 pieces" in report["error"]["message"]
 
 
 def test_exit_code_input_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from imtw.corpus import random_corpus, random_minor_op, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
     _Budget,
-    _conflict_rows,
     _elimination_order,
     blob_decomposition,
     closed_neighborhood_expansion,
@@ -35,10 +34,12 @@ from imtw.graphs import (
     cycle_graph,
     graph_power,
     hypercube_graph,
+    line_graph_square,
     matching_join,
     path_graph,
     petersen_graph,
     random_graph,
+    touch_rows,
 )
 from imtw.packing import SubgraphFamily, blob_graph
 from imtw.traces import trace_family_for_bag
@@ -202,12 +203,13 @@ def test_clique_pools_settle_in_one_step():
     assert max_induced_matching_touching(g, bag, _Budget(2, "mu")) == (1, ((0, 1),))
 
 
-def _pairwise_conflicts(graph, edges):
-    """The conflict rows by a pass over every pair of edges: j conflicts
-    with i when an endpoint of j lies in the closed neighborhood of i."""
-    k = len(edges)
+def _pairwise_conflicts(graph, members):
+    """The touch rows by a pass over every pair of members, given as vertex
+    tuples: j touches i when a vertex of j lies in the closed neighborhood
+    of i's vertices."""
+    k = len(members)
     rows = [0] * k
-    masks = [bit(u) | bit(v) for u, v in edges]
+    masks = [mask_of(member) for member in members]
     for i in range(k):
         cover_i = graph.closed_neighborhood_of_set(masks[i])
         for j in range(i + 1, k):
@@ -217,7 +219,29 @@ def _pairwise_conflicts(graph, edges):
     return rows
 
 
+def _bfs_line_graph_square(graph):
+    """The square of the line graph by one connectivity search per pair of
+    edges: two edges are adjacent when their endpoints induce a connected
+    subgraph."""
+    edges = graph.edges
+    return Graph(
+        len(edges),
+        [
+            (i, j)
+            for i in range(len(edges))
+            for j in range(i + 1, len(edges))
+            if graph.is_connected_within(mask_of(edges[i]) | mask_of(edges[j]))
+        ],
+    )
+
+
 def test_conflict_rows_equal_the_pairwise_construction():
+    # touch rows against the pairwise oracle on the touching edges of every
+    # bag (the whole vertex set's first: every edge) and on the connected
+    # pieces of at most three vertices in random order; the rows of every
+    # edge and of the pieces must be symmetric, and the square of the line
+    # graph must equal the one from a connectivity search per pair of edges
+    rng = Random(13)
     graphs = [g for g, _ in random_corpus(4, 400, 16)]
     graphs += [
         hypercube_graph(4),
@@ -226,9 +250,17 @@ def test_conflict_rows_equal_the_pairwise_construction():
         graph_power(path_graph(60), 3),
     ]
     for g in graphs:
-        for bag in [g.vertex_mask()] + [b for s in STRATEGIES for b in heuristic_decomposition(g, s).bags]:
-            touching = [(u, v) for u, v in g.edges if (bit(u) | bit(v)) & bag]
-            assert _conflict_rows(g, touching) == _pairwise_conflicts(g, touching)
+        families = [
+            [(u, v) for u, v in g.edges if (bit(u) | bit(v)) & bag]
+            for bag in [g.vertex_mask()] + [b for s in STRATEGIES for b in heuristic_decomposition(g, s).bags]
+        ]
+        families.append([to_tuple(piece) for piece in shuffled_pieces(rng, g)])
+        for members in families:
+            assert touch_rows(g, members) == _pairwise_conflicts(g, members)
+        for members in (families[0], families[-1]):
+            rows = touch_rows(g, members)
+            assert all(rows[i] >> j & 1 == rows[j] >> i & 1 for i in range(len(rows)) for j in range(i))
+        assert line_graph_square(g) == (_bfs_line_graph_square(g), g.edges)
 
 
 def test_metrics_match_oracle():
