@@ -353,23 +353,37 @@ class DecompositionMetrics:
 def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
     """Exact alpha and mu of a decomposition, with witnesses.
 
+    Runs only the bag searches that can raise a running maximum, using
+    mu(X) <= alpha(G[X]) <= |X| for every bag X: one endpoint in X of each
+    edge of an induced matching touching X gives an independent set of G[X].
+    A bag with |X| <= mu is skipped (neither maximum can rise), and its mu
+    is searched only when alpha(G[X]) > mu. A witness changes only on a
+    strictly larger value, so the maxima and witnesses are those of
+    searching every bag.
+
     Raises ResourceLimitError naming the bag when a per-bag search blows the
-    budget.
+    budget, and InvariantError when a bag's mu exceeds its alpha.
     """
     alpha, mu = 0, 0
     alpha_witness, mu_witness = (0, 0), (0, ())
     for t, bag in enumerate(td.bags):
+        if popcount(bag) <= mu:
+            continue
         try:
             a, a_set = max_independent_set_in_bag(graph, bag, _Budget(budget_limit, f"alpha of bag {t}"))
-            m, m_edges = max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
+            m, m_edges = (
+                max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
+                if a > mu
+                else (0, ())
+            )
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"bag {t} too large for exact search: {exc}") from exc
+        if m > a:
+            raise InvariantError(f"mu={m} exceeds alpha={a} at bag {t}")
         if a > alpha:
             alpha, alpha_witness = a, (t, a_set)
         if m > mu:
             mu, mu_witness = m, (t, m_edges)
-    if mu > alpha:
-        raise InvariantError(f"mu={mu} exceeds alpha={alpha}, searches disagree")
     return DecompositionMetrics(alpha, mu, alpha_witness, mu_witness)
 
 

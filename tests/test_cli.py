@@ -379,6 +379,23 @@ def test_metrics_settles_a_clique_bag_within_a_tiny_budget(tmp_path, capsys):
     assert report["result"]["mu_witness"] == {"node": 1, "edges": [[1, 2]]}
 
 
+def test_metrics_budget_is_not_spent_on_bags_that_cannot_raise_mu(tmp_path, capsys):
+    # under min-fill, random(8, 0.5) at seed 0 finds mu 2 at bag 1; the mu
+    # search of each of bags 2-4 would cost 15 units, but their alpha is 2,
+    # so they are skipped and a budget of 9 covers every search that runs
+    graph_file = str(tmp_path / "r8.gr")
+    td_file = str(tmp_path / "r8.td")
+    run_cli(capsys, "gen", "random", "8", "0.5", "--seed", "0", "-o", graph_file)
+    for command in (["decompose", graph_file, "-o", td_file], ["metrics", graph_file, td_file]):
+        code, full, _ = run_cli(capsys, *command)
+        assert code == 0 and (full["result"]["alpha"], full["result"]["mu"]) == (2, 2)
+        code, report, _ = run_cli(capsys, *command, "--budget", "9")
+        assert code == 0 and report["result"] == full["result"]
+    code, report, _ = run_cli(capsys, "metrics", graph_file, td_file, "--budget", "8")
+    assert code == 4
+    assert report["error"]["message"].endswith("while mu of bag 1")
+
+
 def test_flags_belong_to_their_commands(capsys):
     # --eps is read by solve ptas only; elsewhere it is a parse error
     assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2

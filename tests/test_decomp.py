@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from imtw import decomp
 from imtw.bits import bit, mask_of, popcount, to_tuple
 from imtw.corpus import random_corpus, random_minor_op, shuffled_pieces
 from imtw.decomp import (
@@ -26,7 +27,7 @@ from imtw.decomp import (
     single_bag_decomposition,
     validate_decomposition,
 )
-from imtw.errors import InputError, ResourceLimitError
+from imtw.errors import InputError, InvariantError, ResourceLimitError
 from imtw.graphs import (
     Graph,
     complete_bipartite,
@@ -266,6 +267,79 @@ def test_conflict_rows_equal_the_pairwise_construction():
 def test_metrics_match_oracle():
     graphs = seeded_graphs(15, 30, 3, 9)
     expect(metrics_match_oracle([(g, heuristic_decomposition(g)) for g in graphs]))
+
+
+def _metrics_searching_every_bag(graph, td):
+    """Reference: alpha and mu searched at every bag, the first strict
+    maximum of each kept as its witness."""
+    alpha, mu = 0, 0
+    alpha_witness, mu_witness = (0, 0), (0, ())
+    for t, bag in enumerate(td.bags):
+        a, a_set = max_independent_set_in_bag(graph, bag)
+        m, m_edges = max_induced_matching_touching(graph, bag)
+        if a > alpha:
+            alpha, alpha_witness = a, (t, a_set)
+        if m > mu:
+            mu, mu_witness = m, (t, m_edges)
+    return alpha, mu, alpha_witness, mu_witness
+
+
+def test_skipped_bag_searches_keep_the_maxima_and_witnesses():
+    # a bag with |X| <= mu, or alpha(X) <= mu, cannot raise either maximum,
+    # so skipping its searches must return what searching every bag returns
+    graphs = [g for g, _ in random_corpus(21, 300, 14)]
+    special = [
+        hypercube_graph(4),
+        complete_bipartite(8, 8),
+        complete_graph(17),
+        graph_power(path_graph(60), 3),
+        cycle_graph(40),
+        Graph(50, []),
+    ]
+    cases = [(g, heuristic_decomposition(g, s)) for g in graphs + special for s in STRATEGIES]
+    # single bags of all but the path cube, whose whole-graph mu search alone
+    # takes about 20 s
+    cases += [(g, single_bag_decomposition(g)) for g in graphs + special if g.n < 60]
+    for g, td in cases:
+        met = decomposition_metrics(g, td)
+        assert (met.alpha, met.mu, met.alpha_witness, met.mu_witness) == _metrics_searching_every_bag(g, td)
+
+
+def test_mu_is_searched_only_where_alpha_can_raise_it(monkeypatch):
+    # every bag of a path or a path cube has alpha 1, so once the first bag
+    # with an edge has set mu to 1 no other bag's mu is searched, and the
+    # last bag, a single vertex, is not searched at all
+    searched = []
+
+    def spy(search):
+        def counted(graph, bag, budget=None):
+            searched.append(search.__name__)
+            return search(graph, bag, budget)
+
+        return counted
+
+    for search in (max_independent_set_in_bag, max_induced_matching_touching):
+        monkeypatch.setattr(decomp, search.__name__, spy(search))
+    for g in (path_graph(200), graph_power(path_graph(60), 3)):
+        searched.clear()
+        met = decomposition_metrics(g, heuristic_decomposition(g, "min-fill"))
+        assert (met.alpha, met.mu) == (1, 1)
+        assert searched.count("max_independent_set_in_bag") == g.n - 1
+        assert searched.count("max_induced_matching_touching") == 1
+
+
+def test_mu_above_alpha_at_a_bag_is_an_invariant_error(monkeypatch):
+    # a mu search that returns a matching larger than the bag's alpha breaks
+    # mu(X) <= alpha(X), which the skipped searches rely on; the empty bag 0
+    # is skipped, so bag 1 is the first searched
+    def too_large(graph, bag, budget=None):
+        return max_independent_set_in_bag(graph, bag)[0] + 1, ()
+
+    monkeypatch.setattr(decomp, "max_induced_matching_touching", too_large)
+    g = path_graph(3)
+    td = TreeDecomposition(3, [0, g.vertex_mask()], [(0, 1)])
+    with pytest.raises(InvariantError, match=r"^mu=3 exceeds alpha=2 at bag 1$"):
+        decomposition_metrics(g, td)
 
 
 def test_metrics_budget_blows_loudly():
