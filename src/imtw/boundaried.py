@@ -30,7 +30,7 @@ from the link's.
 from dataclasses import dataclass
 from math import comb
 
-from .bits import bit, bits, popcount, to_tuple
+from .bits import bit, bits, popcount
 from .errors import InputError, InvariantError
 from .graphs import Graph, induced_subgraph
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
@@ -373,15 +373,18 @@ def generic_structured_dp(
     in few vertices. Returns (weight, mask) or None when no accepting state
     survives at the root.
     """
-    ell = ramsey_upper(k + 1, r + 1)
+    cap = ramsey_upper(k + 1, r + 1)
+    # solution vertex v carries label v + 1, so adding or dropping a vertex
+    # never renames the others
+    ell = max(graph.n, 1)
     empty_type = algebra.type_of(BoundariedGraph.make(Graph(0, []), {}, ell))
 
-    induced_types = {}  # mask -> type of G[mask] labelled in vertex order
+    induced_types = {}  # mask -> type of G[mask] labelled by vertex id
 
     def type_of_induced(mask):
         if mask not in induced_types:
-            g, _ = induced_subgraph(graph, mask)
-            labeling = {i: i + 1 for i in range(g.n)}
+            g, mapping = induced_subgraph(graph, mask)
+            labeling = {i: v + 1 for v, i in mapping.items()}
             induced_types[mask] = algebra.type_of(BoundariedGraph.make(g, labeling, ell))
         return induced_types[mask]
 
@@ -390,30 +393,21 @@ def generic_structured_dp(
         new_mask = s_mask | bit(v)
         # every clique lies inside one bag, so refusing v next to an r-clique
         # of S keeps each solution's clique number at most r
-        if popcount(new_mask) > ell or _has_clique(graph, s_mask & graph.adj_mask(v), r):
+        if popcount(new_mask) > cap or _has_clique(graph, s_mask & graph.adj_mask(v), r):
             return None
-        old_members = to_tuple(s_mask)
-        new_members = to_tuple(new_mask)
-        new_label = {u: j + 1 for j, u in enumerate(new_members)}
-        mapping = {j + 1: new_label[u] for j, u in enumerate(old_members)}
-        glued = algebra.glue(type_of_induced(new_mask), algebra.relabel(tau, mapping))
+        glued = algebra.glue(type_of_induced(new_mask), tau)
         return None if glued == REJECT else (new_mask, glued)
 
     def drop(v, state):
         s_mask, tau = state
-        old_members = to_tuple(s_mask)
-        label_v = old_members.index(v) + 1
-        new_mask = s_mask & ~bit(v)
-        new_members = to_tuple(new_mask)
-        mapping = {j + 1: new_members.index(u) + 1 for j, u in enumerate(old_members) if u != v}
-        return new_mask, algebra.relabel(algebra.forget(tau, label_v), mapping)
+        return s_mask & ~bit(v), algebra.forget(tau, v + 1)
 
     def merge(left, right):
         glued = algebra.glue(left[1], right[1])
         return None if glued == REJECT else (left[0], glued)
 
     def check(state):
-        if popcount(state[0]) > ell:
+        if popcount(state[0]) > cap:
             raise InvariantError("bag intersection exceeds the Ramsey bound")
 
     tables, backptr = run_nice_dp(

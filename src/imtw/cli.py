@@ -96,10 +96,9 @@ def _load_instance(args, inputs, need_weights=True):
     return graph, td, weights
 
 
-def _solver_k(args, graph, td):
-    """The matching bound in force: measured unless overridden."""
-    if args.k is not None:
-        return args.k, {"k": args.k, "source": "flag"}
+def _solver_k(graph, td):
+    """The matching bound, always measured: below mu the trace and signature
+    families miss maximal solutions and a wrong optimum would pass."""
     met = decomposition_metrics(graph, td)
     return met.mu, {"k": met.mu, "source": "measured-mu", "alpha": met.alpha}
 
@@ -153,7 +152,7 @@ def cmd_metrics(args, inputs):
 
 def cmd_exact(args, inputs):
     graph = parse_graph(_read(args.graph, inputs))
-    widths = exact_width_parameters(graph, cap=args.max_n if args.max_n > 9 else 9)
+    widths = exact_width_parameters(graph)
     report = {
         "tree_alpha": widths.tree_alpha,
         "tree_mu": widths.tree_mu,
@@ -169,7 +168,7 @@ def cmd_exact(args, inputs):
 
 def cmd_solve_mwis(args, inputs):
     graph, td, weights = _load_instance(args, inputs)
-    k, k_info = _solver_k(args, graph, td)
+    k, k_info = _solver_k(graph, td)
     nice = make_nice(graph, td)
     weight, solution = mwis_dp(graph, nice, weights, k, state_budget=args.budget)
     report = {"optimum": str(weight), "solution": _vertices(solution), **k_info}
@@ -181,7 +180,7 @@ def cmd_solve_forest(args, inputs):
     from .oracles import is_induced_forest
 
     graph, td, weights = _load_instance(args, inputs)
-    k, k_info = _solver_k(args, graph, td)
+    k, k_info = _solver_k(graph, td)
     nice = make_nice(graph, td)
     weight, solution = mwif_dp(
         graph, nice, weights, provider=args.family, k=k, state_budget=args.budget
@@ -202,7 +201,7 @@ def cmd_solve_forest(args, inputs):
 def cmd_solve_pack(args, inputs):
     graph, td, _ = _load_instance(args, inputs, need_weights=False)
     family = parse_subgraph_family(_read(args.family_file, inputs))
-    sol = max_weight_independent_packing(graph, td, family, k=args.k, state_budget=args.budget)
+    sol = max_weight_independent_packing(graph, td, family, state_budget=args.budget)
     report = {"optimum": str(sol.weight), "chosen": list(sol.chosen)}
     verdicts = {"packing_valid": is_valid_packing(graph, family, sol.chosen) is None}
     return 0, report, verdicts
@@ -213,7 +212,7 @@ def cmd_solve_dpack(args, inputs):
         raise InputError("dpack needs -d")
     graph, td, _ = _load_instance(args, inputs, need_weights=False)
     family = parse_subgraph_family(_read(args.family_file, inputs))
-    sol = max_weight_distance_packing(graph, td, family, args.d, k=args.k, state_budget=args.budget)
+    sol = max_weight_distance_packing(graph, td, family, args.d, state_budget=args.budget)
     dist_ok = (
         len(sol.chosen) < 2 or packing_distance(graph, family, sol.chosen) >= args.d
     )
@@ -227,9 +226,7 @@ def cmd_solve_ptas(args, inputs):
     if args.r is None or args.eps is None:
         raise InputError("ptas needs -r and --eps")
     graph, td, _ = _load_instance(args, inputs, need_weights=False)
-    solution = ptas_bounded_treewidth_subgraph(
-        graph, td, args.r, args.eps, k=args.k, state_budget=args.budget
-    )
+    solution = ptas_bounded_treewidth_subgraph(graph, td, args.r, args.eps, state_budget=args.budget)
     cap = component_size_cap(args.r, args.eps)
     comps = graph.components_within(solution)
     report = {
@@ -251,11 +248,8 @@ def cmd_solve_generic(args, inputs):
         raise InputError("generic needs -r")
     graph, td, weights = _load_instance(args, inputs)
     algebra = builtin_type_algebra(args.property)
-    if args.k is not None:
-        k, k_info = args.k, {"k": args.k, "source": "flag"}
-    else:
-        met = decomposition_metrics(graph, td)
-        k, k_info = met.alpha, {"k": met.alpha, "source": "measured-alpha"}
+    k = decomposition_metrics(graph, td).alpha
+    k_info = {"k": k, "source": "measured-alpha"}
     nice = make_nice(graph, td)
     result = generic_structured_dp(
         graph, nice, weights, algebra, args.r, k, state_budget=args.budget
@@ -332,7 +326,7 @@ def cmd_verify(args, inputs):
 
 # Each flag once: its option strings and argparse settings.
 FLAGS = {
-    "k": (("-k",), {"type": int, "default": None, "help": "matching/independence bound override"}),
+    "k": (("-k",), {"type": int, "default": None, "help": "power exponent"}),
     "r": (("-r",), {"type": int, "default": None, "help": "treewidth or clique bound"}),
     "eps": (("--eps",), {"type": Fraction, "default": None, "help": "accuracy, e.g. 1/4"}),
     "d": (("-d",), {"type": int, "default": None, "help": "packing distance"}),
@@ -383,7 +377,7 @@ def build_parser():
 
     p = sub.add_parser("exact", help="exact width parameters (small graphs)")
     p.add_argument("graph")
-    flags(p, "max_n")
+    flags(p)
 
     solve = sub.add_parser("solve", help="run a solver").add_subparsers(
         dest="problem", required=True
@@ -405,7 +399,7 @@ def build_parser():
             p.add_argument("-w", "--weights", default=None)
         if name == "generic":
             p.add_argument("--property", default="forest", help="forest | bipartite | max-degree:<d>")
-        flags(p, "k", "budget", *extra)
+        flags(p, "budget", *extra)
 
     p = sub.add_parser("transform", help="graph transformations")
     p.add_argument("what", choices=("power", "corona", "l2", "blob", "forked"))

@@ -23,8 +23,10 @@ from .errors import InputError
 
 INFINITY = float("inf")
 # Largest vertex count a graph file may declare. Every layer keeps per-vertex
-# bitmasks, so a header above this is refused before anything is allocated.
-MAX_VERTICES = 10**6
+# bitmasks as wide as the highest neighbour id, up to n^2/8 bytes per graph
+# (128 MiB at this cap), so a header above it is refused before anything is
+# allocated.
+MAX_VERTICES = 2**15
 
 
 class Graph:

@@ -10,6 +10,7 @@ from imtw.boundaried import (
     BoundariedGraph,
     ForestAlgebra,
     MaxDegreeAlgebra,
+    TypeAlgebra,
     builtin_type_algebra,
     forget_label,
     generic_structured_dp,
@@ -236,6 +237,17 @@ def test_structured_dp_bipartite():
 
 def test_structured_dp_max_degree():
     cases = solver_cases(seeded_graphs(95, 12, 2, 9), 95, 50)
+    expect(structured_dp_matches_brute_force(per_algebra(cases)))
+
+
+def test_structured_dp_never_relabels_a_state(monkeypatch):
+    # solution vertex v carries label v + 1 in every state, so adding or
+    # dropping a vertex leaves the other labels as they are
+    def relabel(self, t, mapping):
+        raise AssertionError("the structured DP relabelled a state")
+
+    monkeypatch.setattr(TypeAlgebra, "relabel", relabel)
+    cases = solver_cases(seeded_graphs(93, 12, 2, 9), 93, 50)
     expect(structured_dp_matches_brute_force(per_algebra(cases)))
 
 

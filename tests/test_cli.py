@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from imtw import cli, verify
+from imtw import cli, graphs, verify
 from imtw.cli import main
 from imtw.corpus import random_corpus
 from imtw.decomp import heuristic_decomposition
@@ -86,6 +86,16 @@ def test_exact_command(tmp_path, capsys):
     assert code == 0
     assert report["result"]["tree_alpha"] == 3
     assert report["result"]["tree_mu"] == 1
+
+
+def test_exact_keeps_the_oracle_cap_and_takes_no_max_n(tmp_path, capsys):
+    graph_file = str(tmp_path / "p10.gr")
+    run_cli(capsys, "gen", "path", "10", "-o", graph_file)
+    assert main(["exact", graph_file, "--max-n", "12"]) == 2
+    assert capsys.readouterr().out == ""
+    code, report, _ = run_cli(capsys, "exact", graph_file)
+    assert code == 4
+    assert report["error"] == {"type": "resource", "message": "exact widths capped at n=9, got 10"}
 
 
 def test_transform_commands(tmp_path, capsys):
@@ -364,7 +374,7 @@ def test_gen_refuses_graphs_above_the_vertex_cap(capsys):
         assert code == 2
         assert report["error"] == {
             "type": "input",
-            "message": f"graph would have {count} vertices, above the cap of 1000000",
+            "message": f"graph would have {count} vertices, above the cap of 32768",
         }
 
 
@@ -402,6 +412,104 @@ def test_flags_belong_to_their_commands(capsys):
     assert capsys.readouterr().out == ""
 
 
+# every option string each command accepts, --help aside; a flag added or
+# removed anywhere shows up here as a deliberate edit
+OPTIONS = {
+    (): {"--version"},
+    ("gen",): {"--seed", "-o", "--output", "--timing"},
+    ("decompose",): {"--strategy", "--budget", "-o", "--output", "--timing"},
+    ("metrics",): {"--budget", "--timing"},
+    ("exact",): {"--timing"},
+    ("solve",): set(),
+    ("solve", "mwis"): {"-w", "--weights", "--budget", "--timing"},
+    ("solve", "forest"): {"-w", "--weights", "--budget", "--family", "--timing"},
+    ("solve", "pack"): {"--budget", "--timing"},
+    ("solve", "dpack"): {"--budget", "-d", "--timing"},
+    ("solve", "ptas"): {"--budget", "-r", "--eps", "--timing"},
+    ("solve", "generic"): {"-w", "--weights", "--property", "--budget", "-r", "--timing"},
+    ("transform",): {"--marked", "-k", "-o", "--output", "--timing"},
+    ("recognize-imtw1",): {"--timing"},
+    ("verify",): {"--suite", "--seed", "--max-n", "--timing"},
+}
+
+
+def test_each_command_accepts_exactly_its_options():
+    def walk(parser, path):
+        table = {path: set()}
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    table.update(walk(sub, path + (name,)))
+            elif not isinstance(action, argparse._HelpAction):
+                table[path] |= set(action.option_strings)
+        return table
+
+    assert walk(cli.build_parser(), ()) == OPTIONS
+
+
+def test_solve_bound_is_always_measured(tmp_path, capsys):
+    graph_file, td_file = instance(tmp_path, capsys, "path", "4")
+    family_file = str(tmp_path / "fam.json")
+    Path(family_file).write_text(json.dumps([{"id": 0, "vertices": [1], "weight": "1"}]))
+    for problem, *rest in (
+        ("mwis",),
+        ("forest",),
+        ("pack", family_file),
+        ("dpack", family_file, "-d", "4"),
+        ("ptas", "-r", "1", "--eps", "1/2"),
+        ("generic", "-r", "2"),
+    ):
+        assert main(["solve", problem, graph_file, td_file, *rest, "-k", "1"]) == 2, problem
+        assert capsys.readouterr().out == ""
+    code, report, _ = run_cli(capsys, "transform", "power", graph_file, "-k", "2")
+    assert code == 0 and report["result"]["k"] == 2 and report["result"]["m"] == 5
+
+
+def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys):
+    # mu is 1 here; with k = 0 both programs once reported 18 as the optimum
+    edges = [
+        (0, 1), (0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5),
+        (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    ]
+    graph_file, td_file, weight_file = (str(tmp_path / name) for name in ("g.gr", "g.td", "g.w"))
+    Path(graph_file).write_text(
+        f"p edge 8 {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
+    )
+    Path(weight_file).write_text(
+        "".join(f"w {v + 1} {w}\n" for v, w in enumerate((9, 12, 10, 13, 6, 8, 3, 8)))
+    )
+    run_cli(capsys, "decompose", graph_file, "-o", td_file)
+    for problem, optimum in (("mwis", "22"), ("forest", "36")):
+        argv = ["solve", problem, graph_file, td_file, "-w", weight_file]
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 0 and report["result"]["optimum"] == optimum
+        assert (report["result"]["k"], report["result"]["source"]) == (1, "measured-mu")
+        assert main([*argv, "-k", "0"]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_vertex_cap_refuses_before_any_mask_is_built(tmp_path, monkeypatch, capsys):
+    # at 2^15 vertices one graph's adjacency masks stay within n^2/8 bytes
+    header = tmp_path / "over.gr"
+    header.write_text("p edge 32769 0\n")
+    built = []
+    monkeypatch.setattr(graphs, "Graph", lambda *args: built.append(args))
+    for argv, message in (
+        (("gen", "path", "32769"), "graph would have 32769 vertices, above the cap of 32768"),
+        (("gen", "hypercube", "16"), "graph would have 2^16 vertices, above the cap of 32768"),
+        (
+            ("recognize-imtw1", str(header)),
+            "line 1: header declares 32769 vertices, above the cap of 32768",
+        ),
+    ):
+        code, report, _ = run_cli(capsys, *argv)
+        assert code == 2 and report["error"] == {"type": "input", "message": message}
+    assert built == []
+    monkeypatch.undo()
+    code, report, _ = run_cli(capsys, "gen", "path", "32768", "-o", str(tmp_path / "p.gr"))
+    assert code == 0 and report["result"]["n"] == 32768
+
+
 def test_nonpositive_budget_is_an_input_error(tmp_path, capsys):
     graph_file, td_file = instance(tmp_path, capsys, "cycle", "5")
     code, report, _ = run_cli(
@@ -430,6 +538,7 @@ def test_tie_break_golden_solutions(tmp_path, capsys):
         ("cycle", "6"): {"mwis": [1, 3, 5], "forest": [1, 2, 3, 4, 5]},
         ("complete_bipartite", "3", "3"): {"mwis": [1, 2, 3], "forest": [1, 2, 3, 4]},
         ("path", "7"): {"mwis": [1, 3, 5, 7], "forest": [1, 2, 3, 4, 5, 6, 7]},
+        ("cycle", "7"): {"mwis": [1, 4, 6], "forest": [1, 2, 3, 4, 5, 6]},
     }
     for spec, solutions in expected.items():
         graph_file, td_file = instance(tmp_path, capsys, *spec)
@@ -440,11 +549,18 @@ def test_tie_break_golden_solutions(tmp_path, capsys):
                 capsys, "solve", "forest", graph_file, td_file, "--family", family
             )
             assert report["result"]["solution"] == solutions["forest"], (spec, family)
-    c6 = tmp_path / "cycle_6"
-    _, report, _ = run_cli(
-        capsys, "solve", "generic", f"{c6}.gr", f"{c6}.td", "--property", "forest", "-r", "2"
-    )
-    assert report["result"]["solution"] == [1, 2, 3, 4, 5]
+    for stem, prop, solution in (
+        ("cycle_6", "forest", [1, 2, 3, 4, 5]),
+        ("cycle_7", "bipartite", [1, 2, 3, 4, 5, 6]),
+        ("cycle_6", "max-degree:1", [1, 2, 4, 5]),
+        ("path_7", "max-degree:1", [1, 3, 4, 6, 7]),
+        ("complete_bipartite_3_3", "max-degree:2", [2, 3, 4, 5]),
+    ):
+        stem = tmp_path / stem
+        _, report, _ = run_cli(
+            capsys, "solve", "generic", f"{stem}.gr", f"{stem}.td", "--property", prop, "-r", "2"
+        )
+        assert report["result"]["solution"] == solution, (stem.name, prop)
 
 
 def test_verify_packing_survives_edgeless_graphs(capsys):
