@@ -362,18 +362,16 @@ def builtin_type_algebra(name):
 # The generic DP
 
 
-def generic_structured_dp(
-    graph, nice_td, weights, algebra, r, k, state_budget=DEFAULT_STATE_BUDGET
-):
+def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFAULT_STATE_BUDGET):
     """Maximum weight F with the algebra's property and clique number <= r.
 
-    k must be at least the decomposition's independence number; states keep at
-    most ramsey_upper(k+1, r+1) solution vertices per bag, which is enough
+    With k = ``nice_td.metrics.alpha``, states keep at most
+    ramsey_upper(k+1, r+1) solution vertices per bag, which is enough
     because a solution with small cliques meets every small-independence bag
     in few vertices. Returns (weight, mask) or None when no accepting state
     survives at the root.
     """
-    cap = ramsey_upper(k + 1, r + 1)
+    cap = ramsey_upper(nice_td.metrics.alpha + 1, r + 1)
     # solution vertex v carries label v + 1, so adding or dropping a vertex
     # never renames the others
     ell = max(graph.n, 1)

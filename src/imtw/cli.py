@@ -96,13 +96,6 @@ def _load_instance(args, inputs, need_weights=True):
     return graph, td, weights
 
 
-def _solver_k(graph, td):
-    """The matching bound, always measured: below mu the trace and signature
-    families miss maximal solutions and a wrong optimum would pass."""
-    met = decomposition_metrics(graph, td)
-    return met.mu, {"k": met.mu, "source": "measured-mu", "alpha": met.alpha}
-
-
 def cmd_gen(args, inputs):
     params = []
     for raw in args.params:
@@ -168,10 +161,16 @@ def cmd_exact(args, inputs):
 
 def cmd_solve_mwis(args, inputs):
     graph, td, weights = _load_instance(args, inputs)
-    k, k_info = _solver_k(graph, td)
-    nice = make_nice(graph, td)
-    weight, solution = mwis_dp(graph, nice, weights, k, state_budget=args.budget)
-    report = {"optimum": str(weight), "solution": _vertices(solution), **k_info}
+    met = decomposition_metrics(graph, td)
+    nice = make_nice(graph, td, met)
+    weight, solution = mwis_dp(graph, nice, weights, state_budget=args.budget)
+    report = {
+        "optimum": str(weight),
+        "solution": _vertices(solution),
+        "k": met.mu,
+        "source": "measured-mu",
+        "alpha": met.alpha,
+    }
     verdicts = {"independent": graph.is_independent(solution), "weight_matches": weights.of_set(solution) == weight}
     return 0, report, verdicts
 
@@ -180,16 +179,16 @@ def cmd_solve_forest(args, inputs):
     from .oracles import is_induced_forest
 
     graph, td, weights = _load_instance(args, inputs)
-    k, k_info = _solver_k(graph, td)
-    nice = make_nice(graph, td)
-    weight, solution = mwif_dp(
-        graph, nice, weights, provider=args.family, k=k, state_budget=args.budget
-    )
+    met = decomposition_metrics(graph, td)
+    nice = make_nice(graph, td, met)
+    weight, solution = mwif_dp(graph, nice, weights, provider=args.family, state_budget=args.budget)
     report = {
         "optimum": str(weight),
         "solution": _vertices(solution),
         "family": args.family,
-        **k_info,
+        "k": met.mu,
+        "source": "measured-mu",
+        "alpha": met.alpha,
     }
     verdicts = {
         "induces_forest": is_induced_forest(graph, solution),
@@ -248,12 +247,10 @@ def cmd_solve_generic(args, inputs):
         raise InputError("generic needs -r")
     graph, td, weights = _load_instance(args, inputs)
     algebra = builtin_type_algebra(args.property)
-    k = decomposition_metrics(graph, td).alpha
-    k_info = {"k": k, "source": "measured-alpha"}
-    nice = make_nice(graph, td)
-    result = generic_structured_dp(
-        graph, nice, weights, algebra, args.r, k, state_budget=args.budget
-    )
+    met = decomposition_metrics(graph, td)
+    nice = make_nice(graph, td, met)
+    k_info = {"k": met.alpha, "source": "measured-alpha"}
+    result = generic_structured_dp(graph, nice, weights, algebra, args.r, state_budget=args.budget)
     if result is None:
         return 1, {"feasible": False, "property": algebra.name, **k_info}, {}
     weight, solution = result
@@ -262,7 +259,7 @@ def cmd_solve_generic(args, inputs):
         "solution": _vertices(solution),
         "property": algebra.name,
         "r": args.r,
-        "state_vertex_cap": ramsey_upper(k + 1, args.r + 1),
+        "state_vertex_cap": ramsey_upper(met.alpha + 1, args.r + 1),
         **k_info,
     }
     return 0, report, {"weight_matches": weights.of_set(solution) == weight}

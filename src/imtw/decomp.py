@@ -6,7 +6,9 @@ Bag metrics are computed exactly by branch and bound. ``alpha`` is the largest
 independent set inside a single bag; ``mu`` is the largest induced matching
 whose every edge touches a single bag (edges may have one endpoint outside).
 Both searches share a node budget and fail loudly when it is exhausted, so a
-caller never silently receives an under-approximated parameter.
+caller never silently receives an under-approximated parameter. The nice form
+carries the metrics that bound its bags, and the solvers read their bound
+from there.
 """
 
 from dataclasses import dataclass
@@ -131,14 +133,17 @@ class NiceTreeDecomposition:
     """Nice decomposition with leaf/introduce/forget/join nodes.
 
     ``nodes`` is in bottom-up order: children precede their parent, the root
-    is last. Leaf and root bags are empty.
+    is last. Leaf and root bags are empty. ``metrics`` is the
+    ``DecompositionMetrics`` that bounds every bag: the solvers read their
+    matching or independence bound from it.
     """
 
-    __slots__ = ("graph_n", "nodes")
+    __slots__ = ("graph_n", "nodes", "metrics")
 
-    def __init__(self, graph_n, nodes):
+    def __init__(self, graph_n, nodes, metrics):
         self.graph_n = graph_n
         self.nodes = tuple(nodes)
+        self.metrics = metrics
 
     @property
     def size(self):
@@ -165,11 +170,14 @@ class NiceTreeDecomposition:
         return TreeDecomposition(self.graph_n, [nd.bag for nd in self.nodes], edges, root=self.root)
 
 
-def make_nice(graph, td):
-    """Convert a valid decomposition to nice form.
+def make_nice(graph, td, metrics):
+    """Convert a valid decomposition to nice form, bounded by ``metrics``.
 
-    Every produced bag is a subset of some original bag, so neither metric can
-    increase. Chains introduce/forget vertices in ascending id order.
+    ``metrics`` must bound alpha and mu of td's bags, as
+    ``decomposition_metrics(graph, td)`` does. Every produced bag is a subset
+    of some original bag, so neither metric can increase and ``metrics``
+    bounds the nice form too. Chains introduce/forget vertices in ascending
+    id order.
     """
     problems = validate_decomposition(graph, td)
     if problems:
@@ -214,7 +222,7 @@ def make_nice(graph, td):
                 cur = emit(JOIN, None, bag, (cur, other))
             top_of[t] = cur
     chain(top_of[td.root], td.bags[td.root], 0)
-    return NiceTreeDecomposition(graph.n, nodes)
+    return NiceTreeDecomposition(graph.n, nodes, metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -486,25 +486,22 @@ def merge_partitions(z, components, blocks1, blocks2):
 # The dynamic program
 
 
-def mwif_dp(
-    graph, nice_td, weights, provider="exhaustive", k=None, state_budget=DEFAULT_STATE_BUDGET
-):
+def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT_STATE_BUDGET):
     """Max weight induced forest; exact for either family provider.
 
-    provider "paper" needs k at least the decomposition's measured mu.
+    provider "paper" bounds its families by ``nice_td.metrics.mu``.
     Returns (weight, vertex mask); the solution is re-checked for acyclicity
     and weight before returning.
     """
     if provider not in ("exhaustive", "paper"):
         raise InputError(f"unknown family provider {provider!r}")
-    if provider == "paper" and k is None:
-        raise InputError("the bounded family provider needs the matching bound k")
     if provider == "paper":
+        k = nice_td.metrics.mu
         vt = nice_td.subtree_vertex_masks()
 
         def family(i):
             bag = nice_td.nodes[i].bag
-            traces = trace_family_for_bag(graph, bag, k, node=i).members
+            traces = trace_family_for_bag(graph, bag, k).members
             return BoundedFamilyMembership(graph, bag, vt[i], k, traces)
     else:
         # the exhaustive provider runs unfiltered: add keeps Z forest-inducing

@@ -174,32 +174,36 @@ def packing_distance(graph, family, chosen, dist=None):
     return best
 
 
-def max_weight_independent_packing(graph, td, family, k=None, state_budget=DEFAULT_STATE_BUDGET):
-    """Optimal independent packing via the blob reduction.
+def _pack_blobs(graph, td, family, host_metrics, state_budget):
+    """MWIS on the blob graph of ``family``, over td transferred to it.
 
-    Duplicate members are dropped keeping the heaviest copy; the decomposition
-    transfers to the blob graph, where the host's matching bound still holds
-    (a matching of blob members pulls back to one of host edges). k defaults
-    to the host decomposition's measured bound. Returns a PackingSolution
-    over original member indices.
+    Duplicate members are dropped keeping the heaviest copy. The blob
+    decomposition is bounded by ``host_metrics``, measured on the host, and
+    is not measured itself: the blob transfer of a duplicate-free family and
+    the odd-power transfer keep mu at most the host's (``verify`` checks
+    both). Returns a PackingSolution over original member indices.
     """
-    family.require_valid_members(graph)
-    if k is None:
-        k = decomposition_metrics(graph, td).mu
     reduced, kept = family.deduplicated()
     blob = blob_graph(graph, reduced, state_budget)
     blob_td = blob_decomposition(graph, td, reduced)
-    nice = make_nice(blob, blob_td)
+    nice = make_nice(blob, blob_td, host_metrics)
     weights = WeightMap([m.weight for m in reduced.members])
-    weight, mask = mwis_dp(blob, nice, weights, k, state_budget=state_budget)
-    chosen = tuple(kept[i] for i in bits(mask))
-    witness = is_valid_packing(graph, family, chosen, "independent")
+    weight, mask = mwis_dp(blob, nice, weights, state_budget=state_budget)
+    return PackingSolution(tuple(kept[i] for i in bits(mask)), weight)
+
+
+def max_weight_independent_packing(graph, td, family, state_budget=DEFAULT_STATE_BUDGET):
+    """Optimal independent packing via the blob reduction, with the host
+    decomposition's measured bound."""
+    family.require_valid_members(graph)
+    solution = _pack_blobs(graph, td, family, decomposition_metrics(graph, td), state_budget)
+    witness = is_valid_packing(graph, family, solution.chosen, "independent")
     if witness is not None:
         raise InvariantError(f"solver returned a non-packing, members {witness} conflict")
-    return PackingSolution(chosen, weight)
+    return solution
 
 
-def max_weight_distance_packing(graph, td, family, d, k=None, state_budget=DEFAULT_STATE_BUDGET):
+def max_weight_distance_packing(graph, td, family, d, state_budget=DEFAULT_STATE_BUDGET):
     """Optimal distance-d packing for even d.
 
     d = 2 is independent packing. Larger even d first moves to the (d-1)-st
@@ -210,16 +214,13 @@ def max_weight_distance_packing(graph, td, family, d, k=None, state_budget=DEFAU
             f"packing distance must be even and >= 2, got {d}; "
             "odd distances are NP-hard already for chordal inputs"
         )
-    family.require_valid_members(graph)
-    if k is None:
-        k = decomposition_metrics(graph, td).mu
     if d == 2:
-        return max_weight_independent_packing(graph, td, family, k, state_budget)
+        return max_weight_independent_packing(graph, td, family, state_budget)
+    family.require_valid_members(graph)
+    host_metrics = decomposition_metrics(graph, td)
     power = graph_power(graph, d - 1)
     power_td = odd_power_decomposition(graph, td, d - 1)
-    # alpha of the transferred decomposition is at most the host's mu, so the
-    # host bound keeps covering the traces after both transfers
-    solution = max_weight_independent_packing(power, power_td, family, k, state_budget)
+    solution = _pack_blobs(power, power_td, family, host_metrics, state_budget)
     dist = distance_matrix(graph)
     got = packing_distance(graph, family, solution.chosen, dist)
     if got < d:
@@ -308,7 +309,7 @@ def component_size_cap(r, eps):
     return ceil(2 * (r + 1) / eps)
 
 
-def ptas_bounded_treewidth_subgraph(graph, td, r, eps, k=None, state_budget=DEFAULT_STATE_BUDGET):
+def ptas_bounded_treewidth_subgraph(graph, td, r, eps, state_budget=DEFAULT_STATE_BUDGET):
     """A vertex set inducing treewidth <= r of size at least (1-eps) * OPT.
 
     Enumerates all connected pieces up to the size cap whose induced subgraph
@@ -326,7 +327,7 @@ def ptas_bounded_treewidth_subgraph(graph, td, r, eps, k=None, state_budget=DEFA
     if not pieces:
         return 0
     family = SubgraphFamily(pieces)
-    solution = max_weight_independent_packing(graph, td, family, k, state_budget)
+    solution = max_weight_independent_packing(graph, td, family, state_budget)
     result = 0
     for i in solution.chosen:
         result |= family.members[i].vertices

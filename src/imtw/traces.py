@@ -9,16 +9,13 @@ Since J' minus N(Q) is J' with the reaches N(q) & X of the members of Q
 removed one at a time, the family is grown from the maximal sets of the bag
 by removing one distinct reach per level, k levels deep. Each member is
 expanded once, at the level where it first appears, so the work is the family
-size times the number of distinct reaches.
+size times the number of distinct reaches. The MWIS DP takes k from the
+metrics its nice decomposition carries, so no caller supplies the bound.
 """
-
-import logging
 
 from .bits import bit, bits, popcount
 from .errors import InvariantError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
-
-logger = logging.getLogger(__name__)
 
 
 def enumerate_maximal_independent_sets(graph, universe=None):
@@ -74,7 +71,7 @@ class TraceFamily:
         self.members = members
 
 
-def trace_family_for_bag(graph, bag, k, node=None):
+def trace_family_for_bag(graph, bag, k):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
     The members are J' minus N(Q) for every maximal independent set J' of
@@ -84,22 +81,14 @@ def trace_family_for_bag(graph, bag, k, node=None):
     an earlier level gives a set already found.
     Coverage: if every induced matching touching the bag has size at most k,
     the trace of every maximal independent set of the graph is in the family.
+    The solvers pass their decomposition's measured mu; a smaller ``k``
+    reaches this function only from a direct call.
     """
     maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
     bag_size = popcount(bag)
-    if bag_size and len(maximal_in_bag) > bag_size ** (2 * k):
-        logger.warning(
-            "bag %s has %d maximal independent sets, above the size-%d bound %d: "
-            "an induced matching larger than k=%d must touch it",
-            node if node is not None else f"{bag:#x}",
-            len(maximal_in_bag),
-            bag_size,
-            bag_size ** (2 * k),
-            k,
-        )
-        alekseev_ok = False
-    else:
-        alekseev_ok = True
+    # above Alekseev's |X|^(2k) maximal sets an induced matching larger than
+    # k touches the bag, so the n^(3k) bound below need not hold
+    alekseev_ok = not bag_size or len(maximal_in_bag) <= bag_size ** (2 * k)
     # the complement of each distinct reach N(q) & X, so removing it is one AND
     keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))}
     members = set(maximal_in_bag)
@@ -116,14 +105,16 @@ def trace_family_for_bag(graph, bag, k, node=None):
     return TraceFamily(frozenset(members))
 
 
-def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
-    """Max weight independent set over a nice decomposition with mu at most k.
+def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
+    """Max weight independent set over a nice decomposition.
 
-    A state is the solution's part of the bag. Each node's trace family,
-    built when the DP reaches the node, filters its table; anything outside
-    a family is treated as minus infinity. Returns the exact optimum
-    (weight, vertex mask); the result is re-validated before return.
+    A state is the solution's part of the bag. Each node's trace family for
+    the bound ``nice_td.metrics.mu``, built when the DP reaches the node,
+    filters its table; anything outside a family is treated as minus
+    infinity. Returns the exact optimum (weight, vertex mask); the result is
+    re-validated before return.
     """
+    k = nice_td.metrics.mu
     tables, backptr = run_nice_dp(
         nice_td,
         empty=0,
@@ -132,7 +123,7 @@ def mwis_dp(graph, nice_td, weights, k, state_budget=DEFAULT_STATE_BUDGET):
         drop=lambda v, state: state & ~bit(v),
         merge=lambda left, right: left,
         weights=weights,
-        family=lambda i: trace_family_for_bag(graph, nice_td.nodes[i].bag, k, node=i).members,
+        family=lambda i: trace_family_for_bag(graph, nice_td.nodes[i].bag, k).members,
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
     )

@@ -176,8 +176,10 @@ def _settle(verdict):
 
 
 def prepare(graph, weights, td):
-    """One solver case: graph, weights, decomposition, its metrics and its nice form."""
-    return graph, weights, td, decomposition_metrics(graph, td), make_nice(graph, td)
+    """One solver case: graph, weights, decomposition, its metrics and its nice
+    form, which those metrics bound."""
+    met = decomposition_metrics(graph, td)
+    return graph, weights, td, met, make_nice(graph, td, met)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +229,10 @@ def decomposition_valid(g, td):
 
 @claim("nice form validates, bags shrink")
 def nice_form_valid(g, td):
-    nice = make_nice(g, td)
+    met = decomposition_metrics(g, td)
+    nice = make_nice(g, td, met)
     as_td = nice.to_tree_decomposition()
-    met, met_nice = decomposition_metrics(g, td), decomposition_metrics(g, as_td)
+    met_nice = decomposition_metrics(g, as_td)
     ok = (
         validate_decomposition(g, as_td) == []
         and all(any(b & ~orig == 0 for orig in td.bags) for b in as_td.bags)
@@ -302,7 +305,7 @@ def odd_power_transfer(g, td, r):
 
 @claim("mwis equals oracle")
 def mwis_matches_oracle(g, w, td, met, nice):
-    got, solution = mwis_dp(g, nice, w, met.mu)
+    got, solution = mwis_dp(g, nice, w)
     expected, _ = brute_mwis(g, w)
     ok = got == expected and g.is_independent(solution) and w.of_set(solution) == got
     yield ok, (g.n, got, expected)
@@ -313,7 +316,7 @@ def trace_coverage(g, w, td, met, nice):
     maximal = enumerate_maximal_independent_sets(g)
 
     def covered(i, bag):
-        members = trace_family_for_bag(g, bag, met.mu, node=i).members
+        members = trace_family_for_bag(g, bag, met.mu).members
         return all(ind & bag in members for ind in maximal), (g.n, i)
 
     for i, node in enumerate(nice.nodes):
@@ -325,7 +328,7 @@ def trace_family_bound(g, w, td, met, nice):
     bound = max(g.n, 1) ** (3 * met.mu)
 
     def bounded(i, bag):
-        size = len(trace_family_for_bag(g, bag, met.mu, node=i).members)
+        size = len(trace_family_for_bag(g, bag, met.mu).members)
         return size <= bound, (size, bound)
 
     for i, node in enumerate(nice.nodes):
@@ -337,7 +340,7 @@ def forest_matches_oracle(g, w, td, met, nice):
     expected, _ = brute_max_weight_induced_forest(g, w)
     results = [
         mwif_dp(g, nice, w, provider="exhaustive"),
-        mwif_dp(g, nice, w, provider="paper", k=met.mu),
+        mwif_dp(g, nice, w, provider="paper"),
     ]
     ok = all(
         weight == expected == w.of_set(solution) and is_induced_forest(g, solution)
@@ -356,7 +359,7 @@ def signature_coverage(g, w, td, met, nice):
     vt = nice.subtree_vertex_masks()
 
     def families(i, bag):
-        traces = trace_family_for_bag(g, bag, k, node=i).members
+        traces = trace_family_for_bag(g, bag, k).members
         return signature_family_paper(g, bag, vt[i], k, traces), signature_family_exhaustive(g, bag)
 
     def covered(node_families, i, bag, f):
@@ -406,7 +409,7 @@ def structured_dp_matches_brute_force(g, w, td, met, nice, algebra):
     max-degree d for every clique bound r. Cases come from ``per_algebra``."""
 
     def solve(r):
-        result = generic_structured_dp(g, nice, w, algebra, r=r, k=met.alpha)
+        result = generic_structured_dp(g, nice, w, algebra, r=r)
         return None if result is None else result[0]
 
     if algebra.name == "forest":

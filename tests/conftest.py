@@ -4,7 +4,7 @@ a spy on the DP driver."""
 from inspect import signature
 from random import Random
 
-from imtw.decomp import heuristic_decomposition
+from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.graphs import Graph, WeightMap, random_graph
 from imtw.nicedp import run_nice_dp
 from imtw.verify import STRATEGIES, prepare
@@ -49,6 +49,11 @@ def seeded_graphs(seed, count, n_lo, n_hi, ps=(0.2, 0.5)):
         n = n_lo + (i % (n_hi - n_lo + 1))
         out.append(random_graph(n, ps[i % len(ps)], seed=rng.randrange(2**32)))
     return out
+
+
+def measured_nice(graph, td):
+    """The nice form of ``td``, bounded by the metrics measured on ``td``."""
+    return make_nice(graph, td, decomposition_metrics(graph, td))
 
 
 def solver_cases(graphs, weight_seed=None, max_weight=None, pick_strategy=False):

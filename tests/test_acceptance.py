@@ -19,11 +19,7 @@ from imtw.corpus import (
     random_minor_op,
     shuffled_pieces,
 )
-from imtw.decomp import (
-    heuristic_decomposition,
-    make_nice,
-    single_bag_decomposition,
-)
+from imtw.decomp import heuristic_decomposition, single_bag_decomposition
 from imtw.forest import mwif_dp
 from imtw.graphs import WeightMap, complete_bipartite, random_graph
 from imtw.oracles import exact_width_parameters
@@ -56,7 +52,7 @@ from imtw.verify import (
     width_anchors,
 )
 
-from conftest import chordal_completion, seeded_graphs
+from conftest import chordal_completion, measured_nice, seeded_graphs
 
 
 def report(number, ok, text, *checks):
@@ -230,16 +226,17 @@ def test_criterion_12_inequality_suite():
 
 def test_criterion_13_polynomial_smoke():
     g = complete_bipartite(20, 20)
-    nice = make_nice(g, single_bag_decomposition(g))
+    nice = measured_nice(g, single_bag_decomposition(g))
+    assert nice.metrics.mu == 1
     started = time.perf_counter()
-    weight, _ = mwis_dp(g, nice, WeightMap.unit(40), k=1)
+    weight, _ = mwis_dp(g, nice, WeightMap.unit(40))
     mwis_elapsed = time.perf_counter() - started
     assert weight == 20
 
     g = complete_bipartite(8, 8)
-    g, w, _, met, nice = prepare(g, WeightMap.unit(16), heuristic_decomposition(g))
+    g, w, _, _, nice = prepare(g, WeightMap.unit(16), heuristic_decomposition(g))
     started = time.perf_counter()
-    weight, _ = mwif_dp(g, nice, w, provider="paper", k=met.mu)
+    weight, _ = mwif_dp(g, nice, w, provider="paper")
     forest_elapsed = time.perf_counter() - started
     assert weight == 9
 

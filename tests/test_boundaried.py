@@ -18,7 +18,7 @@ from imtw.boundaried import (
     ramsey_upper,
 )
 from imtw.corpus import random_boundaried
-from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
+from imtw.decomp import heuristic_decomposition
 from imtw.errors import InputError
 from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph
 from imtw.oracles import brute_mwis
@@ -29,7 +29,7 @@ from imtw.verify import (
     structured_dp_matches_brute_force,
 )
 
-from conftest import expect, seeded_graphs, solver_cases
+from conftest import expect, measured_nice, seeded_graphs, solver_cases
 
 
 def test_ramsey_small_values():
@@ -252,16 +252,14 @@ def test_structured_dp_never_relabels_a_state(monkeypatch):
 
 
 def test_structured_dp_degree_zero_is_mwis():
-    for g, w, _, met, nice in solver_cases(seeded_graphs(94, 10, 2, 9), 94, 50):
-        res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(0), r=1, k=met.alpha)
+    for g, w, _, _, nice in solver_cases(seeded_graphs(94, 10, 2, 9), 94, 50):
+        res = generic_structured_dp(g, nice, w, MaxDegreeAlgebra(0), r=1)
         assert res is not None and res[0] == brute_mwis(g, w)[0]
 
 
 def test_structured_dp_solution_self_checks():
     g = cycle_graph(6)
     w = WeightMap.unit(6)
-    td = heuristic_decomposition(g)
-    met = decomposition_metrics(g, td)
-    nice = make_nice(g, td)
-    weight, solution = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2, k=met.alpha)
+    nice = measured_nice(g, heuristic_decomposition(g))
+    weight, solution = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2)
     assert weight == 6 and solution == g.vertex_mask()

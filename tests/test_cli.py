@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import resource
@@ -10,10 +11,19 @@ from pathlib import Path
 import pytest
 
 from imtw import cli, graphs, verify
+from imtw.boundaried import generic_structured_dp
 from imtw.cli import main
 from imtw.corpus import random_corpus
-from imtw.decomp import heuristic_decomposition
+from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.errors import InvariantError
+from imtw.forest import mwif_dp
+from imtw.graphs import Graph, WeightMap
+from imtw.packing import (
+    max_weight_distance_packing,
+    max_weight_independent_packing,
+    ptas_bounded_treewidth_subgraph,
+)
+from imtw.traces import mwis_dp
 
 
 def run_cli(capsys, *argv):
@@ -465,18 +475,22 @@ def test_solve_bound_is_always_measured(tmp_path, capsys):
     assert code == 0 and report["result"]["k"] == 2 and report["result"]["m"] == 5
 
 
+# mu is 1 here; with k = 0 both programs once reported 18 as the optimum
+SILENTLY_WRONG_EDGES = [
+    (0, 1), (0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5),
+    (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+]
+SILENTLY_WRONG_WEIGHTS = (9, 12, 10, 13, 6, 8, 3, 8)
+
+
 def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys):
-    # mu is 1 here; with k = 0 both programs once reported 18 as the optimum
-    edges = [
-        (0, 1), (0, 2), (0, 4), (0, 7), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7), (2, 3), (2, 5),
-        (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
-    ]
+    edges = SILENTLY_WRONG_EDGES
     graph_file, td_file, weight_file = (str(tmp_path / name) for name in ("g.gr", "g.td", "g.w"))
     Path(graph_file).write_text(
         f"p edge 8 {len(edges)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in edges)
     )
     Path(weight_file).write_text(
-        "".join(f"w {v + 1} {w}\n" for v, w in enumerate((9, 12, 10, 13, 6, 8, 3, 8)))
+        "".join(f"w {v + 1} {w}\n" for v, w in enumerate(SILENTLY_WRONG_WEIGHTS))
     )
     run_cli(capsys, "decompose", graph_file, "-o", td_file)
     for problem, optimum in (("mwis", "22"), ("forest", "36")):
@@ -486,6 +500,29 @@ def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys
         assert (report["result"]["k"], report["result"]["source"]) == (1, "measured-mu")
         assert main([*argv, "-k", "0"]) == 2
         assert capsys.readouterr().out == ""
+
+
+def test_library_solvers_read_the_bound_their_decomposition_carries():
+    # the same instance through the library: the bound comes from the nice
+    # decomposition's measured metrics, and no solver takes one of its own
+    g = Graph(8, SILENTLY_WRONG_EDGES)
+    w = WeightMap(SILENTLY_WRONG_WEIGHTS)
+    td = heuristic_decomposition(g)
+    nice = make_nice(g, td, decomposition_metrics(g, td))
+    assert nice.metrics.mu == 1
+    assert mwis_dp(g, nice, w)[0] == 22
+    assert mwif_dp(g, nice, w, provider="paper")[0] == 36
+    for solver in (
+        mwis_dp,
+        mwif_dp,
+        generic_structured_dp,
+        max_weight_independent_packing,
+        max_weight_distance_packing,
+        ptas_bounded_treewidth_subgraph,
+    ):
+        assert "k" not in inspect.signature(solver).parameters, solver.__name__
+    metrics = inspect.signature(make_nice).parameters["metrics"]
+    assert metrics.default is inspect.Parameter.empty
 
 
 def test_vertex_cap_refuses_before_any_mask_is_built(tmp_path, monkeypatch, capsys):

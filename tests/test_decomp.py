@@ -126,9 +126,9 @@ def test_path_3000_layers_are_near_linear():
     started = time.perf_counter()
     assert validate_decomposition(g, td) == []
     met = decomposition_metrics(g, td)
-    nice = make_nice(g, td)
-    for i, node in enumerate(nice.nodes):
-        trace_family_for_bag(g, node.bag, met.mu, node=i)
+    nice = make_nice(g, td, met)
+    for node in nice.nodes:
+        trace_family_for_bag(g, node.bag, met.mu)
     elapsed = time.perf_counter() - started
     assert (met.alpha, met.mu) == (1, 1)
     assert elapsed < 3, elapsed
@@ -136,7 +136,10 @@ def test_path_3000_layers_are_near_linear():
 
 def test_make_nice_k2_chain():
     g = complete_graph(2)
-    nice = make_nice(g, single_bag_decomposition(g))
+    td = single_bag_decomposition(g)
+    met = decomposition_metrics(g, td)
+    nice = make_nice(g, td, met)
+    assert nice.metrics is met
     kinds = [node.kind for node in nice.nodes]
     assert kinds == ["leaf", "introduce", "introduce", "forget", "forget"]
     assert nice.nodes[-1].bag == 0

@@ -41,7 +41,7 @@ from imtw.verify import (
     skeleton_bound,
 )
 
-from conftest import driver_spy, expect, seeded_graphs, solver_cases
+from conftest import driver_spy, expect, measured_nice, seeded_graphs, solver_cases
 
 
 def test_anatomy_path():
@@ -154,7 +154,7 @@ def test_paper_family_members_are_sound():
     for g in seeded_graphs(45, 10, 3, 8):
         td = heuristic_decomposition(g)
         met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
+        nice = make_nice(g, td, met)
         vt = nice.subtree_vertex_masks()
         for i, node in enumerate(nice.nodes):
             traces = trace_family_for_bag(g, node.bag, met.mu).members
@@ -270,12 +270,13 @@ def test_merge_partitions_vs_brute_union():
 
 def test_mwif_small():
     k4 = complete_graph(4)
-    nice = make_nice(k4, single_bag_decomposition(k4))
+    nice = measured_nice(k4, single_bag_decomposition(k4))
     assert mwif_dp(k4, nice, WeightMap.unit(4))[0] == 2
     c5 = cycle_graph(5)
-    nice = make_nice(c5, heuristic_decomposition(c5))
+    nice = measured_nice(c5, heuristic_decomposition(c5))
     assert mwif_dp(c5, nice, WeightMap.unit(5))[0] == 4
-    assert mwif_dp(c5, nice, WeightMap.unit(5), provider="paper", k=1)[0] == 4
+    assert nice.metrics.mu == 1
+    assert mwif_dp(c5, nice, WeightMap.unit(5), provider="paper")[0] == 4
 
 
 def test_mwif_both_providers_vs_oracle():
@@ -283,16 +284,9 @@ def test_mwif_both_providers_vs_oracle():
     expect(forest_matches_oracle(cases))
 
 
-def test_mwif_paper_requires_k():
-    g = path_graph(3)
-    nice = make_nice(g, heuristic_decomposition(g))
-    with pytest.raises(InputError):
-        mwif_dp(g, nice, WeightMap.unit(3), provider="paper")
-
-
 def test_mwif_zero_weights():
     g = cycle_graph(5)
-    nice = make_nice(g, heuristic_decomposition(g))
+    nice = measured_nice(g, heuristic_decomposition(g))
     w = WeightMap([0, 0, 3, 0, 0])
     assert mwif_dp(g, nice, w)[0] == 3
 
@@ -306,8 +300,9 @@ def test_paper_family_degenerate_edgeless_k0():
     assert traces == {bag}
     fam = signature_family_paper(g, bag, bag, 0, traces)
     assert fam.signatures == {(bag, (0b0001, 0b0010, 0b0100, 0b1000))}
-    nice = make_nice(g, single_bag_decomposition(g))
-    weight, solution = mwif_dp(g, nice, WeightMap.unit(4), provider="paper", k=0)
+    nice = measured_nice(g, single_bag_decomposition(g))
+    assert nice.metrics.mu == 0
+    weight, solution = mwif_dp(g, nice, WeightMap.unit(4), provider="paper")
     assert weight == 4 and solution == bag
 
 
@@ -331,7 +326,7 @@ def test_bounded_membership_equals_eager_family():
     for g, w in cases:
         td = heuristic_decomposition(g)
         met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
+        nice = make_nice(g, td, met)
         asked = []
 
         def wrap(arguments):
@@ -340,7 +335,7 @@ def test_bounded_membership_equals_eager_family():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
-            mwif_dp(g, nice, w, provider="paper", k=met.mu)
+            mwif_dp(g, nice, w, provider="paper")
         vt = nice.subtree_vertex_masks()
         families = {}
         for i, sig, kept in asked:
@@ -358,9 +353,7 @@ def test_bounded_membership_equals_eager_family():
 def paper_queries(g, w):
     """The (node, signature) membership queries of one ``mwif_dp --family
     paper`` run, in the order asked, with the run's nice decomposition and k."""
-    td = heuristic_decomposition(g)
-    k = decomposition_metrics(g, td).mu
-    nice = make_nice(g, td)
+    nice = measured_nice(g, heuristic_decomposition(g))
     asked = []
 
     def wrap(arguments):
@@ -369,8 +362,8 @@ def paper_queries(g, w):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
-        mwif_dp(g, nice, w, provider="paper", k=k)
-    return nice, k, [(i, sig) for i, sig, _ in asked]
+        mwif_dp(g, nice, w, provider="paper")
+    return nice, nice.metrics.mu, [(i, sig) for i, sig, _ in asked]
 
 
 def test_bounded_membership_is_query_order_independent():
@@ -438,15 +431,13 @@ def test_bounded_family_budget_counts_only_tuples_visited(monkeypatch):
     # walking every queried Z in full visits 130,560 at the busiest node, so
     # this budget only overran before the walks stopped at a covering tuple
     g = hypercube_graph(4)
-    td = heuristic_decomposition(g)
-    k = decomposition_metrics(g, td).mu
-    nice = make_nice(g, td)
+    nice = measured_nice(g, heuristic_decomposition(g))
     w = WeightMap.unit(16)
     monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", 10_000)
-    assert mwif_dp(g, nice, w, provider="paper", k=k)[0] == mwif_dp(g, nice, w)[0] == 10
+    assert mwif_dp(g, nice, w, provider="paper")[0] == mwif_dp(g, nice, w)[0] == 10
     monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", 1)
     with pytest.raises(ResourceLimitError) as raised:
-        mwif_dp(g, nice, w, provider="paper", k=k)
+        mwif_dp(g, nice, w, provider="paper")
     assert raised.value.partial_count == 1  # members decided before the overrun
 
 
@@ -480,7 +471,7 @@ def test_eager_family_budget_ends_on_its_last_tuple(monkeypatch):
 
 def test_join_merges_only_equal_bag_parts(monkeypatch):
     g = hypercube_graph(4)
-    nice = make_nice(g, heuristic_decomposition(g))
+    nice = measured_nice(g, heuristic_decomposition(g))
     merged = []
 
     def wrap(arguments):
@@ -505,10 +496,8 @@ def test_join_merges_only_equal_bag_parts(monkeypatch):
 
 def test_bounded_family_k88_is_fast():
     g = complete_bipartite(8, 8)
-    td = heuristic_decomposition(g)
-    met = decomposition_metrics(g, td)
-    nice = make_nice(g, td)
+    nice = measured_nice(g, heuristic_decomposition(g))
     start = perf_counter()
-    weight, solution = mwif_dp(g, nice, WeightMap.unit(16), provider="paper", k=met.mu)
+    weight, solution = mwif_dp(g, nice, WeightMap.unit(16), provider="paper")
     assert perf_counter() - start < 20
     assert weight == 9 and is_induced_forest(g, solution)

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from imtw import packing
 from imtw.bits import bit, mask_of, popcount, submasks
 from imtw.corpus import random_family, shuffled_pieces
 from imtw.decomp import heuristic_decomposition
@@ -142,6 +143,27 @@ def test_distance_packing_p5_singletons():
     assert max_weight_distance_packing(g, td, fam, 2).weight == 3
     sol4 = max_weight_distance_packing(g, td, fam, 4)
     assert sol4.weight == 2 and set(sol4.chosen) == {0, 4}
+
+
+def test_packing_measures_only_the_host(monkeypatch):
+    # the blob decomposition, and for d = 4 the power's, is bounded by the
+    # host's measured metrics and never measured itself
+    measured = []
+    real = packing.decomposition_metrics
+
+    def recorded(graph, td):
+        measured.append(graph)
+        return real(graph, td)
+
+    monkeypatch.setattr(packing, "decomposition_metrics", recorded)
+    g = path_graph(5)
+    fam = SubgraphFamily([bit(v) for v in range(5)], [1] * 5)
+    td = heuristic_decomposition(g)
+    max_weight_independent_packing(g, td, fam)
+    for d in (2, 4):
+        max_weight_distance_packing(g, td, fam, d)
+    ptas_bounded_treewidth_subgraph(g, td, 1, Fraction(4, 5))
+    assert measured == [g] * 4
 
 
 def test_distance_packing_rejects_odd():

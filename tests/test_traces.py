@@ -6,7 +6,7 @@ import pytest
 
 from imtw import traces
 from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
-from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
+from imtw.decomp import decomposition_metrics, heuristic_decomposition, single_bag_decomposition
 from imtw.errors import ResourceLimitError
 from imtw.graphs import (
     Graph,
@@ -22,7 +22,7 @@ from imtw.packing import ptas_bounded_treewidth_subgraph
 from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
 from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
-from conftest import driver_spy, expect, seeded_graphs, solver_cases
+from conftest import driver_spy, expect, measured_nice, seeded_graphs, solver_cases
 
 
 def brute_maximal_independent_sets(graph, universe):
@@ -103,7 +103,8 @@ def test_mis_enumeration_sparse_universe_is_fast():
     assert perf_counter() - start < 2
     g = Graph(500)
     start = perf_counter()
-    weight, _ = mwis_dp(g, make_nice(g, single_bag_decomposition(g)), WeightMap.unit(500), 0)
+    nice = measured_nice(g, single_bag_decomposition(g))
+    weight, _ = mwis_dp(g, nice, WeightMap.unit(500))
     assert perf_counter() - start < 2
     assert weight == 500
 
@@ -214,20 +215,21 @@ def product_trace_family(graph, bag, k):
 
 def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch):
     # blob graphs of small pieces, where the bag-wide product pairs far more
-    # (J', hit set) than the family has members; their k = 2 families equal
-    # their k = 1 families, so the corpus bags below tell the levels apart
+    # (J', hit set) than the family has members; at the cycles' measured mu
+    # of 2 their families equal their k = 1 families, so the corpus bags
+    # below tell the levels apart
     asked = []
 
-    def recorded(graph, bag, k, node=None):
+    def recorded(graph, bag, k):
         asked.append((graph, bag, k))
-        return trace_family_for_bag(graph, bag, k, node)
+        return trace_family_for_bag(graph, bag, k)
 
     monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
     for n in (10, 12, 14, 20):
         g = cycle_graph(n)
         asked.clear()
-        ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5), k=2)
-        assert asked
+        ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5))
+        assert asked and {k for _, _, k in asked} == {2}
         for blob, bag, k in {(id(blob), bag): (blob, bag, k) for blob, bag, k in asked}.values():
             assert trace_family_for_bag(blob, bag, k).members == product_trace_family(blob, bag, k)
 
@@ -250,13 +252,13 @@ def test_trace_families_are_never_ordered(monkeypatch):
     # enumeration nor the family build puts its sets in order
     asked = []
 
-    def recorded(graph, bag, k, node=None):
+    def recorded(graph, bag, k):
         asked.append((graph, bag, k))
-        return trace_family_for_bag(graph, bag, k, node)
+        return trace_family_for_bag(graph, bag, k)
 
     monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
     g = cycle_graph(12)
-    ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5), k=2)
+    ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5))
     blob, bag, k = max(asked, key=lambda a: popcount(a[1]))
     ordered = []
 
@@ -267,20 +269,19 @@ def test_trace_families_are_never_ordered(monkeypatch):
     monkeypatch.setattr(traces, "to_tuple", counting_to_tuple, raising=False)
     fam = trace_family_for_bag(blob, bag, k)
     cube = graph_power(path_graph(30), 3)
-    td = heuristic_decomposition(cube)
-    mwis_dp(cube, make_nice(cube, td), WeightMap.unit(30), decomposition_metrics(cube, td).mu)
+    mwis_dp(cube, measured_nice(cube, heuristic_decomposition(cube)), WeightMap.unit(30))
     assert ordered == []
     assert isinstance(fam.members, frozenset) and len(fam.members) > 1
 
 
 def test_mwis_dp_small():
     c5 = cycle_graph(5)
-    nice = make_nice(c5, heuristic_decomposition(c5))
-    assert mwis_dp(c5, nice, WeightMap.unit(5), 1)[0] == 2
+    nice = measured_nice(c5, heuristic_decomposition(c5))
+    assert mwis_dp(c5, nice, WeightMap.unit(5))[0] == 2
     k44 = complete_bipartite(4, 4)
     w = WeightMap([1, 2, 3, 4, 5, 6, 7, 8])
-    nice = make_nice(k44, single_bag_decomposition(k44))
-    assert mwis_dp(k44, nice, w, 1)[0] == 5 + 6 + 7 + 8
+    nice = measured_nice(k44, single_bag_decomposition(k44))
+    assert mwis_dp(k44, nice, w)[0] == 5 + 6 + 7 + 8
 
 
 def test_mwis_dp_vs_oracle(monkeypatch):
@@ -288,9 +289,9 @@ def test_mwis_dp_vs_oracle(monkeypatch):
     expect(mwis_matches_oracle(cases))
     filled = []
     monkeypatch.setattr(traces, "run_nice_dp", driver_spy(lambda arguments: None, filled))
-    for g, w, _, met, nice in cases:
+    for g, w, _, _, nice in cases:
         filled.clear()
-        mwis_dp(g, nice, w, met.mu)
+        mwis_dp(g, nice, w)
         [(tables, _)] = filled
         assert all(g.is_independent(state) for table in tables for state in table)
 
@@ -308,9 +309,9 @@ def test_driver_builds_each_family_once_in_node_order(monkeypatch):
         arguments["family"] = recorded
 
     monkeypatch.setattr(traces, "run_nice_dp", driver_spy(wrap))
-    for g, w, _, met, nice in solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20):
+    for g, w, _, _, nice in solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20):
         asked.clear()
-        mwis_dp(g, nice, w, met.mu)
+        mwis_dp(g, nice, w)
         assert asked == list(range(nice.size))
 
 
@@ -318,28 +319,15 @@ def test_mwis_rescaling_invariance():
     rng = Random(41)
     for g in seeded_graphs(41, 10, 3, 9):
         w = WeightMap([rng.randint(1, 40) for _ in range(g.n)])
-        td = heuristic_decomposition(g)
-        met = decomposition_metrics(g, td)
-        nice = make_nice(g, td)
-        base, _ = mwis_dp(g, nice, w, met.mu)
+        nice = measured_nice(g, heuristic_decomposition(g))
+        base, _ = mwis_dp(g, nice, w)
         for factor in (3, Fraction(1, 7)):
-            scaled, _ = mwis_dp(g, nice, w.scaled(factor), met.mu)
+            scaled, _ = mwis_dp(g, nice, w.scaled(factor))
             assert scaled == base * factor
 
 
 def test_mwis_state_budget():
     g = complete_bipartite(4, 4)
-    nice = make_nice(g, single_bag_decomposition(g))
+    nice = measured_nice(g, single_bag_decomposition(g))
     with pytest.raises(ResourceLimitError):
-        mwis_dp(g, nice, WeightMap.unit(8), 1, state_budget=2)
-
-
-def test_alekseev_diagnostic_logged(caplog):
-    # a bag whose induced matchings exceed k triggers the diagnostic:
-    # nine disjoint edges have 2^9 maximal independent sets, above 18^2
-    g = Graph(18, [(2 * i, 2 * i + 1) for i in range(9)])
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="imtw.traces"):
-        trace_family_for_bag(g, g.vertex_mask(), 1, node=7)
-    assert any("above the size" in rec.getMessage() for rec in caplog.records)
+        mwis_dp(g, nice, WeightMap.unit(8), state_budget=2)
