@@ -8,15 +8,24 @@ transitions and their value arithmetic, the pass over the nodes, the family
 lifetime, the state budget, the tie-break and the backpointer walk. A table
 maps each kept state to its best value; equal values go to the smallest
 origin, the tuple of child states it came from, so every table and every
-reconstruction is deterministic.
+reconstruction is deterministic. Table values are integers: the rational
+weights are scaled once by the lcm of their denominators, which keeps every
+comparison, and only the optimum is turned back into a Fraction.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .bits import bit
+from .bits import bit, bits
 from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_STATE_BUDGET = 10**7
+
+
+def _scale(weights):
+    """The lcm of the weights' denominators: the least factor that makes
+    every weight an integer."""
+    return lcm(*(w.denominator for w in weights.values))
 
 
 def run_nice_dp(
@@ -30,11 +39,15 @@ def run_nice_dp(
     forgotten v out of its bag part; ``merge(left, right)`` of two join
     partners with equal bag parts. ``add`` and ``merge`` return None to
     refuse. An added v gains ``weights[v]``; a join is worth left + right
-    minus the weight of their bag part. ``family(i)`` is asked once per node,
-    in order, and only its members enter node i's table (None keeps all).
+    minus the weight of their bag part. Values are integers: the weights
+    times the lcm of their denominators. ``family(i)`` is asked once per
+    node, in order, and only its members enter node i's table (None keeps
+    all).
     More than ``budget`` table entries over all nodes raise
     ResourceLimitError(budget_message).
     """
+    scale = _scale(weights)
+    ints = [w.numerator * (scale // w.denominator) for w in weights.values]
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
     states_seen = 0
@@ -57,7 +70,7 @@ def run_nice_dp(
                 bp[state] = origin
 
         if node.kind == "leaf":
-            push(empty, Fraction(0), ())
+            push(empty, 0, ())
         elif node.kind == "join":
             left, right = (tables[c] for c in node.children)
             by_part = {}
@@ -66,7 +79,7 @@ def run_nice_dp(
             for s2 in sorted(right):
                 part = bag_part(s2)
                 if part in by_part:
-                    part_weight = weights.of_set(part)
+                    part_weight = sum(ints[u] for u in bits(part))
                     for s1 in by_part[part]:
                         merged = merge(s1, s2)
                         if merged is not None:
@@ -83,7 +96,7 @@ def run_nice_dp(
                 if node.kind == "introduce":
                     grown = add(v, state)
                     if grown is not None:
-                        push(grown, value + weights[v], (state,))
+                        push(grown, value + ints[v], (state,))
         tables[i] = table
         backptr[i] = bp
     return tables, backptr
@@ -92,6 +105,7 @@ def run_nice_dp(
 def best_solution(nice_td, tables, backptr, weights, bag_mask, accept=None, check=None):
     """(value, vertex mask) of the best root state ``accept`` admits (all when
     None; the first in sorted order on ties), or None when it admits none.
+    The value is a Fraction: the integer table value over the weights' scale.
     The mask comes from the backpointer walk down from the root, where
     ``bag_mask(state)`` is the state's part of the solution and ``check``
     sees every non-leaf state; a mask whose weight is not the value raises
@@ -102,6 +116,7 @@ def best_solution(nice_td, tables, backptr, weights, bag_mask, accept=None, chec
             best, root_state = value, state
     if best is None:
         return None
+    best = Fraction(best, _scale(weights))
     solution = 0
     stack = [(nice_td.root, root_state)]
     while stack:

@@ -11,6 +11,13 @@ by removing one distinct reach per level, k levels deep. Each member is
 expanded once, at the level where it first appears, so the work is the family
 size times the number of distinct reaches. The MWIS DP takes k from the
 metrics its nice decomposition carries, so no caller supplies the bound.
+
+The MWIS DP does not enumerate each bag's maximal sets afresh. Along the
+nice chains a bag differs from its child's by one vertex, so the maximal
+sets and the outside reaches are carried from child to parent by the
+incremental step of Tsukiyama, Ide, Ariyoshi and Shirakawa (SIAM J. Comput.
+6(3), 1977), and a join reuses its child's family outright.
+``trace_family_for_bag`` without carried inputs stays the per-bag oracle.
 """
 
 from .bits import bit, bits, popcount
@@ -71,7 +78,7 @@ class TraceFamily:
         self.members = members
 
 
-def trace_family_for_bag(graph, bag, k):
+def trace_family_for_bag(graph, bag, k, maximal_in_bag=None, keeps=None):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
     The members are J' minus N(Q) for every maximal independent set J' of
@@ -83,14 +90,19 @@ def trace_family_for_bag(graph, bag, k):
     the trace of every maximal independent set of the graph is in the family.
     The solvers pass their decomposition's measured mu; a smaller ``k``
     reaches this function only from a direct call.
+    A caller that carries the bag's maximal independent sets, or the
+    complements of its distinct reaches, passes them in; either one left
+    None is computed from the bag.
     """
-    maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
+    if maximal_in_bag is None:
+        maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
     bag_size = popcount(bag)
     # above Alekseev's |X|^(2k) maximal sets an induced matching larger than
     # k touches the bag, so the n^(3k) bound below need not hold
     alekseev_ok = not bag_size or len(maximal_in_bag) <= bag_size ** (2 * k)
-    # the complement of each distinct reach N(q) & X, so removing it is one AND
-    keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))}
+    if keeps is None:
+        # the complement of each distinct reach N(q) & X, so removing it is one AND
+        keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))}
     members = set(maximal_in_bag)
     frontier = members
     for _ in range(k):
@@ -105,16 +117,114 @@ def trace_family_for_bag(graph, bag, k):
     return TraceFamily(frozenset(members))
 
 
+def _forget(graph, bag, v, maximal, reaches):
+    """Carry the maximal sets and reaches of ``bag`` + v to ``bag``.
+
+    A set without v stays maximal. A set J with v leaves J - v, which is
+    maximal exactly when each neighbour of v left in the bag has a neighbour
+    in J - v. Reaches lose v, and v, now outside, reaches N(v) & bag.
+    """
+    adj, vb = graph.adj_mask, bit(v)
+    nv = adj(v)
+    rows = [adj(u) for u in bits(nv & bag)]
+    carried = set()
+    for j in maximal:
+        if j & vb:
+            j ^= vb
+            if not all(row & j for row in rows):
+                continue
+        carried.add(j)
+    for q in bits(nv & ~bag):
+        reach = reaches.pop(q) & ~vb
+        if reach:
+            reaches[q] = reach
+    if nv & bag:
+        reaches[v] = nv & bag
+    return carried
+
+
+def _introduce(graph, bag, v, maximal, reaches):
+    """Carry the maximal sets and reaches of ``bag`` - v to ``bag``.
+
+    A set J that misses N(v) becomes J + v. A J that meets N(v) stays, and
+    (J minus N(v)) + v joins when every vertex of the old bag outside N(v)
+    and J still has a neighbour in J minus N(v). That check depends on J
+    minus N(v) alone, which many sets J share, so it runs once per distinct
+    one. Only a vertex next to a removed one can have lost its neighbour,
+    so the check walks whichever is smaller: those neighbours or the rest
+    of the bag. Reaches of the outside neighbours of v gain v, and v's own
+    reach goes.
+    """
+    adj, vb = graph.adj_mask, bit(v)
+    nv = adj(v)
+    old = bag & ~vb
+    carried = set()
+    checked = set()
+    for j in maximal:
+        removed = j & nv
+        if not removed:
+            carried.add(j | vb)
+            continue
+        carried.add(j)
+        kept = j & ~nv
+        if kept in checked:
+            continue
+        checked.add(kept)
+        rest = old & ~nv & ~j
+        if popcount(removed) < popcount(rest):
+            touched = 0
+            for d in bits(removed):
+                touched |= adj(d)
+            rest &= touched
+        if all(adj(u) & kept for u in bits(rest)):
+            carried.add(kept | vb)
+    reaches.pop(v, None)
+    for q in bits(nv & ~bag):
+        reaches[q] = reaches.get(q, 0) | vb
+    return carried
+
+
+def carried_trace_families(graph, nice_td, k):
+    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order.
+
+    Each node takes over its child's maximal sets and reaches q -> N(q) & X
+    (q outside X) and updates them for the vertex introduced or forgotten; a
+    leaf's bag is empty, so its one maximal set is the empty set. A join
+    yields its first child's family unchanged, since the bags are equal. The
+    level expansion runs in ``trace_family_for_bag``, so every yielded
+    family equals that function's per-bag family.
+    """
+    carried = {}
+    for i, node in enumerate(nice_td.nodes):
+        if node.kind == "join":
+            first, second = node.children
+            del carried[second]
+            carried[i] = carried.pop(first)
+            yield carried[i][2]
+            continue
+        if node.kind == "leaf":
+            maximal, reaches = {0}, {}
+        else:
+            maximal, reaches, _ = carried.pop(node.children[0])
+            step = _forget if node.kind == "forget" else _introduce
+            maximal = step(graph, node.bag, node.vertex, maximal, reaches)
+        # with k = 0 no reach is removed, so none is needed
+        keeps = {~reach for reach in reaches.values()} if k else set()
+        family = trace_family_for_bag(graph, node.bag, k, maximal, keeps)
+        carried[i] = maximal, reaches, family
+        yield family
+
+
 def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
     """Max weight independent set over a nice decomposition.
 
     A state is the solution's part of the bag. Each node's trace family for
-    the bound ``nice_td.metrics.mu``, built when the DP reaches the node,
-    filters its table; anything outside a family is treated as minus
-    infinity. Returns the exact optimum (weight, vertex mask); the result is
-    re-validated before return.
+    the bound ``nice_td.metrics.mu``, carried along the nice chains as the
+    DP reaches the node, filters its table; anything outside a family is
+    treated as minus infinity. Returns the exact optimum (weight, vertex
+    mask); the result is re-validated before return.
     """
-    k = nice_td.metrics.mu
+    families = carried_trace_families(graph, nice_td, nice_td.metrics.mu)
     tables, backptr = run_nice_dp(
         nice_td,
         empty=0,
@@ -123,7 +233,8 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
         drop=lambda v, state: state & ~bit(v),
         merge=lambda left, right: left,
         weights=weights,
-        family=lambda i: trace_family_for_bag(graph, nice_td.nodes[i].bag, k).members,
+        # the driver asks once per node, in node order, as the families come
+        family=lambda i: next(families).members,
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
     )

@@ -4,8 +4,11 @@ fails here instead of crashing a traced benchmark run (``--trace 1``)."""
 
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import imtw.cli
+from imtw.decomp import decomposition_metrics, make_nice, parse_td
+from imtw.graphs import graph_power, path_graph, serialize_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +36,27 @@ def test_recorder_patch_points_resolve_and_restore():
     for module, attr, original in patched:
         assert getattr(module, attr) is original, (module.__name__, attr)
     assert recorder._patches == []
+
+
+def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
+    # mwis_dp builds each non-join node's family through the patched
+    # trace_family_for_bag and enumerates no bag's maximal sets afresh
+    cube = graph_power(path_graph(30), 3)
+    graph_file, td_file = tmp_path / "cube.gr", tmp_path / "cube.td"
+    graph_file.write_text(serialize_graph(cube))
+    assert imtw.cli.main(["decompose", str(graph_file), "-o", str(td_file)]) == 0
+    td = parse_td(td_file.read_text())
+    nice = make_nice(cube, td, decomposition_metrics(cube, td))
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+    recorder.sampler = SimpleNamespace(spent=0.0)
+    try:
+        recorder.install()
+        code = imtw.cli.main(["solve", "mwis", str(graph_file), str(td_file)])
+    finally:
+        recorder.restore()
+    capsys.readouterr()
+    assert code == 0
+    names = [span[tracing.NAME] for span in recorder.spans]
+    assert names.count("traces.family") == sum(node.kind != "join" for node in nice.nodes)
+    assert "traces.mis_enum" not in names

@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from imtw import traces
+from imtw import packing, traces
 from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, single_bag_decomposition
 from imtw.errors import ResourceLimitError
@@ -15,11 +15,17 @@ from imtw.graphs import (
     complete_graph,
     cycle_graph,
     graph_power,
+    hypercube_graph,
     path_graph,
     random_graph,
 )
 from imtw.packing import ptas_bounded_treewidth_subgraph
-from imtw.traces import enumerate_maximal_independent_sets, mwis_dp, trace_family_for_bag
+from imtw.traces import (
+    carried_trace_families,
+    enumerate_maximal_independent_sets,
+    mwis_dp,
+    trace_family_for_bag,
+)
 from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
 from conftest import driver_spy, expect, measured_nice, seeded_graphs, solver_cases
@@ -220,9 +226,9 @@ def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch):
     # below tell the levels apart
     asked = []
 
-    def recorded(graph, bag, k):
+    def recorded(graph, bag, k, *carried):
         asked.append((graph, bag, k))
-        return trace_family_for_bag(graph, bag, k)
+        return trace_family_for_bag(graph, bag, k, *carried)
 
     monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
     for n in (10, 12, 14, 20):
@@ -252,9 +258,9 @@ def test_trace_families_are_never_ordered(monkeypatch):
     # enumeration nor the family build puts its sets in order
     asked = []
 
-    def recorded(graph, bag, k):
+    def recorded(graph, bag, k, *carried):
         asked.append((graph, bag, k))
-        return trace_family_for_bag(graph, bag, k)
+        return trace_family_for_bag(graph, bag, k, *carried)
 
     monkeypatch.setattr(traces, "trace_family_for_bag", recorded)
     g = cycle_graph(12)
@@ -272,6 +278,65 @@ def test_trace_families_are_never_ordered(monkeypatch):
     mwis_dp(cube, measured_nice(cube, heuristic_decomposition(cube)), WeightMap.unit(30))
     assert ordered == []
     assert isinstance(fam.members, frozenset) and len(fam.members) > 1
+
+
+def assert_carried_families_match(graph, nice, ks):
+    """At every node, for every bound in ``ks``, the carried family equals
+    the per-bag family, and a join yields its first child's family object."""
+    for k in ks:
+        per_bag = {}
+        families = []
+        for node, fam in zip(nice.nodes, carried_trace_families(graph, nice, k), strict=True):
+            if node.bag not in per_bag:
+                per_bag[node.bag] = trace_family_for_bag(graph, node.bag, k).members
+            assert fam.members == per_bag[node.bag], (graph.n, graph.edges, node, k)
+            if node.kind == "join":
+                assert fam is families[node.children[0]]
+            families.append(fam)
+
+
+def test_carried_families_equal_per_bag_families():
+    cases = [
+        (g, heuristic_decomposition(g, strategy))
+        for g in seeded_graphs(50, 300, 1, 12, ps=(0.1, 0.2, 0.4, 0.6))
+        for strategy in ("min-fill", "min-degree")
+    ]
+    for g in (hypercube_graph(4), complete_bipartite(6, 6)):
+        cases.append((g, heuristic_decomposition(g)))
+    cases.append((Graph(300), single_bag_decomposition(Graph(300))))
+    for g, td in cases:
+        nice = measured_nice(g, td)
+        mu = nice.metrics.mu
+        assert_carried_families_match(g, nice, {0, 1, mu, mu + 1})
+
+
+def test_carried_families_equal_per_bag_families_on_ptas_blobs(monkeypatch):
+    # the blob decompositions ptas hands to mwis_dp, with bags of up to
+    # dozens of pieces
+    blobs = []
+
+    def recorded(blob, nice, weights, **options):
+        blobs.append((blob, nice))
+        return mwis_dp(blob, nice, weights, **options)
+
+    monkeypatch.setattr(packing, "mwis_dp", recorded)
+    for n in range(10, 21):
+        g = cycle_graph(n)
+        ptas_bounded_treewidth_subgraph(g, heuristic_decomposition(g), 1, Fraction(4, 5))
+    assert len(blobs) == 11
+    for blob, nice in blobs:
+        assert_carried_families_match(blob, nice, {nice.metrics.mu})
+
+
+def test_mwis_dp_on_edgeless_single_bag_is_fast():
+    # the carried family of each of the 4001 nice nodes is one set, found
+    # without a walk over the bag; enumerating it per node took seconds
+    g = Graph(2000)
+    nice = measured_nice(g, single_bag_decomposition(g))
+    start = perf_counter()
+    weight, solution = mwis_dp(g, nice, WeightMap.unit(2000))
+    assert perf_counter() - start < 1
+    assert weight == 2000 and solution == g.vertex_mask()
 
 
 def test_mwis_dp_small():
