@@ -96,6 +96,13 @@ def _load_instance(args, inputs, need_weights=True):
     return graph, td, weights
 
 
+def _load_nice(args, inputs):
+    """The instance as (graph, weights, measured metrics, nice form)."""
+    graph, td, weights = _load_instance(args, inputs)
+    met = decomposition_metrics(graph, td)
+    return graph, weights, met, make_nice(graph, td, met)
+
+
 def cmd_gen(args, inputs):
     params = []
     for raw in args.params:
@@ -160,9 +167,7 @@ def cmd_exact(args, inputs):
 
 
 def cmd_solve_mwis(args, inputs):
-    graph, td, weights = _load_instance(args, inputs)
-    met = decomposition_metrics(graph, td)
-    nice = make_nice(graph, td, met)
+    graph, weights, met, nice = _load_nice(args, inputs)
     weight, solution = mwis_dp(graph, nice, weights, state_budget=args.budget)
     report = {
         "optimum": str(weight),
@@ -178,9 +183,7 @@ def cmd_solve_mwis(args, inputs):
 def cmd_solve_forest(args, inputs):
     from .oracles import is_induced_forest
 
-    graph, td, weights = _load_instance(args, inputs)
-    met = decomposition_metrics(graph, td)
-    nice = make_nice(graph, td, met)
+    graph, weights, met, nice = _load_nice(args, inputs)
     weight, solution = mwif_dp(graph, nice, weights, provider=args.family, state_budget=args.budget)
     report = {
         "optimum": str(weight),
@@ -245,10 +248,8 @@ def cmd_solve_ptas(args, inputs):
 def cmd_solve_generic(args, inputs):
     if args.r is None:
         raise InputError("generic needs -r")
-    graph, td, weights = _load_instance(args, inputs)
+    graph, weights, met, nice = _load_nice(args, inputs)
     algebra = builtin_type_algebra(args.property)
-    met = decomposition_metrics(graph, td)
-    nice = make_nice(graph, td, met)
     k_info = {"k": met.alpha, "source": "measured-alpha"}
     result = generic_structured_dp(graph, nice, weights, algebra, args.r, state_budget=args.budget)
     if result is None:
@@ -266,6 +267,12 @@ def cmd_solve_generic(args, inputs):
 
 
 def cmd_transform(args, inputs):
+    # each optional input is read by one transform only
+    for attr, name, what in (
+        ("k", "-k", "power"), ("marked", "--marked", "forked"), ("family_file", "a family file", "blob")
+    ):
+        if getattr(args, attr) is not None and args.what != what:
+            raise InputError(f"{name} is read by transform {what} only, not {args.what}")
     graph = parse_graph(_read(args.graph, inputs))
     if args.what == "power":
         if args.k is None:

@@ -43,7 +43,7 @@ from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
-from .traces import trace_family_for_bag
+from .traces import carried_maximal_sets, trace_family_for_bag
 
 DEFAULT_ENUM_BUDGET = 10**8
 EXHAUSTIVE_BAG_CAP = 16
@@ -498,10 +498,12 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
     if provider == "paper":
         k = nice_td.metrics.mu
         vt = nice_td.subtree_vertex_masks()
+        maximal_sets = carried_maximal_sets(graph, nice_td)
 
         def family(i):
             bag = nice_td.nodes[i].bag
-            traces = trace_family_for_bag(graph, bag, k).members
+            # the driver asks once per node, in node order, as the sets come
+            traces = trace_family_for_bag(graph, bag, k, next(maximal_sets)).members
             return BoundedFamilyMembership(graph, bag, vt[i], k, traces)
     else:
         # the exhaustive provider runs unfiltered: add keeps Z forest-inducing

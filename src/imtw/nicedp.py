@@ -102,9 +102,9 @@ def run_nice_dp(
     return tables, backptr
 
 
-def best_solution(nice_td, tables, backptr, weights, bag_mask, accept=None, check=None):
-    """(value, vertex mask) of the best root state ``accept`` admits (all when
-    None; the first in sorted order on ties), or None when it admits none.
+def best_solution(nice_td, tables, backptr, weights, bag_mask, accept, check=None):
+    """(value, vertex mask) of the best root state ``accept`` admits (the
+    first in sorted order on ties), or None when it admits none.
     The value is a Fraction: the integer table value over the weights' scale.
     The mask comes from the backpointer walk down from the root, where
     ``bag_mask(state)`` is the state's part of the solution and ``check``
@@ -112,7 +112,7 @@ def best_solution(nice_td, tables, backptr, weights, bag_mask, accept=None, chec
     InvariantError."""
     best = root_state = None
     for state, value in sorted(tables[nice_td.root].items()):
-        if (accept is None or accept(state)) and (best is None or value > best):
+        if accept(state) and (best is None or value > best):
             best, root_state = value, state
     if best is None:
         return None

@@ -12,12 +12,12 @@ expanded once, at the level where it first appears, so the work is the family
 size times the number of distinct reaches. The MWIS DP takes k from the
 metrics its nice decomposition carries, so no caller supplies the bound.
 
-The MWIS DP does not enumerate each bag's maximal sets afresh. Along the
-nice chains a bag differs from its child's by one vertex, so the maximal
-sets and the outside reaches are carried from child to parent by the
-incremental step of Tsukiyama, Ide, Ariyoshi and Shirakawa (SIAM J. Comput.
-6(3), 1977), and a join reuses its child's family outright.
-``trace_family_for_bag`` without carried inputs stays the per-bag oracle.
+No solver enumerates each bag's maximal sets afresh. Along the nice chains
+a bag differs from its child's by one vertex, so ``carried_maximal_sets``
+carries them from child to parent by the incremental step of Tsukiyama,
+Ide, Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977) for the MWIS DP
+and the bounded forest family; the reaches are read off each bag.
+``trace_family_for_bag`` without carried sets stays the per-bag oracle.
 """
 
 from .bits import bit, bits, popcount
@@ -78,7 +78,7 @@ class TraceFamily:
         self.members = members
 
 
-def trace_family_for_bag(graph, bag, k, maximal_in_bag=None, keeps=None):
+def trace_family_for_bag(graph, bag, k, maximal_in_bag=None):
     """The family of candidate traces at one bag, for matching bound ``k``.
 
     The members are J' minus N(Q) for every maximal independent set J' of
@@ -90,9 +90,8 @@ def trace_family_for_bag(graph, bag, k, maximal_in_bag=None, keeps=None):
     the trace of every maximal independent set of the graph is in the family.
     The solvers pass their decomposition's measured mu; a smaller ``k``
     reaches this function only from a direct call.
-    A caller that carries the bag's maximal independent sets, or the
-    complements of its distinct reaches, passes them in; either one left
-    None is computed from the bag.
+    A caller that carries the bag's maximal independent sets passes them in;
+    left None they are enumerated from the bag.
     """
     if maximal_in_bag is None:
         maximal_in_bag = enumerate_maximal_independent_sets(graph, universe=bag)
@@ -100,9 +99,9 @@ def trace_family_for_bag(graph, bag, k, maximal_in_bag=None, keeps=None):
     # above Alekseev's |X|^(2k) maximal sets an induced matching larger than
     # k touches the bag, so the n^(3k) bound below need not hold
     alekseev_ok = not bag_size or len(maximal_in_bag) <= bag_size ** (2 * k)
-    if keeps is None:
-        # the complement of each distinct reach N(q) & X, so removing it is one AND
-        keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))}
+    # the complement of each distinct reach N(q) & X, so removing it is one
+    # AND; with k = 0 no reach is removed, so none is needed
+    keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))} if k else ()
     members = set(maximal_in_bag)
     frontier = members
     for _ in range(k):
@@ -117,16 +116,15 @@ def trace_family_for_bag(graph, bag, k, maximal_in_bag=None, keeps=None):
     return TraceFamily(frozenset(members))
 
 
-def _forget(graph, bag, v, maximal, reaches):
-    """Carry the maximal sets and reaches of ``bag`` + v to ``bag``.
+def _forget(graph, bag, v, maximal):
+    """Carry the maximal sets of ``bag`` + v to ``bag``.
 
     A set without v stays maximal. A set J with v leaves J - v, which is
     maximal exactly when each neighbour of v left in the bag has a neighbour
-    in J - v. Reaches lose v, and v, now outside, reaches N(v) & bag.
+    in J - v.
     """
     adj, vb = graph.adj_mask, bit(v)
-    nv = adj(v)
-    rows = [adj(u) for u in bits(nv & bag)]
+    rows = [adj(u) for u in bits(adj(v) & bag)]
     carried = set()
     for j in maximal:
         if j & vb:
@@ -134,17 +132,11 @@ def _forget(graph, bag, v, maximal, reaches):
             if not all(row & j for row in rows):
                 continue
         carried.add(j)
-    for q in bits(nv & ~bag):
-        reach = reaches.pop(q) & ~vb
-        if reach:
-            reaches[q] = reach
-    if nv & bag:
-        reaches[v] = nv & bag
     return carried
 
 
-def _introduce(graph, bag, v, maximal, reaches):
-    """Carry the maximal sets and reaches of ``bag`` - v to ``bag``.
+def _introduce(graph, bag, v, maximal):
+    """Carry the maximal sets of ``bag`` - v to ``bag``.
 
     A set J that misses N(v) becomes J + v. A J that meets N(v) stays, and
     (J minus N(v)) + v joins when every vertex of the old bag outside N(v)
@@ -152,8 +144,7 @@ def _introduce(graph, bag, v, maximal, reaches):
     minus N(v) alone, which many sets J share, so it runs once per distinct
     one. Only a vertex next to a removed one can have lost its neighbour,
     so the check walks whichever is smaller: those neighbours or the rest
-    of the bag. Reaches of the outside neighbours of v gain v, and v's own
-    reach goes.
+    of the bag.
     """
     adj, vb = graph.adj_mask, bit(v)
     nv = adj(v)
@@ -178,41 +169,38 @@ def _introduce(graph, bag, v, maximal, reaches):
             rest &= touched
         if all(adj(u) & kept for u in bits(rest)):
             carried.add(kept | vb)
-    reaches.pop(v, None)
-    for q in bits(nv & ~bag):
-        reaches[q] = reaches.get(q, 0) | vb
     return carried
 
 
-def carried_trace_families(graph, nice_td, k):
-    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order.
+def carried_maximal_sets(graph, nice_td):
+    """Yield the set of every nice node's maximal independent sets of its
+    bag, in node order; a caller must not change them.
 
-    Each node takes over its child's maximal sets and reaches q -> N(q) & X
-    (q outside X) and updates them for the vertex introduced or forgotten; a
-    leaf's bag is empty, so its one maximal set is the empty set. A join
-    yields its first child's family unchanged, since the bags are equal. The
-    level expansion runs in ``trace_family_for_bag``, so every yielded
-    family equals that function's per-bag family.
+    Each node takes over its child's sets and updates them for the vertex
+    introduced or forgotten; a leaf's one maximal set is the empty set, and
+    a join yields its first child's sets, since the bags are equal.
     """
     carried = {}
     for i, node in enumerate(nice_td.nodes):
-        if node.kind == "join":
-            first, second = node.children
-            del carried[second]
-            carried[i] = carried.pop(first)
-            yield carried[i][2]
-            continue
-        if node.kind == "leaf":
-            maximal, reaches = {0}, {}
-        else:
-            maximal, reaches, _ = carried.pop(node.children[0])
+        children = [carried.pop(c) for c in node.children]
+        maximal = children[0] if children else {0}
+        if node.kind in ("introduce", "forget"):
             step = _forget if node.kind == "forget" else _introduce
-            maximal = step(graph, node.bag, node.vertex, maximal, reaches)
-        # with k = 0 no reach is removed, so none is needed
-        keeps = {~reach for reach in reaches.values()} if k else set()
-        family = trace_family_for_bag(graph, node.bag, k, maximal, keeps)
-        carried[i] = maximal, reaches, family
-        yield family
+            maximal = step(graph, node.bag, node.vertex, maximal)
+        carried[i] = maximal
+        yield maximal
+
+
+def carried_trace_families(graph, nice_td, k):
+    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order:
+    a join's is its first child's, every other node's that of
+    ``trace_family_for_bag`` on its carried maximal sets."""
+    families = {}
+    for i, maximal in enumerate(carried_maximal_sets(graph, nice_td)):
+        node = nice_td.nodes[i]
+        child = [families.pop(c) for c in node.children]
+        families[i] = child[0] if node.kind == "join" else trace_family_for_bag(graph, node.bag, k, maximal)
+        yield families[i]
 
 
 def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):

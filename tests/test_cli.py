@@ -141,6 +141,30 @@ def test_transform_rejects_bad_marked_lists_and_a_missing_family(tmp_path, capsy
     assert report["error"] == {"type": "input", "message": "blob transform needs a family file"}
 
 
+def test_transform_rejects_inputs_it_does_not_read(tmp_path, capsys):
+    # each optional input belongs to one transform: -k to power, --marked to
+    # forked and the family file to blob
+    graph_file = str(tmp_path / "c5.gr")
+    family_file = str(tmp_path / "fam.json")
+    run_cli(capsys, "gen", "cycle", "5", "-o", graph_file)
+    Path(family_file).write_text(json.dumps([{"id": 0, "vertices": [1, 2], "weight": "1"}]))
+    for what, *rest, message in (
+        ("corona", "-k", "3", "--marked", "1", "-k is read by transform power only, not corona"),
+        ("forked", "-k", "1", "-k is read by transform power only, not forked"),
+        ("blob", family_file, "-k", "0", "-k is read by transform power only, not blob"),
+        ("power", "-k", "2", "--marked", "1", "--marked is read by transform forked only, not power"),
+        ("l2", "--marked", "", "--marked is read by transform forked only, not l2"),
+        ("corona", family_file, "a family file is read by transform blob only, not corona"),
+        ("forked", family_file, "--marked", "1", "a family file is read by transform blob only, not forked"),
+    ):
+        code, report, _ = run_cli(capsys, "transform", what, graph_file, *rest)
+        assert code == 2, (what, rest)
+        assert report["error"] == {"type": "input", "message": message}
+        assert "result" not in report and report["inputs"] == {}
+    code, report, _ = run_cli(capsys, "transform", "blob", graph_file, family_file)
+    assert code == 0 and report["result"]["members"] == 1
+
+
 def test_solve_pack_with_family_file(tmp_path, capsys):
     graph_file, td_file = instance(tmp_path, capsys, "path", "4")
     family_file = tmp_path / "fam.json"

@@ -3,7 +3,7 @@ from time import perf_counter
 
 import pytest
 
-from imtw import forest
+from imtw import forest, traces
 from imtw.bits import bit, bits, mask_of
 from imtw.corpus import random_corpus
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
@@ -348,6 +348,42 @@ def test_bounded_membership_equals_eager_family():
         rejected += sum(1 for _, _, kept in asked if not kept)
     # the filter is exercised: it rejects states the transitions generate
     assert (rejected, queries) == (208, 23407)
+
+
+def test_paper_family_reads_the_carried_maximal_sets(monkeypatch):
+    # --family paper takes each bag's maximal independent sets from the carry
+    # along the nice chains, so it enumerates none; every trace family it
+    # builds, one per node and joins included, equals the per-bag oracle
+    cases = [
+        (g, heuristic_decomposition(g, strategy))
+        for g in seeded_graphs(44, 40, 4, 11, ps=(0.15, 0.3, 0.5))
+        for strategy in ("min-fill", "min-degree")
+    ]
+    cases += [(g, heuristic_decomposition(g)) for g in (complete_bipartite(4, 4), hypercube_graph(4))]
+    built = []
+
+    def recorded(graph, bag, k, *carried):
+        fam = trace_family_for_bag(graph, bag, k, *carried)
+        built.append((bag, k, fam.members))
+        return fam
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a bag's maximal sets were enumerated afresh")
+
+    joins = 0
+    for g, td in cases:
+        nice = measured_nice(g, td)
+        built.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(forest, "trace_family_for_bag", recorded)
+            mp.setattr(traces, "enumerate_maximal_independent_sets", refused)
+            mwif_dp(g, nice, WeightMap.unit(g.n), provider="paper")
+        assert [bag for bag, _, _ in built] == [node.bag for node in nice.nodes]
+        for bag, k, members in built:
+            assert k == nice.metrics.mu
+            assert members == trace_family_for_bag(g, bag, k).members, (g.n, g.edges, bag)
+        joins += sum(node.kind == "join" for node in nice.nodes)
+    assert joins
 
 
 def paper_queries(g, w):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import imtw.cli
 from imtw.decomp import decomposition_metrics, make_nice, parse_td
-from imtw.graphs import graph_power, path_graph, serialize_graph
+from imtw.graphs import graph_power, path_graph, random_graph, serialize_graph
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -38,25 +38,42 @@ def test_recorder_patch_points_resolve_and_restore():
     assert recorder._patches == []
 
 
-def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
-    # mwis_dp builds each non-join node's family through the patched
-    # trace_family_for_bag and enumerates no bag's maximal sets afresh
-    cube = graph_power(path_graph(30), 3)
-    graph_file, td_file = tmp_path / "cube.gr", tmp_path / "cube.td"
-    graph_file.write_text(serialize_graph(cube))
+def recorded_solve(tmp_path, capsys, graph, *solve_args):
+    """Decompose ``graph``, then run ``imtw solve *solve_args`` on it under
+    the recorder; return the nice decomposition and the span names."""
+    graph_file, td_file = tmp_path / "g.gr", tmp_path / "g.td"
+    graph_file.write_text(serialize_graph(graph))
     assert imtw.cli.main(["decompose", str(graph_file), "-o", str(td_file)]) == 0
     td = parse_td(td_file.read_text())
-    nice = make_nice(cube, td, decomposition_metrics(cube, td))
+    nice = make_nice(graph, td, decomposition_metrics(graph, td))
     tracing = load_tracing()
     recorder = tracing.Recorder()
     recorder.sampler = SimpleNamespace(spent=0.0)
     try:
         recorder.install()
-        code = imtw.cli.main(["solve", "mwis", str(graph_file), str(td_file)])
+        code = imtw.cli.main(["solve", *solve_args, str(graph_file), str(td_file)])
     finally:
         recorder.restore()
     capsys.readouterr()
     assert code == 0
-    names = [span[tracing.NAME] for span in recorder.spans]
+    return nice, [span[tracing.NAME] for span in recorder.spans]
+
+
+def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
+    # mwis_dp builds each non-join node's family through the patched
+    # trace_family_for_bag and enumerates no bag's maximal sets afresh
+    nice, names = recorded_solve(tmp_path, capsys, graph_power(path_graph(30), 3), "mwis")
     assert names.count("traces.family") == sum(node.kind != "join" for node in nice.nodes)
+    assert "traces.mis_enum" not in names
+
+
+def test_forest_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
+    # mwif_dp --family paper builds one trace family per nice node, joins
+    # included, through the patched forest.trace_family_for_bag, from the
+    # carried maximal sets
+    nice, names = recorded_solve(
+        tmp_path, capsys, random_graph(14, 0.3, seed=7), "forest", "--family", "paper"
+    )
+    assert any(node.kind == "join" for node in nice.nodes)
+    assert names.count("traces.family") == nice.size
     assert "traces.mis_enum" not in names

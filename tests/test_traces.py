@@ -103,7 +103,7 @@ def test_mis_enumeration_vs_pivot_search():
 
 def test_mis_enumeration_sparse_universe_is_fast():
     # an independent universe is one set, found without a pivot scan per
-    # vertex; the MWIS run re-enumerates it at each of its 1001 nice nodes
+    # vertex; the MWIS run carries that one set along its 1001 nice nodes
     start = perf_counter()
     assert enumerate_maximal_independent_sets(Graph(2000)) == [(1 << 2000) - 1]
     assert perf_counter() - start < 2
