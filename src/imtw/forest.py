@@ -31,7 +31,11 @@ and that family decides each signature it is asked about at the first
 (witness, S) tuple that covers it (BoundedFamilyMembership). Per Z it
 resumes a walk over only the tuples that emit Z, pulling witnesses from one
 shared generator as far as some walk needs them and expanding no partition;
-only a non-member walks all of its Z's tuples. The eager enumerator
+only a non-member walks all of its Z's tuples. The generator counts each
+I-vertex's Q-neighbors with three running masks and drops a duplicate
+witness by its key before building it; each witness carries a ``need`` mask
+(its leaves, trivial vertices and Q's bag members), so a walk passes over a
+witness that cannot emit Z with one AND. The eager enumerator
 signature_family_paper runs the same witness generator and the same rules
 and expands every partition; it is the coverage oracle for tests and
 ``imtw verify``.
@@ -178,54 +182,68 @@ class _Witness:
     pairs it with that neighbor), 0 among the trivial vertices, 2 or more
     marks an impostor that is not in the solution. ``z_base`` is the leaves
     and trivial vertices; the two unions let most S pass or fail the leaf and
-    trivial rules with O(1) work.
+    trivial rules with O(1) work. ``need`` is z_base and Q's bag members,
+    which every Z the witness emits holds: those members must lie in S, and
+    since Q avoids I they lie in Z minus z_base exactly when they lie in Z.
     """
 
-    __slots__ = ("leaf_q", "trivial", "z_base", "q_in_bag", "q_in_vt", "trivial_adj", "leaf_bad")
+    __slots__ = (
+        "leaf_q", "trivial", "z_base", "q_in_bag", "q_in_vt", "trivial_adj", "leaf_bad", "need"
+    )
 
-    def __init__(self, adj, cnt, q_mask, bag, vt):
-        self.leaf_q = tuple((v, lowest_bit(adj[v] & q_mask)) for v, c in cnt.items() if c == 1)
-        self.trivial = mask_of(v for v, c in cnt.items() if c == 0)
-        self.z_base = self.trivial | mask_of(v for v, _ in self.leaf_q)
-        self.q_in_bag = q_mask & bag
-        self.q_in_vt = q_mask & vt
+    def __init__(self, adj, leaf_q, trivial, leaves, q_in_bag, q_in_vt):
+        self.leaf_q = leaf_q
+        self.trivial = trivial
+        self.z_base = trivial | leaves
+        self.q_in_bag = q_in_bag
+        self.q_in_vt = q_in_vt
+        self.need = self.z_base | q_in_bag
         self.trivial_adj = 0
-        for v in bits(self.trivial):
+        for v in bits(trivial):
             self.trivial_adj |= adj[v]
         self.leaf_bad = 0
-        for v, q in self.leaf_q:
-            self.leaf_bad |= adj[v] & ~bit(q)
+        for v, q in leaf_q:
+            self.leaf_bad |= adj[v] & ~(1 << q)
 
 
 def _witnesses(graph, adj, bag, vt, k, traces):
     """Every (I, Q) witness at a node: I a member of the bag's trace family,
     Q at most 4k skeleton vertices of the bag's closed neighborhood.
 
-    A minimal Q gives every member q a job: some I-vertex whose only
-    Q-neighbor is q, or one with exactly two Q-neighbors. One I-vertex has
-    jobs for at most two members, so no Q larger than 2|I| passes. Witnesses
-    that fix the same leaves, trivial vertices and Q within the subtree admit
-    the same S and give the same blocks, so only the first one is yielded.
+    Q-neighbor counts are three running masks over Q's members: ``one``,
+    ``two`` and ``three`` hold the I-vertices with at least that many
+    Q-neighbors. A minimal Q gives every member q a job: some I-vertex whose
+    only Q-neighbor is q, or one with exactly two Q-neighbors. One I-vertex
+    has jobs for at most two members, so no Q larger than 2|I| passes.
+    Witnesses that fix the same leaves, trivial vertices and Q within the
+    subtree admit the same S and give the same blocks, so only the first one
+    is yielded, and a later one is recognised by its key before it is built.
     """
-    closed_bag = graph.closed_neighborhood_of_set(bag)
+    closed_bag = to_tuple(graph.closed_neighborhood_of_set(bag))
     seen = set()
     for i_mask in traces:
-        pool = [q for q in bits(closed_bag) if adj[q] & i_mask]
-        i_members = to_tuple(i_mask)
-        for q_size in range(min(4 * k, len(pool), 2 * len(i_members)) + 1):
-            for q_tuple in combinations(pool, q_size):
-                q_mask = mask_of(q_tuple)
-                cnt = {v: popcount(adj[v] & q_mask) for v in i_members}
-                if q_size and not all(
-                    any(adj[q] & bit(v) and (cnt[v] == 1 or cnt[v] == 2) for v in i_members)
-                    for q in q_tuple
-                ):
+        # each pool member with its I-neighbors; Q avoids I, which is independent
+        pool = [(q, adj[q] & i_mask) for q in closed_bag if adj[q] & i_mask]
+        for q_size in range(min(4 * k, len(pool), 2 * popcount(i_mask)) + 1):
+            for chosen in combinations(pool, q_size):
+                q_mask = one = two = three = 0
+                for q, hit in chosen:
+                    q_mask |= 1 << q
+                    three |= two & hit
+                    two |= one & hit
+                    one |= hit
+                leaves = one & ~two
+                jobs = leaves | two & ~three
+                if not all(hit & jobs for _, hit in chosen):
                     continue
-                w = _Witness(adj, cnt, q_mask, bag, vt)
-                key = (w.leaf_q, w.trivial, w.q_in_bag, w.q_in_vt)
+                # a leaf's one Q-neighbor is the one bit of adj[v] & q_mask
+                leaf_q = tuple((v, (adj[v] & q_mask).bit_length() - 1) for v in bits(leaves))
+                trivial = i_mask & ~one
+                q_in_bag, q_in_vt = q_mask & bag, q_mask & vt
+                key = (leaf_q, trivial, q_in_bag, q_in_vt)
                 if key not in seen:
                     seen.add(key)
-                    yield w
+                    yield _Witness(adj, leaf_q, trivial, leaves, q_in_bag, q_in_vt)
 
 
 def _witness_blocks(adj, components, w, s_mask, vt):
@@ -243,26 +261,29 @@ def _witness_blocks(adj, components, w, s_mask, vt):
     the singles as one-vertex blocks plus any coarsening of the fertile
     classes.
     """
-    if s_mask & w.trivial_adj and any(adj[v] & s_mask for v in bits(w.trivial & ~s_mask)):
-        return None
+    singles = w.trivial & ~s_mask
+    if s_mask & w.trivial_adj:
+        rest = singles
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & s_mask:
+                return None
+            rest ^= low
     if s_mask & w.leaf_bad and any(
-        adj[v] & s_mask & ~bit(q) for v, q in w.leaf_q if not s_mask & bit(v)
+        adj[v] & s_mask & ~(1 << q) for v, q in w.leaf_q if not s_mask >> v & 1
     ):
         return None
     classes = components(s_mask | w.q_in_vt)
-    singles = w.trivial & ~s_mask
     attached = [0] * len(classes)
     for v, q in w.leaf_q:
-        vb = bit(v)
-        if vb & s_mask:
+        if s_mask >> v & 1:
             continue
-        qb = bit(q)
-        if not qb & vt:
-            singles |= vb
+        if not vt >> q & 1:
+            singles |= 1 << v
             continue
         for idx, cls in enumerate(classes):
-            if cls & qb:
-                attached[idx] |= vb
+            if cls >> q & 1:
+                attached[idx] |= 1 << v
                 break
     fertile = tuple(sorted(
         (cls & s_mask) | leaves for cls, leaves in zip(classes, attached) if cls & s_mask or leaves
@@ -350,12 +371,13 @@ class BoundedFamilyMembership:
     tuples are visited in. So each Z keeps a resumable walk over its tuples,
     a (witness index, S index) cursor, and the distinct pairs found so far:
     a query first tries those pairs, then pulls tuples until one covers (a
-    member) or the walk is spent (a non-member). The walks share one witness
-    generator, pulled into a growing list only as far as some walk has
-    reached. The enumeration budget is charged per tuple visited; a query
-    that overruns it leaves its cursor on that tuple, so repeating the query
-    overruns again instead of reading the walk as spent. The family size
-    bound is checked on the members decided.
+    member) or the walk is spent (a non-member). A witness whose ``need`` is
+    not within Z emits none of Z's tuples, so the walk steps over it. The
+    walks share one witness generator, pulled into a growing list only as far
+    as some walk has reached. The enumeration budget is charged per tuple
+    visited; a query that overruns it leaves its cursor on that tuple, so
+    repeating the query overruns again instead of reading the walk as spent.
+    The family size bound is checked on the members decided.
     """
 
     def __init__(self, graph, bag, vt, k, traces):
@@ -397,20 +419,21 @@ class BoundedFamilyMembership:
             if w is None:
                 walk[1] = None
                 return False
-            s_masks = () if w.z_base & ~z else self._s_masks(w, z)
-            for j in range(j, len(s_masks)):
-                self._budget_left -= 1
-                if self._budget_left < 0:
-                    walk[1], walk[2] = i, j
-                    raise ResourceLimitError(
-                        "signature enumeration budget exceeded", partial_count=self._members
-                    )
-                fixed = _witness_blocks(self._adj, self._components, w, s_masks[j], self._vt)
-                if fixed is not None and fixed not in pairs:
-                    pairs.add(fixed)
-                    if _coarsens(blocks, *fixed):
-                        walk[1], walk[2] = i, j + 1
-                        return True
+            if not w.need & ~z:
+                s_masks = self._s_masks(w, z)
+                for j in range(j, len(s_masks)):
+                    self._budget_left -= 1
+                    if self._budget_left < 0:
+                        walk[1], walk[2] = i, j
+                        raise ResourceLimitError(
+                            "signature enumeration budget exceeded", partial_count=self._members
+                        )
+                    fixed = _witness_blocks(self._adj, self._components, w, s_masks[j], self._vt)
+                    if fixed is not None and fixed not in pairs:
+                        pairs.add(fixed)
+                        if _coarsens(blocks, *fixed):
+                            walk[1], walk[2] = i, j + 1
+                            return True
             i, j = i + 1, 0
         return False
 
@@ -421,13 +444,15 @@ class BoundedFamilyMembership:
         return w
 
     def _s_masks(self, w, z):
-        """The S with which witness w, its z_base within Z, emits Z."""
+        """The S with which witness w, its ``need`` within Z, emits Z: Z minus
+        z_base (which holds Q's bag members) plus any part of z_base that fits
+        the 8k cap."""
         required = z & ~w.z_base
         room = self._s_cap - popcount(required)
-        # Q's bag members avoid I, so S holds them exactly when Z minus
-        # z_base does
-        if room < 0 or w.q_in_bag & ~required:
+        if room < 0:
             return ()
+        if not room or not w.z_base:
+            return (required,)
         optional = to_tuple(w.z_base)
         return [
             required | mask_of(extra)

@@ -99,9 +99,8 @@ def trace_family_for_bag(graph, bag, k, maximal_in_bag=None):
     # above Alekseev's |X|^(2k) maximal sets an induced matching larger than
     # k touches the bag, so the n^(3k) bound below need not hold
     alekseev_ok = not bag_size or len(maximal_in_bag) <= bag_size ** (2 * k)
-    # the complement of each distinct reach N(q) & X, so removing it is one
-    # AND; with k = 0 no reach is removed, so none is needed
-    keeps = {~(graph.adj_mask(q) & bag) for q in bits(graph.neighborhood_of_set(bag))} if k else ()
+    # with k = 0 no reach is removed, so none is needed
+    keeps = _reach_complements(graph, bag) if k else ()
     members = set(maximal_in_bag)
     frontier = members
     for _ in range(k):
@@ -114,6 +113,26 @@ def trace_family_for_bag(graph, bag, k, maximal_in_bag=None):
             f"trace family has {len(members)} members, above the n^(3k) bound"
         )
     return TraceFamily(frozenset(members))
+
+
+def _reach_complements(graph, bag):
+    """The complement of each distinct reach N(q) & X of an outside vertex q,
+    so removing a reach is one AND. One pass over the bag's rows gives N(X)
+    and one over N(X)'s rows the reaches; both peel the lowest bit in place
+    of a bit generator."""
+    adj = graph.adj_mask
+    outside, rest = 0, bag
+    while rest:
+        low = rest & -rest
+        outside |= adj(low.bit_length() - 1)
+        rest ^= low
+    outside &= ~bag
+    keeps = set()
+    while outside:
+        low = outside & -outside
+        keeps.add(~(adj(low.bit_length() - 1) & bag))
+        outside ^= low
+    return keeps
 
 
 def _forget(graph, bag, v, maximal):

@@ -1,10 +1,11 @@
+from itertools import combinations
 from random import Random
 from time import perf_counter
 
 import pytest
 
 from imtw import forest, traces
-from imtw.bits import bit, bits, mask_of
+from imtw.bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from imtw.corpus import random_corpus
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
 from imtw.errors import InputError, ResourceLimitError
@@ -537,3 +538,102 @@ def test_bounded_family_k88_is_fast():
     weight, solution = mwif_dp(g, nice, WeightMap.unit(16), provider="paper")
     assert perf_counter() - start < 20
     assert weight == 9 and is_induced_forest(g, solution)
+
+
+def counted_witnesses(graph, adj, bag, vt, k, traces):
+    """The (I, Q) witnesses of ``forest._witnesses`` built from a dict of
+    Q-neighbor counts per I-vertex, each as a dict of its ``_Witness`` slots:
+    the reference for the mask construction."""
+    closed_bag = graph.closed_neighborhood_of_set(bag)
+    seen = set()
+    for i_mask in traces:
+        pool = [q for q in bits(closed_bag) if adj[q] & i_mask]
+        i_members = to_tuple(i_mask)
+        for q_size in range(min(4 * k, len(pool), 2 * len(i_members)) + 1):
+            for q_tuple in combinations(pool, q_size):
+                q_mask = mask_of(q_tuple)
+                cnt = {v: popcount(adj[v] & q_mask) for v in i_members}
+                if q_size and not all(
+                    any(adj[q] & bit(v) and (cnt[v] == 1 or cnt[v] == 2) for v in i_members)
+                    for q in q_tuple
+                ):
+                    continue
+                leaf_q = tuple((v, lowest_bit(adj[v] & q_mask)) for v, c in cnt.items() if c == 1)
+                trivial = mask_of(v for v, c in cnt.items() if c == 0)
+                key = (leaf_q, trivial, q_mask & bag, q_mask & vt)
+                if key in seen:
+                    continue
+                seen.add(key)
+                z_base = trivial | mask_of(v for v, _ in leaf_q)
+                trivial_adj = leaf_bad = 0
+                for v in bits(trivial):
+                    trivial_adj |= adj[v]
+                for v, q in leaf_q:
+                    leaf_bad |= adj[v] & ~bit(q)
+                yield {
+                    "leaf_q": leaf_q,
+                    "trivial": trivial,
+                    "z_base": z_base,
+                    "q_in_bag": q_mask & bag,
+                    "q_in_vt": q_mask & vt,
+                    "trivial_adj": trivial_adj,
+                    "leaf_bad": leaf_bad,
+                    "need": z_base | q_mask & bag,
+                }
+
+
+def test_witnesses_equal_the_counted_construction():
+    # the mask construction yields the same witnesses, in the same order and
+    # with every slot equal, at k = mu and at k = mu + 1
+    k17 = complete_graph(17)
+    cases = [
+        (g, heuristic_decomposition(g, strategy))
+        for g, _ in random_corpus(7, 150, 11)
+        for strategy in ("min-fill", "min-degree")
+    ]
+    cases += [(g, heuristic_decomposition(g)) for g in (complete_bipartite(8, 8), hypercube_graph(4))]
+    cases.append((k17, single_bag_decomposition(k17)))
+    checked, witnesses = set(), 0
+    for g, td in cases:
+        nice = measured_nice(g, td)
+        adj = [g.adj_mask(v) for v in range(g.n)]
+        vt = nice.subtree_vertex_masks()
+        for k in (nice.metrics.mu, nice.metrics.mu + 1):
+            for i, node in enumerate(nice.nodes):
+                # the witnesses see the subtree only inside N[bag]
+                key = (g, node.bag, vt[i] & g.closed_neighborhood_of_set(node.bag), k)
+                if key in checked:
+                    continue
+                checked.add(key)
+                traces = trace_family_for_bag(g, node.bag, k).members
+                got = [
+                    {slot: getattr(w, slot) for slot in forest._Witness.__slots__}
+                    for w in forest._witnesses(g, adj, node.bag, vt[i], k, traces)
+                ]
+                assert got == list(counted_witnesses(g, adj, node.bag, vt[i], k, traces)), (
+                    g.n, g.edges, node.bag, k,
+                )
+                witnesses += len(got)
+    assert witnesses
+
+
+def test_bounded_membership_walk_is_pinned(monkeypatch):
+    # summed over every node of one run, the tuples the walks visit and the
+    # witnesses they pull, so a faster walk cannot visit different tuples
+    made = []
+
+    class Recorded(forest.BoundedFamilyMembership):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(forest, "BoundedFamilyMembership", Recorded)
+    for g, weight, visited, pulled in (
+        (complete_bipartite(8, 8), 9, 65_789, 1_898),
+        (hypercube_graph(4), 10, 15_376, 2_562),
+    ):
+        made.clear()
+        nice = measured_nice(g, heuristic_decomposition(g))
+        assert mwif_dp(g, nice, WeightMap.unit(g.n), provider="paper")[0] == weight
+        assert sum(forest.DEFAULT_ENUM_BUDGET - m._budget_left for m in made) == visited
+        assert sum(len(m._witness_list) for m in made) == pulled
