@@ -410,7 +410,6 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFA
 
     tables, backptr = run_nice_dp(
         nice_td, (0, empty_type), lambda state: state[0], add, drop, merge, weights,
-        family=lambda i: None,
         budget=state_budget,
         budget_message=f"structured DP budget {state_budget} exceeded",
     )

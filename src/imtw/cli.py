@@ -328,11 +328,21 @@ def cmd_verify(args, inputs):
     return (0 if ok else 3), {"suites": results, "all_ok": ok}, {}
 
 
+def _fraction(text):
+    """``Fraction(text)`` as an argparse type. argparse reports only
+    ValueError and TypeError as invalid values, so the ZeroDivisionError of
+    a zero denominator is turned into the same usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 # Each flag once: its option strings and argparse settings.
 FLAGS = {
     "k": (("-k",), {"type": int, "default": None, "help": "power exponent"}),
     "r": (("-r",), {"type": int, "default": None, "help": "treewidth or clique bound"}),
-    "eps": (("--eps",), {"type": Fraction, "default": None, "help": "accuracy, e.g. 1/4"}),
+    "eps": (("--eps",), {"type": _fraction, "default": None, "help": "accuracy, e.g. 1/4"}),
     "d": (("-d",), {"type": int, "default": None, "help": "packing distance"}),
     "family": (("--family",), {"choices": ("paper", "exhaustive"), "default": "paper"}),
     "strategy": (("--strategy",), {"choices": ("min-fill", "min-degree"), "default": "min-fill"}),

@@ -66,15 +66,6 @@ class TreeDecomposition:
                     stack.append((c, t))
         return out
 
-    def subtree_vertex_masks(self):
-        """V_t for each node: union of bags in the subtree rooted there."""
-        order = self.rooted_order()
-        vt = list(self.bags)
-        for t, p in reversed(order):
-            if p >= 0:
-                vt[p] |= vt[t]
-        return vt
-
     def width(self):
         return max(popcount(b) for b in self.bags) - 1
 

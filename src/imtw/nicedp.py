@@ -14,6 +14,7 @@ comparison, and only the optimum is turned back into a Fraction.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .bits import bit, bits
@@ -29,7 +30,7 @@ def _scale(weights):
 
 
 def run_nice_dp(
-    nice_td, empty, bag_part, add, drop, merge, weights, family, budget, budget_message
+    nice_td, empty, bag_part, add, drop, merge, weights, budget, budget_message, families=None
 ):
     """Fill one table per node bottom-up and return (tables, backpointers).
 
@@ -40,9 +41,10 @@ def run_nice_dp(
     partners with equal bag parts. ``add`` and ``merge`` return None to
     refuse. An added v gains ``weights[v]``; a join is worth left + right
     minus the weight of their bag part. Values are integers: the weights
-    times the lcm of their denominators. ``family(i)`` is asked once per
-    node, in order, and only its members enter node i's table (None keeps
-    all).
+    times the lcm of their denominators. ``families`` yields one member set
+    per node, in node order, and only its members enter that node's table;
+    a None set, or no stream, keeps every state. The driver pulls the next
+    set when it reaches the node.
     More than ``budget`` table entries over all nodes raise
     ResourceLimitError(budget_message).
     """
@@ -51,8 +53,9 @@ def run_nice_dp(
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
     states_seen = 0
-    for i, node in enumerate(nice_td.nodes):
-        members = family(i)
+    if families is None:
+        families = repeat(None, nice_td.size)
+    for i, (node, members) in enumerate(zip(nice_td.nodes, families, strict=True)):
         table = {}
         bp = {}
 

@@ -13,11 +13,12 @@ size times the number of distinct reaches. The MWIS DP takes k from the
 metrics its nice decomposition carries, so no caller supplies the bound.
 
 No solver enumerates each bag's maximal sets afresh. Along the nice chains
-a bag differs from its child's by one vertex, so ``carried_maximal_sets``
+a bag differs from its child's by one vertex, so ``carried_trace_families``
 carries them from child to parent by the incremental step of Tsukiyama,
-Ide, Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977) for the MWIS DP
-and the bounded forest family; the reaches are read off each bag.
-``trace_family_for_bag`` without carried sets stays the per-bag oracle.
+Ide, Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977) and yields the one
+family stream of the MWIS DP and the bounded forest family; the reaches are
+read off each bag. ``trace_family_for_bag`` without carried sets stays the
+per-bag oracle.
 """
 
 from .bits import bit, bits, popcount
@@ -191,35 +192,26 @@ def _introduce(graph, bag, v, maximal):
     return carried
 
 
-def carried_maximal_sets(graph, nice_td):
-    """Yield the set of every nice node's maximal independent sets of its
-    bag, in node order; a caller must not change them.
+def carried_trace_families(graph, nice_td, k):
+    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order.
 
-    Each node takes over its child's sets and updates them for the vertex
-    introduced or forgotten; a leaf's one maximal set is the empty set, and
-    a join yields its first child's sets, since the bags are equal.
+    A node takes over its child's maximal independent sets of the bag and
+    updates them for the vertex introduced or forgotten (a leaf's one is the
+    empty set). A join yields its first child's family, since the bags are
+    equal; any other node that of ``trace_family_for_bag`` on its sets.
     """
-    carried = {}
+    carried = {}  # node -> (maximal sets, family), until its parent takes it
     for i, node in enumerate(nice_td.nodes):
         children = [carried.pop(c) for c in node.children]
-        maximal = children[0] if children else {0}
-        if node.kind in ("introduce", "forget"):
-            step = _forget if node.kind == "forget" else _introduce
-            maximal = step(graph, node.bag, node.vertex, maximal)
-        carried[i] = maximal
-        yield maximal
-
-
-def carried_trace_families(graph, nice_td, k):
-    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order:
-    a join's is its first child's, every other node's that of
-    ``trace_family_for_bag`` on its carried maximal sets."""
-    families = {}
-    for i, maximal in enumerate(carried_maximal_sets(graph, nice_td)):
-        node = nice_td.nodes[i]
-        child = [families.pop(c) for c in node.children]
-        families[i] = child[0] if node.kind == "join" else trace_family_for_bag(graph, node.bag, k, maximal)
-        yield families[i]
+        if node.kind == "join":
+            carried[i] = children[0]
+        else:
+            maximal = children[0][0] if children else {0}
+            if node.kind != "leaf":
+                step = _forget if node.kind == "forget" else _introduce
+                maximal = step(graph, node.bag, node.vertex, maximal)
+            carried[i] = maximal, trace_family_for_bag(graph, node.bag, k, maximal)
+        yield carried[i][1]
 
 
 def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
@@ -240,10 +232,9 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
         drop=lambda v, state: state & ~bit(v),
         merge=lambda left, right: left,
         weights=weights,
-        # the driver asks once per node, in node order, as the families come
-        family=lambda i: next(families).members,
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
+        families=(family.members for family in families),
     )
     found = best_solution(
         nice_td, tables, backptr, weights, lambda state: state, lambda state: state == 0

@@ -1,5 +1,5 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held and
-a spy on the DP driver."""
+spies on the DP driver and its family stream."""
 
 from inspect import signature
 from random import Random
@@ -88,3 +88,21 @@ def driver_spy(wrap, results=None):
         return result
 
     return spy
+
+
+class RecordedFamily:
+    """A node's family that logs each membership test as (node, state, kept)."""
+
+    def __init__(self, i, members, log):
+        self.i, self.members, self.log = i, members, log
+
+    def __contains__(self, state):
+        kept = state in self.members
+        self.log.append((self.i, state, kept))
+        return kept
+
+
+def recorded_families(families, log):
+    """The driver's family stream with the i-th family pulled wrapped in a
+    ``RecordedFamily`` that logs to ``log`` as node i."""
+    return (RecordedFamily(i, members, log) for i, members in enumerate(families))

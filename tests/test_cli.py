@@ -440,6 +440,16 @@ def test_metrics_budget_is_not_spent_on_bags_that_cannot_raise_mu(tmp_path, caps
     assert report["error"]["message"].endswith("while mu of bag 1")
 
 
+def test_eps_with_a_zero_denominator_is_invalid_text(capsys):
+    # Fraction raises ZeroDivisionError, which argparse would let escape;
+    # it is read like any other bad --eps, before a file is opened
+    for text in ("2/0", "0/0", "abc"):
+        assert main(["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
+
+
 def test_flags_belong_to_their_commands(capsys):
     # --eps is read by solve ptas only; elsewhere it is a parse error
     assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2

@@ -42,7 +42,14 @@ from imtw.verify import (
     skeleton_bound,
 )
 
-from conftest import driver_spy, expect, measured_nice, seeded_graphs, solver_cases
+from conftest import (
+    driver_spy,
+    expect,
+    measured_nice,
+    recorded_families,
+    seeded_graphs,
+    solver_cases,
+)
 
 
 def test_anatomy_path():
@@ -86,16 +93,15 @@ def test_signature_disjoint_forest():
 
 def test_signature_union_find_vs_bfs():
     # independent connectivity recomputation through breadth first search
-    rng = Random(8)
     for g in seeded_graphs(8, 20, 3, 9):
-        td = heuristic_decomposition(g)
-        vt = td.subtree_vertex_masks()
+        # the nice nodes hold every bag of the decomposition, and more
+        nice = measured_nice(g, heuristic_decomposition(g))
         forests = enumerate_maximal_induced_forests(g)
-        for t in range(td.size):
+        for node, vt in zip(nice.nodes, nice.subtree_vertex_masks()):
             for f in forests[:6]:
-                z, blocks = signature_in(g, f, td.bags[t], vt[t])
-                assert z == f & td.bags[t]
-                inside = f & vt[t]
+                z, blocks = signature_in(g, f, node.bag, vt)
+                assert z == f & node.bag
+                inside = f & vt
                 seen = {}
                 for start in bits(inside):
                     if start in seen:
@@ -307,18 +313,6 @@ def test_paper_family_degenerate_edgeless_k0():
     assert weight == 4 and solution == bag
 
 
-class RecordedFamily:
-    """A node's family that logs each membership test as (node, state, kept)."""
-
-    def __init__(self, i, members, log):
-        self.i, self.members, self.log = i, members, log
-
-    def __contains__(self, state):
-        kept = state in self.members
-        self.log.append((self.i, state, kept))
-        return kept
-
-
 def test_bounded_membership_equals_eager_family():
     # at every nice node, the states the solver's filter keeps are exactly the
     # generated states inside the eagerly built bounded family
@@ -331,8 +325,7 @@ def test_bounded_membership_equals_eager_family():
         asked = []
 
         def wrap(arguments):
-            family = arguments["family"]
-            arguments["family"] = lambda i: RecordedFamily(i, family(i), asked)
+            arguments["families"] = recorded_families(arguments["families"], asked)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
@@ -351,17 +344,18 @@ def test_bounded_membership_equals_eager_family():
     assert (rejected, queries) == (208, 23407)
 
 
-def test_paper_family_reads_the_carried_maximal_sets(monkeypatch):
-    # --family paper takes each bag's maximal independent sets from the carry
-    # along the nice chains, so it enumerates none; every trace family it
-    # builds, one per node and joins included, equals the per-bag oracle
+def test_paper_family_builds_no_trace_family_at_a_join(monkeypatch):
+    # --family paper draws each node's trace family from the carry along the
+    # nice chains: it enumerates no bag's maximal sets, builds one family per
+    # non-join node through traces.trace_family_for_bag, each equal to the
+    # per-bag oracle, and hands a join's membership its first child's members
     cases = [
         (g, heuristic_decomposition(g, strategy))
         for g in seeded_graphs(44, 40, 4, 11, ps=(0.15, 0.3, 0.5))
         for strategy in ("min-fill", "min-degree")
     ]
     cases += [(g, heuristic_decomposition(g)) for g in (complete_bipartite(4, 4), hypercube_graph(4))]
-    built = []
+    built, handed = [], []
 
     def recorded(graph, bag, k, *carried):
         fam = trace_family_for_bag(graph, bag, k, *carried)
@@ -371,19 +365,32 @@ def test_paper_family_reads_the_carried_maximal_sets(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a bag's maximal sets were enumerated afresh")
 
+    class RecordedMembership(forest.BoundedFamilyMembership):
+        def __init__(self, graph, bag, vt, k, traces):
+            handed.append(traces)
+            super().__init__(graph, bag, vt, k, traces)
+
     joins = 0
     for g, td in cases:
         nice = measured_nice(g, td)
         built.clear()
+        handed.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(forest, "trace_family_for_bag", recorded)
+            mp.setattr(traces, "trace_family_for_bag", recorded)
             mp.setattr(traces, "enumerate_maximal_independent_sets", refused)
+            mp.setattr(forest, "BoundedFamilyMembership", RecordedMembership)
             mwif_dp(g, nice, WeightMap.unit(g.n), provider="paper")
-        assert [bag for bag, _, _ in built] == [node.bag for node in nice.nodes]
+        non_joins = [i for i, node in enumerate(nice.nodes) if node.kind != "join"]
+        assert [bag for bag, _, _ in built] == [nice.nodes[i].bag for i in non_joins]
         for bag, k, members in built:
             assert k == nice.metrics.mu
             assert members == trace_family_for_bag(g, bag, k).members, (g.n, g.edges, bag)
-        joins += sum(node.kind == "join" for node in nice.nodes)
+        assert len(handed) == nice.size
+        assert all(handed[i] is members for i, (_, _, members) in zip(non_joins, built))
+        for i, node in enumerate(nice.nodes):
+            if node.kind == "join":
+                assert handed[i] is handed[node.children[0]]
+                joins += 1
     assert joins
 
 
@@ -394,8 +401,7 @@ def paper_queries(g, w):
     asked = []
 
     def wrap(arguments):
-        family = arguments["family"]
-        arguments["family"] = lambda i: RecordedFamily(i, family(i), asked)
+        arguments["families"] = recorded_families(arguments["families"], asked)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forest, "run_nice_dp", driver_spy(wrap))

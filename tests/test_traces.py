@@ -4,10 +4,11 @@ from time import perf_counter
 
 import pytest
 
-from imtw import packing, traces
+from imtw import forest, packing, traces
 from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, single_bag_decomposition
 from imtw.errors import ResourceLimitError
+from imtw.forest import mwif_dp
 from imtw.graphs import (
     Graph,
     WeightMap,
@@ -28,7 +29,14 @@ from imtw.traces import (
 )
 from imtw.verify import mwis_matches_oracle, prepare, trace_coverage, trace_family_bound
 
-from conftest import driver_spy, expect, measured_nice, seeded_graphs, solver_cases
+from conftest import (
+    driver_spy,
+    expect,
+    measured_nice,
+    recorded_families,
+    seeded_graphs,
+    solver_cases,
+)
 
 
 def brute_maximal_independent_sets(graph, universe):
@@ -361,23 +369,34 @@ def test_mwis_dp_vs_oracle(monkeypatch):
         assert all(g.is_independent(state) for table in tables for state in table)
 
 
-def test_driver_builds_each_family_once_in_node_order(monkeypatch):
-    asked = []
+def test_driver_pulls_one_family_per_node_in_node_order(monkeypatch):
+    # both filtered solvers hand the driver one stream, and the i-th family
+    # pulled from it filters node i's table: the states kept there are
+    # exactly the states family i admitted
+    asked, filled = [], []
 
     def wrap(arguments):
-        family = arguments["family"]
+        arguments["families"] = recorded_families(arguments["families"], asked)
 
-        def recorded(i):
-            asked.append(i)
-            return family(i)
-
-        arguments["family"] = recorded
-
-    monkeypatch.setattr(traces, "run_nice_dp", driver_spy(wrap))
-    for g, w, _, _, nice in solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20):
-        asked.clear()
-        mwis_dp(g, nice, w)
-        assert asked == list(range(nice.size))
+    solvers = (
+        (traces, mwis_dp),
+        (forest, lambda g, nice, w: mwif_dp(g, nice, w, provider="paper")),
+    )
+    cases = solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20)
+    for module, solve in solvers:
+        with monkeypatch.context() as mp:
+            mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled))
+            for g, w, _, _, nice in cases:
+                asked.clear()
+                filled.clear()
+                solve(g, nice, w)
+                [(tables, _)] = filled
+                admitted = [set() for _ in range(nice.size)]
+                for i, state, kept in asked:
+                    if kept:
+                        admitted[i].add(state)
+                assert {i for i, _, _ in asked} == set(range(nice.size))
+                assert admitted == [set(table) for table in tables]
 
 
 def test_mwis_rescaling_invariance():
