@@ -392,14 +392,17 @@ def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
 
 def _cost(work, alive, v, strategy):
     """Greedy cost of eliminating v now: its alive degree for min-degree, the
-    number of non-adjacent pairs among its alive neighbors for min-fill."""
+    number of non-adjacent pairs among its alive neighbors for min-fill,
+    counted by peeling the lowest neighbor off and counting the higher ones
+    it misses."""
     nbrs = work[v] & alive
     if strategy == "min-degree":
         return popcount(nbrs)
     fill = 0
-    nbr_list = to_tuple(nbrs)
-    for i, u in enumerate(nbr_list):
-        fill += len(nbr_list) - 1 - i - popcount(work[u] & nbrs & ~((bit(u) << 1) - 1))
+    while nbrs:
+        low = nbrs & -nbrs
+        nbrs ^= low
+        fill += popcount(nbrs & ~work[low.bit_length() - 1])
     return fill
 
 

@@ -26,9 +26,14 @@ are pruned (each rule is justified by a structural fact about maximal
 forests, see inline notes); every remaining signature is still one of the
 unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
-family: the DP driver asks for each node's family when it reaches the node,
-and that family decides each signature it is asked about at the first
-(witness, S) tuple that covers it (BoundedFamilyMembership). Per Z it
+family, and builds one only where the DP driver asks for it: for a table
+that outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered
+(every node when a weight is zero). With positive weights every optimum is
+a maximal forest, so its signatures lie in every family and the reported
+solution does not depend on which nodes filter; ``--budget`` counts every
+state that entered a table, also one the family dropped later. A built
+family decides each signature it is asked about at the first (witness, S)
+tuple that covers it (BoundedFamilyMembership). Per Z it
 resumes a walk over only the tuples that emit Z, pulling witnesses from one
 shared generator as far as some walk needs them and expanding no partition;
 only a non-member walks all of its Z's tuples. The generator counts each
@@ -524,8 +529,12 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper":
         k = nice_td.metrics.mu
+
+        def membership(bag, vt, traces):
+            return lambda: BoundedFamilyMembership(graph, bag, vt, k, traces())
+
         families = (
-            BoundedFamilyMembership(graph, node.bag, vt, k, traces.members)
+            membership(node.bag, vt, traces)
             for node, vt, traces in zip(
                 nice_td.nodes, nice_td.subtree_vertex_masks(), carried_trace_families(graph, nice_td, k)
             )

@@ -3,24 +3,38 @@
 The MWIS, induced-forest and structured solvers are one leaf / introduce /
 forget / join recursion (Kloks, Treewidth, 1994) that differs only in its
 state type and in the family filtering the states. A solver supplies the
-state algebra and a per-node family; this module owns the rest: the
-transitions and their value arithmetic, the pass over the nodes, the family
-lifetime, the state budget, the tie-break and the backpointer walk. A table
-maps each kept state to its best value; equal values go to the smallest
-origin, the tuple of child states it came from, so every table and every
-reconstruction is deterministic. Table values are integers: the rational
-weights are scaled once by the lcm of their denominators, which keeps every
-comparison, and only the optimum is turned back into a Fraction.
+state algebra and a per-node family builder; this module owns the rest: the
+transitions and their value arithmetic, the pass over the nodes, when a
+family is built, the state budget, the tie-break and the backpointer walk. A
+table maps each kept state to its best value; equal values go to the
+smallest origin, the tuple of child states it came from, so every table and
+every reconstruction is deterministic. Table values are integers: the
+rational weights are scaled once by the lcm of their denominators, which
+keeps every comparison, and only the optimum is turned back into a Fraction.
+
+The families keep tables polynomial; exactness does not rest on them, since
+every kept state is a real partial solution. So a node's family is built
+only once its table would hold more than ``FILTER_FROM`` states, or from its
+first state on when a child was filtered; the states already in the table
+that the family rejects are then dropped. With positive weights the reported
+solution is the same whichever nodes filter: every optimum is maximal, so
+each of its states lies in every family, and any route that ties an optimal
+state's value is itself an optimum, so the tie-break sees the same
+candidates. A zero weight breaks that (a non-maximal optimum may win the
+tie-break), so then every node filters from its first state, as if
+``FILTER_FROM`` were 0. The state budget charges every state that enters a
+table, also one dropped later.
 """
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import inf, lcm
 
 from .bits import bit, bits
 from .errors import InvariantError, ResourceLimitError
 
 DEFAULT_STATE_BUDGET = 10**7
+FILTER_FROM = 1024
 
 
 def _scale(weights):
@@ -41,30 +55,48 @@ def run_nice_dp(
     partners with equal bag parts. ``add`` and ``merge`` return None to
     refuse. An added v gains ``weights[v]``; a join is worth left + right
     minus the weight of their bag part. Values are integers: the weights
-    times the lcm of their denominators. ``families`` yields one member set
-    per node, in node order, and only its members enter that node's table;
-    a None set, or no stream, keeps every state. The driver pulls the next
-    set when it reaches the node.
-    More than ``budget`` table entries over all nodes raise
+    times the lcm of their denominators. ``families`` yields one item per
+    node, in node order: a zero-argument builder of the node's member set,
+    or None to keep every state; no stream keeps every state everywhere.
+    The driver calls a node's builder at most once: when the table would
+    grow past ``FILTER_FROM`` states, or at the first state when a child
+    was filtered or a weight is zero. From then on only members enter.
+    More than ``budget`` states entering tables over all nodes raise
     ResourceLimitError(budget_message).
     """
     scale = _scale(weights)
     ints = [w.numerator * (scale // w.denominator) for w in weights.values]
+    filter_from = FILTER_FROM if all(ints) else 0
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
+    filtered = [False] * nice_td.size
     states_seen = 0
     if families is None:
         families = repeat(None, nice_td.size)
-    for i, (node, members) in enumerate(zip(nice_td.nodes, families, strict=True)):
+    for i, (node, build) in enumerate(zip(nice_td.nodes, families, strict=True)):
         table = {}
         bp = {}
+        members = None
+        # the table size at which the next new state builds the family
+        if build is None:
+            limit = inf
+        elif any(filtered[c] for c in node.children):
+            limit = 0
+        else:
+            limit = filter_from
 
         def push(state, value, origin):
-            nonlocal states_seen
+            nonlocal states_seen, members, limit
             if members is not None and state not in members:
                 return
             cur = table.get(state)
             if cur is None:
+                if len(table) >= limit:
+                    members, limit = build(), inf
+                    for rejected in [s for s in table if s not in members]:
+                        del table[rejected], bp[rejected]
+                    if state not in members:
+                        return
                 states_seen += 1
                 if states_seen > budget:
                     raise ResourceLimitError(budget_message)
@@ -102,6 +134,7 @@ def run_nice_dp(
                         push(grown, value + ints[v], (state,))
         tables[i] = table
         backptr[i] = bp
+        filtered[i] = members is not None
     return tables, backptr
 
 

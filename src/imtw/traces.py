@@ -16,9 +16,15 @@ No solver enumerates each bag's maximal sets afresh. Along the nice chains
 a bag differs from its child's by one vertex, so ``carried_trace_families``
 carries them from child to parent by the incremental step of Tsukiyama,
 Ide, Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977) and yields the one
-family stream of the MWIS DP and the bounded forest family; the reaches are
-read off each bag. ``trace_family_for_bag`` without carried sets stays the
-per-bag oracle.
+family stream of the MWIS DP and the bounded forest family. It yields
+builders: the DP driver builds a node's family only for a table that
+outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered (every
+node when a weight is zero), and only then are the reaches read off the bag
+and the levels grown. With positive weights the optimum, which is maximal,
+lies in every family, so the reported solution does not depend on which
+nodes filter; see ``imtw.nicedp``. The state budget counts every state that
+entered a table, also one a family dropped later. ``trace_family_for_bag``
+without carried sets stays the per-bag oracle.
 """
 
 from .bits import bit, bits, popcount
@@ -192,15 +198,33 @@ def _introduce(graph, bag, v, maximal):
     return carried
 
 
+def _family_builder(graph, bag, k, maximal):
+    """A zero-argument builder of the bag's family members from its maximal
+    sets: it runs ``trace_family_for_bag`` on its first call and returns the
+    same member set on every call."""
+    members = None
+
+    def build():
+        nonlocal members
+        if members is None:
+            members = trace_family_for_bag(graph, bag, k, maximal).members
+        return members
+
+    return build
+
+
 def carried_trace_families(graph, nice_td, k):
-    """Yield every nice node's ``TraceFamily`` for bound ``k``, in node order.
+    """Yield a builder of every nice node's trace family members for bound
+    ``k``, in node order: a zero-argument callable that builds the member set
+    on its first call and returns that object on every call.
 
     A node takes over its child's maximal independent sets of the bag and
     updates them for the vertex introduced or forgotten (a leaf's one is the
-    empty set). A join yields its first child's family, since the bags are
-    equal; any other node that of ``trace_family_for_bag`` on its sets.
+    empty set); that carry runs at every node. The level expansion runs only
+    in a builder called: ``trace_family_for_bag`` on the node's carried sets.
+    A join yields its first child's builder, since the bags are equal.
     """
-    carried = {}  # node -> (maximal sets, family), until its parent takes it
+    carried = {}  # node -> (maximal sets, builder), until its parent takes it
     for i, node in enumerate(nice_td.nodes):
         children = [carried.pop(c) for c in node.children]
         if node.kind == "join":
@@ -210,7 +234,7 @@ def carried_trace_families(graph, nice_td, k):
             if node.kind != "leaf":
                 step = _forget if node.kind == "forget" else _introduce
                 maximal = step(graph, node.bag, node.vertex, maximal)
-            carried[i] = maximal, trace_family_for_bag(graph, node.bag, k, maximal)
+            carried[i] = maximal, _family_builder(graph, node.bag, k, maximal)
         yield carried[i][1]
 
 
@@ -219,11 +243,11 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
 
     A state is the solution's part of the bag. Each node's trace family for
     the bound ``nice_td.metrics.mu``, carried along the nice chains as the
-    DP reaches the node, filters its table; anything outside a family is
-    treated as minus infinity. Returns the exact optimum (weight, vertex
-    mask); the result is re-validated before return.
+    DP reaches the node, filters its table once the driver builds it;
+    anything outside a built family is treated as minus infinity. Returns
+    the exact optimum (weight, vertex mask); the result is re-validated
+    before return.
     """
-    families = carried_trace_families(graph, nice_td, nice_td.metrics.mu)
     tables, backptr = run_nice_dp(
         nice_td,
         empty=0,
@@ -234,7 +258,7 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
         weights=weights,
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
-        families=(family.members for family in families),
+        families=carried_trace_families(graph, nice_td, nice_td.metrics.mu),
     )
     found = best_solution(
         nice_td, tables, backptr, weights, lambda state: state, lambda state: state == 0

@@ -1,9 +1,13 @@
-"""Shared helpers: seeded test corpora, the assertion that a claim held and
-spies on the DP driver and its family stream."""
+"""Shared helpers: seeded test corpora, the assertion that a claim held,
+spies on the DP driver and its family stream, and a fixture that makes the
+driver filter every node."""
 
 from inspect import signature
 from random import Random
 
+import pytest
+
+from imtw import nicedp
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.graphs import Graph, WeightMap, random_graph
 from imtw.nicedp import run_nice_dp
@@ -103,6 +107,17 @@ class RecordedFamily:
 
 
 def recorded_families(families, log):
-    """The driver's family stream with the i-th family pulled wrapped in a
-    ``RecordedFamily`` that logs to ``log`` as node i."""
-    return (RecordedFamily(i, members, log) for i, members in enumerate(families))
+    """The driver's family stream with node i's builder wrapped so that the
+    family it builds is a ``RecordedFamily`` that logs to ``log`` as node i."""
+
+    def recorded(i, build):
+        return lambda: RecordedFamily(i, build(), log)
+
+    return (recorded(i, build) for i, build in enumerate(families))
+
+
+@pytest.fixture
+def filter_everywhere(monkeypatch):
+    """Every node's family built before its first state, as under a zero
+    weight: the filtered path that tests pinning filter work measure."""
+    monkeypatch.setattr(nicedp, "FILTER_FROM", 0)

@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from imtw import forest, traces
+from imtw import forest, nicedp, traces
 from imtw.bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from imtw.corpus import random_corpus
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice, single_bag_decomposition
@@ -178,7 +178,7 @@ def test_paper_family_members_are_sound():
                     assert sum(1 for b in blocks if b & comp) == 1
 
 
-def test_mwif_stress_beyond_acceptance_sizes():
+def test_mwif_stress_beyond_acceptance_sizes(filter_everywhere):
     # n = 11..12 instances, outside the acceptance grid
     rng = Random(46)
     cases = []
@@ -286,7 +286,7 @@ def test_mwif_small():
     assert mwif_dp(c5, nice, WeightMap.unit(5), provider="paper")[0] == 4
 
 
-def test_mwif_both_providers_vs_oracle():
+def test_mwif_both_providers_vs_oracle(filter_everywhere):
     cases = solver_cases(seeded_graphs(90, 30, 2, 9), 90, 100, pick_strategy=True)
     expect(forest_matches_oracle(cases))
 
@@ -313,7 +313,7 @@ def test_paper_family_degenerate_edgeless_k0():
     assert weight == 4 and solution == bag
 
 
-def test_bounded_membership_equals_eager_family():
+def test_bounded_membership_equals_eager_family(filter_everywhere):
     # at every nice node, the states the solver's filter keeps are exactly the
     # generated states inside the eagerly built bounded family
     cases = random_corpus(7, 150, 11) + [(complete_bipartite(5, 5), WeightMap.unit(10))]
@@ -344,7 +344,7 @@ def test_bounded_membership_equals_eager_family():
     assert (rejected, queries) == (208, 23407)
 
 
-def test_paper_family_builds_no_trace_family_at_a_join(monkeypatch):
+def test_paper_family_builds_no_trace_family_at_a_join(monkeypatch, filter_everywhere):
     # --family paper draws each node's trace family from the carry along the
     # nice chains: it enumerates no bag's maximal sets, builds one family per
     # non-join node through traces.trace_family_for_bag, each equal to the
@@ -396,7 +396,8 @@ def test_paper_family_builds_no_trace_family_at_a_join(monkeypatch):
 
 def paper_queries(g, w):
     """The (node, signature) membership queries of one ``mwif_dp --family
-    paper`` run, in the order asked, with the run's nice decomposition and k."""
+    paper`` run that filters every node, in the order asked, with the run's
+    nice decomposition and k."""
     nice = measured_nice(g, heuristic_decomposition(g))
     asked = []
 
@@ -404,6 +405,7 @@ def paper_queries(g, w):
         arguments["families"] = recorded_families(arguments["families"], asked)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nicedp, "FILTER_FROM", 0)
         mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
         mwif_dp(g, nice, w, provider="paper")
     return nice, nice.metrics.mu, [(i, sig) for i, sig, _ in asked]
@@ -623,7 +625,7 @@ def test_witnesses_equal_the_counted_construction():
     assert witnesses
 
 
-def test_bounded_membership_walk_is_pinned(monkeypatch):
+def test_bounded_membership_walk_is_pinned(monkeypatch, filter_everywhere):
     # summed over every node of one run, the tuples the walks visit and the
     # witnesses they pull, so a faster walk cannot visit different tuples
     made = []

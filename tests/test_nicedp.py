@@ -1,17 +1,23 @@
 """The DP driver keeps its table values as integers, with the weights scaled
 by the lcm of their denominators, and turns only the optimum back into a
-Fraction."""
+Fraction. It builds a node's family only once the table outgrows
+``FILTER_FROM`` or a child was filtered, and that choice leaves every
+solution as it is."""
 
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from imtw import forest, nicedp, traces
 from imtw.boundaried import ForestAlgebra, MaxDegreeAlgebra, generic_structured_dp
+from imtw.decomp import heuristic_decomposition, single_bag_decomposition
 from imtw.forest import mwif_dp
-from imtw.graphs import WeightMap
+from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph
 from imtw.oracles import brute_max_weight_induced_forest, brute_mwis
 from imtw.traces import mwis_dp
 
-from conftest import seeded_graphs, solver_cases
+from conftest import driver_spy, measured_nice, seeded_graphs, solver_cases
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -27,7 +33,7 @@ def coprime_weighted_cases(seed, count):
     return cases
 
 
-def test_every_solver_is_exact_with_coprime_denominators():
+def test_every_solver_is_exact_with_coprime_denominators(filter_everywhere):
     for g, w, nice in coprime_weighted_cases(60, 40):
         mis = brute_mwis(g, w)[0]
         forest = brute_max_weight_induced_forest(g, w)[0]
@@ -42,3 +48,85 @@ def test_every_solver_is_exact_with_coprime_denominators():
         for got, want in found:
             assert type(got) is Fraction
             assert got == want, (g.n, g.edges, got, want)
+
+
+def paper_dp(g, nice, w):
+    return mwif_dp(g, nice, w, provider="paper")
+
+
+def test_filtering_only_large_tables_keeps_every_solution(monkeypatch):
+    # with positive weights every optimum is maximal, so it lies in every
+    # family and the tie-break sees the same candidates however many nodes
+    # filter; unit weights tie often, and weights from {0, 1, 2} hold zeros,
+    # where a non-maximal optimum could win unless every node filters
+    rng = Random(21)
+    cases = []
+    for g in seeded_graphs(21, 20, 4, 11, ps=(0.2, 0.4, 0.6)):
+        for td in (
+            heuristic_decomposition(g, "min-fill"),
+            heuristic_decomposition(g, "min-degree"),
+            single_bag_decomposition(g),
+        ):
+            nice = measured_nice(g, td)
+            cases.append((g, nice, WeightMap.unit(g.n)))
+            rational = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(g.n)]
+            cases.append((g, nice, WeightMap(rational)))
+            cases.append((g, nice, WeightMap([rng.randint(0, 2) for _ in range(g.n)])))
+    found = []
+    for filter_from in (nicedp.FILTER_FROM, 4, 0):
+        monkeypatch.setattr(nicedp, "FILTER_FROM", filter_from)
+        found.append([solve(g, nice, w) for g, nice, w in cases for solve in (mwis_dp, paper_dp)])
+    assert found[0] == found[1] == found[2]
+
+
+def filtered_run(module, solve, g, nice, filter_from):
+    """The tables of one unit-weight run at ``filter_from`` and the set of
+    nodes whose family the driver built."""
+    built, filled = set(), []
+
+    def logged(i, build):
+        def logging_build():
+            built.add(i)
+            return build()
+
+        return logging_build
+
+    def wrap(arguments):
+        arguments["families"] = map(logged, range(nice.size), arguments["families"])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nicedp, "FILTER_FROM", filter_from)
+        mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled))
+        solve(g, nice, WeightMap.unit(g.n))
+    [(tables, _)] = filled
+    return tables, built
+
+
+def test_tables_past_the_threshold_are_filtered():
+    # a node filters once its table outgrows the threshold, and so does every
+    # ancestor, so each table is small or the table of a run that filters
+    # every node
+    for g in (complete_bipartite(8, 8), hypercube_graph(4)):
+        nice = measured_nice(g, heuristic_decomposition(g))
+        for module, solve in ((traces, mwis_dp), (forest, paper_dp)):
+            everywhere, _ = filtered_run(module, solve, g, nice, 0)
+            tables, built = filtered_run(module, solve, g, nice, 64)
+            assert built
+            for table, full in zip(tables, everywhere, strict=True):
+                assert table == full or len(table) <= 64
+            for i, node in enumerate(nice.nodes):
+                if any(c in built for c in node.children):
+                    assert i in built, (g.n, i)
+
+
+def test_k88_paper_builds_no_family_at_the_default_threshold(monkeypatch):
+    # no table of the K(8,8) paper run outgrows FILTER_FROM, so no trace
+    # family and no bounded membership is built
+    def refused(*args, **kwargs):
+        raise AssertionError("a family was built")
+
+    monkeypatch.setattr(traces, "trace_family_for_bag", refused)
+    monkeypatch.setattr(forest, "BoundedFamilyMembership", refused)
+    g = complete_bipartite(8, 8)
+    nice = measured_nice(g, heuristic_decomposition(g))
+    assert paper_dp(g, nice, WeightMap.unit(16))[0] == 9

@@ -59,7 +59,7 @@ def recorded_solve(tmp_path, capsys, graph, *solve_args):
     return nice, [span[tracing.NAME] for span in recorder.spans]
 
 
-def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
+def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys, filter_everywhere):
     # mwis_dp builds each non-join node's family through the patched
     # trace_family_for_bag and enumerates no bag's maximal sets afresh
     nice, names = recorded_solve(tmp_path, capsys, graph_power(path_graph(30), 3), "mwis")
@@ -67,7 +67,7 @@ def test_carried_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
     assert "traces.mis_enum" not in names
 
 
-def test_forest_trace_families_stay_visible_to_the_recorder(tmp_path, capsys):
+def test_forest_trace_families_stay_visible_to_the_recorder(tmp_path, capsys, filter_everywhere):
     # mwif_dp --family paper, like mwis_dp, builds each non-join node's
     # family through the patched trace_family_for_bag from the carried
     # maximal sets; a join reuses its first child's

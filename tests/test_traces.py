@@ -227,7 +227,7 @@ def product_trace_family(graph, bag, k):
     return {j_prime & ~h for h in hits for j_prime in maximal_in_bag}
 
 
-def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch):
+def test_trace_family_matches_product_on_ptas_blob_bags(monkeypatch, filter_everywhere):
     # blob graphs of small pieces, where the bag-wide product pairs far more
     # (J', hit set) than the family has members; at the cycles' measured mu
     # of 2 their families equal their k = 1 families, so the corpus bags
@@ -261,7 +261,7 @@ def test_trace_family_matches_product_on_corpus_bags():
             assert trace_family_for_bag(g, bag, k).members == product_trace_family(g, bag, k)
 
 
-def test_trace_families_are_never_ordered(monkeypatch):
+def test_trace_families_are_never_ordered(monkeypatch, filter_everywhere):
     # the DP filter and the checks only test membership, so neither the
     # enumeration nor the family build puts its sets in order
     asked = []
@@ -289,18 +289,21 @@ def test_trace_families_are_never_ordered(monkeypatch):
 
 
 def assert_carried_families_match(graph, nice, ks):
-    """At every node, for every bound in ``ks``, the carried family equals
-    the per-bag family, and a join yields its first child's family object."""
+    """At every node, for every bound in ``ks``, the carried builder builds
+    the per-bag family and returns that object again on a second call, and a
+    join yields its first child's builder."""
     for k in ks:
         per_bag = {}
-        families = []
-        for node, fam in zip(nice.nodes, carried_trace_families(graph, nice, k), strict=True):
+        builders = []
+        for node, build in zip(nice.nodes, carried_trace_families(graph, nice, k), strict=True):
             if node.bag not in per_bag:
                 per_bag[node.bag] = trace_family_for_bag(graph, node.bag, k).members
-            assert fam.members == per_bag[node.bag], (graph.n, graph.edges, node, k)
+            members = build()
+            assert members == per_bag[node.bag], (graph.n, graph.edges, node, k)
+            assert build() is members
             if node.kind == "join":
-                assert fam is families[node.children[0]]
-            families.append(fam)
+                assert build is builders[node.children[0]]
+            builders.append(build)
 
 
 def test_carried_families_equal_per_bag_families():
@@ -357,7 +360,7 @@ def test_mwis_dp_small():
     assert mwis_dp(k44, nice, w)[0] == 5 + 6 + 7 + 8
 
 
-def test_mwis_dp_vs_oracle(monkeypatch):
+def test_mwis_dp_vs_oracle(monkeypatch, filter_everywhere):
     cases = solver_cases(seeded_graphs(40, 60, 2, 10), 40, 100, pick_strategy=True)
     expect(mwis_matches_oracle(cases))
     filled = []
@@ -369,7 +372,7 @@ def test_mwis_dp_vs_oracle(monkeypatch):
         assert all(g.is_independent(state) for table in tables for state in table)
 
 
-def test_driver_pulls_one_family_per_node_in_node_order(monkeypatch):
+def test_driver_pulls_one_family_per_node_in_node_order(monkeypatch, filter_everywhere):
     # both filtered solvers hand the driver one stream, and the i-th family
     # pulled from it filters node i's table: the states kept there are
     # exactly the states family i admitted
