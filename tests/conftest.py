@@ -1,6 +1,6 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
-spies on the DP driver and its family stream, and a fixture that makes the
-driver filter every node."""
+spies on the DP driver and its family stream, and a fixture and a loop that
+make the driver filter every node."""
 
 from inspect import signature
 from random import Random
@@ -114,6 +114,15 @@ def recorded_families(families, log):
         return lambda: RecordedFamily(i, build(), log)
 
     return (recorded(i, build) for i, build in enumerate(families))
+
+
+def at_each_threshold(monkeypatch):
+    """Set ``nicedp.FILTER_FROM`` to its default and then to 0, yielding
+    after each, so a test's checks run both as shipped and on the filtered
+    path that small instances never reach at the default."""
+    for filter_from in (nicedp.FILTER_FROM, 0):
+        monkeypatch.setattr(nicedp, "FILTER_FROM", filter_from)
+        yield filter_from
 
 
 @pytest.fixture

@@ -25,6 +25,8 @@ from imtw.packing import (
 )
 from imtw.traces import mwis_dp
 
+from conftest import at_each_threshold
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -517,7 +519,7 @@ SILENTLY_WRONG_EDGES = [
 SILENTLY_WRONG_WEIGHTS = (9, 12, 10, 13, 6, 8, 3, 8)
 
 
-def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys):
+def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys, monkeypatch):
     edges = SILENTLY_WRONG_EDGES
     graph_file, td_file, weight_file = (str(tmp_path / name) for name in ("g.gr", "g.td", "g.w"))
     Path(graph_file).write_text(
@@ -527,25 +529,29 @@ def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys
         "".join(f"w {v + 1} {w}\n" for v, w in enumerate(SILENTLY_WRONG_WEIGHTS))
     )
     run_cli(capsys, "decompose", graph_file, "-o", td_file)
-    for problem, optimum in (("mwis", "22"), ("forest", "36")):
-        argv = ["solve", problem, graph_file, td_file, "-w", weight_file]
-        code, report, _ = run_cli(capsys, *argv)
-        assert code == 0 and report["result"]["optimum"] == optimum
-        assert (report["result"]["k"], report["result"]["source"]) == (1, "measured-mu")
-        assert main([*argv, "-k", "0"]) == 2
-        assert capsys.readouterr().out == ""
+    for _ in at_each_threshold(monkeypatch):
+        for problem, optimum in (("mwis", "22"), ("forest", "36")):
+            argv = ["solve", problem, graph_file, td_file, "-w", weight_file]
+            code, report, _ = run_cli(capsys, *argv)
+            assert code == 0 and report["result"]["optimum"] == optimum
+            assert (report["result"]["k"], report["result"]["source"]) == (1, "measured-mu")
+            assert main([*argv, "-k", "0"]) == 2
+            assert capsys.readouterr().out == ""
 
 
-def test_library_solvers_read_the_bound_their_decomposition_carries():
+def test_library_solvers_read_the_bound_their_decomposition_carries(monkeypatch):
     # the same instance through the library: the bound comes from the nice
-    # decomposition's measured metrics, and no solver takes one of its own
+    # decomposition's measured metrics, and no solver takes one of its own;
+    # no table here outgrows the default threshold, so only the all-filtered
+    # run reads the bound
     g = Graph(8, SILENTLY_WRONG_EDGES)
     w = WeightMap(SILENTLY_WRONG_WEIGHTS)
     td = heuristic_decomposition(g)
     nice = make_nice(g, td, decomposition_metrics(g, td))
     assert nice.metrics.mu == 1
-    assert mwis_dp(g, nice, w)[0] == 22
-    assert mwif_dp(g, nice, w, provider="paper")[0] == 36
+    for _ in at_each_threshold(monkeypatch):
+        assert mwis_dp(g, nice, w)[0] == 22
+        assert mwif_dp(g, nice, w, provider="paper")[0] == 36
     for solver in (
         mwis_dp,
         mwif_dp,

@@ -46,6 +46,7 @@ from conftest import (
     driver_spy,
     expect,
     measured_nice,
+    at_each_threshold,
     recorded_families,
     seeded_graphs,
     solver_cases,
@@ -275,15 +276,16 @@ def test_merge_partitions_vs_brute_union():
     assert agree >= 30 and reject >= 5
 
 
-def test_mwif_small():
+def test_mwif_small(monkeypatch):
     k4 = complete_graph(4)
-    nice = measured_nice(k4, single_bag_decomposition(k4))
-    assert mwif_dp(k4, nice, WeightMap.unit(4))[0] == 2
+    k4_nice = measured_nice(k4, single_bag_decomposition(k4))
     c5 = cycle_graph(5)
-    nice = measured_nice(c5, heuristic_decomposition(c5))
-    assert mwif_dp(c5, nice, WeightMap.unit(5))[0] == 4
-    assert nice.metrics.mu == 1
-    assert mwif_dp(c5, nice, WeightMap.unit(5), provider="paper")[0] == 4
+    c5_nice = measured_nice(c5, heuristic_decomposition(c5))
+    assert c5_nice.metrics.mu == 1
+    for _ in at_each_threshold(monkeypatch):
+        assert mwif_dp(k4, k4_nice, WeightMap.unit(4))[0] == 2
+        assert mwif_dp(c5, c5_nice, WeightMap.unit(5))[0] == 4
+        assert mwif_dp(c5, c5_nice, WeightMap.unit(5), provider="paper")[0] == 4
 
 
 def test_mwif_both_providers_vs_oracle(filter_everywhere):
@@ -298,7 +300,7 @@ def test_mwif_zero_weights():
     assert mwif_dp(g, nice, w)[0] == 3
 
 
-def test_paper_family_degenerate_edgeless_k0():
+def test_paper_family_degenerate_edgeless_k0(monkeypatch):
     # no edges means no skeleton and no Q; the family at a bag is the bag's
     # unique trace split into singletons, and the solver keeps everything
     g = Graph(4, [])
@@ -309,8 +311,9 @@ def test_paper_family_degenerate_edgeless_k0():
     assert fam.signatures == {(bag, (0b0001, 0b0010, 0b0100, 0b1000))}
     nice = measured_nice(g, single_bag_decomposition(g))
     assert nice.metrics.mu == 0
-    weight, solution = mwif_dp(g, nice, WeightMap.unit(4), provider="paper")
-    assert weight == 4 and solution == bag
+    for _ in at_each_threshold(monkeypatch):
+        weight, solution = mwif_dp(g, nice, WeightMap.unit(4), provider="paper")
+        assert weight == 4 and solution == bag
 
 
 def test_bounded_membership_equals_eager_family(filter_everywhere):
@@ -471,7 +474,7 @@ def test_bounded_membership_overrun_is_not_a_spent_walk(monkeypatch):
     assert tried
 
 
-def test_bounded_family_budget_counts_only_tuples_visited(monkeypatch):
+def test_bounded_family_budget_counts_only_tuples_visited(monkeypatch, filter_everywhere):
     # on Q4 the lazy walks visit at most 5,663 tuples at one node, where
     # walking every queried Z in full visits 130,560 at the busiest node, so
     # this budget only overran before the walks stopped at a covering tuple
@@ -539,7 +542,7 @@ def test_join_merges_only_equal_bag_parts(monkeypatch):
     assert len(merged) == 5908
 
 
-def test_bounded_family_k88_is_fast():
+def test_bounded_family_k88_is_fast(filter_everywhere):
     g = complete_bipartite(8, 8)
     nice = measured_nice(g, heuristic_decomposition(g))
     start = perf_counter()

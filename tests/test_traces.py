@@ -33,6 +33,7 @@ from conftest import (
     driver_spy,
     expect,
     measured_nice,
+    at_each_threshold,
     recorded_families,
     seeded_graphs,
     solver_cases,
@@ -350,14 +351,15 @@ def test_mwis_dp_on_edgeless_single_bag_is_fast():
     assert weight == 2000 and solution == g.vertex_mask()
 
 
-def test_mwis_dp_small():
+def test_mwis_dp_small(monkeypatch):
     c5 = cycle_graph(5)
-    nice = measured_nice(c5, heuristic_decomposition(c5))
-    assert mwis_dp(c5, nice, WeightMap.unit(5))[0] == 2
+    c5_nice = measured_nice(c5, heuristic_decomposition(c5))
     k44 = complete_bipartite(4, 4)
     w = WeightMap([1, 2, 3, 4, 5, 6, 7, 8])
-    nice = measured_nice(k44, single_bag_decomposition(k44))
-    assert mwis_dp(k44, nice, w)[0] == 5 + 6 + 7 + 8
+    k44_nice = measured_nice(k44, single_bag_decomposition(k44))
+    for _ in at_each_threshold(monkeypatch):
+        assert mwis_dp(c5, c5_nice, WeightMap.unit(5))[0] == 2
+        assert mwis_dp(k44, k44_nice, w)[0] == 5 + 6 + 7 + 8
 
 
 def test_mwis_dp_vs_oracle(monkeypatch, filter_everywhere):
