@@ -16,8 +16,9 @@ adjacency matters: the two sides of a join both contain the bag-induced
 edges, and gluing must not count them twice. The rejecting type ``REJECT``
 is absorbing, which is sound here because all three properties are closed
 under taking subgraphs, so no later gluing can repair a violation. Types are
-compared and ordered as plain tuples, and the DP breaks ties on them, so
-their exact form is part of every reported solution.
+compared as plain tuples; the DP only looks them up, so they need no order,
+and the solution it reports is the canonical optimum whatever form they
+take.
 
 Connectivity bookkeeping for the forest and bipartite algebras follows the
 same star trick: a block of boundary vertices connected through one side's

@@ -3,10 +3,11 @@
 Corpora are always regenerated from (seed, size grid); nothing is stored.
 """
 
+from fractions import Fraction
 from random import Random
 
 from .boundaried import BoundariedGraph
-from .graphs import WeightMap, random_graph
+from .graphs import Graph, WeightMap, random_graph
 from .packing import SubgraphFamily, enumerate_small_connected_subgraphs
 
 
@@ -20,6 +21,21 @@ def random_corpus(seed, count, n_max, n_min=2, ps=(0.2, 0.5)):
         g = random_graph(n, p, seed=rng.randrange(2**32))
         w = WeightMap([rng.randint(0, 100) for _ in range(n)])
         out.append((g, w))
+    return out
+
+
+def tied_corpus(seed, count, n_max, n_min=4, ps=(0.2, 0.4, 0.6)):
+    """(graph, weights) pairs whose optima tie often: each of ``count`` random
+    graphs once with unit weights, once with rational weights and once with
+    weights from {0, 1, 2}."""
+    rng = Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.randint(n_min, n_max)
+        g = random_graph(n, ps[i % len(ps)], seed=rng.randrange(2**32))
+        rational = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(n)]
+        small = [rng.randint(0, 2) for _ in range(n)]
+        out += [(g, WeightMap.unit(n)), (g, WeightMap(rational)), (g, WeightMap(small))]
     return out
 
 
@@ -67,3 +83,29 @@ def random_boundaried(rng, ell):
             if label not in labels.values():
                 labels[v] = label
     return BoundariedGraph.make(g, labels, ell)
+
+
+def chordal_completion(graph):
+    """Greedy min-fill completion; the result is chordal by construction."""
+    adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
+    alive = set(range(graph.n))
+    extra = []
+    while alive:
+        def fill_cost(v):
+            nbrs = [u for u in adj[v] if u in alive]
+            return sum(
+                1
+                for i, a in enumerate(nbrs)
+                for b in nbrs[i + 1 :]
+                if b not in adj[a]
+            )
+        v = min(sorted(alive), key=fill_cost)
+        nbrs = [u for u in adj[v] if u in alive]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    extra.append((a, b))
+        alive.remove(v)
+    return Graph(graph.n, list(graph.edges) + extra)

@@ -27,13 +27,13 @@ forests, see inline notes); every remaining signature is still one of the
 unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
 family, and builds one only where the DP driver asks for it: for a table
-that outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered
-(every node when a weight is zero). With positive weights every optimum is
-a maximal forest, so its signatures lie in every family and the reported
-solution does not depend on which nodes filter; ``--budget`` counts every
-state that entered a table, also one the family dropped later. A built
-family decides each signature it is asked about at the first (witness, S)
-tuple that covers it (BoundedFamilyMembership). Per Z it
+that outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered.
+The DP's canonical optimum is a maximal forest, since every vertex carries
+a positive bonus (``imtw.nicedp``), so its signatures lie in every family
+and the reported solution does not depend on which nodes filter;
+``--budget`` counts every state that entered a table, also one the family
+dropped later. A built family decides each signature it is asked about at
+the first (witness, S) tuple that covers it (BoundedFamilyMembership). Per Z it
 resumes a walk over only the tuples that emit Z, pulling witnesses from one
 shared generator as far as some walk needs them and expanding no partition;
 only a non-member walks all of its Z's tuples. The generator counts each

@@ -5,25 +5,27 @@ forget / join recursion (Kloks, Treewidth, 1994) that differs only in its
 state type and in the family filtering the states. A solver supplies the
 state algebra and a per-node family builder; this module owns the rest: the
 transitions and their value arithmetic, the pass over the nodes, when a
-family is built, the state budget, the tie-break and the backpointer walk. A
-table maps each kept state to its best value; equal values go to the
-smallest origin, the tuple of child states it came from, so every table and
-every reconstruction is deterministic. Table values are integers: the
-rational weights are scaled once by the lcm of their denominators, which
-keeps every comparison, and only the optimum is turned back into a Fraction.
+family is built, the state budget and the backpointer walk.
+
+Table values are integers that name their partial solution. The rational
+weights are scaled once by the lcm of their denominators, and vertex v of n
+is worth its scaled weight shifted left by n bits, plus the bonus bit
+1 << (n - 1 - v). The bonus bits of a set never carry into its weight, so a
+value fixes its vertex set, and of two sets the heavier has the larger
+value, with ties going to the one whose indicator, read up from vertex 0, is
+larger. The optimum is therefore unique: the canonical optimum, whatever the
+decomposition, the family provider or the order in which states arrive.
+Only the optimum is turned back into a Fraction.
 
 The families keep tables polynomial; exactness does not rest on them, since
 every kept state is a real partial solution. So a node's family is built
 only once its table would hold more than ``FILTER_FROM`` states, or from its
 first state on when a child was filtered; the states already in the table
-that the family rejects are then dropped. With positive weights the reported
-solution is the same whichever nodes filter: every optimum is maximal, so
-each of its states lies in every family, and any route that ties an optimal
-state's value is itself an optimum, so the tie-break sees the same
-candidates. A zero weight breaks that (a non-maximal optimum may win the
-tie-break), so then every node filters from its first state, as if
-``FILTER_FROM`` were 0. The state budget charges every state that enters a
-table, also one dropped later.
+that the family rejects are then dropped. Which nodes filter never changes
+the reported solution: every vertex carries a positive bonus, so the
+canonical optimum is inclusion-maximal, and each of its states lies in every
+family. The state budget charges every state that enters a table, also one
+dropped later.
 """
 
 from fractions import Fraction
@@ -43,6 +45,16 @@ def _scale(weights):
     return lcm(*(w.denominator for w in weights.values))
 
 
+def _values(weights):
+    """Each vertex's integer value: its weight times the scale, shifted
+    left by n bits, plus its bonus bit 1 << (n - 1 - v)."""
+    scale, n = _scale(weights), len(weights.values)
+    return [
+        (w.numerator * (scale // w.denominator)) << n | 1 << (n - 1 - v)
+        for v, w in enumerate(weights.values)
+    ]
+
+
 def run_nice_dp(
     nice_td, empty, bag_part, add, drop, merge, weights, budget, budget_message, families=None
 ):
@@ -53,20 +65,19 @@ def run_nice_dp(
     introduced v in the solution; ``drop(v, state)``, the state with the
     forgotten v out of its bag part; ``merge(left, right)`` of two join
     partners with equal bag parts. ``add`` and ``merge`` return None to
-    refuse. An added v gains ``weights[v]``; a join is worth left + right
-    minus the weight of their bag part. Values are integers: the weights
-    times the lcm of their denominators. ``families`` yields one item per
+    refuse. An added v gains its value; a join is worth left + right minus
+    the value of their bag part. Values are integers that fix their vertex
+    sets (see the module docstring), so two routes to one state with one
+    value are one partial solution. ``families`` yields one item per
     node, in node order: a zero-argument builder of the node's member set,
     or None to keep every state; no stream keeps every state everywhere.
     The driver calls a node's builder at most once: when the table would
     grow past ``FILTER_FROM`` states, or at the first state when a child
-    was filtered or a weight is zero. From then on only members enter.
+    was filtered. From then on only members enter.
     More than ``budget`` states entering tables over all nodes raise
     ResourceLimitError(budget_message).
     """
-    scale = _scale(weights)
-    ints = [w.numerator * (scale // w.denominator) for w in weights.values]
-    filter_from = FILTER_FROM if all(ints) else 0
+    ints = _values(weights)
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
     filtered = [False] * nice_td.size
@@ -83,7 +94,7 @@ def run_nice_dp(
         elif any(filtered[c] for c in node.children):
             limit = 0
         else:
-            limit = filter_from
+            limit = FILTER_FROM
 
         def push(state, value, origin):
             nonlocal states_seen, members, limit
@@ -100,7 +111,7 @@ def run_nice_dp(
                 states_seen += 1
                 if states_seen > budget:
                     raise ResourceLimitError(budget_message)
-            if cur is None or value > cur or (value == cur and origin < bp[state]):
+            if cur is None or value > cur:
                 table[state] = value
                 bp[state] = origin
 
@@ -111,18 +122,18 @@ def run_nice_dp(
             by_part = {}
             for s1 in left:
                 by_part.setdefault(bag_part(s1), []).append(s1)
-            for s2 in sorted(right):
+            for s2 in right:
                 part = bag_part(s2)
                 if part in by_part:
-                    part_weight = sum(ints[u] for u in bits(part))
+                    part_value = sum(ints[u] for u in bits(part))
                     for s1 in by_part[part]:
                         merged = merge(s1, s2)
                         if merged is not None:
-                            push(merged, left[s1] + right[s2] - part_weight, (s1, s2))
+                            push(merged, left[s1] + right[s2] - part_value, (s1, s2))
         else:
             v = node.vertex
             child = tables[node.children[0]]
-            for state in sorted(child):
+            for state in child:
                 value = child[state]
                 if node.kind == "forget" and bag_part(state) & bit(v):
                     push(drop(v, state), value, (state,))
@@ -139,20 +150,21 @@ def run_nice_dp(
 
 
 def best_solution(nice_td, tables, backptr, weights, bag_mask, accept, check=None):
-    """(value, vertex mask) of the best root state ``accept`` admits (the
-    first in sorted order on ties), or None when it admits none.
-    The value is a Fraction: the integer table value over the weights' scale.
+    """(value, vertex mask) of the best root state ``accept`` admits, or
+    None when it admits none. Values fix their vertex sets, so the best is
+    unique: the canonical optimum. The value is a Fraction: the integer
+    table value without its bonus bits, over the weights' scale.
     The mask comes from the backpointer walk down from the root, where
     ``bag_mask(state)`` is the state's part of the solution and ``check``
     sees every non-leaf state; a mask whose weight is not the value raises
     InvariantError."""
     best = root_state = None
-    for state, value in sorted(tables[nice_td.root].items()):
+    for state, value in tables[nice_td.root].items():
         if accept(state) and (best is None or value > best):
             best, root_state = value, state
     if best is None:
         return None
-    best = Fraction(best, _scale(weights))
+    best = Fraction(best >> len(weights.values), _scale(weights))
     solution = 0
     stack = [(nice_td.root, root_state)]
     while stack:

@@ -31,7 +31,9 @@ MATCHING_EDGE_CAP = 28
 
 
 def brute_mwis(graph, weights, cap=MWIS_CAP):
-    """Exact maximum weight independent set by branching on the lowest vertex."""
+    """Exact maximum weight independent set by branching on the lowest
+    vertex: the canonical optimum, since a tie keeps the branch that holds
+    that vertex."""
     if graph.n > cap:
         raise ResourceLimitError(f"brute MWIS capped at n={cap}, got {graph.n}")
     adj = [graph.adj_mask(v) for v in range(graph.n)]
@@ -43,7 +45,7 @@ def brute_mwis(graph, weights, cap=MWIS_CAP):
         w_out, s_out = solve(pool & ~bit(v))
         w_in, s_in = solve(pool & ~(adj[v] | bit(v)))
         w_in += weights[v]
-        if w_in > w_out:
+        if w_in >= w_out:
             return w_in, s_in | bit(v)
         return w_out, s_out
 
@@ -128,19 +130,27 @@ def clique_number_within(graph, mask):
 
 
 def brute_best(graph, weights, predicate):
-    """Heaviest vertex set satisfying ``predicate``, by scanning every subset."""
-    best = Fraction(0)
+    """(weight, mask) of the heaviest vertex set satisfying ``predicate``,
+    by scanning every subset; (0, 0) when none does. Of equally heavy sets
+    it keeps the canonical one, whose indicator read up from vertex 0 is the
+    largest: the one holding the lowest vertex that only one of them holds."""
+    best, best_set = Fraction(0), 0
     for m in submasks(graph.vertex_mask()):
         if predicate(m):
-            best = max(best, weights.of_set(m))
-    return best
+            w = weights.of_set(m)
+            differ = m ^ best_set
+            if w > best or (w == best and m & differ & -differ):
+                best, best_set = w, m
+    return best, best_set
 
 
 def brute_max_weight_induced_forest(graph, weights, cap=FOREST_CAP):
-    """Exact maximum weight vertex set inducing a forest.
+    """Exact maximum weight vertex set inducing a forest, the canonical one.
 
     Branches vertex by vertex; including a vertex must not close a cycle among
-    the chosen set, tracked with a union-find snapshot per level.
+    the chosen set, tracked with a union-find snapshot per level. The branch
+    that includes a vertex goes first, so sets are reached in the canonical
+    order and the first of the heaviest is kept.
     """
     if graph.n > cap:
         raise ResourceLimitError(f"brute induced forest capped at n={cap}, got {graph.n}")

@@ -12,19 +12,20 @@ expanded once, at the level where it first appears, so the work is the family
 size times the number of distinct reaches. The MWIS DP takes k from the
 metrics its nice decomposition carries, so no caller supplies the bound.
 
-No solver enumerates each bag's maximal sets afresh. Along the nice chains
-a bag differs from its child's by one vertex, so ``carried_trace_families``
-carries them from child to parent by the incremental step of Tsukiyama,
-Ide, Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977) and yields the one
-family stream of the MWIS DP and the bounded forest family. It yields
-builders: the DP driver builds a node's family only for a table that
-outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered (every
-node when a weight is zero), and only then are the reaches read off the bag
-and the levels grown. With positive weights the optimum, which is maximal,
-lies in every family, so the reported solution does not depend on which
-nodes filter; see ``imtw.nicedp``. The state budget counts every state that
-entered a table, also one a family dropped later. ``trace_family_for_bag``
-without carried sets stays the per-bag oracle.
+The family stream of the MWIS DP and the bounded forest family is
+``carried_trace_families``. It yields builders: the DP driver builds a
+node's family only for a table that outgrows ``nicedp.FILTER_FROM`` states
+or whose child was filtered, and only then are the node's maximal sets
+found, the reaches read off the bag and the levels grown. Above a node that
+built, a bag differs from its child's by one vertex, so the builder carries
+the child's maximal sets by the incremental step of Tsukiyama, Ide, Ariyoshi
+and Shirakawa (SIAM J. Comput. 6(3), 1977); any other builder enumerates its
+own bag. Every vertex's value carries a positive bonus, so the DP's
+canonical optimum is maximal and lies in every family, and the reported
+solution does not depend on which nodes filter; see ``imtw.nicedp``. The
+state budget counts every state that entered a table, also one a family
+dropped later. ``trace_family_for_bag`` without carried sets stays the
+per-bag oracle.
 """
 
 from .bits import bit, bits, popcount
@@ -198,19 +199,35 @@ def _introduce(graph, bag, v, maximal):
     return carried
 
 
-def _family_builder(graph, bag, k, maximal):
-    """A zero-argument builder of the bag's family members from its maximal
-    sets: it runs ``trace_family_for_bag`` on its first call and returns the
-    same member set on every call."""
-    members = None
+class _FamilyBuilder:
+    """A zero-argument builder of one nice node's trace family members for
+    bound ``k``: its first call finds the node's maximal independent sets and
+    runs ``trace_family_for_bag`` on them, and every call returns that member
+    set. It is made when its node is pulled from the stream, and it reads its
+    child's state then: the DP driver finishes every child before it pulls
+    the parent's builder, so the child has built by then or never will. A
+    child that built hands over its maximal sets, which this node steps for
+    its vertex; otherwise the node enumerates its own bag. A leaf, whose bag
+    is empty, starts from the empty set."""
 
-    def build():
-        nonlocal members
-        if members is None:
-            members = trace_family_for_bag(graph, bag, k, maximal).members
-        return members
+    __slots__ = ("graph", "node", "k", "source", "maximal", "members")
 
-    return build
+    def __init__(self, graph, node, k, child):
+        self.graph, self.node, self.k = graph, node, k
+        self.source = None if child is None else child.maximal
+        self.maximal = {0} if child is None else None
+        self.members = None
+
+    def __call__(self):
+        if self.members is None:
+            graph, node = self.graph, self.node
+            if self.maximal is None and self.source is None:
+                self.maximal = enumerate_maximal_independent_sets(graph, universe=node.bag)
+            elif self.maximal is None:
+                step = _forget if node.kind == "forget" else _introduce
+                self.maximal, self.source = step(graph, node.bag, node.vertex, self.source), None
+            self.members = trace_family_for_bag(graph, node.bag, self.k, self.maximal).members
+        return self.members
 
 
 def carried_trace_families(graph, nice_td, k):
@@ -218,24 +235,20 @@ def carried_trace_families(graph, nice_td, k):
     ``k``, in node order: a zero-argument callable that builds the member set
     on its first call and returns that object on every call.
 
-    A node takes over its child's maximal independent sets of the bag and
-    updates them for the vertex introduced or forgotten (a leaf's one is the
-    empty set); that carry runs at every node. The level expansion runs only
-    in a builder called: ``trace_family_for_bag`` on the node's carried sets.
-    A join yields its first child's builder, since the bags are equal.
+    Maximal sets are carried only above a node that built its family: a
+    builder steps its child's maximal sets when the child built, and
+    enumerates its own bag otherwise (``_FamilyBuilder``). A node whose
+    builder is never called costs nothing. A join yields its first child's
+    builder, since the bags are equal.
     """
-    carried = {}  # node -> (maximal sets, builder), until its parent takes it
+    carried = {}  # node -> builder, until its parent takes it
     for i, node in enumerate(nice_td.nodes):
         children = [carried.pop(c) for c in node.children]
         if node.kind == "join":
             carried[i] = children[0]
         else:
-            maximal = children[0][0] if children else {0}
-            if node.kind != "leaf":
-                step = _forget if node.kind == "forget" else _introduce
-                maximal = step(graph, node.bag, node.vertex, maximal)
-            carried[i] = maximal, _family_builder(graph, node.bag, k, maximal)
-        yield carried[i][1]
+            carried[i] = _FamilyBuilder(graph, node, k, children[0] if children else None)
+        yield carried[i]
 
 
 def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):

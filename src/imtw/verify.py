@@ -27,12 +27,14 @@ from .boundaried import (
     glue,
 )
 from .corpus import (
+    chordal_completion,
     random_boundaried,
     random_corpus,
     random_family,
     random_minor_op,
     shuffled_pieces,
     sparse_corpus,
+    tied_corpus,
 )
 from .decomp import (
     blob_decomposition,
@@ -83,7 +85,6 @@ from .oracles import (
     exact_width_parameters,
     find_cycle_within,
     is_bipartite_within,
-    is_induced_forest,
     max_degree_within,
     recognize_imtw_at_most_1,
 )
@@ -305,10 +306,9 @@ def odd_power_transfer(g, td, r):
 
 @claim("mwis equals oracle")
 def mwis_matches_oracle(g, w, td, met, nice):
-    got, solution = mwis_dp(g, nice, w)
-    expected, _ = brute_mwis(g, w)
-    ok = got == expected and g.is_independent(solution) and w.of_set(solution) == got
-    yield ok, (g.n, got, expected)
+    got = mwis_dp(g, nice, w)
+    expected = brute_mwis(g, w)
+    yield got == expected, (g.n, got, expected)
 
 
 @claim("trace coverage")
@@ -337,16 +337,12 @@ def trace_family_bound(g, w, td, met, nice):
 
 @claim("forest optimum equals oracle, both providers")
 def forest_matches_oracle(g, w, td, met, nice):
-    expected, _ = brute_max_weight_induced_forest(g, w)
+    expected = brute_max_weight_induced_forest(g, w)
     results = [
         mwif_dp(g, nice, w, provider="exhaustive"),
         mwif_dp(g, nice, w, provider="paper"),
     ]
-    ok = all(
-        weight == expected == w.of_set(solution) and is_induced_forest(g, solution)
-        for weight, solution in results
-    )
-    yield ok, (g.n, [weight for weight, _ in results], expected)
+    yield all(got == expected for got in results), (g.n, results, expected)
 
 
 @claim("signature coverage")
@@ -405,16 +401,15 @@ def anatomy_partitions(g):
 
 @claim("structured DP equals brute force")
 def structured_dp_matches_brute_force(g, w, td, met, nice, algebra):
-    """One algebra's optimum: forest (also against mwif_dp), bipartite, or
-    max-degree d for every clique bound r. Cases come from ``per_algebra``."""
+    """One algebra's canonical optimum: forest (also against mwif_dp),
+    bipartite, or max-degree d for every clique bound r. Cases come from
+    ``per_algebra``."""
 
     def solve(r):
-        result = generic_structured_dp(g, nice, w, algebra, r=r)
-        return None if result is None else result[0]
+        return generic_structured_dp(g, nice, w, algebra, r=r)
 
     if algebra.name == "forest":
-        forest = brute_max_weight_induced_forest(g, w)[0]
-        ok = solve(2) == mwif_dp(g, nice, w)[0] == forest
+        ok = solve(2) == mwif_dp(g, nice, w) == brute_max_weight_induced_forest(g, w)
     elif algebra.name == "bipartite":
         ok = solve(2) == brute_best(g, w, lambda m: is_bipartite_within(g, m))
     else:
@@ -429,6 +424,42 @@ def structured_dp_matches_brute_force(g, w, td, met, nice, algebra):
             for r in range(1, algebra.clique_bound + 1)
         )
     yield ok, (algebra.name, g.n)
+
+
+@claim("one canonical solution across decompositions")
+def canonical_solution(g, w):
+    """MWIS, forest under both providers, and the generic DP for forests and
+    for bipartite sets return the canonical optimum of brute force on the
+    min-fill, min-degree and single-bag decompositions alike."""
+    mis = brute_mwis(g, w)
+    forest = brute_max_weight_induced_forest(g, w)
+    bipartite = brute_best(g, w, lambda m: is_bipartite_within(g, m))
+    solvers = (
+        ("mwis", mis, mwis_dp),
+        ("forest exhaustive", forest, partial(mwif_dp, provider="exhaustive")),
+        ("forest paper", forest, partial(mwif_dp, provider="paper")),
+        ("generic forest", forest, partial(generic_structured_dp, algebra=ForestAlgebra(), r=2)),
+        (
+            "generic bipartite",
+            bipartite,
+            partial(generic_structured_dp, algebra=BipartiteAlgebra(), r=2),
+        ),
+    )
+    tds = {strategy: heuristic_decomposition(g, strategy) for strategy in STRATEGIES}
+    tds["single bag"] = single_bag_decomposition(g)
+
+    def nice_form(td):
+        return prepare(g, w, td)[4]
+
+    def canonical(nice, name, expected, solve):
+        got = solve(g, nice(), w)
+        return got == expected, (g.n, name, got, expected)
+
+    for strategy, td in tds.items():
+        # made once per decomposition, unless making it raised
+        nice = cache(partial(nice_form, td))
+        for name, expected, solve in solvers:
+            yield partial(canonical, nice, f"{name} on {strategy}", expected, solve)
 
 
 def per_algebra(cases):
@@ -685,6 +716,14 @@ def suite_boundaried(seed, max_n):
 def suite_oracles(seed, max_n):
     # sparse_corpus keeps at most 9 edges, so every line graph square stays small
     graphs = [(g, exact_width_parameters(g)) for g in sparse_corpus(seed, 15, min(max_n, 8))]
+    rng = Random(seed)
+    chordal, minors = [], []
+    for _ in range(12):
+        g = random_graph(rng.randint(1, min(max_n, 8)), 0.4, seed=rng.randrange(2**32))
+        chordal.append((chordal_completion(g),))
+        # three or more vertices, so no operation empties the graph
+        g = random_graph(rng.randint(3, min(max_n, 8)), 0.4, seed=rng.randrange(2**32))
+        minors.append((g, random_minor_op(rng, g)))
     return [
         width_chain(graphs),
         line_square_equality(graphs),
@@ -694,7 +733,13 @@ def suite_oracles(seed, max_n):
         degree_bounds(graphs),
         recognition_agrees(graphs),
         width_anchors([()]),
+        chordal_alpha_one(chordal),
+        minor_keeps_tree_mu(minors),
     ]
+
+
+def suite_canonical(seed, max_n):
+    return [canonical_solution(tied_corpus(seed, 16, min(max_n, 8)))]
 
 
 SUITES = {
@@ -705,6 +750,7 @@ SUITES = {
     "packing": suite_packing,
     "boundaried": suite_boundaried,
     "oracles": suite_oracles,
+    "canonical": suite_canonical,
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from imtw import nicedp
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
-from imtw.graphs import Graph, WeightMap, random_graph
+from imtw.graphs import WeightMap, random_graph
 from imtw.nicedp import run_nice_dp
 from imtw.verify import STRATEGIES, prepare
 
@@ -18,32 +18,6 @@ def expect(*checks):
     """Assert that every check ran at least once and never failed."""
     for check in checks:
         assert check.ok, check.as_dict()
-
-
-def chordal_completion(graph, rng=None):
-    """Greedy min-fill completion; the result is chordal by construction."""
-    adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
-    alive = set(range(graph.n))
-    extra = []
-    while alive:
-        def fill_cost(v):
-            nbrs = [u for u in adj[v] if u in alive]
-            return sum(
-                1
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1 :]
-                if b not in adj[a]
-            )
-        v = min(sorted(alive), key=fill_cost)
-        nbrs = [u for u in adj[v] if u in alive]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    extra.append((a, b))
-        alive.remove(v)
-    return Graph(graph.n, list(graph.edges) + extra)
 
 
 def seeded_graphs(seed, count, n_lo, n_hi, ps=(0.2, 0.5)):
@@ -127,6 +101,6 @@ def at_each_threshold(monkeypatch):
 
 @pytest.fixture
 def filter_everywhere(monkeypatch):
-    """Every node's family built before its first state, as under a zero
-    weight: the filtered path that tests pinning filter work measure."""
+    """Every node's family built before its first state: the filtered path
+    that tests pinning filter work measure."""
     monkeypatch.setattr(nicedp, "FILTER_FROM", 0)

@@ -13,6 +13,7 @@ import pytest
 from imtw.bits import popcount
 from imtw.boundaried import BipartiteAlgebra, ForestAlgebra, MaxDegreeAlgebra
 from imtw.corpus import (
+    chordal_completion,
     random_boundaried,
     random_corpus,
     random_family,
@@ -52,7 +53,7 @@ from imtw.verify import (
     width_anchors,
 )
 
-from conftest import at_each_threshold, chordal_completion, measured_nice, seeded_graphs
+from conftest import at_each_threshold, measured_nice, seeded_graphs
 
 
 def report(number, ok, text, *checks):

@@ -173,8 +173,8 @@ GOLDEN_TYPES = {
 
 
 def test_golden_algebra_types():
-    # the DP breaks ties on these tuples, so their exact form is pinned, not
-    # just their meaning
+    # DP tables key on these tuples, so their exact form decides which
+    # states a table holds and is pinned, not just their meaning
     for alg in (ForestAlgebra(), BipartiteAlgebra(), MaxDegreeAlgebra(2)):
         types = {
             name: alg.type_of(BoundariedGraph.make(g, labels, 3))

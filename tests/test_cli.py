@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from imtw import cli, graphs, verify
+from imtw.bits import bits
 from imtw.boundaried import generic_structured_dp
 from imtw.cli import main
 from imtw.corpus import random_corpus
@@ -18,6 +19,14 @@ from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nic
 from imtw.errors import InvariantError
 from imtw.forest import mwif_dp
 from imtw.graphs import Graph, WeightMap
+from imtw.oracles import (
+    brute_best,
+    brute_max_weight_induced_forest,
+    brute_mwis,
+    clique_number_within,
+    is_bipartite_within,
+    max_degree_within,
+)
 from imtw.packing import (
     max_weight_distance_packing,
     max_weight_independent_packing,
@@ -334,6 +343,9 @@ VERIFY_ALL_SEED_42_MAX_N_8 = [
     ("oracles", "degree bounds", 11),
     ("oracles", "recognition agrees with oracle", 15),
     ("oracles", "anchors", 4),
+    ("oracles", "chordal graphs have tree-alpha 1", 12),
+    ("oracles", "induced minors keep tree-mu", 12),
+    ("canonical", "one canonical solution across decompositions", 720),
 ]
 
 
@@ -610,15 +622,35 @@ def test_internal_error_has_its_own_exit_code(monkeypatch, capsys):
 
 
 def test_tie_break_golden_solutions(tmp_path, capsys):
-    # optimal solutions are rarely unique; these pin which one the DPs return
+    # optimal solutions are rarely unique; the DPs return the canonical one,
+    # the heaviest with the largest indicator read up from vertex 0, and each
+    # pin below is first checked against brute force's canonical optimum
+    def canonical(stem, predicate):
+        g = graphs.parse_graph((tmp_path / f"{stem}.gr").read_text())
+        w = WeightMap.unit(g.n)
+        if predicate == "mwis":
+            found = brute_mwis(g, w)
+        elif predicate == "forest":
+            found = brute_max_weight_induced_forest(g, w)
+        elif predicate == "bipartite":
+            found = brute_best(g, w, lambda m: is_bipartite_within(g, m))
+        else:
+            d = int(predicate.split(":")[1])
+            found = brute_best(
+                g, w, lambda m: max_degree_within(g, m) <= d and clique_number_within(g, m) <= 2
+            )
+        return [v + 1 for v in bits(found[1])]
+
     expected = {
         ("cycle", "6"): {"mwis": [1, 3, 5], "forest": [1, 2, 3, 4, 5]},
         ("complete_bipartite", "3", "3"): {"mwis": [1, 2, 3], "forest": [1, 2, 3, 4]},
         ("path", "7"): {"mwis": [1, 3, 5, 7], "forest": [1, 2, 3, 4, 5, 6, 7]},
-        ("cycle", "7"): {"mwis": [1, 4, 6], "forest": [1, 2, 3, 4, 5, 6]},
+        ("cycle", "7"): {"mwis": [1, 3, 5], "forest": [1, 2, 3, 4, 5, 6]},
     }
     for spec, solutions in expected.items():
         graph_file, td_file = instance(tmp_path, capsys, *spec)
+        for predicate, solution in solutions.items():
+            assert canonical("_".join(spec), predicate) == solution, (spec, predicate)
         _, report, _ = run_cli(capsys, "solve", "mwis", graph_file, td_file)
         assert report["result"]["solution"] == solutions["mwis"], spec
         for family in ("paper", "exhaustive"):
@@ -630,9 +662,10 @@ def test_tie_break_golden_solutions(tmp_path, capsys):
         ("cycle_6", "forest", [1, 2, 3, 4, 5]),
         ("cycle_7", "bipartite", [1, 2, 3, 4, 5, 6]),
         ("cycle_6", "max-degree:1", [1, 2, 4, 5]),
-        ("path_7", "max-degree:1", [1, 3, 4, 6, 7]),
-        ("complete_bipartite_3_3", "max-degree:2", [2, 3, 4, 5]),
+        ("path_7", "max-degree:1", [1, 2, 4, 5, 7]),
+        ("complete_bipartite_3_3", "max-degree:2", [1, 2, 4, 5]),
     ):
+        assert canonical(stem, prop) == solution, (stem, prop)
         stem = tmp_path / stem
         _, report, _ = run_cli(
             capsys, "solve", "generic", f"{stem}.gr", f"{stem}.td", "--property", prop, "-r", "2"

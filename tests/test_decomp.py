@@ -7,7 +7,7 @@ import pytest
 
 from imtw import decomp
 from imtw.bits import bit, mask_of, popcount, to_tuple
-from imtw.corpus import random_corpus, random_minor_op, shuffled_pieces
+from imtw.corpus import chordal_completion, random_corpus, random_minor_op, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
     _Budget,
@@ -57,7 +57,7 @@ from imtw.verify import (
     width_anchors,
 )
 
-from conftest import chordal_completion, expect, seeded_graphs
+from conftest import expect, seeded_graphs
 
 
 def test_validate_single_bag():

@@ -1,6 +1,7 @@
 """The DP driver keeps its table values as integers, with the weights scaled
-by the lcm of their denominators, and turns only the optimum back into a
-Fraction. It builds a node's family only once the table outgrows
+by the lcm of their denominators and a bonus bit per vertex, and turns only
+the optimum back into a Fraction; the bonus bits make that optimum the
+canonical one. It builds a node's family only once the table outgrows
 ``FILTER_FROM`` or a child was filtered, and that choice leaves every
 solution as it is."""
 
@@ -11,13 +12,22 @@ import pytest
 
 from imtw import forest, nicedp, traces
 from imtw.boundaried import ForestAlgebra, MaxDegreeAlgebra, generic_structured_dp
+from imtw.corpus import tied_corpus
 from imtw.decomp import heuristic_decomposition, single_bag_decomposition
 from imtw.forest import mwif_dp
 from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph
 from imtw.oracles import brute_max_weight_induced_forest, brute_mwis
 from imtw.traces import mwis_dp
+from imtw.verify import canonical_solution
 
-from conftest import driver_spy, measured_nice, seeded_graphs, solver_cases
+from conftest import (
+    at_each_threshold,
+    driver_spy,
+    expect,
+    measured_nice,
+    seeded_graphs,
+    solver_cases,
+)
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -55,10 +65,10 @@ def paper_dp(g, nice, w):
 
 
 def test_filtering_only_large_tables_keeps_every_solution(monkeypatch):
-    # with positive weights every optimum is maximal, so it lies in every
-    # family and the tie-break sees the same candidates however many nodes
-    # filter; unit weights tie often, and weights from {0, 1, 2} hold zeros,
-    # where a non-maximal optimum could win unless every node filters
+    # every vertex carries a positive bonus bit, so the canonical optimum is
+    # maximal, lies in every family and wins however many nodes filter;
+    # unit weights tie often, and weights from {0, 1, 2} hold zeros, where
+    # without the bonus a non-maximal optimum could win before a filter
     rng = Random(21)
     cases = []
     for g in seeded_graphs(21, 20, 4, 11, ps=(0.2, 0.4, 0.6)):
@@ -77,6 +87,15 @@ def test_filtering_only_large_tables_keeps_every_solution(monkeypatch):
         monkeypatch.setattr(nicedp, "FILTER_FROM", filter_from)
         found.append([solve(g, nice, w) for g, nice, w in cases for solve in (mwis_dp, paper_dp)])
     assert found[0] == found[1] == found[2]
+
+
+def test_every_solver_returns_the_canonical_optimum(monkeypatch):
+    # MWIS, forest under both providers and the generic DP return brute
+    # force's canonical optimum on every decomposition, whether no node or
+    # every node filters
+    cases = tied_corpus(22, 20, 9)
+    for _ in at_each_threshold(monkeypatch):
+        expect(canonical_solution(cases))
 
 
 def filtered_run(module, solve, g, nice, filter_from):

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from imtw.bits import bit, bits, mask_of, popcount, submasks
-from imtw.corpus import random_minor_op
+from imtw.corpus import chordal_completion, random_minor_op
 from imtw.errors import ResourceLimitError
 from imtw.graphs import (
     Graph,
@@ -41,7 +41,7 @@ from imtw.verify import (
     width_chain,
 )
 
-from conftest import chordal_completion, expect, seeded_graphs
+from conftest import expect, seeded_graphs
 
 
 def with_widths(graphs):
@@ -60,7 +60,7 @@ def test_brute_mwis_matches_subset_scan():
     rng = Random(7)
     for g in seeded_graphs(70, 25, 2, 10):
         w = WeightMap([rng.randint(0, 30) for _ in range(g.n)])
-        assert brute_mwis(g, w)[0] == brute_best(g, w, g.is_independent)
+        assert brute_mwis(g, w)[0] == brute_best(g, w, g.is_independent)[0]
 
 
 def test_brute_mwis_cap():
@@ -82,7 +82,30 @@ def test_forest_oracle_returns_forest_and_weight():
         weight, sol = brute_max_weight_induced_forest(g, w)
         assert find_cycle_within(g, sol) is None
         assert w.of_set(sol) == weight
-        assert weight == brute_best(g, w, lambda m: find_cycle_within(g, m) is None)
+        assert weight == brute_best(g, w, lambda m: find_cycle_within(g, m) is None)[0]
+
+
+def test_oracles_name_the_canonical_optimum():
+    # on ties every oracle keeps the heaviest set whose indicator, read up
+    # from vertex 0, is the largest: the optimum the dynamic programs return
+    rng = Random(72)
+    for g in seeded_graphs(72, 30, 2, 9):
+        for w in (WeightMap.unit(g.n), WeightMap([rng.randint(0, 2) for _ in range(g.n)])):
+
+            def canonical(predicate):
+                def key(m):
+                    return w.of_set(m), sum(1 << (g.n - 1 - v) for v in bits(m))
+
+                best = max(filter(predicate, submasks(g.vertex_mask())), key=key)
+                return w.of_set(best), best
+
+            def forest(m):
+                return find_cycle_within(g, m) is None
+
+            mis = canonical(g.is_independent)
+            assert brute_mwis(g, w) == mis == brute_best(g, w, g.is_independent)
+            assert brute_max_weight_induced_forest(g, w) == canonical(forest)
+            assert brute_best(g, w, forest) == canonical(forest)
 
 
 def test_enumerate_maximal_forests_small():

@@ -275,7 +275,7 @@ def test_dissociation_set_encoding():
         fam = SubgraphFamily(sets)
         sol = max_weight_independent_packing(g, heuristic_decomposition(g), fam)
         dissociation = lambda m: max_degree_within(g, m) <= 1
-        assert sol.weight == brute_best(g, WeightMap.unit(g.n), dissociation)
+        assert sol.weight == brute_best(g, WeightMap.unit(g.n), dissociation)[0]
 
 
 def test_k_separator_encoding():
@@ -289,7 +289,7 @@ def test_k_separator_encoding():
         fam = SubgraphFamily(pieces, [w.of_set(m) for m in pieces])
         sol = max_weight_independent_packing(g, heuristic_decomposition(g), fam)
         small = lambda m: all(popcount(comp) <= c for comp in g.components_within(m))
-        assert sol.weight == brute_best(g, w, small)
+        assert sol.weight == brute_best(g, w, small)[0]
 
 
 def test_is_valid_packing_trivia():

@@ -340,6 +340,44 @@ def test_carried_families_equal_per_bag_families_on_ptas_blobs(monkeypatch):
         assert_carried_families_match(blob, nice, {nice.metrics.mu})
 
 
+def test_carried_sets_step_only_above_a_built_node(monkeypatch):
+    # builders called at random nodes in node order, as the driver calls
+    # them: one steps its child's maximal sets when the child's builder was
+    # called and enumerates its own bag otherwise, and builds the per-bag
+    # family either way
+    enumerated = []
+
+    def recorded(graph, universe=None):
+        enumerated.append(universe)
+        return enumerate_maximal_independent_sets(graph, universe)
+
+    monkeypatch.setattr(traces, "enumerate_maximal_independent_sets", recorded)
+    rng = Random(52)
+    stepped = fresh = 0
+    for g in seeded_graphs(52, 80, 2, 11, ps=(0.2, 0.4, 0.6)):
+        nice = measured_nice(g, heuristic_decomposition(g, rng.choice(("min-fill", "min-degree"))))
+        k = nice.metrics.mu
+        builders, called = [], set()
+        for node, build in zip(nice.nodes, carried_trace_families(g, nice, k), strict=True):
+            builders.append(build)
+            if node.kind == "leaf":
+                # a leaf's one maximal set, the empty set, is known at once
+                called.add(id(build))
+            # a join's builder is its first child's, so it is called there
+            if node.kind in ("leaf", "join") or rng.random() < 0.4:
+                continue
+            enumerated.clear()
+            members = build()
+            child_built = id(builders[node.children[0]]) in called
+            assert enumerated == ([] if child_built else [node.bag]), (g.n, g.edges, node)
+            stepped += child_built
+            fresh += not child_built
+            called.add(id(build))
+            expected = enumerate_maximal_independent_sets(g, node.bag)
+            assert members == trace_family_for_bag(g, node.bag, k, expected).members
+    assert stepped > 100 and fresh > 100, (stepped, fresh)
+
+
 def test_mwis_dp_on_edgeless_single_bag_is_fast():
     # the carried family of each of the 4001 nice nodes is one set, found
     # without a walk over the bag; enumerating it per node took seconds
