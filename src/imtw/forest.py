@@ -44,6 +44,16 @@ witness that cannot emit Z with one AND. The eager enumerator
 signature_family_paper runs the same witness generator and the same rules
 and expands every partition; it is the coverage oracle for tests and
 ``imtw verify``.
+
+A join merges two children's signatures with one Z (Bodlaender, Cygan,
+Kratsch and Nederlof, Inf. Comput. 243, 2015) on component labels: for each
+component of G[Z], in order, the index of the child's block that holds it.
+Whether the merge closes a cycle, and which components each merged block
+unites, depend only on the two label tuples, not on Z. So each signature is
+labelled once per ``mwif_dp`` run, a memo that lives for the run maps each
+label pair to its merged labels (or None on a cycle), and only a pair not
+seen before runs the union-find; a repeated pair ORs Z's components into
+its blocks.
 """
 
 from itertools import combinations
@@ -472,25 +482,30 @@ class BoundedFamilyMembership:
 # Partition merge for join nodes
 
 
-def merge_partitions(z, components, blocks1, blocks2):
-    """Combine the two children's partitions at a join node, or None.
+def component_labels(components, blocks):
+    """For each component of G[Z], in order, the index of the block holding it.
 
-    Builds the bipartite incidence graph with one node per block on each side
-    and one edge per component of the bag solution; any repeated edge or cycle
-    means the two partial forests close a cycle together. On success the
-    result's blocks are the unions of components falling in one incidence
-    component.
+    ``components`` is ``components_within(Z)`` and ``blocks`` a canonical
+    partition of Z into unions of them; both are ordered by lowest vertex, so
+    the labels number the blocks in order of first appearance.
     """
-    index1 = {}
-    for i, b in enumerate(blocks1):
+    index = {}
+    for i, b in enumerate(blocks):
         for v in bits(b):
-            index1[v] = i
-    index2 = {}
-    for i, b in enumerate(blocks2):
-        for v in bits(b):
-            index2[v] = i
-    size = len(blocks1) + len(blocks2)
-    parent = list(range(size))
+            index[v] = i
+    return tuple(index[lowest_bit(comp)] for comp in components)
+
+
+def _merge_labels(labels1, labels2):
+    """The label join behind ``merge_partitions``, or None on a cycle.
+
+    Union-find on the bipartite incidence graph with one node per block on
+    each side and one edge per component: a repeated edge or a cycle means
+    the two partial forests close a cycle together. Each component is then
+    labelled by its incidence class, numbered in order of first appearance.
+    """
+    offset = len(labels1)
+    parent = list(range(2 * offset))
 
     def find(x):
         while parent[x] != x:
@@ -498,20 +513,42 @@ def merge_partitions(z, components, blocks1, blocks2):
             x = parent[x]
         return x
 
-    comp_side1 = []
-    for comp in components:
-        v = lowest_bit(comp)
-        a, b = index1[v], len(blocks1) + index2[v]
-        ra, rb = find(a), find(b)
+    for a, b in zip(labels1, labels2):
+        ra, rb = find(a), find(offset + b)
         if ra == rb:
             return None
         parent[ra] = rb
-        comp_side1.append((comp, a))
-    merged = {}
-    for comp, a in comp_side1:
-        merged.setdefault(find(a), 0)
-        merged[find(a)] |= comp
-    return canonical_blocks(merged.values())
+    number = {}
+    return tuple(number.setdefault(find(a), len(number)) for a in labels1)
+
+
+_UNSEEN = object()
+
+
+def merge_partitions(components, labels1, labels2, memo):
+    """Combine the two children's partitions at a join node, or None.
+
+    The children share Z; ``components`` is ``components_within(Z)`` and the
+    labels are each child's ``component_labels``. Whether the partial forests
+    close a cycle, and which components the merged blocks group, depend only
+    on the two label tuples, so ``memo`` maps each label pair to its merged
+    labels (None on a cycle) and only a pair not seen before runs the
+    union-find. Each merged block is the OR of its components; labels
+    numbered by first appearance give the blocks in canonical order.
+    """
+    key = (labels1, labels2)
+    merged = memo.get(key, _UNSEEN)
+    if merged is _UNSEEN:
+        merged = memo[key] = _merge_labels(labels1, labels2)
+    if merged is None:
+        return None
+    blocks = []
+    for comp, label in zip(components, merged):
+        if label == len(blocks):
+            blocks.append(comp)
+        else:
+            blocks[label] |= comp
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +604,24 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
         rest = ~bit(v)
         return z & rest, canonical_blocks(b & rest for b in blocks)
 
-    components = {}  # Z -> components of G[Z], shared by all joins
+    # per-run join caches: Z -> components of G[Z], signature -> its
+    # component labels, label pair -> merged labels (None on a cycle)
+    components = {}
+    labels = {}
+    memo = {}
+
+    def labels_of(sig, comps):
+        found = labels.get(sig)
+        if found is None:
+            found = labels[sig] = component_labels(comps, sig[1])
+        return found
 
     def merge(sig1, sig2):
         z = sig1[0]
-        if z not in components:
-            components[z] = graph.components_within(z)
-        blocks = merge_partitions(z, components[z], sig1[1], sig2[1])
+        comps = components.get(z)
+        if comps is None:
+            comps = components[z] = graph.components_within(z)
+        blocks = merge_partitions(comps, labels_of(sig1, comps), labels_of(sig2, comps), memo)
         return None if blocks is None else (z, blocks)
 
     empty = (0, ())

@@ -80,7 +80,7 @@ def run_nice_dp(
     ints = _values(weights)
     tables = [None] * nice_td.size
     backptr = [None] * nice_td.size
-    filtered = [False] * nice_td.size
+    filtered = set()  # the nodes whose family was built
     states_seen = 0
     if families is None:
         families = repeat(None, nice_td.size)
@@ -91,7 +91,7 @@ def run_nice_dp(
         # the table size at which the next new state builds the family
         if build is None:
             limit = inf
-        elif any(filtered[c] for c in node.children):
+        elif not filtered.isdisjoint(node.children):
             limit = 0
         else:
             limit = FILTER_FROM
@@ -122,10 +122,13 @@ def run_nice_dp(
             by_part = {}
             for s1 in left:
                 by_part.setdefault(bag_part(s1), []).append(s1)
+            part_values = {}  # each shared bag part's value, summed once
             for s2 in right:
                 part = bag_part(s2)
                 if part in by_part:
-                    part_value = sum(ints[u] for u in bits(part))
+                    part_value = part_values.get(part)
+                    if part_value is None:
+                        part_value = part_values[part] = sum(ints[u] for u in bits(part))
                     for s1 in by_part[part]:
                         merged = merge(s1, s2)
                         if merged is not None:
@@ -145,7 +148,8 @@ def run_nice_dp(
                         push(grown, value + ints[v], (state,))
         tables[i] = table
         backptr[i] = bp
-        filtered[i] = members is not None
+        if members is not None:
+            filtered.add(i)
     return tables, backptr
 
 

@@ -1,6 +1,6 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
-spies on the DP driver and its family stream, and a fixture and a loop that
-make the driver filter every node."""
+spies on the DP driver and its family stream, a fixture and a loop that
+make the driver filter every node, and the reference forest join."""
 
 from inspect import signature
 from random import Random
@@ -8,6 +8,8 @@ from random import Random
 import pytest
 
 from imtw import nicedp
+from imtw.bits import bits, lowest_bit
+from imtw.forest import canonical_blocks
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.graphs import WeightMap, random_graph
 from imtw.nicedp import run_nice_dp
@@ -104,3 +106,43 @@ def filter_everywhere(monkeypatch):
     """Every node's family built before its first state: the filtered path
     that tests pinning filter work measure."""
     monkeypatch.setattr(nicedp, "FILTER_FROM", 0)
+
+
+def reference_merge_partitions(z, components, blocks1, blocks2):
+    """The forest join on blocks, the reference for the label join of
+    ``forest.merge_partitions``: union-find on the bipartite incidence graph
+    with one node per block on each side and one edge per component of G[Z].
+    Any repeated edge or cycle means the two partial forests close a cycle
+    together, and the result is None; otherwise the blocks are the unions of
+    the components falling in one incidence component."""
+    index1 = {}
+    for i, b in enumerate(blocks1):
+        for v in bits(b):
+            index1[v] = i
+    index2 = {}
+    for i, b in enumerate(blocks2):
+        for v in bits(b):
+            index2[v] = i
+    size = len(blocks1) + len(blocks2)
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    comp_side1 = []
+    for comp in components:
+        v = lowest_bit(comp)
+        a, b = index1[v], len(blocks1) + index2[v]
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        parent[ra] = rb
+        comp_side1.append((comp, a))
+    merged = {}
+    for comp, a in comp_side1:
+        merged.setdefault(find(a), 0)
+        merged[find(a)] |= comp
+    return canonical_blocks(merged.values())

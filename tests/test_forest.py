@@ -11,6 +11,7 @@ from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nic
 from imtw.errors import InputError, ResourceLimitError
 from imtw.forest import (
     canonical_blocks,
+    component_labels,
     forest_anatomy,
     merge_partitions,
     mwif_dp,
@@ -48,6 +49,7 @@ from conftest import (
     measured_nice,
     at_each_threshold,
     recorded_families,
+    reference_merge_partitions,
     seeded_graphs,
     solver_cases,
 )
@@ -195,12 +197,23 @@ def test_skeleton_bag_bound():
     expect(skeleton_bound(solver_cases(seeded_graphs(44, 15, 3, 9))))
 
 
+def label_join(comps, blocks1, blocks2, memo=None):
+    """``merge_partitions`` on two block tuples over one Z, through their
+    component labels and a fresh memo unless one is given."""
+    return merge_partitions(
+        comps,
+        component_labels(comps, blocks1),
+        component_labels(comps, blocks2),
+        {} if memo is None else memo,
+    )
+
+
 def test_merge_partitions_identity():
     g = Graph(4, [(0, 1)])
     z = 0b0111
     comps = g.components_within(z)
     singles = canonical_blocks(comps)
-    assert merge_partitions(z, comps, singles, singles) == singles
+    assert label_join(comps, singles, singles) == singles
 
 
 def test_merge_partitions_double_connection_rejected():
@@ -208,7 +221,7 @@ def test_merge_partitions_double_connection_rejected():
     z = 0b0011
     comps = g.components_within(z)
     joined = (0b0011,)
-    assert merge_partitions(z, comps, joined, joined) is None
+    assert label_join(comps, joined, joined) is None
 
 
 def test_merge_partitions_star_is_fine():
@@ -217,7 +230,41 @@ def test_merge_partitions_star_is_fine():
     comps = g.components_within(z)
     joined = (0b111,)
     singles = canonical_blocks(comps)
-    assert merge_partitions(z, comps, joined, singles) == joined
+    assert label_join(comps, joined, singles) == joined
+
+
+def test_merge_partitions_empty_bag_part():
+    comps = Graph(3, []).components_within(0)
+    assert not comps and component_labels(comps, ()) == ()
+    memo = {}
+    assert label_join(comps, (), (), memo) == ()
+    assert memo == {((), ()): ()}
+
+
+def test_merge_partitions_memo_hit_takes_the_second_z():
+    # Z = {0, 1, 2} and Z = {3, 4, 5} of an edgeless graph have one label
+    # structure: the second join hits the memo and builds its own blocks
+    g = Graph(6, [])
+    memo = {}
+    first = g.components_within(0b000111)
+    assert label_join(first, (0b000011, 0b000100), (0b000001, 0b000110), memo) == (0b000111,)
+    second = g.components_within(0b111000)
+    assert label_join(second, (0b011000, 0b100000), (0b001000, 0b110000), memo) == (0b111000,)
+    assert memo == {((0, 0, 1), (0, 1, 1)): (0, 0, 0)}
+
+
+def test_merge_partitions_memoises_a_cycle():
+    g = Graph(5, [(0, 1)])
+    comps = g.components_within(0b11011)
+    joined = (0b11011,)
+    memo = {}
+    assert label_join(comps, joined, joined, memo) is None
+    assert memo == {((0, 0, 0), (0, 0, 0)): None}
+    # the memoised None answers the same label pair over another Z
+    assert label_join(comps, joined, joined, memo) is None
+    other = Graph(5, []).components_within(0b00111)
+    assert label_join(other, (0b00111,), (0b00111,), memo) is None
+    assert len(memo) == 1
 
 
 def test_merge_partitions_vs_brute_union():
@@ -264,7 +311,7 @@ def test_merge_partitions_vs_brute_union():
         comps = g.components_within(z)
         b1 = signature_in(g, f1, bag, side1)[1]
         b2 = signature_in(g, f2, bag, side2)[1]
-        merged = merge_partitions(z, comps, b1, b2)
+        merged = label_join(comps, b1, b2)
         union_ok = find_cycle_within(g, f1 | f2) is None
         if merged is None:
             assert not union_ok
@@ -540,6 +587,48 @@ def test_join_merges_only_equal_bag_parts(monkeypatch):
     assert mwif_dp(g, nice, WeightMap.unit(16))[0] == 10
     # one merge_partitions call per pair of join partners with equal Z
     assert len(merged) == 5908
+    # one memo for the run, and one union-find per distinct label pair
+    memos = {id(args[3]): args[3] for args in merged}
+    assert len(memos) == 1
+    (memo,) = memos.values()
+    assert set(memo) == {(args[1], args[2]) for args in merged}
+    assert len(memo) == 1126
+
+
+def test_label_join_equals_the_reference_on_every_pair(monkeypatch, filter_everywhere):
+    # every join pair of both providers (the exhaustive one never filters)
+    # merges as the union-find over the blocks does, so a wrong memo key
+    # fails on its pair
+    cases = [
+        (g, heuristic_decomposition(g, strategy))
+        for g in seeded_graphs(48, 24, 4, 12, ps=(0.2, 0.35, 0.5))
+        for strategy in ("min-fill", "min-degree")
+    ]
+    cases.append((hypercube_graph(4), heuristic_decomposition(hypercube_graph(4))))
+    pairs = {"exhaustive": 0, "paper": 0}
+
+    for provider in pairs:
+        for g, td in cases:
+
+            def wrap(arguments):
+                merge = arguments["merge"]
+
+                def checked(left, right):
+                    got = merge(left, right)
+                    z = left[0]
+                    want = reference_merge_partitions(
+                        z, g.components_within(z), left[1], right[1]
+                    )
+                    assert got == (None if want is None else (z, want)), (g.edges, left, right)
+                    pairs[provider] += 1
+                    return got
+
+                arguments["merge"] = checked
+
+            with monkeypatch.context() as mp:
+                mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
+                mwif_dp(g, measured_nice(g, td), WeightMap.unit(g.n), provider=provider)
+    assert all(pairs.values()), pairs
 
 
 def test_bounded_family_k88_is_fast(filter_everywhere):
