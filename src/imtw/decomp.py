@@ -13,6 +13,7 @@ from there.
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
@@ -23,9 +24,9 @@ DEFAULT_SEARCH_BUDGET = 10**7
 
 class TreeDecomposition:
     """A rooted tree of bags. Nodes are 0..size-1; bags are vertex masks;
-    ``tree`` is the Graph of the tree edges that are not self-loops."""
+    ``tree_edges`` are the tree's edges as (low, high) node pairs."""
 
-    __slots__ = ("graph_n", "bags", "tree_edges", "root", "tree")
+    __slots__ = ("graph_n", "bags", "tree_edges", "root", "_order")
 
     def __init__(self, graph_n, bags, tree_edges, root=0):
         norm = []
@@ -37,41 +38,58 @@ class TreeDecomposition:
         if not norm:
             raise InputError("a tree decomposition needs at least one node")
         size = len(norm)
+        edges = []
         for u, v in tree_edges:
             if not (0 <= u < size and 0 <= v < size):
                 raise InputError(f"tree edge ({u}, {v}) out of range")
+            edges.append((u, v) if u <= v else (v, u))
         if not 0 <= root < size:
             raise InputError(f"root {root} out of range")
         self.graph_n = graph_n
         self.bags = tuple(norm)
-        self.tree_edges = tuple(tuple(sorted(e)) for e in tree_edges)
+        self.tree_edges = tuple(edges)
         self.root = root
-        self.tree = Graph(size, [(u, v) for u, v in self.tree_edges if u != v])
+        self._order = None
 
     @property
     def size(self):
         return len(self.bags)
 
     def rooted_order(self):
-        """(node, parent) pairs in a DFS preorder from the root."""
-        out = []
-        stack = [(self.root, -1)]
-        seen = {self.root}
-        while stack:
-            t, p = stack.pop()
-            out.append((t, p))
-            for c in reversed(self.tree.neighbors(t)):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append((c, t))
-        return out
+        """(node, parent) pairs in a DFS preorder from the root that visits
+        children in ascending order, computed once per decomposition. Only
+        the nodes the root reaches appear."""
+        if self._order is None:
+            nbrs = [[] for _ in self.bags]
+            for u, v in self.tree_edges:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            out = []
+            stack = [(self.root, -1)]
+            seen = {self.root}
+            while stack:
+                t, p = stack.pop()
+                out.append((t, p))
+                for c in sorted(nbrs[t], reverse=True):
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append((c, t))
+            self._order = tuple(out)
+        return self._order
 
     def width(self):
         return max(popcount(b) for b in self.bags) - 1
 
 
 def validate_decomposition(graph, td):
-    """All violated axioms, with witnesses. Empty list means valid."""
+    """All violated axioms, with witnesses. Empty list means valid.
+
+    One pass over the rooted tree settles coverage and traces: on a
+    connected tree, the nodes holding v form a connected subtree exactly
+    when one of them has a parent that does not hold v (its top), so a
+    vertex with no top is in no bag and one with two or more tops has a
+    disconnected trace.
+    """
     violations = []
     size = td.size
     if td.graph_n != graph.n:
@@ -82,23 +100,30 @@ def validate_decomposition(graph, td):
         violations.append("duplicate tree edges")
     if len(td.tree_edges) != size - 1:
         violations.append(f"{size} nodes need {size - 1} tree edges, found {len(td.tree_edges)}")
-    if not td.tree.is_connected_within(td.tree.vertex_mask()):
+    order = td.rooted_order()
+    if len(order) != size:
         violations.append("tree is not connected")
     if violations:
         return violations
-    # coverage and connected traces, from the node mask of each vertex
-    nodes_of = [0] * graph.n
-    for t, b in enumerate(td.bags):
-        for v in bits(b):
-            nodes_of[v] |= bit(t)
+    # per vertex: the number of tops of its trace, and the union of its bags
+    tops = [0] * graph.n
+    reach = [0] * graph.n
+    bags = td.bags
+    for t, p in order:
+        bag = bags[t]
+        new = bag if p < 0 else bag & ~bags[p]
+        for v in bits(bag):
+            reach[v] |= bag
+            if new >> v & 1:
+                tops[v] += 1
     for v in range(graph.n):
-        if not nodes_of[v]:
+        if not tops[v]:
             violations.append(f"vertex {v} is in no bag")
     for u, v in graph.edges:
-        if not nodes_of[u] & nodes_of[v]:
+        if not reach[u] >> v & 1:
             violations.append(f"edge ({u}, {v}) is covered by no bag")
     for v in range(graph.n):
-        if nodes_of[v] and not td.tree.is_connected_within(nodes_of[v]):
+        if tops[v] > 1:
             violations.append(f"trace of vertex {v} is disconnected")
     return violations
 
@@ -112,8 +137,7 @@ FORGET = "forget"
 JOIN = "join"
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str
     vertex: object  # vertex id for introduce/forget, None otherwise
     bag: int
@@ -164,53 +188,47 @@ class NiceTreeDecomposition:
 def make_nice(graph, td, metrics):
     """Convert a valid decomposition to nice form, bounded by ``metrics``.
 
+    ``td`` must be valid for ``graph``: this function does not check it, so
+    the caller validates, as ``cli`` does once per command when it loads a
+    ``.td`` file; the heuristic and the transfers build valid ones.
     ``metrics`` must bound alpha and mu of td's bags, as
     ``decomposition_metrics(graph, td)`` does. Every produced bag is a subset
     of some original bag, so neither metric can increase and ``metrics``
     bounds the nice form too. Chains introduce/forget vertices in ascending
     id order.
     """
-    problems = validate_decomposition(graph, td)
-    if problems:
-        raise InputError("cannot normalize an invalid decomposition: " + "; ".join(problems[:3]))
     nodes = []
 
-    def emit(kind, vertex, bag, children):
-        nodes.append(NiceNode(kind, vertex, bag, tuple(children)))
-        return len(nodes) - 1
-
-    def chain(from_id, from_bag, to_bag):
+    def chain(cur_id, cur, to_bag):
         """Forget then introduce, one vertex at a time, to reach to_bag."""
-        cur_id, cur = from_id, from_bag
-        for v in to_tuple(from_bag & ~to_bag):
-            cur &= ~bit(v)
-            cur_id = emit(FORGET, v, cur, (cur_id,))
-        for v in to_tuple(to_bag & ~from_bag):
-            cur |= bit(v)
-            cur_id = emit(INTRODUCE, v, cur, (cur_id,))
+        for kind, rest in ((FORGET, cur & ~to_bag), (INTRODUCE, to_bag & ~cur)):
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                cur ^= low
+                nodes.append(NiceNode(kind, low.bit_length() - 1, cur, (cur_id,)))
+                cur_id = len(nodes) - 1
         return cur_id
 
-    def fresh_top(bag):
-        cur_id = emit(LEAF, None, 0, ())
-        return chain(cur_id, 0, bag)
-
     order = td.rooted_order()
-    children_map = {t: [] for t in range(td.size)}
+    children_map = [[] for _ in range(td.size)]
     for t, p in order:
         if p >= 0:
             children_map[p].append(t)
-    top_of = {}
+    top_of = [None] * td.size
     for t, p in reversed(order):
         bag = td.bags[t]
         child_tops = []
         for c in children_map[t]:
             child_tops.append(chain(top_of[c], td.bags[c], bag))
         if not child_tops:
-            top_of[t] = fresh_top(bag)
+            nodes.append(NiceNode(LEAF, None, 0, ()))
+            top_of[t] = chain(len(nodes) - 1, 0, bag)
         else:
             cur = child_tops[0]
             for other in child_tops[1:]:
-                cur = emit(JOIN, None, bag, (cur, other))
+                nodes.append(NiceNode(JOIN, None, bag, (cur, other)))
+                cur = len(nodes) - 1
             top_of[t] = cur
     chain(top_of[td.root], td.bags[td.root], 0)
     return NiceTreeDecomposition(graph.n, nodes, metrics)
@@ -426,9 +444,10 @@ def _elimination_order(graph, strategy):
         alive &= ~bit(v)
         # only the neighbors lose v and gain fill edges; a min-fill cost also
         # counts the edges among a vertex's neighbors, so the new fill edges
-        # reach every alive neighbor of a neighbor as well
+        # reach every alive neighbor of a neighbor as well. A min-fill cost
+        # of 0 means N(v) is a clique: no fill edge, and only N(v) changes.
         dirty = nbrs
-        if strategy == "min-fill":
+        if strategy == "min-fill" and c:
             for u in bits(nbrs):
                 dirty |= work[u]
             dirty &= alive
@@ -449,7 +468,9 @@ def heuristic_decomposition(graph, strategy="min-fill"):
     among ties. Costs sit in a heap with lazy deletion and are recomputed
     only where an elimination can change them: for min-degree at the
     neighbors N(v) of the eliminated vertex v, for min-fill at N(v) and the
-    alive neighbors of N(v), taken after v's fill edges are added.
+    alive neighbors of N(v), taken after v's fill edges are added. A
+    min-fill elimination of cost 0 (v simplicial: N(v) is a clique) adds no
+    fill edge, so there only N(v), which loses v, is re-costed.
     """
     if strategy not in ("min-degree", "min-fill"):
         raise InputError(f"unknown strategy {strategy!r}")
@@ -603,6 +624,8 @@ def parse_td(text):
         elif parts[0] == "b":
             if header is None:
                 raise InputError("bag line before header", line=lineno)
+            if len(parts) < 2:
+                raise InputError(f"malformed bag line {line!r}", line=lineno)
             try:
                 bag_id = int(parts[1])
                 members = [int(x) for x in parts[2:]]

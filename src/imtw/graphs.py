@@ -133,15 +133,15 @@ class WeightMap:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         for i, v in enumerate(vals):
-            if v < 0:
+            if v.numerator < 0:  # a Fraction keeps its sign in the numerator
                 raise InputError(f"weight of vertex {i} is negative: {v}")
         self.values = vals
 
     @classmethod
     def unit(cls, n):
-        return cls([1] * n)
+        return cls([Fraction(1)] * n)
 
     def __len__(self):
         return len(self.values)

@@ -75,7 +75,9 @@ def run_nice_dp(
     grow past ``FILTER_FROM`` states, or at the first state when a child
     was filtered. From then on only members enter.
     More than ``budget`` states entering tables over all nodes raise
-    ResourceLimitError(budget_message).
+    ResourceLimitError(budget_message). A node's candidate states come
+    from a generator of its kind, a join's pair by pair, so no join lists
+    its pairs, and one loop enters them into the node's table.
     """
     ints = _values(weights)
     tables = [None] * nice_td.size
@@ -85,6 +87,16 @@ def run_nice_dp(
     if families is None:
         families = repeat(None, nice_td.size)
     for i, (node, build) in enumerate(zip(nice_td.nodes, families, strict=True)):
+        kind = node.kind
+        if kind == "join":
+            left, right = (tables[c] for c in node.children)
+            candidates = _join_candidates(left, right, bag_part, merge, ints)
+        elif kind == "leaf":
+            candidates = ((empty, 0, ()),)
+        elif kind == "introduce":
+            candidates = _introduce_candidates(tables[node.children[0]], node.vertex, add, ints)
+        else:
+            candidates = _forget_candidates(tables[node.children[0]], node.vertex, bag_part, drop)
         table = {}
         bp = {}
         members = None
@@ -95,11 +107,9 @@ def run_nice_dp(
             limit = 0
         else:
             limit = FILTER_FROM
-
-        def push(state, value, origin):
-            nonlocal states_seen, members, limit
+        for state, value, origin in candidates:
             if members is not None and state not in members:
-                return
+                continue
             cur = table.get(state)
             if cur is None:
                 if len(table) >= limit:
@@ -107,50 +117,56 @@ def run_nice_dp(
                     for rejected in [s for s in table if s not in members]:
                         del table[rejected], bp[rejected]
                     if state not in members:
-                        return
+                        continue
                 states_seen += 1
                 if states_seen > budget:
                     raise ResourceLimitError(budget_message)
-            if cur is None or value > cur:
-                table[state] = value
-                bp[state] = origin
-
-        if node.kind == "leaf":
-            push(empty, 0, ())
-        elif node.kind == "join":
-            left, right = (tables[c] for c in node.children)
-            by_part = {}
-            for s1 in left:
-                by_part.setdefault(bag_part(s1), []).append(s1)
-            part_values = {}  # each shared bag part's value, summed once
-            for s2 in right:
-                part = bag_part(s2)
-                if part in by_part:
-                    part_value = part_values.get(part)
-                    if part_value is None:
-                        part_value = part_values[part] = sum(ints[u] for u in bits(part))
-                    for s1 in by_part[part]:
-                        merged = merge(s1, s2)
-                        if merged is not None:
-                            push(merged, left[s1] + right[s2] - part_value, (s1, s2))
-        else:
-            v = node.vertex
-            child = tables[node.children[0]]
-            for state in child:
-                value = child[state]
-                if node.kind == "forget" and bag_part(state) & bit(v):
-                    push(drop(v, state), value, (state,))
-                    continue
-                push(state, value, (state,))
-                if node.kind == "introduce":
-                    grown = add(v, state)
-                    if grown is not None:
-                        push(grown, value + ints[v], (state,))
+            elif value <= cur:
+                continue
+            table[state] = value
+            bp[state] = origin
         tables[i] = table
         backptr[i] = bp
         if members is not None:
             filtered.add(i)
     return tables, backptr
+
+
+def _join_candidates(left, right, bag_part, merge, ints):
+    """(state, value, origin) of every merged pair of join partners, one
+    pair at a time: the pairs are never listed."""
+    by_part = {}
+    for s1 in left:
+        by_part.setdefault(bag_part(s1), []).append(s1)
+    part_values = {}  # each shared bag part's value, summed once
+    for s2 in right:
+        part = bag_part(s2)
+        if part in by_part:
+            part_value = part_values.get(part)
+            if part_value is None:
+                part_value = part_values[part] = sum(ints[u] for u in bits(part))
+            for s1 in by_part[part]:
+                merged = merge(s1, s2)
+                if merged is not None:
+                    yield merged, left[s1] + right[s2] - part_value, (s1, s2)
+
+
+def _introduce_candidates(child, v, add, ints):
+    """Each child state without v, then with v when ``add`` allows it."""
+    gain = ints[v]
+    for state, value in child.items():
+        origin = (state,)
+        yield state, value, origin
+        grown = add(v, state)
+        if grown is not None:
+            yield grown, value + gain, origin
+
+
+def _forget_candidates(child, v, bag_part, drop):
+    """Each child state, with v dropped from its bag part where it holds v."""
+    b = bit(v)
+    for state, value in child.items():
+        yield (drop(v, state) if bag_part(state) & b else state), value, (state,)
 
 
 def best_solution(nice_td, tables, backptr, weights, bag_mask, accept, check=None):

@@ -18,7 +18,7 @@ from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
 from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import (
-    WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph, touch_rows
+    MAX_VERTICES, WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph, touch_rows
 )
 from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import is_induced_forest
@@ -89,7 +89,7 @@ def parse_subgraph_family(text):
     for item in data:
         try:
             rows.append((int(item["id"]), [int(v) for v in item["vertices"]], Fraction(str(item.get("weight", len(item["vertices"]))))))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad family entry {item!r}: {exc}") from None
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
@@ -97,6 +97,9 @@ def parse_subgraph_family(text):
     for _, vs, _ in rows:
         if any(v < 1 for v in vs):
             raise InputError("family vertices are 1-based")
+        # checked before any member mask is built: no graph has such a vertex
+        if any(v > MAX_VERTICES for v in vs):
+            raise InputError(f"family vertex {max(vs)} is above the vertex cap of {MAX_VERTICES}")
     return SubgraphFamily([[v - 1 for v in vs] for _, vs, _ in rows], [w for _, _, w in rows])
 
 

@@ -1,6 +1,7 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
 spies on the DP driver and its family stream, a fixture and a loop that
-make the driver filter every node, and the reference forest join."""
+make the driver filter every node, the reference forest join and the
+reference decomposition check."""
 
 from inspect import signature
 from random import Random
@@ -8,10 +9,10 @@ from random import Random
 import pytest
 
 from imtw import nicedp
-from imtw.bits import bits, lowest_bit
+from imtw.bits import bit, bits, lowest_bit
 from imtw.forest import canonical_blocks
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
-from imtw.graphs import WeightMap, random_graph
+from imtw.graphs import Graph, WeightMap, random_graph
 from imtw.nicedp import run_nice_dp
 from imtw.verify import STRATEGIES, prepare
 
@@ -146,3 +147,38 @@ def reference_merge_partitions(z, components, blocks1, blocks2):
         merged.setdefault(find(a), 0)
         merged[find(a)] |= comp
     return canonical_blocks(merged.values())
+
+
+def reference_validate_decomposition(graph, td):
+    """The violations of ``td``, the reference for the one-pass check of
+    ``decomp.validate_decomposition``: a breadth-first search over the tree
+    for its connectivity and, per vertex, over the |T|-bit mask of the
+    nodes holding it for the connectivity of its trace."""
+    violations = []
+    size = td.size
+    if td.graph_n != graph.n:
+        violations.append(f"decomposition is over n={td.graph_n}, graph has n={graph.n}")
+        return violations
+    tree = Graph(size, [(u, v) for u, v in td.tree_edges if u != v])
+    if len(set(td.tree_edges)) != len(td.tree_edges):
+        violations.append("duplicate tree edges")
+    if len(td.tree_edges) != size - 1:
+        violations.append(f"{size} nodes need {size - 1} tree edges, found {len(td.tree_edges)}")
+    if not tree.is_connected_within(tree.vertex_mask()):
+        violations.append("tree is not connected")
+    if violations:
+        return violations
+    nodes_of = [0] * graph.n
+    for t, b in enumerate(td.bags):
+        for v in bits(b):
+            nodes_of[v] |= bit(t)
+    for v in range(graph.n):
+        if not nodes_of[v]:
+            violations.append(f"vertex {v} is in no bag")
+    for u, v in graph.edges:
+        if not nodes_of[u] & nodes_of[v]:
+            violations.append(f"edge ({u}, {v}) is covered by no bag")
+    for v in range(graph.n):
+        if nodes_of[v] and not tree.is_connected_within(nodes_of[v]):
+            violations.append(f"trace of vertex {v} is disconnected")
+    return violations

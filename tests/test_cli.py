@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from imtw import cli, graphs, verify
+from imtw import cli, decomp, graphs, verify
 from imtw.bits import bits
 from imtw.boundaried import generic_structured_dp
 from imtw.cli import main
@@ -275,6 +276,110 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     )
     assert code == 4
     assert report["error"]["type"] == "resource"
+
+
+def test_each_solve_validates_its_decomposition_once(tmp_path, capsys, monkeypatch):
+    # the command validates the .td it loads and make_nice trusts it; an
+    # invalid .td still exits 2 with the first violations in the message
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "6")
+    calls = []
+
+    def counted(graph, td):
+        calls.append(td)
+        return validate(graph, td)
+
+    validate = decomp.validate_decomposition
+    monkeypatch.setattr(cli, "validate_decomposition", counted)
+    monkeypatch.setattr(decomp, "validate_decomposition", counted)
+    bad_td = tmp_path / "bad.td"
+    bad_td.write_text("s td 3 3 6\nb 1 1 2 3\nb 2 3 4 5\nb 3 1 5 6\n1 2\n2 3\n")
+    for problem, *flags in (("mwis",), ("forest",), ("generic", "-r", "2")):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "solve", problem, graph_file, td_file, *flags)
+        assert (code, len(calls)) == (0, 1), problem
+        code, report, _ = run_cli(capsys, "solve", problem, graph_file, str(bad_td), *flags)
+        assert code == 2, problem
+        assert report["error"] == {
+            "type": "input",
+            "message": "invalid decomposition: trace of vertex 0 is disconnected",
+        }
+
+
+def test_malformed_bag_lines_and_overflowing_family_numbers_are_input_errors(tmp_path, capsys):
+    graph_file, td_file = instance(tmp_path, capsys, "path", "3")
+    bare = tmp_path / "bare.td"
+    bare.write_text("s td 1 3 3\nb\n")
+    code, report, _ = run_cli(capsys, "solve", "mwis", graph_file, str(bare))
+    assert code == 2
+    assert report["error"] == {"type": "input", "message": "line 2: malformed bag line 'b'"}
+    # 1e400 loads as a float infinity, which no int holds
+    for entry in ('{"id": 1e400, "vertices": [1]}', '{"id": 0, "vertices": [1e400]}'):
+        family = tmp_path / "family.json"
+        family.write_text(f"[{entry}]")
+        code, report, _ = run_cli(capsys, "solve", "pack", graph_file, td_file, str(family))
+        assert code == 2 and report["error"]["type"] == "input"
+        assert report["error"]["message"].startswith("bad family entry {")
+
+
+# Small valid inputs for the mutation test below: the 4-cycle with a chord,
+# a decomposition of it, weights and a packing family.
+MUTATED_INPUTS = {
+    "gr": "c the 4-cycle 1-2-3-4 with chord 1-3\np edge 4 5\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ne 1 3\n",
+    "td": "s td 3 3 4\nb 1 1 2 3\nb 2 1 3 4\nb 3 3 4\n1 2\n2 3\n",
+    "w": "w 1 3/2\nw 2 2\nw 4 7\n",
+    "json": '[\n{"id": 0, "vertices": [1, 2], "weight": "3/2"},\n{"id": 1, "vertices": [3], "weight": 2},\n'
+    '{"id": 2, "vertices": [3, 4]}\n]\n',
+}
+# the commands that read each kind of file
+MUTATED_COMMANDS = {
+    "gr": (("mwis", "-w", "{w}"), ("pack", "{json}")),
+    "td": (("mwis", "-w", "{w}"), ("forest", "-w", "{w}"), ("pack", "{json}")),
+    "w": (("mwis", "-w", "{w}"), ("generic", "-w", "{w}", "-r", "2")),
+    "json": (("pack", "{json}"), ("dpack", "{json}", "-d", "2")),
+}
+HOSTILE_NUMBERS = ("0", "-1", "1.5", "1e400", "99999999999999999999")
+
+
+def mutations(text):
+    """Each line of ``text`` cut to every proper prefix of its tokens, and
+    each number in it replaced by each of HOSTILE_NUMBERS."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for cut in range(len(tokens)):
+            yield "\n".join(lines[:i] + [" ".join(tokens[:cut])] + lines[i + 1 :]) + "\n"
+        for match in re.finditer(r"\d+", line):
+            for number in HOSTILE_NUMBERS:
+                mutated = line[: match.start()] + number + line[match.end() :]
+                yield "\n".join(lines[:i] + [mutated] + lines[i + 1 :]) + "\n"
+
+
+def test_mutated_inputs_fail_as_input_errors(tmp_path, capsys):
+    # no cut or hostile number in a valid input file makes a solve command
+    # crash (exit 5) or report a false invariant violation (exit 3): it
+    # solves, finds nothing feasible, or fails as an input or resource error
+    paths = {}
+    for kind, text in MUTATED_INPUTS.items():
+        paths[kind] = tmp_path / f"valid.{kind}"
+        paths[kind].write_text(text)
+    runs = []
+    for kind, text in MUTATED_INPUTS.items():
+        mutated_file = tmp_path / f"mutated.{kind}"
+        files = {**paths, kind: mutated_file}
+        for mutated in mutations(text):
+            mutated_file.write_text(mutated)
+            for problem, *rest in MUTATED_COMMANDS[kind]:
+                argv = ["solve", problem, str(files["gr"]), str(files["td"])]
+                argv += [arg.format(**files) for arg in rest]
+                code, report, _ = run_cli(capsys, *argv)
+                assert code in (0, 1, 2, 4), (argv, mutated, report)
+                assert set(report) >= {"command", "inputs", "error"}
+                if code in (0, 1):
+                    assert report["error"] is None and "result" in report
+                else:
+                    assert report["error"]["type"] == ("input" if code == 2 else "resource")
+                runs.append(code)
+    assert runs.count(0) and runs.count(2) > len(runs) // 2, len(runs)
 
 
 def test_error_reports_are_complete_json(tmp_path, capsys):

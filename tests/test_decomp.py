@@ -57,7 +57,7 @@ from imtw.verify import (
     width_anchors,
 )
 
-from conftest import expect, seeded_graphs
+from conftest import expect, reference_validate_decomposition, seeded_graphs
 
 
 def test_validate_single_bag():
@@ -114,6 +114,56 @@ def test_validate_violation_lists_are_pinned():
     ]
     for g, n, case_bags, edges, expected in cases:
         assert validate_decomposition(g, TreeDecomposition(n, case_bags, edges)) == expected
+
+
+def _split_trace(rng, td, bags):
+    """Add some vertex to a bag that neither holds it nor neighbours a node
+    holding it, so that its trace falls apart; False when there is none."""
+    near = [bit(t) for t in range(td.size)]
+    for u, v in td.tree_edges:
+        near[u] |= bit(v)
+        near[v] |= bit(u)
+    options = []
+    for v in range(td.graph_n):
+        reach = 0
+        for t, bag in enumerate(bags):
+            if bag >> v & 1:
+                reach |= near[t]
+        if reach:
+            options += [(v, t) for t in range(td.size) if not reach >> t & 1]
+    if not options:
+        return False
+    v, t = rng.choice(options)
+    bags[t] |= bit(v)
+    return True
+
+
+def test_validation_equals_the_reference_on_perturbed_decompositions():
+    # the one-pass check returns the reference's violation list, in order,
+    # under random roots, on valid decompositions and on ones with a bag
+    # member dropped, a member added or a trace split in two
+    rng = Random(24)
+    kinds = {"keep": 0, "drop": 0, "add": 0, "split": 0}
+    seen = set()
+    for g in seeded_graphs(24, 80, 3, 14):
+        td = heuristic_decomposition(g, rng.choice(STRATEGIES))
+        for kind in kinds:
+            bags = list(td.bags)
+            t = rng.randrange(td.size)
+            if kind == "drop" and bags[t]:
+                bags[t] &= ~bit(rng.choice(to_tuple(bags[t])))
+            elif kind == "add":
+                bags[t] |= bit(rng.randrange(g.n))
+            elif kind == "split" and not _split_trace(rng, td, bags):
+                continue
+            perturbed = TreeDecomposition(g.n, bags, td.tree_edges, root=rng.randrange(td.size))
+            violations = validate_decomposition(g, perturbed)
+            assert violations == reference_validate_decomposition(g, perturbed), (g.edges, bags)
+            kinds[kind] += 1
+            seen.update(v.split()[0] + " " + v.split()[-1] for v in violations)
+    assert min(kinds.values()) >= 60, kinds
+    # each per-vertex kind of violation was met
+    assert {"vertex bag", "edge bag", "trace disconnected"} <= seen, seen
 
 
 def test_path_3000_layers_are_near_linear():
@@ -407,12 +457,45 @@ def _scan_elimination_order(graph, strategy):
     return order, work
 
 
+def _relabelled(graph, seed):
+    perm = list(range(graph.n))
+    Random(seed).shuffle(perm)
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+def _sparse_relabelled():
+    """Relabelled paths, cycles, trees and path cubes: nearly every min-fill
+    elimination there is simplicial (cost 0)."""
+    graphs = []
+    for s, n in enumerate((7, 20, 45)):
+        graphs += [
+            _relabelled(path_graph(n), s),
+            _relabelled(cycle_graph(n), s),
+            _relabelled(_random_tree(n, s), s),
+            _relabelled(graph_power(path_graph(n), 3), s),
+        ]
+    return graphs
+
+
 def test_elimination_order_equals_full_scan():
     graphs = [g for g, _ in random_corpus(12, 150, 16)]
     graphs += [random_graph(30, p, seed=s) for s in range(5) for p in (0.1, 0.3, 0.7)]
+    graphs += _sparse_relabelled()
     for g in graphs:
         for strategy in STRATEGIES:
             assert _elimination_order(g, strategy) == _scan_elimination_order(g, strategy)
+
+
+def test_simplicial_eliminations_re_cost_only_their_neighbors(monkeypatch):
+    # a min-fill elimination of cost 0 adds no fill edge, so only the
+    # neighbors of the eliminated vertex are re-costed, not their
+    # neighbors as well; re-costing those too after every elimination
+    # makes 1379 cost evaluations here
+    calls = []
+    cost = decomp._cost
+    monkeypatch.setattr(decomp, "_cost", lambda *args: calls.append(args) or cost(*args))
+    _elimination_order(_relabelled(graph_power(path_graph(200), 3), 7), "min-fill")
+    assert len(calls) == 794
 
 
 def _grid(a, b):
@@ -637,6 +720,8 @@ def test_td_round_trip():
 def test_td_parse_errors():
     with pytest.raises(InputError, match="header"):
         parse_td("b 1 1\n")
+    with pytest.raises(InputError, match="line 2: malformed bag line 'b'"):
+        parse_td("s td 1 1 2\nb\n")
     with pytest.raises(InputError, match="out of range"):
         parse_td("s td 1 1 2\nb 1 3\n")
     with pytest.raises(InputError, match="declares"):
