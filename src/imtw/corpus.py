@@ -51,6 +51,13 @@ def sparse_corpus(seed, count, n_max, max_edges=9, n_min=2):
     return out
 
 
+def relabelled(rng, graph):
+    """``graph`` with its vertices renamed by a random permutation."""
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
 def random_minor_op(rng, graph):
     """Contract a random edge or delete a random vertex, even odds when there are edges."""
     if graph.m and rng.random() < 0.5:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .bits import bit, bits, mask_of, popcount, to_tuple
+from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import InputError, InvariantError, ResourceLimitError
-from .graphs import Graph, ball_mask, induced_subgraph, touch_rows
+from .graphs import MAX_VERTICES, Graph, ball_mask, induced_subgraph, touch_rows
 
 DEFAULT_SEARCH_BUDGET = 10**7
 
@@ -251,6 +251,46 @@ class _Budget:
             raise ResourceLimitError(f"search budget exhausted while {self.what}")
 
 
+def clique_cover(adj, pool, limit):
+    """The number of cliques in a greedy clique cover of ``pool``, or, as
+    soon as the cover passes ``limit``, a count above ``limit``; never more
+    than ``|pool|``.
+
+    adj maps vertex -> adjacency mask; only its bits inside ``pool`` are
+    read. An independent set has at most one vertex in each clique, so a
+    cover of at most ``limit`` cliques proves that the pool's independence
+    number is at most ``limit``. Each clique starts from a vertex of least
+    degree among those not yet covered, the lowest id among ties, and takes
+    the lowest common neighbor until none is left. On the bags of path
+    powers, whatever their labels, a vertex of least degree is an end
+    vertex, which is simplicial, so the cover is exact there; an order by
+    label is not. Each clique costs one pass over the uncovered vertices,
+    and at most ``limit + 1`` cliques are taken.
+    """
+    count = 0
+    while pool:
+        if count >= limit:
+            return count + 1
+        start, least, rest = 0, -1, pool
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            d = (adj[low.bit_length() - 1] & pool).bit_count()
+            if d < least or least < 0:
+                start, least = low, d
+                if not d:
+                    break
+        clique = start
+        common = adj[start.bit_length() - 1] & pool
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        pool &= ~clique
+        count += 1
+    return count
+
+
 def _max_independent_set(adj, candidates, budget):
     """Exact maximum independent set over the ``candidates`` mask.
 
@@ -260,6 +300,16 @@ def _max_independent_set(adj, candidates, budget):
     t small searches, not one with 2^t leaves. A pick never changes another
     piece's pool, so the union of the pieces' witnesses is the witness one
     search over the whole pool would find.
+
+    A node is pruned when ``found + |pool| <= best``, and otherwise, unless
+    a settle below ends it, when ``found + cover(pool) <= best``, with the
+    greedy ``clique_cover`` of the pool: an independent set takes at most
+    one vertex of each clique. A split piece must likewise beat ``best -
+    found - cover(rest)``. Either way the cut subtree holds no set larger
+    than the best so far, and a witness changes only on a strictly larger
+    set, so the nodes that remain are visited in the same order, the witness
+    is the one the search without the cover finds, and no search spends
+    more budget units.
     """
     # The search in progress: (chosen, found, pool) nodes, the best set so
     # far and its size. The include branch is pushed last, so it is searched
@@ -310,6 +360,8 @@ def _max_independent_set(adj, candidates, budget):
             if found + 1 > best_size:
                 best_size, best_set = found + 1, chosen | bit(pick)
             continue
+        if found + clique_cover(adj, pool, best_size - found) <= best_size:
+            continue
         # the piece of the pool around the pick, grown layer by layer from
         # the new layer's neighbors or from the unreached vertices' (the
         # smaller side), until the pool is all reached or a layer is empty
@@ -331,7 +383,9 @@ def _max_independent_set(adj, candidates, budget):
             rest &= ~frontier
         if rest:
             outer.append((nodes, best_size, best_set, resume))
-            bar = best_size - found - popcount(rest)
+            # a cover that passes best - found leaves a negative bar, and
+            # every negative bar lets the piece search run in full alike
+            bar = best_size - found - clique_cover(adj, rest, best_size - found)
             nodes, best_size, best_set, resume = [(0, 0, piece)], bar, None, (chosen, found, rest)
             continue
         nodes.append((chosen, found, pool & ~bit(pick)))
@@ -367,32 +421,96 @@ class DecompositionMetrics:
     mu_witness: tuple  # (node, edge tuple)
 
 
+def _matching_rows(adj, held):
+    """Rows of the graph H on ``held``, the vertices of a bag X that have a
+    neighbor: H adds to the graph, whose rows are ``adj``, an edge st
+    wherever N(s) lies inside N[t]. One endpoint in X of each edge of an
+    induced matching touching X gives an independent set of H, so a clique
+    cover of H on these vertices bounds mu(X). Rows may hold bits outside
+    ``held``.
+
+    For s and t not adjacent, N(s) lies inside N[t] when t is adjacent to
+    every vertex of N(s), so the vertices over s are the meet of the rows
+    of N(s). It is taken once for each class of vertices with one open
+    neighborhood (false twins, adjacent in H): a star's leaves cost one
+    meet, not one each.
+    """
+    twins = {}  # open neighborhood -> the held vertices with it
+    for v in bits(held):
+        twins[adj[v]] = twins.get(adj[v], 0) | bit(v)
+    above = {}  # open neighborhood -> the held vertices whose N holds it
+    below = {}  # vertex -> the held vertices whose N it holds
+    for nbrs, same in twins.items():
+        over = held & ~same & ~nbrs
+        for y in bits(nbrs):
+            if not over:
+                break
+            over &= adj[y]
+        above[nbrs] = over
+        for t in bits(over):
+            below[t] = below.get(t, 0) | same
+    rows = {}
+    for nbrs, same in twins.items():
+        for v in bits(same):
+            rows[v] = nbrs | above[nbrs] | below.get(v, 0) | same & ~bit(v)
+    return rows
+
+
+def _least_touching_edge(adj, held):
+    """The smallest edge, as a sorted pair, with an endpoint in ``held``: the
+    smallest of the edges from each held vertex to its lowest neighbor."""
+    edges = []
+    for v in bits(held):
+        w = lowest_bit(adj[v])
+        edges.append((min(v, w), max(v, w)))
+    return min(edges)
+
+
 def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
     """Exact alpha and mu of a decomposition, with witnesses.
 
-    Runs only the bag searches that can raise a running maximum, using
-    mu(X) <= alpha(G[X]) <= |X| for every bag X: one endpoint in X of each
-    edge of an induced matching touching X gives an independent set of G[X].
-    A bag with |X| <= mu is skipped (neither maximum can rise), and its mu
-    is searched only when alpha(G[X]) > mu. A witness changes only on a
-    strictly larger value, so the maxima and witnesses are those of
-    searching every bag.
+    Runs only the bag searches that can raise a running maximum. Three
+    bounds hold for every bag X: alpha(G[X]) <= cover(G[X]), the size of a
+    greedy ``clique_cover``; mu(X) <= alpha(G[X]), since one endpoint in X
+    of each edge of an induced matching touching X gives an independent set
+    of G[X]; and mu(X) <= cover(H[X]) for the graph H of ``_matching_rows``.
+    So a bag with cover(G[X]) <= mu is skipped (neither maximum can rise);
+    its alpha is searched only when cover(G[X]) > alpha or a mu search may
+    follow, and its mu only when alpha(G[X]) > mu and cover(H[X]) > mu.
+    Where cover(H[X]) is 1, every two touching edges conflict, and the mu
+    search would settle at its first node on the smallest touching edge, so
+    that edge is returned without a search. Within a search,
+    ``_max_independent_set`` prunes with the same cover. A witness changes
+    only on a strictly larger value, so the maxima and witnesses are those
+    of searching every bag. Every search that runs would also run with the
+    covers left out (skipping only bags with |X| <= mu, and mu searches
+    where alpha(G[X]) <= mu), and spends no more units there, so none can
+    newly blow its budget.
 
     Raises ResourceLimitError naming the bag when a per-bag search blows the
     budget, and InvariantError when a bag's mu exceeds its alpha.
     """
     alpha, mu = 0, 0
     alpha_witness, mu_witness = (0, 0), (0, ())
+    adj = [graph.adj_mask(v) for v in range(graph.n)]
+    linked = mask_of(v for v, nbrs in enumerate(adj) if nbrs)
     for t, bag in enumerate(td.bags):
-        if popcount(bag) <= mu:
+        # until a bag is searched (alpha 0), a cover is 0 only on an empty bag
+        cover = clique_cover(adj, bag, alpha) if alpha else min(bag, 1)
+        if cover <= mu:
+            continue
+        held = bag & linked
+        matching_cover = clique_cover(_matching_rows(adj, held), held, max(mu, 1))
+        if cover <= alpha and matching_cover <= mu:
             continue
         try:
             a, a_set = max_independent_set_in_bag(graph, bag, _Budget(budget_limit, f"alpha of bag {t}"))
-            m, m_edges = (
-                max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
-                if a > mu
-                else (0, ())
-            )
+            if a <= mu or matching_cover <= mu:
+                m, m_edges = 0, ()
+            elif matching_cover == 1:
+                m, m_edges = 1, (_least_touching_edge(adj, held),)
+            else:
+                m, m_edges = max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"bag {t} too large for exact search: {exc}") from exc
         if m > a:
@@ -507,14 +625,22 @@ def closed_neighborhood_expansion(graph, td):
 def blob_decomposition(graph, td, family):
     """Transfer a decomposition of the graph to its blob graph.
 
-    Bag t of the result holds the indices of members meeting bag t. When the
+    Bag t of the result holds the indices of members meeting bag t: the OR,
+    over bag t's vertices, of the members holding each vertex. When the
     family has no duplicates the mu metric cannot grow; when every member has
     at least two vertices the alpha of the result is at most the original mu.
     """
     family.require_valid_members(graph)
+    holding = [0] * graph.n  # vertex -> mask of the members holding it
+    for j, member in enumerate(family.members):
+        for v in bits(member.vertices):
+            holding[v] |= bit(j)
     bags = []
     for b in td.bags:
-        bags.append(mask_of(j for j, member in enumerate(family.members) if member.vertices & b))
+        members = 0
+        for v in bits(b):
+            members |= holding[v]
+        bags.append(members)
     return TreeDecomposition(len(family.members), bags, td.tree_edges, td.root)
 
 
@@ -603,7 +729,9 @@ def find_bag_dominated_vertex(graph, td):
 
 
 def parse_td(text):
-    """Parse the ``s td`` format; bag ids are 1-based, root is bag 1."""
+    """Parse the ``s td`` format; bag ids are 1-based, root is bag 1. A
+    header declaring more than ``graphs.MAX_VERTICES`` vertices is refused,
+    as ``parse_graph`` refuses it, before any bag mask is built."""
     header = None
     bags = {}
     edges = []
@@ -621,6 +749,10 @@ def parse_td(text):
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             except ValueError:
                 raise InputError(f"malformed header {line!r}", line=lineno) from None
+            if header[2] > MAX_VERTICES:
+                raise InputError(
+                    f"header declares {header[2]} vertices, above the cap of {MAX_VERTICES}", line=lineno
+                )
         elif parts[0] == "b":
             if header is None:
                 raise InputError("bag line before header", line=lineno)

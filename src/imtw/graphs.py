@@ -306,6 +306,17 @@ def complete_bipartite(a, b):
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def complete_multipartite(parts):
+    """The complete multipartite graph whose parts, of the given sizes, are
+    consecutive vertex ranges."""
+    if any(size < 0 for size in parts) or sum(parts) < 1:
+        raise InputError("complete multipartite graph requires nonnegative parts, at least one vertex")
+    n = sum(parts)
+    _check_vertex_cap(n)
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
 def hypercube_graph(dim):
     """The dim-dimensional hypercube: 2^dim vertices, dim * 2^(dim-1) edges."""
     if dim < 1:

@@ -32,6 +32,7 @@ from .corpus import (
     random_corpus,
     random_family,
     random_minor_op,
+    relabelled,
     shuffled_pieces,
     sparse_corpus,
     tied_corpus,
@@ -44,6 +45,8 @@ from .decomp import (
     heuristic_decomposition,
     induced_minor_decomposition,
     make_nice,
+    max_independent_set_in_bag,
+    max_induced_matching_touching,
     odd_power_decomposition,
     single_bag_decomposition,
     validate_decomposition,
@@ -59,6 +62,7 @@ from .forest import (
 from .graphs import (
     ball_mask,
     complete_bipartite,
+    complete_multipartite,
     corona,
     decode_forked,
     distance_matrix,
@@ -69,6 +73,7 @@ from .graphs import (
     line_graph_square,
     matching_join,
     parse_graph,
+    path_graph,
     random_graph,
     serialize_graph,
 )
@@ -250,6 +255,33 @@ def metrics_match_oracle(g, td):
     cap = max(MATCHING_EDGE_CAP, g.m)
     oracle_mu = max(brute_induced_matching_touching(g, b, cap=cap)[0] for b in td.bags)
     yield met.mu == oracle_mu and met.mu <= met.alpha, (met.mu, oracle_mu, met.alpha)
+
+
+def metrics_searching_every_bag(graph, td):
+    """Reference for ``decomposition_metrics``: alpha and mu searched at
+    every bag, the first strict maximum of each kept as its witness."""
+    alpha, mu = 0, 0
+    alpha_witness, mu_witness = (0, 0), (0, ())
+    for t, bag in enumerate(td.bags):
+        a, a_set = max_independent_set_in_bag(graph, bag)
+        m, m_edges = max_induced_matching_touching(graph, bag)
+        if a > alpha:
+            alpha, alpha_witness = a, (t, a_set)
+        if m > mu:
+            mu, mu_witness = m, (t, m_edges)
+    return alpha, mu, alpha_witness, mu_witness
+
+
+@claim("bounded metrics equal every-bag search")
+def bounded_metrics_exact(g):
+    """The searches skipped or settled by the clique-cover bounds change no
+    maximum and no witness, under both heuristics and on the single bag."""
+    tds = {strategy: heuristic_decomposition(g, strategy) for strategy in STRATEGIES}
+    tds["single bag"] = single_bag_decomposition(g)
+    for name, td in tds.items():
+        met = decomposition_metrics(g, td)
+        got = (met.alpha, met.mu, met.alpha_witness, met.mu_witness)
+        yield got == metrics_searching_every_bag(g, td), (g.n, g.edges, name, got)
 
 
 @claim("closed neighborhood degree bound")
@@ -645,6 +677,13 @@ def suite_decomp(seed, max_n):
         cases.append((g, td))
         if n >= 3:
             minors.append((g, td, random_minor_op(rng, g)))
+    # the searches the bounds skip most: complete multipartite graphs, whose
+    # mu is 1, and relabelled path cubes, whose bags are interval graphs
+    bounded = [(g,) for g, _ in cases]
+    for _ in range(8):
+        parts = [rng.randint(1, max(1, max_n // 2)) for _ in range(rng.randint(2, 4))]
+        bounded.append((relabelled(rng, complete_multipartite(parts)),))
+        bounded.append((relabelled(rng, graph_power(path_graph(rng.randint(4, 3 * max_n)), 3)),))
     return [
         decomposition_valid(cases),
         nice_form_valid(cases),
@@ -652,6 +691,7 @@ def suite_decomp(seed, max_n):
         closed_neighborhood_bound(cases),
         bag_dominated_vertex(cases),
         minor_keeps_mu(minors),
+        bounded_metrics_exact(bounded),
     ]
 
 

@@ -1,7 +1,7 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
 spies on the DP driver and its family stream, a fixture and a loop that
-make the driver filter every node, the reference forest join and the
-reference decomposition check."""
+make run_nice_dp filter every node, and the references: the forest join,
+the decomposition check, the blob bags and the bag search."""
 
 from inspect import signature
 from random import Random
@@ -9,7 +9,7 @@ from random import Random
 import pytest
 
 from imtw import nicedp
-from imtw.bits import bit, bits, lowest_bit
+from imtw.bits import bit, bits, lowest_bit, mask_of, popcount
 from imtw.forest import canonical_blocks
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.graphs import Graph, WeightMap, random_graph
@@ -182,3 +182,99 @@ def reference_validate_decomposition(graph, td):
         if nodes_of[v] and not tree.is_connected_within(nodes_of[v]):
             violations.append(f"trace of vertex {v} is disconnected")
     return violations
+
+
+def reference_blob_bags(td, family):
+    """The bags of ``decomp.blob_decomposition`` by a scan of every member
+    for every bag: bag t holds the indices of the members meeting bag t."""
+    return [mask_of(j for j, member in enumerate(family.members) if member.vertices & b) for b in td.bags]
+
+
+# The bag search without the clique-cover bounds, as it was before they
+# were added, kept unchanged: the searches with the bounds must return its
+# size and witness and spend no more budget units.
+def reference_max_independent_set(adj, candidates, budget):
+    """Exact maximum independent set over the ``candidates`` mask.
+
+    adj maps vertex -> adjacency mask. Returns (size, witness mask). Wherever
+    the pool of a search node falls apart, each connected piece is searched
+    on its own, so t disjoint cliques, at the top or below a hub vertex, cost
+    t small searches, not one with 2^t leaves. A pick never changes another
+    piece's pool, so the union of the pieces' witnesses is the witness one
+    search over the whole pool would find.
+    """
+    # The search in progress: (chosen, found, pool) nodes, the best set so
+    # far and its size. The include branch is pushed last, so it is searched
+    # before the exclude branch, and the first of several maximum sets found
+    # is the witness. A piece split off a pool gets a search of its own,
+    # which starts at the size the piece must beat to matter, with best_set
+    # None, and suspends the searches below it in ``outer``; when it ends,
+    # its witness completes the node ``resume`` = (chosen, found, rest) of
+    # the search it was split from.
+    nodes, best_size, best_set, resume = [(0, 0, candidates)], 0, 0, None
+    outer = []
+    while True:
+        if not nodes:
+            if resume is None:
+                return best_size, best_set
+            piece_size, piece_set, (chosen, found, rest) = best_size, best_set, resume
+            nodes, best_size, best_set, resume = outer.pop()
+            if piece_set is not None:
+                nodes.append((chosen | piece_set, found + piece_size, rest))
+            continue
+        chosen, found, pool = nodes.pop()
+        budget.spend()
+        size = popcount(pool)
+        if found + size <= best_size:
+            continue
+        pick, pick_deg, least_deg = -1, -1, size
+        for v in bits(pool):
+            d = popcount(adj[v] & pool)
+            if d > pick_deg:
+                pick, pick_deg = v, d
+            if d < least_deg:
+                least_deg = d
+        if pick_deg <= 1:
+            # the pool is a matching plus isolated vertices: the search
+            # would first take the lower end of every edge and every
+            # isolated vertex, and nothing later in this branch is larger
+            for v in bits(pool):
+                if adj[v] & pool & (bit(v) - 1):
+                    pool &= ~bit(v)
+            total = found + popcount(pool)
+            if total > best_size:
+                best_size, best_set = total, chosen | pool
+            continue
+        if least_deg == size - 1:
+            # the pool is a clique of at least three vertices: the include
+            # branch ends at once with the pick alone, and nothing later in
+            # this branch is larger
+            if found + 1 > best_size:
+                best_size, best_set = found + 1, chosen | bit(pick)
+            continue
+        # the piece of the pool around the pick, grown layer by layer from
+        # the new layer's neighbors or from the unreached vertices' (the
+        # smaller side), until the pool is all reached or a layer is empty
+        frontier = adj[pick] & pool
+        piece = frontier | bit(pick)
+        rest = pool & ~piece
+        while frontier and rest:
+            grow = 0
+            if popcount(frontier) < popcount(rest):
+                for v in bits(frontier):
+                    grow |= adj[v]
+                frontier = grow & rest
+            else:
+                for v in bits(rest):
+                    if adj[v] & frontier:
+                        grow |= bit(v)
+                frontier = grow
+            piece |= frontier
+            rest &= ~frontier
+        if rest:
+            outer.append((nodes, best_size, best_set, resume))
+            bar = best_size - found - popcount(rest)
+            nodes, best_size, best_set, resume = [(0, 0, piece)], bar, None, (chosen, found, rest)
+            continue
+        nodes.append((chosen, found, pool & ~bit(pick)))
+        nodes.append((chosen | bit(pick), found + 1, pool & ~(adj[pick] | bit(pick))))

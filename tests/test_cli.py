@@ -425,6 +425,7 @@ VERIFY_ALL_SEED_42_MAX_N_8 = [
     ("decomp", "closed neighborhood degree bound", 36),
     ("decomp", "bag-dominated vertex exists", 40),
     ("decomp", "induced-minor mu monotone", 36),
+    ("decomp", "bounded metrics equal every-bag search", 168),
     ("traces", "mwis equals oracle", 40),
     ("traces", "trace coverage", 506),
     ("traces", "family size bound", 506),
@@ -543,18 +544,20 @@ def test_metrics_settles_a_clique_bag_within_a_tiny_budget(tmp_path, capsys):
 
 
 def test_metrics_budget_is_not_spent_on_bags_that_cannot_raise_mu(tmp_path, capsys):
-    # under min-fill, random(8, 0.5) at seed 0 finds mu 2 at bag 1; the mu
-    # search of each of bags 2-4 would cost 15 units, but their alpha is 2,
-    # so they are skipped and a budget of 9 covers every search that runs
+    # under min-fill, random(8, 0.5) at seed 0 finds mu 2 at bag 1, whose mu
+    # search the clique-cover prune brings from 9 units to 7; bags 2-4,
+    # whose mu searches would cost 9, 11 and 7 units, are covered by two
+    # cliques, so they are skipped and a budget of 7 covers every search
+    # that runs
     graph_file = str(tmp_path / "r8.gr")
     td_file = str(tmp_path / "r8.td")
     run_cli(capsys, "gen", "random", "8", "0.5", "--seed", "0", "-o", graph_file)
     for command in (["decompose", graph_file, "-o", td_file], ["metrics", graph_file, td_file]):
         code, full, _ = run_cli(capsys, *command)
         assert code == 0 and (full["result"]["alpha"], full["result"]["mu"]) == (2, 2)
-        code, report, _ = run_cli(capsys, *command, "--budget", "9")
+        code, report, _ = run_cli(capsys, *command, "--budget", "7")
         assert code == 0 and report["result"] == full["result"]
-    code, report, _ = run_cli(capsys, "metrics", graph_file, td_file, "--budget", "8")
+    code, report, _ = run_cli(capsys, "metrics", graph_file, td_file, "--budget", "6")
     assert code == 4
     assert report["error"]["message"].endswith("while mu of bag 1")
 

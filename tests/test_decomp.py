@@ -6,8 +6,8 @@ from random import Random
 import pytest
 
 from imtw import decomp
-from imtw.bits import bit, mask_of, popcount, to_tuple
-from imtw.corpus import chordal_completion, random_corpus, random_minor_op, shuffled_pieces
+from imtw.bits import bit, bits, mask_of, popcount, to_tuple
+from imtw.corpus import chordal_completion, random_corpus, random_minor_op, relabelled, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
     _Budget,
@@ -29,9 +29,12 @@ from imtw.decomp import (
 )
 from imtw.errors import InputError, InvariantError, ResourceLimitError
 from imtw.graphs import (
+    MAX_VERTICES,
     Graph,
     complete_bipartite,
     complete_graph,
+    complete_multipartite,
+    corona,
     cycle_graph,
     graph_power,
     hypercube_graph,
@@ -51,13 +54,20 @@ from imtw.verify import (
     closed_neighborhood_bound,
     decomposition_valid,
     metrics_match_oracle,
+    metrics_searching_every_bag,
     minor_keeps_mu,
     nice_form_valid,
     odd_power_transfer,
     width_anchors,
 )
 
-from conftest import expect, reference_validate_decomposition, seeded_graphs
+from conftest import (
+    expect,
+    reference_blob_bags,
+    reference_max_independent_set,
+    reference_validate_decomposition,
+    seeded_graphs,
+)
 
 
 def test_validate_single_bag():
@@ -322,46 +332,109 @@ def test_metrics_match_oracle():
     expect(metrics_match_oracle([(g, heuristic_decomposition(g)) for g in graphs]))
 
 
-def _metrics_searching_every_bag(graph, td):
-    """Reference: alpha and mu searched at every bag, the first strict
-    maximum of each kept as its witness."""
-    alpha, mu = 0, 0
-    alpha_witness, mu_witness = (0, 0), (0, ())
-    for t, bag in enumerate(td.bags):
-        a, a_set = max_independent_set_in_bag(graph, bag)
-        m, m_edges = max_induced_matching_touching(graph, bag)
-        if a > alpha:
-            alpha, alpha_witness = a, (t, a_set)
-        if m > mu:
-            mu, mu_witness = m, (t, m_edges)
-    return alpha, mu, alpha_witness, mu_witness
+def _with_false_twins(graph, rng):
+    """``graph`` with a false twin (same neighbors, not adjacent) added for
+    about half of its vertices."""
+    twins = [v for v in range(graph.n) if rng.random() < 0.5]
+    edges = list(graph.edges)
+    for i, v in enumerate(twins):
+        edges += [(graph.n + i, w) for w in bits(graph.adj_mask(v))]
+    return Graph(graph.n + len(twins), edges)
 
 
-def test_skipped_bag_searches_keep_the_maxima_and_witnesses():
-    # a bag with |X| <= mu, or alpha(X) <= mu, cannot raise either maximum,
-    # so skipping its searches must return what searching every bag returns
+def _bound_corpus():
+    """Graphs where the clique-cover bounds skip, settle or prune searches:
+    random graphs, complete (multipartite) graphs, path cubes in natural and
+    random labels, coronas, graphs with false twins and edgeless graphs."""
+    rng = Random(22)
     graphs = [g for g, _ in random_corpus(21, 300, 14)]
     special = [
         hypercube_graph(4),
         complete_bipartite(8, 8),
+        complete_bipartite(4, 5),
+        complete_multipartite([2, 2, 3]),
+        complete_multipartite([1, 1, 2, 3]),
         complete_graph(17),
         graph_power(path_graph(60), 3),
         cycle_graph(40),
         Graph(50, []),
     ]
-    cases = [(g, heuristic_decomposition(g, s)) for g in graphs + special for s in STRATEGIES]
-    # single bags of all but the path cube, whose whole-graph mu search alone
-    # takes about 20 s
-    cases += [(g, single_bag_decomposition(g)) for g in graphs + special if g.n < 60]
+    special += [corona(random_graph(rng.randint(3, 9), 0.4, seed=rng.randrange(2**32))) for _ in range(4)]
+    special += [_with_false_twins(random_graph(rng.randint(3, 9), 0.4, seed=rng.randrange(2**32)), rng) for _ in range(4)]
+    special += [relabelled(rng, graph_power(path_graph(n), 3)) for n in (12, 25, 40)]
+    special += [relabelled(rng, complete_multipartite(parts)) for parts in ([2, 2, 3], [1, 1, 2, 3], [4, 5])]
+    return graphs + special
+
+
+def test_skipped_bag_searches_keep_the_maxima_and_witnesses():
+    # a bag whose clique cover is at most mu, or at most alpha with a cover
+    # of H at most mu, cannot raise either maximum, and a cover of H of 1
+    # settles mu on the smallest touching edge, so skipping and settling
+    # must return what searching every bag returns
+    graphs = _bound_corpus()
+    cases = [(g, heuristic_decomposition(g, s)) for g in graphs for s in STRATEGIES]
+    cases += [(g, single_bag_decomposition(g)) for g in graphs]
+    # an edgeless single bag of 2,000 vertices: its cover of H must skip the
+    # isolated vertices, not pair them all
+    edgeless = Graph(2000, [])
+    cases.append((edgeless, single_bag_decomposition(edgeless)))
     for g, td in cases:
         met = decomposition_metrics(g, td)
-        assert (met.alpha, met.mu, met.alpha_witness, met.mu_witness) == _metrics_searching_every_bag(g, td)
+        assert (met.alpha, met.mu, met.alpha_witness, met.mu_witness) == metrics_searching_every_bag(g, td)
+
+
+def _units(search, adj, pool):
+    """(size, witness, units) of one search over ``pool``."""
+    budget = _Budget(10**9, "counted")
+    size, witness = search(adj, pool, budget)
+    return size, witness, 10**9 - budget.left
+
+
+def test_bounded_searches_spend_no_more_units_than_the_unbounded_search(monkeypatch):
+    # every bag's alpha and mu pools, searched with the clique-cover prune
+    # and with the search as it was before it, give the same size and
+    # witness, and the pruned search never spends more budget units; the
+    # searches decomposition_metrics runs spend what the unbounded search
+    # spends on the same bag at most, and fewer in total
+    spent = {}  # search -> units, of one decomposition_metrics call
+
+    class Counted(_Budget):
+        def spend(self):
+            spent[self.what] = spent.get(self.what, 0) + 1
+            super().spend()
+
+    monkeypatch.setattr(decomp, "_Budget", Counted)
+    graphs = _bound_corpus()
+    cases = [(g, heuristic_decomposition(g, s)) for g in graphs for s in STRATEGIES]
+    cases += [(g, single_bag_decomposition(g)) for g in graphs if g.n <= 30]
+    pruned_total = reference_total = 0
+    for g, td in cases:
+        reference = {}
+        for t, bag in enumerate(td.bags):
+            inner = {v: g.adj_mask(v) & bag for v in bits(bag)}
+            edges = sorted({(min(u, w), max(u, w)) for u in bits(bag) for w in bits(g.adj_mask(u))})
+            rows = touch_rows(g, edges)
+            for what, adj, pool in ((f"alpha of bag {t}", inner, bag), (f"mu of bag {t}", rows, (1 << len(edges)) - 1)):
+                *pruned, units = _units(decomp._max_independent_set, adj, pool)
+                *unpruned, reference[what] = _units(reference_max_independent_set, adj, pool)
+                assert pruned == unpruned and units <= reference[what]
+        spent.clear()
+        decomposition_metrics(g, td)
+        for what, units in spent.items():
+            assert units <= reference[what], (g, td.bags, what)
+        pruned_total += sum(spent.values())
+        reference_total += sum(reference.values())
+    assert pruned_total < reference_total
 
 
 def test_mu_is_searched_only_where_alpha_can_raise_it(monkeypatch):
-    # every bag of a path or a path cube has alpha 1, so once the first bag
-    # with an edge has set mu to 1 no other bag's mu is searched, and the
-    # last bag, a single vertex, is not searched at all
+    # every bag of a path or a path cube is a clique, so its cover is 1: the
+    # first bag is searched for alpha, its mu is settled on its smallest
+    # edge because its cover of H is 1 as well, and no later bag's cover
+    # exceeds mu = 1, so no other search runs. In a complete multipartite
+    # graph the vertices of a part are false twins, so H is complete on
+    # every bag, and after the first bag no cover of H exceeds mu = 1 and
+    # no cover of the bag exceeds alpha
     searched = []
 
     def spy(search):
@@ -373,24 +446,30 @@ def test_mu_is_searched_only_where_alpha_can_raise_it(monkeypatch):
 
     for search in (max_independent_set_in_bag, max_induced_matching_touching):
         monkeypatch.setattr(decomp, search.__name__, spy(search))
-    for g in (path_graph(200), graph_power(path_graph(60), 3)):
+    for g, alpha in (
+        (path_graph(200), 1),
+        (graph_power(path_graph(60), 3), 1),
+        (complete_multipartite([2, 3, 4]), 3),
+        (complete_bipartite(4, 5), 4),
+    ):
         searched.clear()
         met = decomposition_metrics(g, heuristic_decomposition(g, "min-fill"))
-        assert (met.alpha, met.mu) == (1, 1)
-        assert searched.count("max_independent_set_in_bag") == g.n - 1
-        assert searched.count("max_induced_matching_touching") == 1
+        assert (met.alpha, met.mu) == (alpha, 1)
+        assert searched.count("max_independent_set_in_bag") == 1
+        assert searched.count("max_induced_matching_touching") == 0
 
 
 def test_mu_above_alpha_at_a_bag_is_an_invariant_error(monkeypatch):
     # a mu search that returns a matching larger than the bag's alpha breaks
     # mu(X) <= alpha(X), which the skipped searches rely on; the empty bag 0
-    # is skipped, so bag 1 is the first searched
+    # is skipped, so bag 1, two disjoint edges whose cover of H is 2, is the
+    # first searched
     def too_large(graph, bag, budget=None):
         return max_independent_set_in_bag(graph, bag)[0] + 1, ()
 
     monkeypatch.setattr(decomp, "max_induced_matching_touching", too_large)
-    g = path_graph(3)
-    td = TreeDecomposition(3, [0, g.vertex_mask()], [(0, 1)])
+    g = Graph(4, [(0, 1), (2, 3)])
+    td = TreeDecomposition(4, [0, g.vertex_mask()], [(0, 1)])
     with pytest.raises(InvariantError, match=r"^mu=3 exceeds alpha=2 at bag 1$"):
         decomposition_metrics(g, td)
 
@@ -620,6 +699,20 @@ def test_blob_decomposition_transfer_bounds():
     expect(blob_transfer(cases))
 
 
+def test_blob_bags_equal_the_member_scan():
+    # the bags built from per-vertex member masks equal the scan of every
+    # member for every bag, on seeded families with and without duplicates,
+    # under both heuristics and on single bags
+    rng = Random(71)
+    for g in seeded_graphs(72, 40, 2, 12):
+        pieces = shuffled_pieces(rng, g)
+        for family in (SubgraphFamily(pieces[: rng.randint(1, 30)]), SubgraphFamily(pieces[:6] + pieces[:3])):
+            for td in [heuristic_decomposition(g, s) for s in STRATEGIES] + [single_bag_decomposition(g)]:
+                blob = blob_decomposition(g, td, family)
+                assert list(blob.bags) == reference_blob_bags(td, family)
+                assert (blob.graph_n, blob.tree_edges, blob.root) == (len(family), td.tree_edges, td.root)
+
+
 def test_blob_decomposition_rejects_bad_members():
     g = path_graph(4)
     td = heuristic_decomposition(g)
@@ -741,3 +834,17 @@ def test_td_bag_count_checked_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def test_td_vertex_count_checked_before_allocating():
+    # a header declaring more vertices than a graph file may declare is
+    # refused in parse_graph's words before the bag line's mask is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"^line 1: header declares 20000000 vertices, above the cap of 32768$"):
+            parse_td("s td 1 1 20000000\nb 1 20000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert parse_td(f"s td 1 1 {MAX_VERTICES}\nb 1 {MAX_VERTICES}\n").graph_n == MAX_VERTICES
