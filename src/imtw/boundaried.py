@@ -28,6 +28,7 @@ already joined elements closes a cycle, an odd one when their parity differs
 from the link's.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from math import comb
 
@@ -405,21 +406,18 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFA
         glued = algebra.glue(left[1], right[1])
         return None if glued == REJECT else (left[0], glued)
 
-    def check(state):
-        if popcount(state[0]) > cap:
-            raise InvariantError("bag intersection exceeds the Ramsey bound")
-
-    tables, backptr = run_nice_dp(
+    [root] = deque(run_nice_dp(
         nice_td, (0, empty_type), lambda state: state[0], add, drop, merge, weights,
         budget=state_budget,
         budget_message=f"structured DP budget {state_budget} exceeded",
-    )
+    ), maxlen=1)
     found = best_solution(
-        nice_td, tables, backptr, weights, lambda state: state[0],
-        lambda state: state[0] == 0 and algebra.accepting(state[1]), check,
+        root, weights, lambda state: state[0] == 0 and algebra.accepting(state[1])
     )
     if found is None:
         return None
+    if any(popcount(found[1] & node.bag) > cap for node in nice_td.nodes):
+        raise InvariantError("bag intersection exceeds the Ramsey bound")
     induced, _ = induced_subgraph(graph, found[1])
     if not algebra.holds(induced):
         raise InvariantError("reconstructed solution violates the property")

@@ -476,6 +476,12 @@ def main(argv=None):
     except ResourceLimitError as exc:
         report["error"] = {"type": "resource", "message": str(exc)}
         code = 4
+    except MemoryError as exc:
+        # the traceback holds the solver's frames and so its tables: let
+        # go of it before the report needs memory
+        exc.__traceback__ = None
+        report["error"] = {"type": "resource", "message": "out of memory"}
+        code = 4
     except InvariantError as exc:
         report["error"] = {"type": "invariant", "message": str(exc)}
         code = 3

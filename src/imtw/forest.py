@@ -56,6 +56,7 @@ seen before runs the union-find; a repeated pair ORs Z's components into
 its blocks.
 """
 
+from collections import deque
 from itertools import combinations
 
 from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
@@ -625,15 +626,13 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
         return None if blocks is None else (z, blocks)
 
     empty = (0, ())
-    tables, backptr = run_nice_dp(
+    [root] = deque(run_nice_dp(
         nice_td, empty, lambda sig: sig[0], add, drop, merge, weights,
         budget=state_budget,
         budget_message=f"forest DP state budget {state_budget} exceeded",
         families=families,
-    )
-    found = best_solution(
-        nice_td, tables, backptr, weights, lambda sig: sig[0], lambda sig: sig == empty
-    )
+    ), maxlen=1)
+    found = best_solution(root, weights, lambda sig: sig == empty)
     if found is None:
         raise InvariantError("empty signature missing at the root; families are broken")
     if not is_induced_forest(graph, found[1]):

@@ -5,7 +5,7 @@ forget / join recursion (Kloks, Treewidth, 1994) that differs only in its
 state type and in the family filtering the states. A solver supplies the
 state algebra and a per-node family builder; this module owns the rest: the
 transitions and their value arithmetic, the pass over the nodes, when a
-family is built, the state budget and the backpointer walk.
+family is built, the state budget and the decoding of the optimum.
 
 Table values are integers that name their partial solution. The rational
 weights are scaled once by the lcm of their denominators, and vertex v of n
@@ -16,6 +16,12 @@ value, with ties going to the one whose indicator, read up from vertex 0, is
 larger. The optimum is therefore unique: the canonical optimum, whatever the
 decomposition, the family provider or the order in which states arrive.
 Only the optimum is turned back into a Fraction.
+
+The value is the certificate: the root value's bonus bits are the
+optimum's vertex set, so no state records where it came from and no walk
+goes back down the tree. The pass therefore keeps only its frontier, the
+tables whose parent is not filled yet: a child's table is let go once its
+parent's is filled, and when the pass ends only the root table is alive.
 
 The families keep tables polynomial; exactness does not rest on them, since
 every kept state is a real partial solution. So a node's family is built
@@ -58,7 +64,8 @@ def _values(weights):
 def run_nice_dp(
     nice_td, empty, bag_part, add, drop, merge, weights, budget, budget_message, families=None
 ):
-    """Fill one table per node bottom-up and return (tables, backpointers).
+    """Fill one table per node bottom-up and yield each table, in node
+    order, once it is filled; the root's comes last.
 
     The state algebra: the leaf state ``empty``; ``bag_part(state)``, the
     solution's mask inside the bag; ``add(v, state)``, the state with the
@@ -78,27 +85,30 @@ def run_nice_dp(
     ResourceLimitError(budget_message). A node's candidate states come
     from a generator of its kind, a join's pair by pair, so no join lists
     its pairs, and one loop enters them into the node's table.
+    Only the frontier is kept: a child's table is let go once its parent's
+    is filled, so a consumer that keeps only the last table yielded holds
+    just the root's when the pass ends.
     """
     ints = _values(weights)
-    tables = [None] * nice_td.size
-    backptr = [None] * nice_td.size
+    frontier = {}  # node -> its table, until its parent's table is filled
     filtered = set()  # the nodes whose family was built
     states_seen = 0
     if families is None:
         families = repeat(None, nice_td.size)
     for i, (node, build) in enumerate(zip(nice_td.nodes, families, strict=True)):
+        # each child's table leaves the frontier for the node's candidate
+        # generator, which holds the only reference and drops it once exhausted
         kind = node.kind
+        children = map(frontier.pop, node.children)
         if kind == "join":
-            left, right = (tables[c] for c in node.children)
-            candidates = _join_candidates(left, right, bag_part, merge, ints)
+            candidates = _join_candidates(*children, bag_part, merge, ints)
         elif kind == "leaf":
-            candidates = ((empty, 0, ()),)
+            candidates = ((empty, 0),)
         elif kind == "introduce":
-            candidates = _introduce_candidates(tables[node.children[0]], node.vertex, add, ints)
+            candidates = _introduce_candidates(*children, node.vertex, add, ints)
         else:
-            candidates = _forget_candidates(tables[node.children[0]], node.vertex, bag_part, drop)
-        table = {}
-        bp = {}
+            candidates = _forget_candidates(*children, node.vertex, bag_part, drop)
+        table = frontier[i] = {}
         members = None
         # the table size at which the next new state builds the family
         if build is None:
@@ -107,7 +117,7 @@ def run_nice_dp(
             limit = 0
         else:
             limit = FILTER_FROM
-        for state, value, origin in candidates:
+        for state, value in candidates:
             if members is not None and state not in members:
                 continue
             cur = table.get(state)
@@ -115,7 +125,7 @@ def run_nice_dp(
                 if len(table) >= limit:
                     members, limit = build(), inf
                     for rejected in [s for s in table if s not in members]:
-                        del table[rejected], bp[rejected]
+                        del table[rejected]
                     if state not in members:
                         continue
                 states_seen += 1
@@ -124,17 +134,14 @@ def run_nice_dp(
             elif value <= cur:
                 continue
             table[state] = value
-            bp[state] = origin
-        tables[i] = table
-        backptr[i] = bp
         if members is not None:
             filtered.add(i)
-    return tables, backptr
+        yield table
 
 
 def _join_candidates(left, right, bag_part, merge, ints):
-    """(state, value, origin) of every merged pair of join partners, one
-    pair at a time: the pairs are never listed."""
+    """(state, value) of every merged pair of join partners, one pair at a
+    time: the pairs are never listed."""
     by_part = {}
     for s1 in left:
         by_part.setdefault(bag_part(s1), []).append(s1)
@@ -148,55 +155,41 @@ def _join_candidates(left, right, bag_part, merge, ints):
             for s1 in by_part[part]:
                 merged = merge(s1, s2)
                 if merged is not None:
-                    yield merged, left[s1] + right[s2] - part_value, (s1, s2)
+                    yield merged, left[s1] + right[s2] - part_value
 
 
 def _introduce_candidates(child, v, add, ints):
     """Each child state without v, then with v when ``add`` allows it."""
     gain = ints[v]
     for state, value in child.items():
-        origin = (state,)
-        yield state, value, origin
+        yield state, value
         grown = add(v, state)
         if grown is not None:
-            yield grown, value + gain, origin
+            yield grown, value + gain
 
 
 def _forget_candidates(child, v, bag_part, drop):
     """Each child state, with v dropped from its bag part where it holds v."""
     b = bit(v)
     for state, value in child.items():
-        yield (drop(v, state) if bag_part(state) & b else state), value, (state,)
+        yield (drop(v, state) if bag_part(state) & b else state), value
 
 
-def best_solution(nice_td, tables, backptr, weights, bag_mask, accept, check=None):
+def best_solution(root_table, weights, accept):
     """(value, vertex mask) of the best root state ``accept`` admits, or
     None when it admits none. Values fix their vertex sets, so the best is
     unique: the canonical optimum. The value is a Fraction: the integer
-    table value without its bonus bits, over the weights' scale.
-    The mask comes from the backpointer walk down from the root, where
-    ``bag_mask(state)`` is the state's part of the solution and ``check``
-    sees every non-leaf state; a mask whose weight is not the value raises
-    InvariantError."""
-    best = root_state = None
-    for state, value in tables[nice_td.root].items():
-        if accept(state) and (best is None or value > best):
-            best, root_state = value, state
+    table value without its bonus bits, over the weights' scale. The mask
+    is the value's bonus bits, the certificate every value carries: vertex
+    v is in the solution when bit n - 1 - v is set. A mask whose weight is
+    not the value raises InvariantError."""
+    best = max((value for state, value in root_table.items() if accept(state)), default=None)
     if best is None:
         return None
-    best = Fraction(best >> len(weights.values), _scale(weights))
-    solution = 0
-    stack = [(nice_td.root, root_state)]
-    while stack:
-        i, state = stack.pop()
-        node = nice_td.nodes[i]
-        if node.kind == "leaf":
-            continue
-        if check is not None:
-            check(state)
-        if node.kind == "introduce" and bag_mask(state) & bit(node.vertex):
-            solution |= bit(node.vertex)
-        stack.extend(zip(node.children, backptr[i][state]))
+    n = len(weights.values)
+    # the n bonus bits read backwards: bit n - 1 - v of the value is vertex v
+    solution = int(format(best & ((1 << n) - 1), f"0{n}b")[::-1], 2)
+    best = Fraction(best >> n, _scale(weights))
     if weights.of_set(solution) != best:
         raise InvariantError(
             f"reconstructed weight {weights.of_set(solution)} differs from optimum {best}"

@@ -28,6 +28,8 @@ dropped later. ``trace_family_for_bag`` without carried sets stays the
 per-bag oracle.
 """
 
+from collections import deque
+
 from .bits import bit, bits, popcount
 from .errors import InvariantError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
@@ -261,7 +263,7 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
     the exact optimum (weight, vertex mask); the result is re-validated
     before return.
     """
-    tables, backptr = run_nice_dp(
+    [root] = deque(run_nice_dp(
         nice_td,
         empty=0,
         bag_part=lambda state: state,
@@ -272,10 +274,8 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
         budget=state_budget,
         budget_message=f"MWIS state budget {state_budget} exceeded",
         families=carried_trace_families(graph, nice_td, nice_td.metrics.mu),
-    )
-    found = best_solution(
-        nice_td, tables, backptr, weights, lambda state: state, lambda state: state == 0
-    )
+    ), maxlen=1)
+    found = best_solution(root, weights, lambda state: state == 0)
     if found is None:
         raise InvariantError("empty state missing at the root; families are broken")
     if not graph.is_independent(found[1]):

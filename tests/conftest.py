@@ -57,16 +57,17 @@ def solver_cases(graphs, weight_seed=None, max_weight=None, pick_strategy=False)
 
 def driver_spy(wrap, results=None):
     """A stand-in for ``run_nice_dp``: ``wrap`` sees its arguments by name
-    and may replace them, and each (tables, backpointers) result is appended
-    to ``results`` when given."""
+    and may replace them. When ``results`` is given, each run appends the
+    list of every table the driver yields, one per node in node order: the
+    spy keeps the tables that the driver lets go of."""
 
     def spy(*args, **kwargs):
         arguments = signature(run_nice_dp).bind(*args, **kwargs).arguments
         wrap(arguments)
-        result = run_nice_dp(**arguments)
+        tables = run_nice_dp(**arguments)
         if results is not None:
-            results.append(result)
-        return result
+            results.append(tables := list(tables))
+        return iter(tables)
 
     return spy
 

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from imtw import boundaried, nicedp
 from imtw.bits import bit
 from imtw.boundaried import (
     REJECT,
@@ -18,9 +19,10 @@ from imtw.boundaried import (
     ramsey_upper,
 )
 from imtw.corpus import random_boundaried
-from imtw.decomp import heuristic_decomposition
-from imtw.errors import InputError
+from imtw.decomp import heuristic_decomposition, single_bag_decomposition
+from imtw.errors import InputError, InvariantError
 from imtw.graphs import Graph, WeightMap, complete_graph, cycle_graph, path_graph
+from imtw.nicedp import run_nice_dp
 from imtw.oracles import brute_mwis
 from imtw.verify import (
     ALGEBRAS,
@@ -263,3 +265,21 @@ def test_structured_dp_solution_self_checks():
     nice = measured_nice(g, heuristic_decomposition(g))
     weight, solution = generic_structured_dp(g, nice, w, BipartiteAlgebra(), r=2)
     assert weight == 6 and solution == g.vertex_mask()
+
+
+def test_generic_dp_checks_the_ramsey_bound_on_the_decoded_solution(monkeypatch):
+    # K5 has alpha 1, so at r = 1 at most ramsey_upper(2, 2) = 2 solution
+    # vertices may share a bag; a root value forged to name all five passes
+    # the weight check and must fail the bag check before any other
+    g, w = complete_graph(5), WeightMap.unit(5)
+    nice = measured_nice(g, single_bag_decomposition(g))
+    assert generic_structured_dp(g, nice, w, ForestAlgebra(), 1)[0] == 1
+
+    def forged(*args, **kwargs):
+        tables = list(run_nice_dp(*args, **kwargs))
+        tables[-1] = dict.fromkeys(tables[-1], sum(nicedp._values(w)))
+        return iter(tables)
+
+    monkeypatch.setattr(boundaried, "run_nice_dp", forged)
+    with pytest.raises(InvariantError, match="bag intersection exceeds the Ramsey bound"):
+        generic_structured_dp(g, nice, w, ForestAlgebra(), 1)

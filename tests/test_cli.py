@@ -220,6 +220,22 @@ def test_solve_ptas_and_generic(tmp_path, capsys):
     assert code == 0 and report["result"]["optimum"] == "4"
 
 
+def run_capped(argv, cap):
+    """(exit code, report) of the CLI run in a child process whose address
+    space is capped at ``cap`` bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "imtw.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    return done.returncode, json.loads(done.stdout)
+
+
 def test_ptas_blob_over_budget_exits_4_under_a_memory_cap(tmp_path, capsys):
     # the forked path(6) with vertices 1 and 3 marked has 9,882 pieces at
     # r = 1, eps = 1/2, and their blob graph 48,410,911 edges: the edges are
@@ -229,22 +245,29 @@ def test_ptas_blob_over_budget_exits_4_under_a_memory_cap(tmp_path, capsys):
     run_cli(capsys, "gen", "path", "6", "-o", path6)
     run_cli(capsys, "transform", "forked", path6, "--marked", "1,3", "-o", forked)
     run_cli(capsys, "decompose", forked, "-o", td)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
     for budget in (["--budget", "10000"], []):
         argv = ["solve", "ptas", forked, td, "-r", "1", "--eps", "1/2", *budget]
-        done = subprocess.run(
-            [sys.executable, "-m", "imtw.cli", *argv],
-            capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
-        )
-        report = json.loads(done.stdout)
-        assert done.returncode == 4, report["error"]
+        code, report = run_capped(argv, 1 << 30)
+        assert code == 4, report["error"]
         assert report["command"] == ["imtw", *argv] and report["error"]["type"] == "resource"
         assert "blob graph of 9882 pieces" in report["error"]["message"]
+
+
+def test_out_of_memory_exits_4(tmp_path):
+    # MWIS on 12 disjoint triangles in one bag (mu = 12) holds tables of up
+    # to 4^12 states and peaks near 270 MiB; under a 96 MiB address-space
+    # cap it runs out of memory within seconds, which is a resource error
+    t = 12
+    edges = [(3 * i + a, 3 * i + b) for i in range(t) for a, b in ((1, 2), (1, 3), (2, 3))]
+    graph_file, td_file = tmp_path / "tri.gr", tmp_path / "tri.td"
+    graph_file.write_text(f"p edge {3 * t} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    td_file.write_text(f"s td 1 {3 * t} {3 * t}\nb 1 " + " ".join(map(str, range(1, 3 * t + 1))) + "\n")
+    argv = ["solve", "mwis", str(graph_file), str(td_file)]
+    code, report = run_capped(argv, 96 << 20)
+    assert code == 4, report["error"]
+    assert report["command"] == ["imtw", *argv]
+    assert report["error"] == {"type": "resource", "message": "out of memory"}
+    assert set(report["inputs"]) == {str(graph_file), str(td_file)}
 
 
 def test_exit_code_input_error(tmp_path, capsys):

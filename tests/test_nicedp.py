@@ -3,8 +3,10 @@ by the lcm of their denominators and a bonus bit per vertex, and turns only
 the optimum back into a Fraction; the bonus bits make that optimum the
 canonical one. It builds a node's family only once the table outgrows
 ``FILTER_FROM`` or a child was filtered, and that choice leaves every
-solution as it is."""
+solution as it is. It keeps only its frontier of tables, and the root value
+alone names the solution."""
 
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -15,7 +17,7 @@ from imtw.boundaried import ForestAlgebra, MaxDegreeAlgebra, generic_structured_
 from imtw.corpus import tied_corpus
 from imtw.decomp import heuristic_decomposition, single_bag_decomposition
 from imtw.forest import mwif_dp
-from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph
+from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph, path_graph
 from imtw.oracles import brute_max_weight_induced_forest, brute_mwis
 from imtw.traces import mwis_dp
 from imtw.verify import canonical_solution
@@ -30,6 +32,12 @@ from conftest import (
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+# The tracemalloc peak, in bytes, of the unit-weight path(1000) MWIS solve in
+# test_only_the_frontier_of_tables_is_kept under the driver that kept every
+# node's table and a backpointer dict per node: CPython 3.11 read 1,447,156
+# to 1,547,924 (the first call in a process is the larger); the lower is kept.
+KEEP_EVERY_TABLE_PEAK = 1_447_156
 
 
 def coprime_weighted_cases(seed, count):
@@ -117,7 +125,8 @@ def filtered_run(module, solve, g, nice, filter_from):
         mp.setattr(nicedp, "FILTER_FROM", filter_from)
         mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled))
         solve(g, nice, WeightMap.unit(g.n))
-    [(tables, _)] = filled
+    [tables] = filled
+    assert len(tables) == nice.size and all(type(table) is dict for table in tables)
     return tables, built
 
 
@@ -149,3 +158,21 @@ def test_k88_paper_builds_no_family_at_the_default_threshold(monkeypatch):
     g = complete_bipartite(8, 8)
     nice = measured_nice(g, heuristic_decomposition(g))
     assert paper_dp(g, nice, WeightMap.unit(16))[0] == 9
+
+
+
+def test_only_the_frontier_of_tables_is_kept():
+    # path(1000)'s 2,001 nice nodes each fill a table; a driver that lets go
+    # of each child's table once its parent is filled, and records no
+    # backpointers, peaks well below one that keeps them all
+    g = path_graph(1000)
+    nice = measured_nice(g, heuristic_decomposition(g))
+    w = WeightMap.unit(g.n)
+    tracemalloc.start()
+    try:
+        weight, _ = mwis_dp(g, nice, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weight == 500
+    assert peak <= KEEP_EVERY_TABLE_PEAK // 2, peak

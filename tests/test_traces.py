@@ -408,7 +408,8 @@ def test_mwis_dp_vs_oracle(monkeypatch, filter_everywhere):
     for g, w, _, _, nice in cases:
         filled.clear()
         mwis_dp(g, nice, w)
-        [(tables, _)] = filled
+        [tables] = filled
+        assert len(tables) == nice.size and all(type(table) is dict for table in tables)
         assert all(g.is_independent(state) for table in tables for state in table)
 
 
@@ -433,7 +434,8 @@ def test_driver_pulls_one_family_per_node_in_node_order(monkeypatch, filter_ever
                 asked.clear()
                 filled.clear()
                 solve(g, nice, w)
-                [(tables, _)] = filled
+                [tables] = filled
+                assert len(tables) == nice.size and all(type(table) is dict for table in tables)
                 admitted = [set() for _ in range(nice.size)]
                 for i, state, kept in asked:
                     if kept:
