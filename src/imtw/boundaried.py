@@ -7,6 +7,13 @@ graph into a finite value that composes under both operations, so a bottom-up
 dynamic program over a nice tree decomposition can optimize any property the
 algebra recognizes.
 
+The generic DP works on types alone, one transition per nice-node kind:
+``introduce`` adds a labelled vertex joined to labels already present (the
+glue of a star onto the type), ``forget`` strips a label, and ``join``
+glues two types over the same labels and boundary edges. No transition
+builds a graph; ``type_of`` and ``glue`` on boundaried graphs stay as the
+definitions the transitions are checked against.
+
 Every algebra shares one type shape. A non-rejecting type is the tuple
 ``("ok", labels, adjacency, part)``: the sorted used labels, the sorted
 label pairs of boundary edges, and the algebra's own part (forest: blocks of
@@ -171,8 +178,8 @@ class TypeAlgebra:
     """What every algebra shares: labels, boundary adjacency and REJECT.
 
     A subclass supplies ``holds`` and its part of the type: ``_part_of`` a
-    boundaried graph, ``_glue_parts`` of two types (None rejects),
-    ``_forget_part`` and ``_relabel_part``.
+    boundaried graph, ``_glue_parts`` of two types and ``_introduce_part``
+    (both return None to reject), ``_forget_part`` and ``_relabel_part``.
     """
 
     def type_of(self, b):
@@ -189,6 +196,34 @@ class TypeAlgebra:
         adj = tuple(sorted(set(t1[2]) | set(t2[2])))
         part = self._glue_parts(t1, t2, labels, adj)
         return REJECT if part is None else ("ok", labels, adj, part)
+
+    def join(self, t1, t2):
+        """``glue(t1, t2)`` for two types with equal labels and equal boundary
+        adjacency, as at a join of the DP: both partners carry the bag part S
+        as labels and the edges of G[S] as boundary edges, so the union of
+        labels and of edges is either side's and only the parts merge."""
+        if t1 == REJECT or t2 == REJECT:
+            return REJECT
+        _, labels, adj, _ = t1
+        part = self._glue_parts(t1, t2, labels, adj)
+        return REJECT if part is None else ("ok", labels, adj, part)
+
+    def introduce(self, t, label, near):
+        """``glue(type_of(star), t)``, the star joining the new ``label`` to
+        the labels ``near``, all of which are in ``t``; ``label`` is not.
+
+        The new label and its boundary edges are inserted here; the
+        algebra's ``_introduce_part`` updates the part, reading the set
+        ``near`` and the old boundary adjacency."""
+        if t == REJECT:
+            return REJECT
+        _, labels, adj, part = t
+        near = frozenset(near)
+        part = self._introduce_part(part, label, near, adj)
+        if part is None:
+            return REJECT
+        new_edges = [(u, label) if u < label else (label, u) for u in near]
+        return ("ok", tuple(sorted(labels + (label,))), tuple(sorted(adj + tuple(new_edges))), part)
 
     def forget(self, t, label):
         if t == REJECT:
@@ -251,6 +286,20 @@ class ForestAlgebra(TypeAlgebra):
                 return None
         return part
 
+    def _introduce_part(self, blocks, label, near, adj):
+        # the new vertex closes a cycle exactly when two of its neighbours
+        # are already connected through the blocks and the boundary edges
+        if len(near) > 1:
+            uf = {}
+            for block in blocks:
+                for l in block[1:]:
+                    _uf_link(uf, block[0], l, 0)
+            for a, c in adj:
+                _uf_link(uf, a, c, 0)
+            if len({_uf_find(uf, l)[0] for l in near}) < len(near):
+                return None
+        return tuple(sorted(blocks + ((label,),)))
+
     def _forget_part(self, blocks, label, adj):
         # the vertex stays: its boundary edges become interior, merging its
         # block with its neighbours' blocks
@@ -300,6 +349,22 @@ class BipartiteAlgebra(TypeAlgebra):
                 return None
         return self._blocks(_classes(uf, zip(labels, labels)))
 
+    def _introduce_part(self, blocks, label, near, adj):
+        # each block holding a neighbour joins the new vertex's block, with
+        # the new vertex at parity 0 and the neighbours at parity 1; a block
+        # whose neighbours sit at both parities closes an odd cycle
+        joined, rest = [(label, 0)], []
+        for block in blocks:
+            parities = {p for l, p in block if l in near}
+            if not parities:
+                rest.append(block)
+            elif len(parities) > 1:
+                return None
+            else:
+                flip = parities.pop() ^ 1
+                joined += [(l, p ^ flip) for l, p in block]
+        return self._blocks(rest + [joined])
+
     def _forget_part(self, blocks, label, adj):
         kept = [[(l, p) for l, p in block if l != label] for block in blocks]
         return self._blocks([group for group in kept if group])
@@ -331,12 +396,23 @@ class MaxDegreeAlgebra(TypeAlgebra):
 
     def _glue_parts(self, t1, t2, labels, adj):
         deg = dict(t1[3])
-        shared = set(t1[2]) & set(t2[2])
         for l, d in t2[3]:
-            deg[l] = deg.get(l, 0) + d - sum(1 for e in shared if l in e)
+            deg[l] = deg.get(l, 0) + d
+        # an edge recorded on both sides was counted at both its ends twice
+        for a, c in set(t1[2]).intersection(t2[2]):
+            deg[a] -= 1
+            deg[c] -= 1
         if any(v > self.d for v in deg.values()):
             return None
         return tuple(sorted(deg.items()))
+
+    def _introduce_part(self, degs, label, near, adj):
+        # the new vertex has degree |near|, and each neighbour gains one
+        out = [(label, len(near))]
+        out += [(l, d + 1) if l in near else (l, d) for l, d in degs]
+        if any(d > self.d for _, d in out):
+            return None
+        return tuple(sorted(out))
 
     def _forget_part(self, degs, label, adj):
         return tuple((l, d) for l, d in degs if l != label)
@@ -370,8 +446,12 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFA
     With k = ``nice_td.metrics.alpha``, states keep at most
     ramsey_upper(k+1, r+1) solution vertices per bag, which is enough
     because a solution with small cliques meets every small-independence bag
-    in few vertices. Returns (weight, mask) or None when no accepting state
-    survives at the root.
+    in few vertices. A state is (S, type of the partial solution with S
+    labelled), and every transition acts on the type alone: an introduced v
+    enters S by ``algebra.introduce`` with its neighbours in S, a forgotten
+    v leaves by ``algebra.forget``, and a join merges two types over the
+    same S by ``algebra.join``. Returns (weight, mask) or None when no
+    accepting state survives at the root.
     """
     cap = ramsey_upper(nice_td.metrics.alpha + 1, r + 1)
     # solution vertex v carries label v + 1, so adding or dropping a vertex
@@ -379,32 +459,25 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFA
     ell = max(graph.n, 1)
     empty_type = algebra.type_of(BoundariedGraph.make(Graph(0, []), {}, ell))
 
-    induced_types = {}  # mask -> type of G[mask] labelled by vertex id
-
-    def type_of_induced(mask):
-        if mask not in induced_types:
-            g, mapping = induced_subgraph(graph, mask)
-            labeling = {i: v + 1 for v, i in mapping.items()}
-            induced_types[mask] = algebra.type_of(BoundariedGraph.make(g, labeling, ell))
-        return induced_types[mask]
-
     def add(v, state):
         s_mask, tau = state
         new_mask = s_mask | bit(v)
+        near = s_mask & graph.adj_mask(v)
         # every clique lies inside one bag, so refusing v next to an r-clique
         # of S keeps each solution's clique number at most r
-        if popcount(new_mask) > cap or _has_clique(graph, s_mask & graph.adj_mask(v), r):
+        if popcount(new_mask) > cap or _has_clique(graph, near, r):
             return None
-        glued = algebra.glue(type_of_induced(new_mask), tau)
-        return None if glued == REJECT else (new_mask, glued)
+        grown = algebra.introduce(tau, v + 1, [u + 1 for u in bits(near)])
+        return None if grown == REJECT else (new_mask, grown)
 
     def drop(v, state):
         s_mask, tau = state
         return s_mask & ~bit(v), algebra.forget(tau, v + 1)
 
     def merge(left, right):
-        glued = algebra.glue(left[1], right[1])
-        return None if glued == REJECT else (left[0], glued)
+        # join partners share S, so both types label S and record G[S]
+        joined = algebra.join(left[1], right[1])
+        return None if joined == REJECT else (left[0], joined)
 
     [root] = deque(run_nice_dp(
         nice_td, (0, empty_type), lambda state: state[0], add, drop, merge, weights,

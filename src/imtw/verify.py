@@ -20,6 +20,7 @@ from random import Random
 from .bits import popcount, submasks
 from .boundaried import (
     BipartiteAlgebra,
+    BoundariedGraph,
     ForestAlgebra,
     MaxDegreeAlgebra,
     forget_label,
@@ -511,6 +512,17 @@ def algebra_compositional(alg, b1, b2, label):
     yield ok, alg.name
 
 
+@claim("introduce equals glue with the star")
+def introduce_is_glue_with_star(alg, b, label, near):
+    """Introducing ``label`` next to the labels ``near`` of ``b`` is the glue
+    of the labelled star K(1, |near|) onto b's type."""
+    star = BoundariedGraph.make(
+        complete_bipartite(1, len(near)), dict(enumerate((label, *near))), max(b.ell, label)
+    )
+    t = alg.type_of(b)
+    yield alg.introduce(t, label, near) == alg.glue(alg.type_of(star), t), alg.name
+
+
 # ---------------------------------------------------------------------------
 # Packings
 
@@ -748,9 +760,19 @@ def suite_boundaried(seed, max_n):
         b1, b2 = random_boundaried(rng, ell), random_boundaried(rng, ell)
         label = rng.randint(1, ell)
         laws += [(alg, b1, b2, label) for alg in ALGEBRAS]
+    # a new label, from 1..ell + 1, next to a random subset of b1's labels
+    introduces = []
+    for alg, b1, _, _ in laws:
+        used = [l for _, l in b1.labeling]
+        label = rng.choice([l for l in range(1, b1.ell + 2) if l not in used])
+        introduces.append((alg, b1, label, rng.sample(used, rng.randint(0, len(used)))))
     corpus = random_corpus(seed + 1, 10, min(max_n, 9))
     cases = [prepare(g, w, heuristic_decomposition(g)) for g, w in corpus]
-    return [algebra_compositional(laws), structured_dp_matches_brute_force(per_algebra(cases))]
+    return [
+        algebra_compositional(laws),
+        introduce_is_glue_with_star(introduces),
+        structured_dp_matches_brute_force(per_algebra(cases)),
+    ]
 
 
 def suite_oracles(seed, max_n):

@@ -1,7 +1,8 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
 spies on the DP driver and its family stream, a fixture and a loop that
 make run_nice_dp filter every node, and the references: the forest join,
-the decomposition check, the blob bags and the bag search."""
+the generic DP's introduce, the decomposition check, the blob bags and the
+bag search."""
 
 from inspect import signature
 from random import Random
@@ -10,9 +11,10 @@ import pytest
 
 from imtw import nicedp
 from imtw.bits import bit, bits, lowest_bit, mask_of, popcount
+from imtw.boundaried import BoundariedGraph
 from imtw.forest import canonical_blocks
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
-from imtw.graphs import Graph, WeightMap, random_graph
+from imtw.graphs import Graph, WeightMap, induced_subgraph, random_graph
 from imtw.nicedp import run_nice_dp
 from imtw.verify import STRATEGIES, prepare
 
@@ -148,6 +150,15 @@ def reference_merge_partitions(z, components, blocks1, blocks2):
         merged.setdefault(find(a), 0)
         merged[find(a)] |= comp
     return canonical_blocks(merged.values())
+
+
+def reference_introduce(algebra, graph, s_mask, v, tau):
+    """The generic DP's introduce of v into the state (S, tau) built from a
+    graph, the reference for ``TypeAlgebra.introduce``: glue onto ``tau``
+    the type of G[S + v], each vertex u labelled u + 1."""
+    g, mapping = induced_subgraph(graph, s_mask | bit(v))
+    labeling = {i: u + 1 for u, i in mapping.items()}
+    return algebra.glue(algebra.type_of(BoundariedGraph.make(g, labeling, max(graph.n, 1))), tau)
 
 
 def reference_validate_decomposition(graph, td):

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from imtw import boundaried, nicedp
-from imtw.bits import bit
+from imtw.bits import bit, bits, mask_of
 from imtw.boundaried import (
     REJECT,
     BipartiteAlgebra,
@@ -31,7 +31,7 @@ from imtw.verify import (
     structured_dp_matches_brute_force,
 )
 
-from conftest import expect, measured_nice, seeded_graphs, solver_cases
+from conftest import expect, measured_nice, reference_introduce, seeded_graphs, solver_cases
 
 
 def test_ramsey_small_values():
@@ -283,3 +283,55 @@ def test_generic_dp_checks_the_ramsey_bound_on_the_decoded_solution(monkeypatch)
     monkeypatch.setattr(boundaried, "run_nice_dp", forged)
     with pytest.raises(InvariantError, match="bag intersection exceeds the Ramsey bound"):
         generic_structured_dp(g, nice, w, ForestAlgebra(), 1)
+
+
+SPIED_ALGEBRAS = ("forest", "bipartite", "max-degree:2", "max-degree:3")
+
+
+def spied_runs(method):
+    """Run the generic DP on seeded graphs under both heuristics, for each
+    algebra of ``SPIED_ALGEBRAS`` and r in (2, 3), with the algebra's
+    ``method`` logged; yield (graph, algebra, calls) per run, each call an
+    (arguments, result) pair."""
+    for strategy in ("min-fill", "min-degree"):
+        for g in seeded_graphs(92, 12, 3, 10, ps=(0.3, 0.5)):
+            nice = measured_nice(g, heuristic_decomposition(g, strategy))
+            for name in SPIED_ALGEBRAS:
+                for r in (2, 3):
+                    algebra, calls = builtin_type_algebra(name), []
+                    real = getattr(algebra, method)
+
+                    def spy(*args):
+                        result = real(*args)
+                        calls.append((args, result))
+                        return result
+
+                    setattr(algebra, method, spy)
+                    generic_structured_dp(g, nice, WeightMap.unit(g.n), algebra, r)
+                    yield g, algebra, calls
+
+
+def test_introduce_equals_the_glue_of_the_induced_type():
+    # every introduce the DP performs, REJECT included, is the type the
+    # labelled G[S + v] glued onto the state's type would give
+    seen = {name: [0, 0] for name in SPIED_ALGEBRAS}  # [kept, rejected]
+    for g, algebra, calls in spied_runs("introduce"):
+        for (tau, label, near), result in calls:
+            s_mask, v = mask_of(l - 1 for l in tau[1]), label - 1
+            assert sorted(near) == [u + 1 for u in bits(s_mask & g.adj_mask(v))]
+            assert result == reference_introduce(algebra, g, s_mask, v, tau)
+            seen[algebra.name][result == REJECT] += 1
+    assert all(kept and rejected for kept, rejected in seen.values()), seen
+
+
+def test_join_partners_share_labels_and_adjacency():
+    # so ``join`` may take either side's labels and edges: its result is the
+    # full glue of the two types at every join the DP performs
+    seen = {name: [0, 0] for name in SPIED_ALGEBRAS}  # [kept, rejected]
+    for _, algebra, calls in spied_runs("join"):
+        for (t1, t2), result in calls:
+            assert t1[1] == t2[1] and t1[2] == t2[2]
+            assert result == algebra.glue(t1, t2)
+            seen[algebra.name][result == REJECT] += 1
+    assert all(kept for kept, _ in seen.values()), seen
+    assert seen["forest"][1] and seen["max-degree:2"][1], seen

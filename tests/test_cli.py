@@ -463,6 +463,7 @@ VERIFY_ALL_SEED_42_MAX_N_8 = [
     ("packing", "odd power transfer inequality", 24),
     ("packing", "ptas guarantee", 24),
     ("boundaried", "algebra compositionality", 1000),
+    ("boundaried", "introduce equals glue with the star", 1000),
     ("boundaried", "structured DP equals brute force", 50),
     ("oracles", "width chain on random graphs", 15),
     ("oracles", "line graph square equality", 15),
@@ -849,6 +850,18 @@ def test_solve_budget_caps_dp_states_only(tmp_path, capsys):
     assert report["error"] == {"type": "resource", "message": "MWIS state budget 3 exceeded"}
 
 
+def test_generic_dp_state_count_is_pinned(tmp_path, capsys):
+    # the structured DP enters exactly 487 states on this instance, so a
+    # change in what a state is (its S, or its type tuple) moves the exit
+    graph_file, td_file = instance(tmp_path, capsys, "random", "12", "0.4", "--seed", "5")
+    argv = ["solve", "generic", graph_file, td_file, "--property", "forest", "-r", "3"]
+    code, report, _ = run_cli(capsys, *argv, "--budget", "487")
+    assert code == 0 and report["error"] is None
+    code, report, _ = run_cli(capsys, *argv, "--budget", "486")
+    assert code == 4
+    assert report["error"] == {"type": "resource", "message": "structured DP budget 486 exceeded"}
+
+
 def test_verify_records_a_failing_self_check(monkeypatch, capsys):
     real = verify.mwis_dp
     calls = []
@@ -898,6 +911,7 @@ def test_verify_counts_every_verdict_after_a_raise(monkeypatch, capsys):
     checks = report["result"]["suites"][0]["checks"]
     assert [(c["check"], c["instances"], c["ok"]) for c in checks] == [
         ("algebra compositionality", 1000, True),
+        ("introduce equals glue with the star", 1000, True),
         ("structured DP equals brute force", 50, False),
     ]
 
