@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bits import bit, bits, popcount
-from .errors import InputError, InvariantError
+from .errors import Budget, InputError, InvariantError
 from .graphs import Graph, induced_subgraph
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import is_induced_forest
@@ -481,8 +481,7 @@ def generic_structured_dp(graph, nice_td, weights, algebra, r, state_budget=DEFA
 
     [root] = deque(run_nice_dp(
         nice_td, (0, empty_type), lambda state: state[0], add, drop, merge, weights,
-        budget=state_budget,
-        budget_message=f"structured DP budget {state_budget} exceeded",
+        budget=Budget(state_budget, f"structured DP budget {state_budget} exceeded"),
     ), maxlen=1)
     found = best_solution(
         root, weights, lambda state: state[0] == 0 and algebra.accepting(state[1])

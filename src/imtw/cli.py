@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .bits import popcount, to_tuple
@@ -37,6 +36,7 @@ from .graphs import (
     graph_power,
     line_graph_square,
     parse_graph,
+    parse_rational,
     parse_weights,
     serialize_graph,
 )
@@ -61,9 +61,9 @@ def _digest(text):
 
 def _read(path, inputs):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     inputs[path] = _digest(text)
     return text
@@ -329,11 +329,11 @@ def cmd_verify(args, inputs):
 
 
 def _fraction(text):
-    """``Fraction(text)`` as an argparse type. argparse reports only
+    """``parse_rational(text)`` as an argparse type. argparse reports only
     ValueError and TypeError as invalid values, so the ZeroDivisionError of
     a zero denominator is turned into the same usage error."""
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 

@@ -5,10 +5,10 @@ construction from elimination orderings, and the decomposition transfers
 Bag metrics are computed exactly by branch and bound. ``alpha`` is the largest
 independent set inside a single bag; ``mu`` is the largest induced matching
 whose every edge touches a single bag (edges may have one endpoint outside).
-Both searches share a node budget and fail loudly when it is exhausted, so a
-caller never silently receives an under-approximated parameter. The nice form
-carries the metrics that bound its bags, and the solvers read their bound
-from there.
+Both searches charge one unit per search node to an ``imtw.errors.Budget``
+and fail loudly when it is exhausted, so a caller never silently receives an
+under-approximated parameter. The nice form carries the metrics that bound
+its bags, and the solvers read their bound from there.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import Budget, InputError, InvariantError
 from .graphs import MAX_VERTICES, Graph, ball_mask, induced_subgraph, touch_rows
 
 DEFAULT_SEARCH_BUDGET = 10**7
@@ -238,19 +238,6 @@ def make_nice(graph, td, metrics):
 # Exact bag metrics
 
 
-class _Budget:
-    __slots__ = ("left", "what")
-
-    def __init__(self, limit, what):
-        self.left = limit
-        self.what = what
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise ResourceLimitError(f"search budget exhausted while {self.what}")
-
-
 def clique_cover(adj, pool, limit):
     """The number of cliques in a greedy clique cover of ``pool``, or, as
     soon as the cover passes ``limit``, a count above ``limit``; never more
@@ -393,7 +380,7 @@ def _max_independent_set(adj, candidates, budget):
 
 
 def max_independent_set_in_bag(graph, bag, budget=None):
-    budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag independent set")
+    budget = budget or Budget(DEFAULT_SEARCH_BUDGET, "search budget exhausted while bag independent set")
     masked = {v: graph.adj_mask(v) & bag for v in bits(bag)}
     return _max_independent_set(masked, bag, budget)
 
@@ -406,7 +393,7 @@ def max_induced_matching_touching(graph, bag, budget=None):
     the independent sets of the square of the line graph, with the conflict
     rows from ``touch_rows``. Returns (size, tuple of edges).
     """
-    budget = budget or _Budget(DEFAULT_SEARCH_BUDGET, "bag induced matching")
+    budget = budget or Budget(DEFAULT_SEARCH_BUDGET, "search budget exhausted while bag induced matching")
     # sorted, the touching edges come in the order of ``graph.edges``
     cands = sorted({(min(u, w), max(u, w)) for u in bits(bag) for w in bits(graph.adj_mask(u))})
     size, chosen = _max_independent_set(touch_rows(graph, cands), (1 << len(cands)) - 1, budget)
@@ -487,8 +474,10 @@ def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
     where alpha(G[X]) <= mu), and spends no more units there, so none can
     newly blow its budget.
 
-    Raises ResourceLimitError naming the bag when a per-bag search blows the
-    budget, and InvariantError when a bag's mu exceeds its alpha.
+    Each search runs on a ``Budget`` of its own of ``budget_limit`` units,
+    one per search node, whose overrun raises ResourceLimitError naming the
+    bag and the search; a bag's mu exceeding its alpha raises
+    InvariantError.
     """
     alpha, mu = 0, 0
     alpha_witness, mu_witness = (0, 0), (0, ())
@@ -503,16 +492,14 @@ def decomposition_metrics(graph, td, budget_limit=DEFAULT_SEARCH_BUDGET):
         matching_cover = clique_cover(_matching_rows(adj, held), held, max(mu, 1))
         if cover <= alpha and matching_cover <= mu:
             continue
-        try:
-            a, a_set = max_independent_set_in_bag(graph, bag, _Budget(budget_limit, f"alpha of bag {t}"))
-            if a <= mu or matching_cover <= mu:
-                m, m_edges = 0, ()
-            elif matching_cover == 1:
-                m, m_edges = 1, (_least_touching_edge(adj, held),)
-            else:
-                m, m_edges = max_induced_matching_touching(graph, bag, _Budget(budget_limit, f"mu of bag {t}"))
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(f"bag {t} too large for exact search: {exc}") from exc
+        overrun = f"bag {t} too large for exact search: search budget exhausted while"
+        a, a_set = max_independent_set_in_bag(graph, bag, Budget(budget_limit, f"{overrun} alpha of bag {t}"))
+        if a <= mu or matching_cover <= mu:
+            m, m_edges = 0, ()
+        elif matching_cover == 1:
+            m, m_edges = 1, (_least_touching_edge(adj, held),)
+        else:
+            m, m_edges = max_induced_matching_touching(graph, bag, Budget(budget_limit, f"{overrun} mu of bag {t}"))
         if m > a:
             raise InvariantError(f"mu={m} exceeds alpha={a} at bag {t}")
         if a > alpha:

@@ -24,5 +24,22 @@ class ResourceLimitError(RuntimeError):
         self.partial_count = partial_count
 
 
+class Budget:
+    """A countdown of ``limit`` units. ``spend`` raises
+    ResourceLimitError(message, partial_count) once the units spent pass the
+    limit. An overrun stays charged, so a repeated spend raises again."""
+
+    __slots__ = ("left", "message")
+
+    def __init__(self, limit, message):
+        self.left = limit
+        self.message = message
+
+    def spend(self, units=1, partial_count=None):
+        self.left -= units
+        if self.left < 0:
+            raise ResourceLimitError(self.message, partial_count)
+
+
 class InvariantError(AssertionError):
     """A self-check failed: a solver produced an answer it cannot certify."""

@@ -32,11 +32,15 @@ The DP's canonical optimum is a maximal forest, since every vertex carries
 a positive bonus (``imtw.nicedp``), so its signatures lie in every family
 and the reported solution does not depend on which nodes filter;
 ``--budget`` counts every state that entered a table, also one the family
-dropped later. A built family decides each signature it is asked about at
-the first (witness, S) tuple that covers it (BoundedFamilyMembership). Per Z it
-resumes a walk over only the tuples that emit Z, pulling witnesses from one
-shared generator as far as some walk needs them and expanding no partition;
-only a non-member walks all of its Z's tuples. The generator counts each
+dropped later. Each family enumeration charges an ``imtw.errors.Budget`` of
+``DEFAULT_ENUM_BUDGET`` units of its own: the exhaustive one a unit per
+signature, the eager bounded one a unit per (witness, S) tuple and per
+fertile class, and a membership a unit per tuple its walks visit. A built
+family decides each signature it is asked about at the first (witness, S)
+tuple that covers it (BoundedFamilyMembership). Per Z it resumes a walk
+over only the tuples that emit Z, pulling witnesses from one shared
+generator as far as some walk needs them and expanding no partition; only a
+non-member walks all of its Z's tuples. The generator counts each
 I-vertex's Q-neighbors with three running masks and drops a duplicate
 witness by its key before building it; each witness carries a ``need`` mask
 (its leaves, trivial vertices and Q's bag members), so a walk passes over a
@@ -60,7 +64,7 @@ from collections import deque
 from itertools import combinations
 
 from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import Budget, InputError, InvariantError, ResourceLimitError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
 from .traces import carried_trace_families
@@ -166,7 +170,7 @@ def signature_family_exhaustive(graph, bag):
     blocks are unions of its components. Superset of all true signatures."""
     if popcount(bag) > EXHAUSTIVE_BAG_CAP:
         raise ResourceLimitError(f"exhaustive families capped at bag size {EXHAUSTIVE_BAG_CAP}")
-    budget_left = DEFAULT_ENUM_BUDGET
+    spend = Budget(DEFAULT_ENUM_BUDGET, "exhaustive signature budget exceeded").spend
     sigs = set()
     members = to_tuple(bag)
     for r in range(len(members) + 1):
@@ -180,11 +184,7 @@ def signature_family_exhaustive(graph, bag):
                     sum(part[1:], start=part[0]) if len(part) > 1 else part[0] for part in parts
                 )
                 sigs.add((z, blocks))
-                budget_left -= 1
-                if budget_left < 0:
-                    raise ResourceLimitError(
-                        "exhaustive signature budget exceeded", partial_count=len(sigs)
-                    )
+                spend(1, len(sigs))
     return SignatureFamily(sigs, "exhaustive")
 
 
@@ -317,7 +317,7 @@ def signature_family_paper(graph, bag, vt, k, traces):
     tried with every forest-inducing S of at most 8k bag vertices that holds
     Q's bag members, and each surviving tuple's partitions are expanded.
     """
-    budget_left = DEFAULT_ENUM_BUDGET
+    spend = Budget(DEFAULT_ENUM_BUDGET, "signature enumeration budget exceeded").spend
     adj = [graph.adj_mask(v) for v in range(graph.n)]
     s_candidates = []
     members = to_tuple(bag)
@@ -336,11 +336,7 @@ def signature_family_paper(graph, bag, vt, k, traces):
             # one unit per tuple and one per fertile class, all charged
             # before the tuple's partitions are expanded
             fixed = _witness_blocks(adj, graph.components_within, w, s_mask, vt)
-            budget_left -= 1 if fixed is None else 1 + len(fixed[1])
-            if budget_left < 0:
-                raise ResourceLimitError(
-                    "signature enumeration budget exceeded", partial_count=len(sigs)
-                )
+            spend(1 if fixed is None else 1 + len(fixed[1]), len(sigs))
             z = s_mask | w.z_base
             if fixed is None or (z, fixed) in expanded:
                 continue
@@ -409,7 +405,7 @@ class BoundedFamilyMembership:
         self._walks = {}  # Z -> [pairs found, witness index or None once spent, S index]
         self._decided = {}  # signature -> membership
         self._members = 0
-        self._budget_left = DEFAULT_ENUM_BUDGET
+        self._budget = Budget(DEFAULT_ENUM_BUDGET, "signature enumeration budget exceeded")
 
     def __contains__(self, sig):
         hit = self._decided.get(sig)
@@ -440,12 +436,11 @@ class BoundedFamilyMembership:
             if not w.need & ~z:
                 s_masks = self._s_masks(w, z)
                 for j in range(j, len(s_masks)):
-                    self._budget_left -= 1
-                    if self._budget_left < 0:
+                    try:
+                        self._budget.spend(1, self._members)
+                    except ResourceLimitError:
                         walk[1], walk[2] = i, j
-                        raise ResourceLimitError(
-                            "signature enumeration budget exceeded", partial_count=self._members
-                        )
+                        raise
                     fixed = _witness_blocks(self._adj, self._components, w, s_masks[j], self._vt)
                     if fixed is not None and fixed not in pairs:
                         pairs.add(fixed)
@@ -628,8 +623,7 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
     empty = (0, ())
     [root] = deque(run_nice_dp(
         nice_td, empty, lambda sig: sig[0], add, drop, merge, weights,
-        budget=state_budget,
-        budget_message=f"forest DP state budget {state_budget} exceeded",
+        budget=Budget(state_budget, f"forest DP state budget {state_budget} exceeded"),
         families=families,
     ), maxlen=1)
     found = best_solution(root, weights, lambda sig: sig == empty)

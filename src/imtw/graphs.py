@@ -15,6 +15,7 @@ Weight files carry lines ``w <v> <numerator>[/<denominator>]`` with 1-based
 vertex ids; omitted vertices default to weight 1.
 """
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -227,6 +228,23 @@ def serialize_graph(graph):
     return "\n".join(lines) + "\n"
 
 
+def parse_rational(text):
+    """``Fraction(text)``, refusing with ValueError a literal whose value
+    would have more than ``sys.get_int_max_str_digits()`` digits (none when
+    that is 0): a longer value could not be written into a report. Fraction
+    builds 10^|e| for an exponent e, so the size is judged from the literal
+    before it runs: m digits, d of them after the point, and exponent e give
+    at most m + |e - d| digits in the numerator or the denominator."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, marker, exponent = text.replace("E", "e").partition("e")
+    if marker and limit:
+        whole, _, decimals = mantissa.partition(".")
+        digits = (whole + decimals).strip().lstrip("+-").replace("_", "").lstrip("0")
+        if len(digits) + abs(int(exponent) - len(decimals)) > limit:
+            raise ValueError(f"{text!r} has more than {limit} digits")
+    return Fraction(text)
+
+
 def parse_weights(text, n):
     """Parse ``w <v> <num>[/<den>]`` lines, at most one per vertex; unlisted
     vertices get weight 1."""
@@ -241,7 +259,7 @@ def parse_weights(text, n):
             raise InputError(f"malformed weight line {line!r}", line=lineno)
         try:
             v = int(parts[1])
-            value = Fraction(parts[2])
+            value = parse_rational(parts[2])
         except (ValueError, ZeroDivisionError):
             raise InputError(f"malformed weight line {line!r}", line=lineno) from None
         if not 1 <= v <= n:

@@ -30,8 +30,8 @@ first state on when a child was filtered; the states already in the table
 that the family rejects are then dropped. Which nodes filter never changes
 the reported solution: every vertex carries a positive bonus, so the
 canonical optimum is inclusion-maximal, and each of its states lies in every
-family. The state budget charges every state that enters a table, also one
-dropped later.
+family. The state budget, an ``imtw.errors.Budget``, charges every state
+that enters a table, also one dropped later.
 """
 
 from fractions import Fraction
@@ -39,7 +39,7 @@ from itertools import repeat
 from math import inf, lcm
 
 from .bits import bit, bits
-from .errors import InvariantError, ResourceLimitError
+from .errors import InvariantError
 
 DEFAULT_STATE_BUDGET = 10**7
 FILTER_FROM = 1024
@@ -61,9 +61,7 @@ def _values(weights):
     ]
 
 
-def run_nice_dp(
-    nice_td, empty, bag_part, add, drop, merge, weights, budget, budget_message, families=None
-):
+def run_nice_dp(nice_td, empty, bag_part, add, drop, merge, weights, budget, families=None):
     """Fill one table per node bottom-up and yield each table, in node
     order, once it is filled; the root's comes last.
 
@@ -81,8 +79,9 @@ def run_nice_dp(
     The driver calls a node's builder at most once: when the table would
     grow past ``FILTER_FROM`` states, or at the first state when a child
     was filtered. From then on only members enter.
-    More than ``budget`` states entering tables over all nodes raise
-    ResourceLimitError(budget_message). A node's candidate states come
+    ``budget``, an ``imtw.errors.Budget``, is charged one unit per state
+    entering a table, so the pass stops with its ResourceLimitError at the
+    state that overruns it. A node's candidate states come
     from a generator of its kind, a join's pair by pair, so no join lists
     its pairs, and one loop enters them into the node's table.
     Only the frontier is kept: a child's table is let go once its parent's
@@ -92,7 +91,7 @@ def run_nice_dp(
     ints = _values(weights)
     frontier = {}  # node -> its table, until its parent's table is filled
     filtered = set()  # the nodes whose family was built
-    states_seen = 0
+    spend = budget.spend
     if families is None:
         families = repeat(None, nice_td.size)
     for i, (node, build) in enumerate(zip(nice_td.nodes, families, strict=True)):
@@ -128,9 +127,7 @@ def run_nice_dp(
                         del table[rejected]
                     if state not in members:
                         continue
-                states_seen += 1
-                if states_seen > budget:
-                    raise ResourceLimitError(budget_message)
+                spend()
             elif value <= cur:
                 continue
             table[state] = value

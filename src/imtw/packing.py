@@ -18,7 +18,8 @@ from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
 from .errors import InputError, InvariantError, ResourceLimitError
 from .graphs import (
-    MAX_VERTICES, WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph, touch_rows
+    MAX_VERTICES, WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph,
+    parse_rational, touch_rows,
 )
 from .nicedp import DEFAULT_STATE_BUDGET
 from .oracles import is_induced_forest
@@ -78,17 +79,22 @@ class SubgraphFamily:
 
 
 def parse_subgraph_family(text):
-    """JSON array of {"id": int, "vertices": [1-based ints], "weight": "num[/den]"}."""
+    """JSON array of {"id": int, "vertices": [1-based ints], "weight": "num[/den]"}.
+    An id or vertex that is not a JSON integer (a bool, a float, a string),
+    and ``vertices`` that are not a list, make a bad entry."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InputError(f"family file is not valid JSON: {exc}") from None
     if not isinstance(data, list):
         raise InputError("family file must hold a JSON array")
     rows = []
     for item in data:
         try:
-            rows.append((int(item["id"]), [int(v) for v in item["vertices"]], Fraction(str(item.get("weight", len(item["vertices"]))))))
+            ident, vertices = item["id"], item["vertices"]
+            if type(vertices) is not list or any(type(x) is not int for x in (ident, *vertices)):
+                raise TypeError("ids and vertices must be integers, vertices a list")
+            rows.append((ident, vertices, parse_rational(str(item.get("weight", len(vertices))))))
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"bad family entry {item!r}: {exc}") from None
     rows.sort(key=lambda r: r[0])

@@ -31,7 +31,7 @@ per-bag oracle.
 from collections import deque
 
 from .bits import bit, bits, popcount
-from .errors import InvariantError
+from .errors import Budget, InvariantError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 
 
@@ -271,8 +271,7 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
         drop=lambda v, state: state & ~bit(v),
         merge=lambda left, right: left,
         weights=weights,
-        budget=state_budget,
-        budget_message=f"MWIS state budget {state_budget} exceeded",
+        budget=Budget(state_budget, f"MWIS state budget {state_budget} exceeded"),
         families=carried_trace_families(graph, nice_td, nice_td.metrics.mu),
     ), maxlen=1)
     found = best_solution(root, weights, lambda state: state == 0)

@@ -11,15 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from imtw import cli, decomp, graphs, verify
+from imtw import cli, decomp, forest, graphs, verify
 from imtw.bits import bits
 from imtw.boundaried import generic_structured_dp
 from imtw.cli import main
 from imtw.corpus import random_corpus
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
-from imtw.errors import InvariantError
+from imtw.errors import InvariantError, ResourceLimitError
 from imtw.forest import mwif_dp
-from imtw.graphs import Graph, WeightMap
+from imtw.graphs import Graph, WeightMap, complete_bipartite
 from imtw.oracles import (
     brute_best,
     brute_max_weight_induced_forest,
@@ -33,7 +33,7 @@ from imtw.packing import (
     max_weight_independent_packing,
     ptas_bounded_treewidth_subgraph,
 )
-from imtw.traces import mwis_dp
+from imtw.traces import mwis_dp, trace_family_for_bag
 
 from conftest import at_each_threshold
 
@@ -301,6 +301,27 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     assert report["error"]["type"] == "resource"
 
 
+def test_family_ids_and_vertices_must_be_json_integers(tmp_path, capsys):
+    # a string, a float, a bool or an object in place of an integer or a
+    # list was once read through int() or iteration and solved
+    graph_file, td_file = instance(tmp_path, capsys, "path", "3")
+    family = tmp_path / "family.json"
+    for entry in (
+        '{"id": 0, "vertices": "12"}',
+        '{"id": 0, "vertices": [1.9, 2]}',
+        '{"id": true, "vertices": [1]}',
+        '{"id": 0, "vertices": {"1": 5}}',
+    ):
+        family.write_text(f"[{entry}]")
+        code, report, _ = run_cli(capsys, "solve", "pack", graph_file, td_file, str(family))
+        assert code == 2 and report["error"]["type"] == "input", entry
+        assert report["error"]["message"].startswith("bad family entry {"), entry
+    # an integer past the interpreter's digit limit fails json.loads itself
+    family.write_text('[{"id": 0, "vertices": [1], "weight": 1' + "0" * 5000 + "}]")
+    code, report, _ = run_cli(capsys, "solve", "pack", graph_file, td_file, str(family))
+    assert code == 2 and report["error"]["message"].startswith("family file is not valid JSON: ")
+
+
 def test_each_solve_validates_its_decomposition_once(tmp_path, capsys, monkeypatch):
     # the command validates the .td it loads and make_nice trusts it; an
     # invalid .td still exits 2 with the first violations in the message
@@ -360,12 +381,14 @@ MUTATED_COMMANDS = {
     "w": (("mwis", "-w", "{w}"), ("generic", "-w", "{w}", "-r", "2")),
     "json": (("pack", "{json}"), ("dpack", "{json}", "-d", "2")),
 }
-HOSTILE_NUMBERS = ("0", "-1", "1.5", "1e400", "99999999999999999999")
+HOSTILE_NUMBERS = ("0", "-1", "1.5", "1e400", "99999999999999999999", "1e9999", "1e999999999")
 
 
 def mutations(text):
-    """Each line of ``text`` cut to every proper prefix of its tokens, and
-    each number in it replaced by each of HOSTILE_NUMBERS."""
+    """``text`` behind a byte 0xff, which is not UTF-8 (written through
+    surrogateescape), each line of ``text`` cut to every proper prefix of
+    its tokens, and each number in it replaced by each of HOSTILE_NUMBERS."""
+    yield "\udcff" + text
     lines = text.splitlines()
     for i, line in enumerate(lines):
         tokens = line.split()
@@ -390,7 +413,7 @@ def test_mutated_inputs_fail_as_input_errors(tmp_path, capsys):
         mutated_file = tmp_path / f"mutated.{kind}"
         files = {**paths, kind: mutated_file}
         for mutated in mutations(text):
-            mutated_file.write_text(mutated)
+            mutated_file.write_text(mutated, errors="surrogateescape")
             for problem, *rest in MUTATED_COMMANDS[kind]:
                 argv = ["solve", problem, str(files["gr"]), str(files["td"])]
                 argv += [arg.format(**files) for arg in rest]
@@ -591,6 +614,19 @@ def test_eps_with_a_zero_denominator_is_invalid_text(capsys):
     # it is read like any other bad --eps, before a file is opened
     for text in ("2/0", "0/0", "abc"):
         assert main(["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
+
+
+def test_eps_with_a_huge_exponent_is_invalid_text(capsys):
+    # Fraction would build 10^|e| (no answer for minutes at the larger one)
+    # and a report could not write its digits, so --eps refuses a value
+    # past the interpreter's digit limit before a file is opened
+    for text in ("1e-9999", "1e-99999999", "1e99999999"):
+        started = time.perf_counter()
+        assert main(["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]) == 2
+        assert time.perf_counter() - started < 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
@@ -860,6 +896,65 @@ def test_generic_dp_state_count_is_pinned(tmp_path, capsys):
     code, report, _ = run_cli(capsys, *argv, "--budget", "486")
     assert code == 4
     assert report["error"] == {"type": "resource", "message": "structured DP budget 486 exceeded"}
+
+
+def test_every_budget_overrun_message_is_pinned(tmp_path, capsys, monkeypatch):
+    # each budget fails with exit 4 and a message naming what overran; the
+    # enumeration budgets are not reachable from the command line, so they
+    # are pinned in-process with their partial counts
+    q4_graph, q4_td = instance(tmp_path, capsys, "hypercube", "4")
+    p3_graph, p3_td = instance(tmp_path, capsys, "path", "3")
+    singletons = tmp_path / "singletons.json"
+    singletons.write_text('[{"id": 0, "vertices": [1]}, {"id": 1, "vertices": [2]}, {"id": 2, "vertices": [3]}]')
+    alpha = "bag 0 too large for exact search: search budget exhausted while alpha of bag 0"
+    mu = "bag 10 too large for exact search: search budget exhausted while mu of bag 10"
+    for argv, message in (
+        (("metrics", q4_graph, q4_td, "--budget", "1"), alpha),
+        (("metrics", q4_graph, q4_td, "--budget", "20"), mu),
+        (("decompose", q4_graph, "--budget", "1"), alpha),
+        (("decompose", q4_graph, "--budget", "20"), mu),
+        (("solve", "forest", p3_graph, p3_td, "--budget", "3"), "forest DP state budget 3 exceeded"),
+        (
+            ("solve", "forest", p3_graph, p3_td, "--family", "exhaustive", "--budget", "3"),
+            "forest DP state budget 3 exceeded",
+        ),
+        (("solve", "generic", p3_graph, p3_td, "-r", "2", "--budget", "3"), "structured DP budget 3 exceeded"),
+        (("solve", "pack", p3_graph, p3_td, str(singletons), "--budget", "2"), "MWIS state budget 2 exceeded"),
+        (
+            ("solve", "pack", p3_graph, p3_td, str(singletons), "--budget", "1"),
+            "blob graph of 3 pieces has 2 edges, above the budget 1",
+        ),
+    ):
+        code, report, _ = run_cli(capsys, *argv)
+        assert (code, report["error"]) == (4, {"type": "resource", "message": message}), argv
+    # node 7 of K(3,3)'s nice form holds a bag of four vertices
+    g = complete_bipartite(3, 3)
+    td = heuristic_decomposition(g)
+    nice = make_nice(g, td, decomposition_metrics(g, td))
+    i, k = 7, nice.metrics.mu
+    bag, vt = nice.nodes[i].bag, nice.subtree_vertex_masks()[i]
+    traces = trace_family_for_bag(g, bag, k).members
+    exhaustive = sorted(forest.signature_family_exhaustive(g, bag).signatures)
+
+    def ask_each():
+        members = forest.BoundedFamilyMembership(g, bag, vt, k, traces)
+        for sig in exhaustive:
+            sig in members
+
+    for budget, enumerate_family, message, partial_count in (
+        (10, lambda: forest.signature_family_exhaustive(g, bag), "exhaustive signature budget exceeded", 11),
+        (
+            40,
+            lambda: forest.signature_family_paper(g, bag, vt, k, traces),
+            "signature enumeration budget exceeded",
+            6,
+        ),
+        (20, ask_each, "signature enumeration budget exceeded", 18),
+    ):
+        monkeypatch.setattr(forest, "DEFAULT_ENUM_BUDGET", budget)
+        with pytest.raises(ResourceLimitError, match=f"^{message}$") as overrun:
+            enumerate_family()
+        assert overrun.value.partial_count == partial_count
 
 
 def test_verify_records_a_failing_self_check(monkeypatch, capsys):

@@ -10,7 +10,6 @@ from imtw.bits import bit, bits, mask_of, popcount, to_tuple
 from imtw.corpus import chordal_completion, random_corpus, random_minor_op, relabelled, shuffled_pieces
 from imtw.decomp import (
     TreeDecomposition,
-    _Budget,
     _elimination_order,
     blob_decomposition,
     closed_neighborhood_expansion,
@@ -27,7 +26,7 @@ from imtw.decomp import (
     single_bag_decomposition,
     validate_decomposition,
 )
-from imtw.errors import InputError, InvariantError, ResourceLimitError
+from imtw.errors import Budget, InputError, InvariantError, ResourceLimitError
 from imtw.graphs import (
     MAX_VERTICES,
     Graph,
@@ -263,8 +262,8 @@ def test_clique_pools_settle_in_one_step():
     # node and takes the lowest vertex or edge
     g = complete_graph(40)
     bag = g.vertex_mask()
-    assert max_independent_set_in_bag(g, bag, _Budget(2, "alpha")) == (1, 1)
-    assert max_induced_matching_touching(g, bag, _Budget(2, "mu")) == (1, ((0, 1),))
+    assert max_independent_set_in_bag(g, bag, Budget(2, "alpha")) == (1, 1)
+    assert max_induced_matching_touching(g, bag, Budget(2, "mu")) == (1, ((0, 1),))
 
 
 def _pairwise_conflicts(graph, members):
@@ -385,7 +384,7 @@ def test_skipped_bag_searches_keep_the_maxima_and_witnesses():
 
 def _units(search, adj, pool):
     """(size, witness, units) of one search over ``pool``."""
-    budget = _Budget(10**9, "counted")
+    budget = Budget(10**9, "counted")
     size, witness = search(adj, pool, budget)
     return size, witness, 10**9 - budget.left
 
@@ -398,12 +397,13 @@ def test_bounded_searches_spend_no_more_units_than_the_unbounded_search(monkeypa
     # spends on the same bag at most, and fewer in total
     spent = {}  # search -> units, of one decomposition_metrics call
 
-    class Counted(_Budget):
+    class Counted(Budget):
         def spend(self):
-            spent[self.what] = spent.get(self.what, 0) + 1
+            what = self.message.rpartition(" while ")[2]
+            spent[what] = spent.get(what, 0) + 1
             super().spend()
 
-    monkeypatch.setattr(decomp, "_Budget", Counted)
+    monkeypatch.setattr(decomp, "Budget", Counted)
     graphs = _bound_corpus()
     cases = [(g, heuristic_decomposition(g, s)) for g in graphs for s in STRATEGIES]
     cases += [(g, single_bag_decomposition(g)) for g in graphs if g.n <= 30]

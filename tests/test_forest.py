@@ -505,7 +505,7 @@ def test_bounded_membership_overrun_is_not_a_spent_walk(monkeypatch):
         traces = trace_family_for_bag(g, bag, k).members
         members = forest.BoundedFamilyMembership(g, bag, vt[i], k, traces)
         answer = sig in members
-        visited = forest.DEFAULT_ENUM_BUDGET - members._budget_left
+        visited = forest.DEFAULT_ENUM_BUDGET - members._budget.left
         if not visited:
             continue
         tried += 1
@@ -735,5 +735,5 @@ def test_bounded_membership_walk_is_pinned(monkeypatch, filter_everywhere):
         made.clear()
         nice = measured_nice(g, heuristic_decomposition(g))
         assert mwif_dp(g, nice, WeightMap.unit(g.n), provider="paper")[0] == weight
-        assert sum(forest.DEFAULT_ENUM_BUDGET - m._budget_left for m in made) == visited
+        assert sum(forest.DEFAULT_ENUM_BUDGET - m._budget.left for m in made) == visited
         assert sum(len(m._witness_list) for m in made) == pulled
