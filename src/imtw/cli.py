@@ -81,6 +81,16 @@ def _vertices(mask):
     return [v + 1 for v in to_tuple(mask)]
 
 
+def _rational(value, what="optimum"):
+    """``value`` as report text; past the integer string digit limit, a
+    resource error that names the limit instead of the ValueError of str."""
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"{what} has more than {limit} digits, the integer string limit") from None
+
+
 def _load_instance(args, inputs, need_weights=True):
     graph = parse_graph(_read(args.graph, inputs))
     td = parse_td(_read(args.td, inputs))
@@ -170,7 +180,7 @@ def cmd_solve_mwis(args, inputs):
     graph, weights, met, nice = _load_nice(args, inputs)
     weight, solution = mwis_dp(graph, nice, weights, state_budget=args.budget)
     report = {
-        "optimum": str(weight),
+        "optimum": _rational(weight),
         "solution": _vertices(solution),
         "k": met.mu,
         "source": "measured-mu",
@@ -186,7 +196,7 @@ def cmd_solve_forest(args, inputs):
     graph, weights, met, nice = _load_nice(args, inputs)
     weight, solution = mwif_dp(graph, nice, weights, provider=args.family, state_budget=args.budget)
     report = {
-        "optimum": str(weight),
+        "optimum": _rational(weight),
         "solution": _vertices(solution),
         "family": args.family,
         "k": met.mu,
@@ -204,7 +214,7 @@ def cmd_solve_pack(args, inputs):
     graph, td, _ = _load_instance(args, inputs, need_weights=False)
     family = parse_subgraph_family(_read(args.family_file, inputs))
     sol = max_weight_independent_packing(graph, td, family, state_budget=args.budget)
-    report = {"optimum": str(sol.weight), "chosen": list(sol.chosen)}
+    report = {"optimum": _rational(sol.weight), "chosen": list(sol.chosen)}
     verdicts = {"packing_valid": is_valid_packing(graph, family, sol.chosen) is None}
     return 0, report, verdicts
 
@@ -218,7 +228,7 @@ def cmd_solve_dpack(args, inputs):
     dist_ok = (
         len(sol.chosen) < 2 or packing_distance(graph, family, sol.chosen) >= args.d
     )
-    report = {"optimum": str(sol.weight), "chosen": list(sol.chosen), "d": args.d}
+    report = {"optimum": _rational(sol.weight), "chosen": list(sol.chosen), "d": args.d}
     return 0, report, {"distance_respected": dist_ok}
 
 
@@ -235,7 +245,7 @@ def cmd_solve_ptas(args, inputs):
         "size": popcount(solution),
         "solution": _vertices(solution),
         "r": args.r,
-        "eps": str(args.eps),
+        "eps": _rational(args.eps, "eps"),
         "piece_cap": cap,
     }
     verdicts = {
@@ -256,7 +266,7 @@ def cmd_solve_generic(args, inputs):
         return 1, {"feasible": False, "property": algebra.name, **k_info}, {}
     weight, solution = result
     report = {
-        "optimum": str(weight),
+        "optimum": _rational(weight),
         "solution": _vertices(solution),
         "property": algebra.name,
         "r": args.r,

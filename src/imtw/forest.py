@@ -26,28 +26,27 @@ are pruned (each rule is justified by a structural fact about maximal
 forests, see inline notes); every remaining signature is still one of the
 unrestricted construction's outputs, so the family bound
 (12k)^(12k) * n^(14k+2) continues to hold. The solver never lists the
-family, and builds one only where the DP driver asks for it: for a table
-that outgrows ``nicedp.FILTER_FROM`` states or whose child was filtered.
-The DP's canonical optimum is a maximal forest, since every vertex carries
-a positive bonus (``imtw.nicedp``), so its signatures lie in every family
-and the reported solution does not depend on which nodes filter;
-``--budget`` counts every state that entered a table, also one the family
-dropped later. Each family enumeration charges an ``imtw.errors.Budget`` of
-``DEFAULT_ENUM_BUDGET`` units of its own: the exhaustive one a unit per
-signature, the eager bounded one a unit per (witness, S) tuple and per
-fertile class, and a membership a unit per tuple its walks visit. A built
-family decides each signature it is asked about at the first (witness, S)
-tuple that covers it (BoundedFamilyMembership). Per Z it resumes a walk
-over only the tuples that emit Z, pulling witnesses from one shared
-generator as far as some walk needs them and expanding no partition; only a
-non-member walks all of its Z's tuples. The generator counts each
-I-vertex's Q-neighbors with three running masks and drops a duplicate
-witness by its key before building it; each witness carries a ``need`` mask
-(its leaves, trivial vertices and Q's bag members), so a walk passes over a
-witness that cannot emit Z with one AND. The eager enumerator
-signature_family_paper runs the same witness generator and the same rules
-and expands every partition; it is the coverage oracle for tests and
-``imtw verify``.
+family, and builds one only where the DP driver calls ``families(i)``: for a
+table that outgrows ``nicedp.FILTER_FROM`` states or whose child was
+filtered. The DP's canonical optimum is a maximal forest, since every vertex
+carries a positive bonus (``imtw.nicedp``), so its signatures lie in every
+family and the reported solution does not depend on which nodes filter;
+``--budget`` is charged as ``imtw.nicedp`` describes. Each family
+enumeration charges an ``imtw.errors.Budget`` of ``DEFAULT_ENUM_BUDGET``
+units of its own: the exhaustive one a unit per signature, the eager bounded
+one a unit per (witness, S) tuple and per fertile class, and a membership a
+unit per tuple its walks visit. A built family decides each signature it is
+asked about at the first (witness, S) tuple that covers it
+(BoundedFamilyMembership). Per Z it resumes a walk over only the tuples that
+emit Z, pulling witnesses from one shared generator as far as some walk
+needs them and expanding no partition; only a non-member walks all of its
+Z's tuples. The generator counts each I-vertex's Q-neighbors with three
+running masks and drops a duplicate witness by its key before building it;
+each witness carries a ``need`` mask (its leaves, trivial vertices and Q's
+bag members), so a walk passes over a witness that cannot emit Z with one
+AND. The eager enumerator signature_family_paper runs the same witness
+generator and the same rules and expands every partition; it is the coverage
+oracle for tests and ``imtw verify``.
 
 A join merges two children's signatures with one Z (Bodlaender, Cygan,
 Kratsch and Nederlof, Inf. Comput. 243, 2015) on component labels: for each
@@ -67,7 +66,7 @@ from .bits import bit, bits, lowest_bit, mask_of, popcount, to_tuple
 from .errors import Budget, InputError, InvariantError, ResourceLimitError
 from .nicedp import DEFAULT_STATE_BUDGET, best_solution, run_nice_dp
 from .oracles import find_cycle_within, is_induced_forest
-from .traces import carried_trace_families
+from .traces import trace_families
 # not called here: the benchmark's span recorder patches it under this name
 from .traces import trace_family_for_bag  # noqa: F401
 
@@ -561,44 +560,53 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
     if provider not in ("exhaustive", "paper"):
         raise InputError(f"unknown family provider {provider!r}")
     if provider == "paper":
-        k = nice_td.metrics.mu
+        k, vt = nice_td.metrics.mu, nice_td.subtree_vertex_masks()
+        traces = trace_families(graph, nice_td, k)
 
-        def membership(bag, vt, traces):
-            return lambda: BoundedFamilyMembership(graph, bag, vt, k, traces())
-
-        families = (
-            membership(node.bag, vt, traces)
-            for node, vt, traces in zip(
-                nice_td.nodes, nice_td.subtree_vertex_masks(), carried_trace_families(graph, nice_td, k)
-            )
-        )
+        def families(i):
+            return BoundedFamilyMembership(graph, nice_td.nodes[i].bag, vt[i], k, traces(i))
     else:
         # the exhaustive provider runs unfiltered: add keeps Z forest-inducing
         # and every block stays a union of components of G[Z], so every state
         # the transitions reach lies in the family
         families = None
 
+    adj = [graph.adj_mask(v) for v in range(graph.n)]
+
     def add(v, sig):
         z, blocks = sig
         # v joins: its neighbors in Z must sit in pairwise distinct blocks,
-        # which then merge around v
-        nv = graph.adj_mask(v)
-        untouched = []
-        merged = bit(v)
+        # which merge around v; the merged block goes where its lowest
+        # vertex puts it, so the blocks stay sorted
+        nv, merged, untouched = adj[v], 1 << v, []
         for b in blocks:
             hit = b & nv
             if not hit:
                 untouched.append(b)
-            elif popcount(hit) == 1:
-                merged |= b
-            else:
+            elif hit & (hit - 1):
                 return None
-        return z | bit(v), canonical_blocks(untouched + [merged])
+            else:
+                merged |= b
+        low, at = merged & -merged, 0
+        while at < len(untouched) and untouched[at] & -untouched[at] < low:
+            at += 1
+        untouched.insert(at, merged)
+        return z | 1 << v, tuple(untouched)
 
     def drop(v, sig):
         z, blocks = sig
-        rest = ~bit(v)
-        return z & rest, canonical_blocks(b & rest for b in blocks)
+        # only v's block changes: it goes when v was all of it, and else
+        # moves up past the blocks whose lowest vertex is now below its own
+        vb, at = 1 << v, 0
+        while not blocks[at] & vb:
+            at += 1
+        b, rest = blocks[at] ^ vb, blocks[:at] + blocks[at + 1 :]
+        if not b:
+            return z ^ vb, rest
+        low = b & -b
+        while at < len(rest) and rest[at] & -rest[at] < low:
+            at += 1
+        return z ^ vb, rest[:at] + (b,) + rest[at:]
 
     # per-run join caches: Z -> components of G[Z], signature -> its
     # component labels, label pair -> merged labels (None on a cycle)

@@ -3,9 +3,10 @@
 The MWIS, induced-forest and structured solvers are one leaf / introduce /
 forget / join recursion (Kloks, Treewidth, 1994) that differs only in its
 state type and in the family filtering the states. A solver supplies the
-state algebra and a per-node family builder; this module owns the rest: the
-transitions and their value arithmetic, the pass over the nodes, when a
-family is built, the state budget and the decoding of the optimum.
+state algebra and a family callable, ``families(i)`` for node i's member
+set; this module owns the rest: the transitions and their value
+arithmetic, the pass over the nodes, when a family is built, the state
+budget and the decoding of the optimum.
 
 Table values are integers that name their partial solution. The rational
 weights are scaled once by the lcm of their denominators, and vertex v of n
@@ -25,20 +26,19 @@ parent's is filled, and when the pass ends only the root table is alive.
 
 The families keep tables polynomial; exactness does not rest on them, since
 every kept state is a real partial solution. So a node's family is built
-only once its table would hold more than ``FILTER_FROM`` states, or from its
-first state on when a child was filtered; the states already in the table
-that the family rejects are then dropped. Which nodes filter never changes
-the reported solution: every vertex carries a positive bonus, so the
-canonical optimum is inclusion-maximal, and each of its states lies in every
-family. The state budget, an ``imtw.errors.Budget``, charges every state
-that enters a table, also one dropped later.
+only for a table that would hold more than ``FILTER_FROM`` states, or below
+a filtered child; an introduce or forget node fills its table in one tight
+pass first and filters it only then. Which nodes filter never changes the
+reported solution: every vertex carries a positive bonus, so the canonical
+optimum is inclusion-maximal, and each of its states lies in every family.
+The state budget charges every state that enters a table, also one dropped
+later, as though each entered one at a time (see ``run_nice_dp``).
 """
 
 from fractions import Fraction
-from itertools import repeat
 from math import inf, lcm
 
-from .bits import bit, bits
+from .bits import bits
 from .errors import InvariantError
 
 DEFAULT_STATE_BUDGET = 10**7
@@ -67,72 +67,86 @@ def run_nice_dp(nice_td, empty, bag_part, add, drop, merge, weights, budget, fam
 
     The state algebra: the leaf state ``empty``; ``bag_part(state)``, the
     solution's mask inside the bag; ``add(v, state)``, the state with the
-    introduced v in the solution; ``drop(v, state)``, the state with the
-    forgotten v out of its bag part; ``merge(left, right)`` of two join
-    partners with equal bag parts. ``add`` and ``merge`` return None to
-    refuse. An added v gains its value; a join is worth left + right minus
-    the value of their bag part. Values are integers that fix their vertex
-    sets (see the module docstring), so two routes to one state with one
-    value are one partial solution. ``families`` yields one item per
-    node, in node order: a zero-argument builder of the node's member set,
-    or None to keep every state; no stream keeps every state everywhere.
-    The driver calls a node's builder at most once: when the table would
-    grow past ``FILTER_FROM`` states, or at the first state when a child
-    was filtered. From then on only members enter.
-    ``budget``, an ``imtw.errors.Budget``, is charged one unit per state
-    entering a table, so the pass stops with its ResourceLimitError at the
-    state that overruns it. A node's candidate states come
-    from a generator of its kind, a join's pair by pair, so no join lists
-    its pairs, and one loop enters them into the node's table.
-    Only the frontier is kept: a child's table is let go once its parent's
-    is filled, so a consumer that keeps only the last table yielded holds
-    just the root's when the pass ends.
+    introduced v in the solution; ``drop(v, state)``, for a state whose bag
+    part holds the forgotten v, the state without it; ``merge(left, right)``
+    of two join partners with equal bag parts. ``add`` and ``merge`` return
+    None to refuse. An added v gains its value; a join is worth left + right
+    minus the value of their bag part. Values are integers that fix their
+    vertex sets (see the module docstring), so two routes to one state with
+    one value are one partial solution.
+
+    An introduce node fills its table in one loop over its child's (each
+    child state, then its extension by v), a forget node projects each
+    child state and keeps the larger value, and a table of at most
+    ``FILTER_FROM`` states below no filtered child is charged its size at
+    once. Any other table, and a join's merged pairs, enter state by state,
+    each charged one unit of ``budget`` (an ``imtw.errors.Budget``) as it
+    enters: ``families(i)`` gives node i's member set when a new state
+    would take the table past ``FILTER_FROM``, or at the first state below
+    a filtered child, and from then on only members enter. So ``families``
+    (None keeps every state) is called at most once per node, in node
+    order, only where a node filters, and the pass stops with the budget's
+    ResourceLimitError at the node that overruns it. Only the frontier is
+    kept: a child's table is let go once its parent's is filled, so the
+    last table yielded, the root's, is the only one alive at the end.
     """
     ints = _values(weights)
     frontier = {}  # node -> its table, until its parent's table is filled
     filtered = set()  # the nodes whose family was built
     spend = budget.spend
-    if families is None:
-        families = repeat(None, nice_td.size)
-    for i, (node, build) in enumerate(zip(nice_td.nodes, families, strict=True)):
-        # each child's table leaves the frontier for the node's candidate
-        # generator, which holds the only reference and drops it once exhausted
-        kind = node.kind
-        children = map(frontier.pop, node.children)
-        if kind == "join":
-            candidates = _join_candidates(*children, bag_part, merge, ints)
+    for i, (kind, v, _, children) in enumerate(nice_td.nodes):
+        if kind == "introduce":
+            gain = ints[v]
+            table = {}
+            # a child state lacks v and its extension holds it, so only
+            # extensions can meet again
+            for state, value in frontier.pop(children[0]).items():
+                table[state] = value
+                grown = add(v, state)
+                if grown is not None:
+                    value += gain
+                    if table.get(grown, -1) < value:
+                        table[grown] = value
+        elif kind == "forget":
+            b = 1 << v
+            table = {}
+            for state, value in frontier.pop(children[0]).items():
+                if bag_part(state) & b:
+                    state = drop(v, state)
+                if table.get(state, -1) < value:
+                    table[state] = value
         elif kind == "leaf":
-            candidates = ((empty, 0),)
-        elif kind == "introduce":
-            candidates = _introduce_candidates(*children, node.vertex, add, ints)
+            table = {empty: 0}
         else:
-            candidates = _forget_candidates(*children, node.vertex, bag_part, drop)
-        table = frontier[i] = {}
-        members = None
-        # the table size at which the next new state builds the family
-        if build is None:
-            limit = inf
-        elif not filtered.isdisjoint(node.children):
-            limit = 0
+            table = None
+        limit = inf if families is None else FILTER_FROM if filtered.isdisjoint(children) else 0
+        if table is not None and len(table) <= limit:
+            spend(len(table))
         else:
-            limit = FILTER_FROM
-        for state, value in candidates:
-            if members is not None and state not in members:
-                continue
-            cur = table.get(state)
-            if cur is None:
-                if len(table) >= limit:
-                    members, limit = build(), inf
-                    for rejected in [s for s in table if s not in members]:
-                        del table[rejected]
-                    if state not in members:
-                        continue
-                spend()
-            elif value <= cur:
-                continue
-            table[state] = value
-        if members is not None:
-            filtered.add(i)
+            kept, members = {}, None
+            # only the loop holds the filled table or the join's generator,
+            # which holds the children's tables, so both go when it ends
+            for state, value in (
+                table.items() if table is not None
+                else _join_candidates(*map(frontier.pop, children), bag_part, merge, ints)
+            ):
+                if members is not None and state not in members:
+                    continue
+                cur = kept.get(state)
+                if cur is None:
+                    if len(kept) >= limit:
+                        members, limit = families(i), inf
+                        filtered.add(i)
+                        for rejected in [s for s in kept if s not in members]:
+                            del kept[rejected]
+                        if state not in members:
+                            continue
+                    spend()
+                elif value <= cur:
+                    continue
+                kept[state] = value
+            table = kept
+        frontier[i] = table
         yield table
 
 
@@ -153,23 +167,6 @@ def _join_candidates(left, right, bag_part, merge, ints):
                 merged = merge(s1, s2)
                 if merged is not None:
                     yield merged, left[s1] + right[s2] - part_value
-
-
-def _introduce_candidates(child, v, add, ints):
-    """Each child state without v, then with v when ``add`` allows it."""
-    gain = ints[v]
-    for state, value in child.items():
-        yield state, value
-        grown = add(v, state)
-        if grown is not None:
-            yield grown, value + gain
-
-
-def _forget_candidates(child, v, bag_part, drop):
-    """Each child state, with v dropped from its bag part where it holds v."""
-    b = bit(v)
-    for state, value in child.items():
-        yield (drop(v, state) if bag_part(state) & b else state), value
 
 
 def best_solution(root_table, weights, accept):

@@ -12,19 +12,16 @@ expanded once, at the level where it first appears, so the work is the family
 size times the number of distinct reaches. The MWIS DP takes k from the
 metrics its nice decomposition carries, so no caller supplies the bound.
 
-The family stream of the MWIS DP and the bounded forest family is
-``carried_trace_families``. It yields builders: the DP driver builds a
-node's family only for a table that outgrows ``nicedp.FILTER_FROM`` states
-or whose child was filtered, and only then are the node's maximal sets
-found, the reaches read off the bag and the levels grown. Above a node that
-built, a bag differs from its child's by one vertex, so the builder carries
-the child's maximal sets by the incremental step of Tsukiyama, Ide, Ariyoshi
-and Shirakawa (SIAM J. Comput. 6(3), 1977); any other builder enumerates its
-own bag. Every vertex's value carries a positive bonus, so the DP's
-canonical optimum is maximal and lies in every family, and the reported
-solution does not depend on which nodes filter; see ``imtw.nicedp``. The
-state budget counts every state that entered a table, also one a family
-dropped later. ``trace_family_for_bag`` without carried sets stays the
+``trace_families`` gives the family callable of the MWIS DP and the
+bounded forest family. The DP driver calls ``families(i)`` only for a node
+that filters (see ``imtw.nicedp``), and only then are the node's maximal
+sets found, the reaches read off the bag and the levels grown. Above a
+node that built, a bag differs from its child's by one vertex, so the call
+steps the child's maximal sets by the incremental step of Tsukiyama, Ide,
+Ariyoshi and Shirakawa (SIAM J. Comput. 6(3), 1977); any other node
+enumerates its own bag. The DP's canonical optimum is maximal and lies in
+every family, so the reported solution does not depend on which nodes
+filter. ``trace_family_for_bag`` without carried sets stays the
 per-bag oracle.
 """
 
@@ -201,56 +198,43 @@ def _introduce(graph, bag, v, maximal):
     return carried
 
 
-class _FamilyBuilder:
-    """A zero-argument builder of one nice node's trace family members for
-    bound ``k``: its first call finds the node's maximal independent sets and
-    runs ``trace_family_for_bag`` on them, and every call returns that member
-    set. It is made when its node is pulled from the stream, and it reads its
-    child's state then: the DP driver finishes every child before it pulls
-    the parent's builder, so the child has built by then or never will. A
-    child that built hands over its maximal sets, which this node steps for
-    its vertex; otherwise the node enumerates its own bag. A leaf, whose bag
-    is empty, starts from the empty set."""
+def trace_families(graph, nice_td, k):
+    """``families(i)``: node i's trace family members for bound ``k``, the
+    family callable of the MWIS DP and the bounded forest family.
 
-    __slots__ = ("graph", "node", "k", "source", "maximal", "members")
-
-    def __init__(self, graph, node, k, child):
-        self.graph, self.node, self.k = graph, node, k
-        self.source = None if child is None else child.maximal
-        self.maximal = {0} if child is None else None
-        self.members = None
-
-    def __call__(self):
-        if self.members is None:
-            graph, node = self.graph, self.node
-            if self.maximal is None and self.source is None:
-                self.maximal = enumerate_maximal_independent_sets(graph, universe=node.bag)
-            elif self.maximal is None:
-                step = _forget if node.kind == "forget" else _introduce
-                self.maximal, self.source = step(graph, node.bag, node.vertex, self.source), None
-            self.members = trace_family_for_bag(graph, node.bag, self.k, self.maximal).members
-        return self.members
-
-
-def carried_trace_families(graph, nice_td, k):
-    """Yield a builder of every nice node's trace family members for bound
-    ``k``, in node order: a zero-argument callable that builds the member set
-    on its first call and returns that object on every call.
-
-    Maximal sets are carried only above a node that built its family: a
-    builder steps its child's maximal sets when the child built, and
-    enumerates its own bag otherwise (``_FamilyBuilder``). A node whose
-    builder is never called costs nothing. A join yields its first child's
-    builder, since the bags are equal.
+    A join stands for the nearest non-join node down its first children,
+    whose bag it shares. A node steps the maximal sets of the nearest node
+    below it, looking through joins alike, when that node was built (a
+    leaf always is) and enumerates its own bag otherwise. Maximal sets are
+    let go once the node above steps them or a join passes them over.
     """
-    carried = {}  # node -> builder, until its parent takes it
-    for i, node in enumerate(nice_td.nodes):
-        children = [carried.pop(c) for c in node.children]
-        if node.kind == "join":
-            carried[i] = children[0]
-        else:
-            carried[i] = _FamilyBuilder(graph, node, k, children[0] if children else None)
-        yield carried[i]
+    nodes = nice_td.nodes
+    built = {}  # node -> (its maximal sets, its members), until stepped
+
+    def resolved(i):
+        while nodes[i].kind == "join":
+            i = nodes[i].children[0]
+        return i
+
+    def families(i):
+        if nodes[i].kind == "join":
+            for c in nodes[i].children[1:]:
+                built.pop(resolved(c), None)
+        i = resolved(i)
+        if i not in built:
+            kind, v, bag, children = nodes[i]
+            maximal = {0}  # a leaf's one maximal set
+            if kind != "leaf":
+                below = resolved(children[0])
+                carried = maximal if nodes[below].kind == "leaf" else built.pop(below, (None,))[0]
+                if carried is None:
+                    maximal = enumerate_maximal_independent_sets(graph, universe=bag)
+                else:
+                    maximal = (_forget if kind == "forget" else _introduce)(graph, bag, v, carried)
+            built[i] = maximal, trace_family_for_bag(graph, bag, k, maximal).members
+        return built[i][1]
+
+    return families
 
 
 def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
@@ -263,16 +247,17 @@ def mwis_dp(graph, nice_td, weights, state_budget=DEFAULT_STATE_BUDGET):
     the exact optimum (weight, vertex mask); the result is re-validated
     before return.
     """
+    adj = [graph.adj_mask(v) for v in range(graph.n)]
     [root] = deque(run_nice_dp(
         nice_td,
         empty=0,
         bag_part=lambda state: state,
-        add=lambda v, state: None if graph.adj_mask(v) & state else state | bit(v),
-        drop=lambda v, state: state & ~bit(v),
+        add=lambda v, state: None if adj[v] & state else state | 1 << v,
+        drop=lambda v, state: state ^ 1 << v,
         merge=lambda left, right: left,
         weights=weights,
         budget=Budget(state_budget, f"MWIS state budget {state_budget} exceeded"),
-        families=carried_trace_families(graph, nice_td, nice_td.metrics.mu),
+        families=trace_families(graph, nice_td, nice_td.metrics.mu),
     ), maxlen=1)
     found = best_solution(root, weights, lambda state: state == 0)
     if found is None:

@@ -1,10 +1,12 @@
 """Shared helpers: seeded test corpora, the assertion that a claim held,
-spies on the DP driver and its family stream, a fixture and a loop that
-make run_nice_dp filter every node, and the references: the forest join,
+spies on the DP driver and its family callable, a fixture and a loop that
+make run_nice_dp filter every node, and the references: the per-state DP
+driver, the forest join,
 the generic DP's introduce, the decomposition check, the blob bags and the
 bag search."""
 
 from inspect import signature
+from math import inf
 from random import Random
 
 import pytest
@@ -57,16 +59,16 @@ def solver_cases(graphs, weight_seed=None, max_weight=None, pick_strategy=False)
     return cases
 
 
-def driver_spy(wrap, results=None):
-    """A stand-in for ``run_nice_dp``: ``wrap`` sees its arguments by name
-    and may replace them. When ``results`` is given, each run appends the
-    list of every table the driver yields, one per node in node order: the
-    spy keeps the tables that the driver lets go of."""
+def driver_spy(wrap, results=None, driver=run_nice_dp):
+    """A stand-in for ``run_nice_dp`` that runs ``driver``: ``wrap`` sees its
+    arguments by name and may replace them. When ``results`` is given, each
+    run appends the list of every table the driver yields, one per node in
+    node order: the spy keeps the tables that the driver lets go of."""
 
     def spy(*args, **kwargs):
         arguments = signature(run_nice_dp).bind(*args, **kwargs).arguments
         wrap(arguments)
-        tables = run_nice_dp(**arguments)
+        tables = driver(**arguments)
         if results is not None:
             results.append(tables := list(tables))
         return iter(tables)
@@ -87,13 +89,69 @@ class RecordedFamily:
 
 
 def recorded_families(families, log):
-    """The driver's family stream with node i's builder wrapped so that the
-    family it builds is a ``RecordedFamily`` that logs to ``log`` as node i."""
+    """The driver's family callable with node i's family wrapped in a
+    ``RecordedFamily`` that logs to ``log`` as node i."""
+    return lambda i: RecordedFamily(i, families(i), log)
 
-    def recorded(i, build):
-        return lambda: RecordedFamily(i, build(), log)
 
-    return (recorded(i, build) for i, build in enumerate(families))
+def reference_run_nice_dp(nice_td, empty, bag_part, add, drop, merge, weights, budget, families=None):
+    """The DP driver that enters every candidate state one at a time, the
+    reference for ``nicedp.run_nice_dp``: a node's candidates come from a
+    generator of its kind, and each new state is tested against the node's
+    family once that is built and charged one budget unit as it enters. The
+    family is built when a new state would take the table past
+    ``nicedp.FILTER_FROM`` states, or at the first state when a child was
+    filtered, and the states it rejects are then dropped from the table."""
+    ints = nicedp._values(weights)
+    frontier, filtered = {}, set()
+    for i, node in enumerate(nice_td.nodes):
+        children = [frontier.pop(c) for c in node.children]
+        if node.kind == "join":
+            candidates = nicedp._join_candidates(*children, bag_part, merge, ints)
+        elif node.kind == "leaf":
+            candidates = ((empty, 0),)
+        elif node.kind == "introduce":
+            candidates = _introduce_candidates(*children, node.vertex, add, ints)
+        else:
+            candidates = _forget_candidates(*children, node.vertex, bag_part, drop)
+        table = frontier[i] = {}
+        members = None
+        if families is None:
+            limit = inf
+        elif not filtered.isdisjoint(node.children):
+            limit = 0
+        else:
+            limit = nicedp.FILTER_FROM
+        for state, value in candidates:
+            if members is not None and state not in members:
+                continue
+            cur = table.get(state)
+            if cur is None:
+                if len(table) >= limit:
+                    members, limit = families(i), inf
+                    filtered.add(i)
+                    for rejected in [s for s in table if s not in members]:
+                        del table[rejected]
+                    if state not in members:
+                        continue
+                budget.spend()
+            elif value <= cur:
+                continue
+            table[state] = value
+        yield table
+
+
+def _introduce_candidates(child, v, add, ints):
+    for state, value in child.items():
+        yield state, value
+        grown = add(v, state)
+        if grown is not None:
+            yield grown, value + ints[v]
+
+
+def _forget_candidates(child, v, bag_part, drop):
+    for state, value in child.items():
+        yield (drop(v, state) if bag_part(state) & bit(v) else state), value
 
 
 def at_each_threshold(monkeypatch):

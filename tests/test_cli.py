@@ -632,6 +632,40 @@ def test_eps_with_a_huge_exponent_is_invalid_text(capsys):
         assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
 
 
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_an_optimum_past_the_digit_limit_is_a_resource_error(tmp_path, capsys):
+    # each weight 1/p_i is a short literal, but the forest optimum of
+    # path(400) sums all 400 and its denominator has about 1,200 digits:
+    # past the interpreter's integer string limit the report cannot write
+    # it, which is a resource error naming the limit, not an internal one
+    graph_file, td_file = instance(tmp_path, capsys, "path", "400")
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text("".join(f"w {v} 1/{p}\n" for v, p in enumerate(first_primes(400), start=1)))
+    solve = ("solve", "forest", graph_file, td_file, "-w", str(weight_file))
+    code, report, _ = run_cli(capsys, *solve)
+    assert code == 0 and len(report["result"]["optimum"]) > 1000
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, report, _ = run_cli(capsys, *solve)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 4
+    assert report["error"] == {
+        "type": "resource",
+        "message": "optimum has more than 640 digits, the integer string limit",
+    }
+
+
 def test_flags_belong_to_their_commands(capsys):
     # --eps is read by solve ptas only; elsewhere it is a parse error
     assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2

@@ -12,8 +12,10 @@ from imtw.errors import Budget, ResourceLimitError
 
 # the functions that construct ResourceLimitError: the countdown every
 # search, enumeration and dynamic program charges, and the caps that refuse
-# an input by its size before any work starts
+# an input by its size before any work starts, or a report value by its
+# digits before it is written
 RAISERS = {
+    "cli._rational",
     "errors.Budget.spend",
     "forest.signature_family_exhaustive",
     "oracles.brute_induced_matching_touching",

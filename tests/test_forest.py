@@ -365,7 +365,9 @@ def test_paper_family_degenerate_edgeless_k0(monkeypatch):
 
 def test_bounded_membership_equals_eager_family(filter_everywhere):
     # at every nice node, the states the solver's filter keeps are exactly the
-    # generated states inside the eagerly built bounded family
+    # generated states inside the eagerly built bounded family; each distinct
+    # (node, signature) query counts once, since a join asks about a state
+    # each time a pair yields it and an introduce or forget node once
     cases = random_corpus(7, 150, 11) + [(complete_bipartite(5, 5), WeightMap.unit(10))]
     queries = rejected = 0
     for g, w in cases:
@@ -388,10 +390,11 @@ def test_bounded_membership_equals_eager_family(filter_everywhere):
                 traces = trace_family_for_bag(g, bag, met.mu).members
                 families[i] = signature_family_paper(g, bag, vt[i], met.mu, traces)
             assert kept == (sig in families[i]), (g.n, g.edges, i, sig)
-        queries += len(asked)
-        rejected += sum(1 for _, _, kept in asked if not kept)
+        distinct = set(asked)
+        queries += len(distinct)
+        rejected += sum(1 for _, _, kept in distinct if not kept)
     # the filter is exercised: it rejects states the transitions generate
-    assert (rejected, queries) == (208, 23407)
+    assert (rejected, queries) == (208, 20019)
 
 
 def test_paper_family_builds_no_trace_family_at_a_join(monkeypatch, filter_everywhere):
@@ -562,6 +565,66 @@ def test_eager_family_budget_ends_on_its_last_tuple(monkeypatch):
     with pytest.raises(ResourceLimitError):
         signature_family_paper(g, bag, bag, 1, traces)
     assert len(charged) == tuples
+
+
+def reference_add(graph, v, sig):
+    """The forest DP's introduce re-sorting every block: v's neighbours in Z
+    must sit in pairwise distinct blocks, which merge around v."""
+    z, blocks = sig
+    untouched, merged = [], bit(v)
+    for b in blocks:
+        hit = b & graph.adj_mask(v)
+        if not hit:
+            untouched.append(b)
+        elif popcount(hit) == 1:
+            merged |= b
+        else:
+            return None
+    return z | bit(v), canonical_blocks(untouched + [merged])
+
+
+def reference_drop(v, sig):
+    """The forest DP's forget re-sorting every block."""
+    z, blocks = sig
+    return z & ~bit(v), canonical_blocks(b & ~bit(v) for b in blocks)
+
+
+def test_introduce_and_forget_keep_blocks_canonical(monkeypatch, filter_everywhere):
+    # add and drop move only the block that changes, and give the signature
+    # that re-sorting every block with canonical_blocks gives
+    cases = [
+        (g, heuristic_decomposition(g, strategy))
+        for g in seeded_graphs(49, 24, 4, 12, ps=(0.2, 0.35, 0.5))
+        for strategy in ("min-fill", "min-degree")
+    ]
+    cases.append((hypercube_graph(4), heuristic_decomposition(hypercube_graph(4))))
+    moved = {"add": 0, "drop": 0}
+    for provider in ("exhaustive", "paper"):
+        for g, td in cases:
+
+            def wrap(arguments):
+                add, drop = arguments["add"], arguments["drop"]
+
+                def checked_add(v, sig):
+                    got = add(v, sig)
+                    assert got == reference_add(g, v, sig), (g.edges, v, sig)
+                    # the merged block lands before another block
+                    moved["add"] += got is not None and not got[1][-1] & bit(v)
+                    return got
+
+                def checked_drop(v, sig):
+                    got = drop(v, sig)
+                    assert got == reference_drop(v, sig), (g.edges, v, sig)
+                    # v was the lowest vertex of a block it leaves nonempty
+                    moved["drop"] += any(b & -b == bit(v) != b for b in sig[1])
+                    return got
+
+                arguments["add"], arguments["drop"] = checked_add, checked_drop
+
+            with monkeypatch.context() as mp:
+                mp.setattr(forest, "run_nice_dp", driver_spy(wrap))
+                mwif_dp(g, measured_nice(g, td), WeightMap.unit(g.n), provider=provider)
+    assert all(moved.values()), moved
 
 
 def test_join_merges_only_equal_bag_parts(monkeypatch):

@@ -12,12 +12,14 @@ from random import Random
 
 import pytest
 
-from imtw import forest, nicedp, traces
+from imtw import boundaried, forest, nicedp, traces
 from imtw.boundaried import ForestAlgebra, MaxDegreeAlgebra, generic_structured_dp
 from imtw.corpus import tied_corpus
 from imtw.decomp import heuristic_decomposition, single_bag_decomposition
+from imtw.errors import Budget, ResourceLimitError
 from imtw.forest import mwif_dp
 from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph, path_graph
+from imtw.nicedp import run_nice_dp
 from imtw.oracles import brute_max_weight_induced_forest, brute_mwis
 from imtw.traces import mwis_dp
 from imtw.verify import canonical_solution
@@ -27,6 +29,7 @@ from conftest import (
     driver_spy,
     expect,
     measured_nice,
+    reference_run_nice_dp,
     seeded_graphs,
     solver_cases,
 )
@@ -111,15 +114,14 @@ def filtered_run(module, solve, g, nice, filter_from):
     nodes whose family the driver built."""
     built, filled = set(), []
 
-    def logged(i, build):
-        def logging_build():
-            built.add(i)
-            return build()
-
-        return logging_build
-
     def wrap(arguments):
-        arguments["families"] = map(logged, range(nice.size), arguments["families"])
+        families = arguments["families"]
+
+        def logged(i):
+            built.add(i)
+            return families(i)
+
+        arguments["families"] = logged
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nicedp, "FILTER_FROM", filter_from)
@@ -145,6 +147,120 @@ def test_tables_past_the_threshold_are_filtered():
             for i, node in enumerate(nice.nodes):
                 if any(c in built for c in node.children):
                     assert i in built, (g.n, i)
+
+
+class RecordedBudget(Budget):
+    """A ``Budget`` that lists itself in ``made`` as it is created."""
+
+    made = None
+
+    def __init__(self, limit, message):
+        super().__init__(limit, message)
+        self.limit = limit
+        self.made.append(self)
+
+
+def recorded_run(driver, solve, g, nice, w):
+    """One run of ``solve`` under ``driver``: every table it yields, as its
+    items in insertion order; the nodes whose family it asked for, in the
+    order asked; and the units charged to each ``Budget`` made, the DP's and
+    each bounded membership's, in the order made."""
+    filled, built, made = [], [], []
+
+    def wrap(arguments):
+        families = arguments.get("families")
+        if families is not None:
+
+            def logged(i):
+                built.append(i)
+                return families(i)
+
+            arguments["families"] = logged
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RecordedBudget, "made", made)
+        for module in (traces, forest, boundaried):
+            mp.setattr(module, "Budget", RecordedBudget)
+            mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled, driver))
+        found = solve(g, nice, w)
+    [tables] = filled
+    return (
+        found,
+        [list(table.items()) for table in tables],
+        built,
+        [(budget.message, budget.limit - budget.left) for budget in made],
+    )
+
+
+EQUIVALENCE_SOLVERS = (
+    mwis_dp,
+    lambda g, nice, w: mwif_dp(g, nice, w, provider="exhaustive"),
+    paper_dp,
+    lambda g, nice, w: generic_structured_dp(g, nice, w, ForestAlgebra(), r=2),
+    lambda g, nice, w: generic_structured_dp(g, nice, w, MaxDegreeAlgebra(1), r=2),
+)
+
+
+def test_driver_equals_the_per_state_reference(monkeypatch):
+    # filling an introduce or forget node in one pass and filtering it once
+    # full gives the tables of the driver that enters states one at a time,
+    # insertion order included, asks the same nodes for their family, and
+    # charges the DP budget and every membership's enumeration budget the
+    # same units
+    rng = Random(31)
+    cases = []
+    for g in seeded_graphs(31, 12, 2, 11, ps=(0.2, 0.4, 0.6)):
+        rational = WeightMap([Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(g.n)])
+        zeros = WeightMap([rng.randint(0, 2) for _ in range(g.n)])
+        for td in (
+            heuristic_decomposition(g, "min-fill"),
+            heuristic_decomposition(g, "min-degree"),
+            single_bag_decomposition(g),
+        ):
+            nice = measured_nice(g, td)
+            cases += [(g, nice, rational), (g, nice, zeros)]
+    runs = filtering = memberships = 0
+    for filter_from in (nicedp.FILTER_FROM, 4, 0):
+        monkeypatch.setattr(nicedp, "FILTER_FROM", filter_from)
+        for g, nice, w in cases:
+            for solve in EQUIVALENCE_SOLVERS:
+                got = recorded_run(run_nice_dp, solve, g, nice, w)
+                want = recorded_run(reference_run_nice_dp, solve, g, nice, w)
+                assert got == want, (g.n, g.edges, filter_from)
+                runs += 1
+                filtering += bool(got[2])
+                memberships += len(got[3]) - 1
+    assert runs == 1080 and filtering > 200 and memberships > 1000, (runs, filtering, memberships)
+
+
+def test_budget_overruns_as_the_reference_does(monkeypatch):
+    # the DP budget is charged per node once its table is full, so at a
+    # run's total the run passes and below it the run overruns with the
+    # message the per-state driver raises
+    monkeypatch.setattr(nicedp, "FILTER_FROM", 4)
+    solvers = (mwis_dp, lambda g, nice, w, **budget: mwif_dp(g, nice, w, provider="paper", **budget))
+    checked = 0
+    for g in seeded_graphs(32, 6, 6, 11, ps=(0.3, 0.5)):
+        nice = measured_nice(g, heuristic_decomposition(g))
+        w = WeightMap.unit(g.n)
+        for solve in solvers:
+            units = recorded_run(run_nice_dp, solve, g, nice, w)[3][0][1]
+            outcomes = []
+            for driver in (run_nice_dp, reference_run_nice_dp):
+                outcomes.append([])
+                with pytest.MonkeyPatch.context() as mp:
+                    for module in (traces, forest):
+                        mp.setattr(module, "run_nice_dp", driver_spy(lambda arguments: None, None, driver))
+                    for state_budget in (units, units - 1, units // 2):
+                        try:
+                            outcomes[-1].append(solve(g, nice, w, state_budget=state_budget))
+                        except ResourceLimitError as exc:
+                            outcomes[-1].append(str(exc))
+            assert outcomes[0] == outcomes[1], (g.n, g.edges)
+            assert outcomes[0][0] == solve(g, nice, w)
+            assert all("state budget" in outcome for outcome in outcomes[0][1:])
+            checked += 1
+    assert checked == 12
 
 
 def test_k88_paper_builds_no_family_at_the_default_threshold(monkeypatch):

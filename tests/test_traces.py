@@ -4,7 +4,7 @@ from time import perf_counter
 
 import pytest
 
-from imtw import forest, packing, traces
+from imtw import forest, nicedp, packing, traces
 from imtw.bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, single_bag_decomposition
 from imtw.errors import ResourceLimitError
@@ -22,7 +22,7 @@ from imtw.graphs import (
 )
 from imtw.packing import ptas_bounded_treewidth_subgraph
 from imtw.traces import (
-    carried_trace_families,
+    trace_families,
     enumerate_maximal_independent_sets,
     mwis_dp,
     trace_family_for_bag,
@@ -290,21 +290,23 @@ def test_trace_families_are_never_ordered(monkeypatch, filter_everywhere):
 
 
 def assert_carried_families_match(graph, nice, ks):
-    """At every node, for every bound in ``ks``, the carried builder builds
-    the per-bag family and returns that object again on a second call, and a
-    join yields its first child's builder."""
+    """At every node, for every bound in ``ks``, ``trace_families`` called
+    at each node in node order builds the per-bag family and returns that
+    object again on a second call, and a join's members are its first
+    child's, the same object."""
     for k in ks:
         per_bag = {}
-        builders = []
-        for node, build in zip(nice.nodes, carried_trace_families(graph, nice, k), strict=True):
+        built = []
+        families = trace_families(graph, nice, k)
+        for i, node in enumerate(nice.nodes):
             if node.bag not in per_bag:
                 per_bag[node.bag] = trace_family_for_bag(graph, node.bag, k).members
-            members = build()
+            members = families(i)
             assert members == per_bag[node.bag], (graph.n, graph.edges, node, k)
-            assert build() is members
+            assert families(i) is members
             if node.kind == "join":
-                assert build is builders[node.children[0]]
-            builders.append(build)
+                assert members is built[node.children[0]]
+            built.append(members)
 
 
 def test_carried_families_equal_per_bag_families():
@@ -341,10 +343,12 @@ def test_carried_families_equal_per_bag_families_on_ptas_blobs(monkeypatch):
 
 
 def test_carried_sets_step_only_above_a_built_node(monkeypatch):
-    # builders called at random nodes in node order, as the driver calls
-    # them: one steps its child's maximal sets when the child's builder was
-    # called and enumerates its own bag otherwise, and builds the per-bag
-    # family either way
+    # families asked for at random nodes in node order, as the driver asks:
+    # a join stands for the nearest non-join node down its first children;
+    # that node steps the maximal sets of the nearest node below it, looking
+    # through joins in the same way, when that node was built (a leaf always
+    # is), enumerates its own bag otherwise, and builds the per-bag family
+    # either way
     enumerated = []
 
     def recorded(graph, universe=None):
@@ -353,29 +357,37 @@ def test_carried_sets_step_only_above_a_built_node(monkeypatch):
 
     monkeypatch.setattr(traces, "enumerate_maximal_independent_sets", recorded)
     rng = Random(52)
-    stepped = fresh = 0
+    stepped = fresh = through_joins = 0
     for g in seeded_graphs(52, 80, 2, 11, ps=(0.2, 0.4, 0.6)):
         nice = measured_nice(g, heuristic_decomposition(g, rng.choice(("min-fill", "min-degree"))))
         k = nice.metrics.mu
-        builders, called = [], set()
-        for node, build in zip(nice.nodes, carried_trace_families(g, nice, k), strict=True):
-            builders.append(build)
-            if node.kind == "leaf":
-                # a leaf's one maximal set, the empty set, is known at once
-                called.add(id(build))
-            # a join's builder is its first child's, so it is called there
-            if node.kind in ("leaf", "join") or rng.random() < 0.4:
+        families = trace_families(g, nice, k)
+
+        def resolved(i):
+            while nice.nodes[i].kind == "join":
+                i = nice.nodes[i].children[0]
+            return i
+
+        built = {i for i, node in enumerate(nice.nodes) if node.kind == "leaf"}
+        for i, node in enumerate(nice.nodes):
+            if node.kind == "leaf" or rng.random() < 0.6:
                 continue
             enumerated.clear()
-            members = build()
-            child_built = id(builders[node.children[0]]) in called
-            assert enumerated == ([] if child_built else [node.bag]), (g.n, g.edges, node)
-            stepped += child_built
-            fresh += not child_built
-            called.add(id(build))
+            members = families(i)
+            source = resolved(i)
+            if source not in built:
+                below = resolved(nice.nodes[source].children[0])
+                carried = below in built
+                assert enumerated == ([] if carried else [nice.nodes[source].bag]), (g.n, g.edges, node)
+                stepped += carried
+                fresh += not carried
+                through_joins += carried and below != nice.nodes[source].children[0]
+                built.add(source)
+            else:
+                assert enumerated == [], (g.n, g.edges, node)
             expected = enumerate_maximal_independent_sets(g, node.bag)
             assert members == trace_family_for_bag(g, node.bag, k, expected).members
-    assert stepped > 100 and fresh > 100, (stepped, fresh)
+    assert stepped > 100 and fresh > 100 and through_joins, (stepped, fresh, through_joins)
 
 
 def test_mwis_dp_on_edgeless_single_bag_is_fast():
@@ -413,35 +425,58 @@ def test_mwis_dp_vs_oracle(monkeypatch, filter_everywhere):
         assert all(g.is_independent(state) for table in tables for state in table)
 
 
-def test_driver_pulls_one_family_per_node_in_node_order(monkeypatch, filter_everywhere):
-    # both filtered solvers hand the driver one stream, and the i-th family
-    # pulled from it filters node i's table: the states kept there are
-    # exactly the states family i admitted
-    asked, filled = [], []
+def test_driver_asks_for_a_family_only_where_a_node_filters(monkeypatch):
+    # both filtered solvers hand the driver one callable, which it calls at
+    # most once per node, in node order, and only for a node that filters:
+    # every node at threshold 0; at threshold 4 a node whose child filtered,
+    # while a node it does not ask keeps at most 4 states. Where it asks,
+    # the states kept at node i are exactly the states family i admitted.
+    asked, called, filled = [], [], []
 
     def wrap(arguments):
-        arguments["families"] = recorded_families(arguments["families"], asked)
+        families = recorded_families(arguments["families"], asked)
+
+        def logged(i):
+            called.append(i)
+            return families(i)
+
+        arguments["families"] = logged
 
     solvers = (
         (traces, mwis_dp),
         (forest, lambda g, nice, w: mwif_dp(g, nice, w, provider="paper")),
     )
     cases = solver_cases(seeded_graphs(42, 10, 4, 10), 42, 20)
-    for module, solve in solvers:
-        with monkeypatch.context() as mp:
-            mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled))
-            for g, w, _, _, nice in cases:
-                asked.clear()
-                filled.clear()
-                solve(g, nice, w)
-                [tables] = filled
-                assert len(tables) == nice.size and all(type(table) is dict for table in tables)
-                admitted = [set() for _ in range(nice.size)]
-                for i, state, kept in asked:
-                    if kept:
-                        admitted[i].add(state)
-                assert {i for i, _, _ in asked} == set(range(nice.size))
-                assert admitted == [set(table) for table in tables]
+    some_asked = some_unasked = False
+    for filter_from in (0, 4):
+        monkeypatch.setattr(nicedp, "FILTER_FROM", filter_from)
+        for module, solve in solvers:
+            with monkeypatch.context() as mp:
+                mp.setattr(module, "run_nice_dp", driver_spy(wrap, filled))
+                for g, w, _, _, nice in cases:
+                    asked.clear()
+                    called.clear()
+                    filled.clear()
+                    solve(g, nice, w)
+                    [tables] = filled
+                    assert len(tables) == nice.size and all(type(table) is dict for table in tables)
+                    assert called == sorted(set(called))
+                    if filter_from == 0:
+                        assert called == list(range(nice.size))
+                    else:
+                        some_asked = some_asked or bool(called)
+                    admitted = [set() for _ in range(nice.size)]
+                    for i, state, kept in asked:
+                        if kept:
+                            admitted[i].add(state)
+                    for i, node in enumerate(nice.nodes):
+                        if i in called:
+                            assert admitted[i] == set(tables[i])
+                        else:
+                            assert not any(c in called for c in node.children)
+                            assert len(tables[i]) <= filter_from
+                            some_unasked = True
+    assert some_asked and some_unasked
 
 
 def test_mwis_rescaling_invariance():
