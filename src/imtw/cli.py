@@ -370,11 +370,23 @@ FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error, once argparse has written it to
+    stderr, raises InputError for ``main`` to report; its subparsers share
+    the class."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise InputError(message) from None
+
+
 @functools.cache
 def build_parser():
     """The argparse tree, built on the first call and shared by every later
     ``main`` call in the process (parsing leaves the parser unchanged)."""
-    parser = argparse.ArgumentParser(prog="imtw", description=__doc__)
+    parser = _Parser(prog="imtw", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -462,20 +474,19 @@ HANDLERS = {
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code
-    key = (args.command, args.problem) if args.command == "solve" else args.command
-    handler = HANDLERS[key]
     inputs = {}
-    started = time.perf_counter()
     report = {"command": ["imtw"] + argv, "inputs": inputs, "error": None}
+    args = None
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help and --version print and exit
+            return exc.code
+        started = time.perf_counter()
+        key = (args.command, args.problem) if args.command == "solve" else args.command
         if getattr(args, "budget", 1) <= 0:
             raise InputError("budget must be positive")
-        code, result, verification = handler(args, inputs)
+        code, result, verification = HANDLERS[key](args, inputs)
         report["result"] = result
         report["verification"] = verification
         if verification and not all(verification.values()):

@@ -5,7 +5,10 @@ caps, used to anchor the acceptance suite. The elimination-ordering oracle for
 the exact width parameters runs a subset dynamic program equivalent to trying
 all n! orderings: the bag created by eliminating v after the set S is
 {v} plus the vertices reachable from v through S, which depends only on
-(S, v), so orderings collapse into 2^n states.
+(S, v), so orderings collapse into 2^n states. ``elimination_search`` runs
+it for the oracle and for ``packing.treewidth_at_most``, computing each
+bag's cost once per bag mask; it skips a vertex whose bag costs more than
+``upper``, and a state stops at its first completion costing at most ``lower``.
 
 Correctness of the ordering oracle: completing the bags of any tree
 decomposition yields a chordal supergraph whose maximal cliques sit inside
@@ -18,6 +21,7 @@ the minimum over all decompositions, for each metric independently.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 
 from .bits import bit, bits, mask_of, popcount, submasks, to_tuple
 from .errors import InvariantError, ResourceLimitError
@@ -258,43 +262,60 @@ class ExactWidths:
             )
 
 
-def _elimination_bag(graph, eliminated, v):
-    """{v} plus vertices reachable from v via paths inside ``eliminated``."""
-    bag = bit(v)
-    frontier = graph.adj_mask(v)
-    seen = bit(v)
+def _elimination_bag(adj, eliminated, v):
+    """{v} plus vertices reachable from v via paths inside ``eliminated``;
+    ``adj`` lists each vertex's adjacency mask."""
+    bag = seen = bit(v)
+    frontier = adj[v]
     while frontier:
         fresh = frontier & ~seen
         seen |= fresh
         bag |= fresh & ~eliminated
         nxt = 0
         for u in bits(fresh & eliminated):
-            nxt |= graph.adj_mask(u)
+            nxt |= adj[u]
         frontier = nxt & ~seen
     return bag
 
 
-def _min_over_orderings(graph, bag_cost):
-    """min over elimination orderings of the max bag cost, plus a witness."""
-    n = graph.n
+def elimination_search(graph, bag_cost, lower=-1, upper=inf):
+    """(cost, ordering): the least maximum bag cost over the elimination
+    orderings whose every bag costs at most ``upper``, with a witness, or
+    (None, None) if there is none. A prefix stops at its first completion
+    of cost at most ``lower``. Of equally cheap vertices the lowest is kept."""
+    adj = [graph.adj_mask(v) for v in range(graph.n)]
     full = graph.vertex_mask()
+    costs = {}
     memo = {full: 0}
     choice = {}
 
     def best(eliminated):
         if eliminated in memo:
             return memo[eliminated]
-        value = None
-        arg = None
+        value = arg = None
         for v in bits(full & ~eliminated):
-            cost = max(bag_cost(_elimination_bag(graph, eliminated, v)), best(eliminated | bit(v)))
+            bag = _elimination_bag(adj, eliminated, v)
+            cost = costs.get(bag)
+            if cost is None:
+                cost = costs[bag] = bag_cost(bag)
+            if cost > upper:
+                continue
+            rest = best(eliminated | bit(v))
+            if rest is None:
+                continue
+            if rest > cost:
+                cost = rest
             if value is None or cost < value:
                 value, arg = cost, v
+                if value <= lower:
+                    break
         memo[eliminated] = value
         choice[eliminated] = arg
         return value
 
     result = best(0)
+    if result is None:
+        return None, None
     ordering = []
     s = 0
     while s != full:
@@ -321,9 +342,9 @@ def exact_width_parameters(graph, cap=WIDTH_CAP):
         size, _ = brute_induced_matching_touching(graph, bag, cap=max(MATCHING_EDGE_CAP, graph.m))
         return size
 
-    alpha, alpha_ord = _min_over_orderings(graph, alpha_cost)
-    mu, mu_ord = _min_over_orderings(graph, mu_cost)
-    tw, tw_ord = _min_over_orderings(graph, lambda bag: popcount(bag) - 1)
+    alpha, alpha_ord = elimination_search(graph, alpha_cost)
+    mu, mu_ord = elimination_search(graph, mu_cost)
+    tw, tw_ord = elimination_search(graph, lambda bag: popcount(bag) - 1)
     return ExactWidths(alpha, mu, tw, alpha_ord, mu_ord, tw_ord)
 
 

@@ -16,14 +16,19 @@ from math import ceil
 
 from .bits import bit, bits, mask_of, popcount, to_tuple
 from .decomp import blob_decomposition, decomposition_metrics, make_nice, odd_power_decomposition
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import Budget, InputError, InvariantError, ResourceLimitError
 from .graphs import (
     MAX_VERTICES, WeightMap, distance_matrix, graph_of_rows, graph_power, induced_subgraph,
     parse_rational, touch_rows,
 )
 from .nicedp import DEFAULT_STATE_BUDGET
-from .oracles import is_induced_forest
+from .oracles import elimination_search, is_induced_forest
 from .traces import mwis_dp
+
+# connected vertex sets one enumeration may produce; on Q5, whose connected
+# sets no run could list, `solve ptas` overruns it after about 2 s at under
+# 100 MiB (2-core VM, Python 3.11)
+PIECE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -242,19 +247,26 @@ def enumerate_small_connected_subgraphs(graph, max_size, predicate=None):
 
     Grows sets layer by layer: every connected set of size s extends some
     connected set of size s-1 by a neighbor, and a hash set removes the
-    duplicates. ``predicate`` filters the results by vertex mask.
+    duplicates. ``predicate`` filters the results by vertex mask. Each set
+    charges one unit of a ``PIECE_BUDGET`` as it is first produced, so an
+    enumeration too large to finish fails fast with ResourceLimitError.
     """
     if max_size < 1:
         raise InputError("subgraph size bound must be at least 1")
-    layer = {bit(v) for v in range(graph.n)}
+    spend = Budget(PIECE_BUDGET, f"piece enumeration budget {PIECE_BUDGET} exceeded").spend
+    layer = [bit(v) for v in range(graph.n)]
+    spend(len(layer), len(layer))
     seen = set(layer)
     for _ in range(max_size - 1):
-        grown = set()
+        grown = []
         for m in layer:
             for u in bits(graph.neighborhood_of_set(m)):
-                grown.add(m | bit(u))
-        layer = grown - seen
-        seen |= layer
+                bigger = m | bit(u)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    grown.append(bigger)
+                    spend(1, len(seen))
+        layer = grown
         if not layer:
             break
     out = [m for m in seen if predicate is None or predicate(m)]
@@ -264,8 +276,8 @@ def enumerate_small_connected_subgraphs(graph, max_size, predicate=None):
 def treewidth_at_most(graph, mask, r):
     """Decide treewidth <= r for the induced subgraph on ``mask``.
 
-    Fast paths for r <= 1; otherwise the subset elimination recurrence on the
-    (small) member set.
+    Fast paths for r <= 1 and for at most r + 1 vertices; otherwise the
+    oracles' elimination search on the induced subgraph with lower = upper = r.
     """
     k = popcount(mask)
     if k == 0:
@@ -277,34 +289,7 @@ def treewidth_at_most(graph, mask, r):
     if k <= r + 1:
         return True
     sub, _ = induced_subgraph(graph, mask)
-    adj = [sub.adj_mask(i) for i in range(k)]
-    full = sub.vertex_mask()
-    memo = {full: True}
-
-    def ok(eliminated):
-        if eliminated in memo:
-            return memo[eliminated]
-        result = False
-        for i in bits(full & ~eliminated):
-            reach = bit(i)
-            frontier = adj[i]
-            seen = bit(i)
-            bagsize = 1
-            while frontier:
-                fresh = frontier & ~seen
-                seen |= fresh
-                bagsize += popcount(fresh & ~eliminated)
-                nxt = 0
-                for j in bits(fresh & eliminated):
-                    nxt |= adj[j]
-                frontier = nxt & ~seen
-            if bagsize <= r + 1 and ok(eliminated | bit(i)):
-                result = True
-                break
-        memo[eliminated] = result
-        return result
-
-    return ok(0)
+    return elimination_search(sub, lambda bag: popcount(bag) - 1, r, r)[0] is not None
 
 
 def component_size_cap(r, eps):

@@ -2,9 +2,10 @@
 spies on the DP driver and its family callable, a fixture and a loop that
 make run_nice_dp filter every node, and the references: the per-state DP
 driver, the forest join,
-the generic DP's introduce, the decomposition check, the blob bags and the
-bag search."""
+the generic DP's introduce, the decomposition check, the blob bags, the
+bag search, the exact-width oracle and the treewidth decision."""
 
+from functools import cache
 from inspect import signature
 from math import inf
 from random import Random
@@ -18,6 +19,13 @@ from imtw.forest import canonical_blocks
 from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nice
 from imtw.graphs import Graph, WeightMap, induced_subgraph, random_graph
 from imtw.nicedp import run_nice_dp
+from imtw.oracles import (
+    MATCHING_EDGE_CAP,
+    ExactWidths,
+    _exact_mis_size,
+    brute_induced_matching_touching,
+    is_induced_forest,
+)
 from imtw.verify import STRATEGIES, prepare
 
 
@@ -348,3 +356,119 @@ def reference_max_independent_set(adj, candidates, budget):
             continue
         nodes.append((chosen, found, pool & ~bit(pick)))
         nodes.append((chosen | bit(pick), found + 1, pool & ~(adj[pick] | bit(pick))))
+
+
+# The exact-width oracle and the ptas treewidth decision as they were before
+# both ran ``oracles.elimination_search``, kept unchanged: the shared search
+# must return their values, witness orderings included.
+def reference_elimination_bag(graph, eliminated, v):
+    """{v} plus vertices reachable from v via paths inside ``eliminated``."""
+    bag = bit(v)
+    frontier = graph.adj_mask(v)
+    seen = bit(v)
+    while frontier:
+        fresh = frontier & ~seen
+        seen |= fresh
+        bag |= fresh & ~eliminated
+        nxt = 0
+        for u in bits(fresh & eliminated):
+            nxt |= graph.adj_mask(u)
+        frontier = nxt & ~seen
+    return bag
+
+
+def reference_min_over_orderings(graph, bag_cost):
+    """min over elimination orderings of the max bag cost, plus a witness."""
+    n = graph.n
+    full = graph.vertex_mask()
+    memo = {full: 0}
+    choice = {}
+
+    def best(eliminated):
+        if eliminated in memo:
+            return memo[eliminated]
+        value = None
+        arg = None
+        for v in bits(full & ~eliminated):
+            cost = max(bag_cost(reference_elimination_bag(graph, eliminated, v)), best(eliminated | bit(v)))
+            if value is None or cost < value:
+                value, arg = cost, v
+        memo[eliminated] = value
+        choice[eliminated] = arg
+        return value
+
+    result = best(0)
+    ordering = []
+    s = 0
+    while s != full:
+        v = choice[s]
+        ordering.append(v)
+        s |= bit(v)
+    return result, tuple(ordering)
+
+
+def reference_exact_width_parameters(graph):
+    """``oracles.exact_width_parameters`` on ``reference_min_over_orderings``,
+    for a graph with at least one vertex. The bag costs are cached per bag
+    only to keep the test fast: a cost depends on its bag alone."""
+
+    @cache
+    def alpha_cost(bag):
+        size, _ = _exact_mis_size(graph, bag)
+        return size
+
+    @cache
+    def mu_cost(bag):
+        size, _ = brute_induced_matching_touching(graph, bag, cap=max(MATCHING_EDGE_CAP, graph.m))
+        return size
+
+    alpha, alpha_ord = reference_min_over_orderings(graph, alpha_cost)
+    mu, mu_ord = reference_min_over_orderings(graph, mu_cost)
+    tw, tw_ord = reference_min_over_orderings(graph, lambda bag: popcount(bag) - 1)
+    return ExactWidths(alpha, mu, tw, alpha_ord, mu_ord, tw_ord)
+
+
+def reference_treewidth_at_most(graph, mask, r):
+    """Decide treewidth <= r for the induced subgraph on ``mask``.
+
+    Fast paths for r <= 1; otherwise the subset elimination recurrence on the
+    (small) member set.
+    """
+    k = popcount(mask)
+    if k == 0:
+        return True
+    if r <= 0:
+        return graph.count_edges_within(mask) == 0
+    if r == 1:
+        return is_induced_forest(graph, mask)
+    if k <= r + 1:
+        return True
+    sub, _ = induced_subgraph(graph, mask)
+    adj = [sub.adj_mask(i) for i in range(k)]
+    full = sub.vertex_mask()
+    memo = {full: True}
+
+    def ok(eliminated):
+        if eliminated in memo:
+            return memo[eliminated]
+        result = False
+        for i in bits(full & ~eliminated):
+            reach = bit(i)
+            frontier = adj[i]
+            seen = bit(i)
+            bagsize = 1
+            while frontier:
+                fresh = frontier & ~seen
+                seen |= fresh
+                bagsize += popcount(fresh & ~eliminated)
+                nxt = 0
+                for j in bits(fresh & eliminated):
+                    nxt |= adj[j]
+                frontier = nxt & ~seen
+            if bagsize <= r + 1 and ok(eliminated | bit(i)):
+                result = True
+                break
+        memo[eliminated] = result
+        return result
+
+    return ok(0)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import inspect
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from imtw import cli, decomp, forest, graphs, verify
+from imtw import cli, decomp, forest, graphs, packing, verify
 from imtw.bits import bits
 from imtw.boundaried import generic_structured_dp
 from imtw.cli import main
@@ -110,11 +111,30 @@ def test_exact_command(tmp_path, capsys):
     assert report["result"]["tree_mu"] == 1
 
 
+# sha256 of the `imtw exact g.gr` stdout, run in the directory of g.gr;
+# the witness orderings are in the report, so a change to the elimination
+# search that moves one shows up here
+EXACT_GOLDEN = {
+    ("hypercube", "3"): "760509d73681a77c8401f1f27cc4f90e7f700272bc9ae9a2b427a19ad2f33df9",
+    ("cycle", "7"): "9afc79237907290322c45c81be64bb7e9128b7cb6df910abb974867459655119",
+    ("complete_bipartite", "3", "3"): "3e13cf08914930241eed29ff3c5f76d4437211910641b7b0e6e0987e03417fec",
+    ("path", "9"): "40c81977cdc5130d6fb2b075dc1f901e3f497189d31840fcce8325b0fe8a5e1a",
+    ("random", "9", "0.4", "--seed", "1"): "cc8198aca60195c530f188b6101a960fc809a71c4655a36344e5d76a9776336d",
+}
+
+
+def test_exact_reports_are_golden(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for spec, digest in EXACT_GOLDEN.items():
+        run_cli(capsys, "gen", *spec, "-o", "g.gr")
+        code, _, out = run_cli(capsys, "exact", "g.gr")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, spec
+
+
 def test_exact_keeps_the_oracle_cap_and_takes_no_max_n(tmp_path, capsys):
     graph_file = str(tmp_path / "p10.gr")
     run_cli(capsys, "gen", "path", "10", "-o", graph_file)
-    assert main(["exact", graph_file, "--max-n", "12"]) == 2
-    assert capsys.readouterr().out == ""
+    assert usage_error(capsys, ["exact", graph_file, "--max-n", "12"]) == "unrecognized arguments: --max-n 12"
     code, report, _ = run_cli(capsys, "exact", graph_file)
     assert code == 4
     assert report["error"] == {"type": "resource", "message": "exact widths capped at n=9, got 10"}
@@ -251,6 +271,21 @@ def test_ptas_blob_over_budget_exits_4_under_a_memory_cap(tmp_path, capsys):
         assert code == 4, report["error"]
         assert report["command"] == ["imtw", *argv] and report["error"]["type"] == "resource"
         assert "blob graph of 9882 pieces" in report["error"]["message"]
+
+
+def test_ptas_piece_enumeration_over_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # Q5's piece cap at r = 3, eps = 1/10 is 80, clamped to its 32 vertices,
+    # so every connected set is a candidate piece; before the piece budget
+    # the run gave no report within 60 s. The budget is a constant, not
+    # --budget, and is made small here so that it overruns at once
+    graph_file, td_file = instance(tmp_path, capsys, "hypercube", "5")
+    monkeypatch.setattr(packing, "PIECE_BUDGET", 1000)
+    argv = ["solve", "ptas", graph_file, td_file, "-r", "3", "--eps", "1/10"]
+    started = time.perf_counter()
+    code, report, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert (code, report["error"]) == (4, {"type": "resource", "message": "piece enumeration budget 1000 exceeded"})
+    assert report["command"] == ["imtw", *argv] and set(report["inputs"]) == {graph_file, td_file}
 
 
 def test_out_of_memory_exits_4(tmp_path):
@@ -609,14 +644,25 @@ def test_metrics_budget_is_not_spent_on_bags_that_cannot_raise_mu(tmp_path, caps
     assert report["error"]["message"].endswith("while mu of bag 1")
 
 
+def usage_error(capsys, argv):
+    """Run ``argv``, which argparse refuses, and return the message of the
+    input-error report on stdout, after checking that argparse's own text
+    went to stderr and that no file was read."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["command"] == ["imtw", *argv] and report["inputs"] == {}
+    assert set(report) == {"command", "inputs", "error"} and report["error"]["type"] == "input"
+    assert f"error: {report['error']['message']}" in captured.err
+    return report["error"]["message"]
+
+
 def test_eps_with_a_zero_denominator_is_invalid_text(capsys):
     # Fraction raises ZeroDivisionError, which argparse would let escape;
     # it is read like any other bad --eps, before a file is opened
     for text in ("2/0", "0/0", "abc"):
-        assert main(["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
+        argv = ["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]
+        assert usage_error(capsys, argv) == f"argument --eps: invalid Fraction value: {text!r}"
 
 
 def test_eps_with_a_huge_exponent_is_invalid_text(capsys):
@@ -625,11 +671,20 @@ def test_eps_with_a_huge_exponent_is_invalid_text(capsys):
     # past the interpreter's digit limit before a file is opened
     for text in ("1e-9999", "1e-99999999", "1e99999999"):
         started = time.perf_counter()
-        assert main(["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]) == 2
+        argv = ["solve", "ptas", "missing.gr", "missing.td", "-r", "1", "--eps", text]
+        assert usage_error(capsys, argv) == f"argument --eps: invalid Fraction value: {text!r}"
         assert time.perf_counter() - started < 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument --eps: invalid Fraction value: {text!r}" in captured.err
+
+
+def test_usage_errors_print_a_report_and_help_prints_text(capsys):
+    # every usage error is an input error with a complete report; --help
+    # and --version still print their text alone and exit 0
+    assert usage_error(capsys, []) == "the following arguments are required: command"
+    assert usage_error(capsys, ["solve", "ptas", "g.gr"]) == "the following arguments are required: td"
+    assert usage_error(capsys, ["gen", "cycle", "--seed", "x"]) == "argument --seed: invalid int value: 'x'"
+    for argv, start in ((["--version"], f"{cli.__version__}\n"), (["exact", "--help"], "usage: imtw exact")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(start)
 
 
 def first_primes(count):
@@ -668,8 +723,7 @@ def test_an_optimum_past_the_digit_limit_is_a_resource_error(tmp_path, capsys):
 
 def test_flags_belong_to_their_commands(capsys):
     # --eps is read by solve ptas only; elsewhere it is a parse error
-    assert main(["gen", "cycle", "5", "--eps", "1/4"]) == 2
-    assert capsys.readouterr().out == ""
+    assert usage_error(capsys, ["gen", "cycle", "5", "--eps", "1/4"]) == "unrecognized arguments: --eps 1/4"
 
 
 # every option string each command accepts, --help aside; a flag added or
@@ -719,8 +773,8 @@ def test_solve_bound_is_always_measured(tmp_path, capsys):
         ("ptas", "-r", "1", "--eps", "1/2"),
         ("generic", "-r", "2"),
     ):
-        assert main(["solve", problem, graph_file, td_file, *rest, "-k", "1"]) == 2, problem
-        assert capsys.readouterr().out == ""
+        argv = ["solve", problem, graph_file, td_file, *rest, "-k", "1"]
+        assert usage_error(capsys, argv) == "unrecognized arguments: -k 1", problem
     code, report, _ = run_cli(capsys, "transform", "power", graph_file, "-k", "2")
     assert code == 0 and report["result"]["k"] == 2 and report["result"]["m"] == 5
 
@@ -749,8 +803,7 @@ def test_solve_measures_mu_where_a_smaller_k_was_silently_wrong(tmp_path, capsys
             code, report, _ = run_cli(capsys, *argv)
             assert code == 0 and report["result"]["optimum"] == optimum
             assert (report["result"]["k"], report["result"]["source"]) == (1, "measured-mu")
-            assert main([*argv, "-k", "0"]) == 2
-            assert capsys.readouterr().out == ""
+            assert usage_error(capsys, [*argv, "-k", "0"]) == "unrecognized arguments: -k 0"
 
 
 def test_library_solvers_read_the_bound_their_decomposition_carries(monkeypatch):
@@ -989,6 +1042,11 @@ def test_every_budget_overrun_message_is_pinned(tmp_path, capsys, monkeypatch):
         with pytest.raises(ResourceLimitError, match=f"^{message}$") as overrun:
             enumerate_family()
         assert overrun.value.partial_count == partial_count
+    # Q3's 8 single vertices, then one unit per connected set as it is found
+    monkeypatch.setattr(packing, "PIECE_BUDGET", 10)
+    with pytest.raises(ResourceLimitError, match="^piece enumeration budget 10 exceeded$") as overrun:
+        packing.enumerate_small_connected_subgraphs(graphs.hypercube_graph(3), 3)
+    assert overrun.value.partial_count == 11
 
 
 def test_verify_records_a_failing_self_check(monkeypatch, capsys):

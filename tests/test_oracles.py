@@ -12,6 +12,7 @@ from imtw.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    hypercube_graph,
     line_graph_square,
     path_graph,
     petersen_graph,
@@ -23,12 +24,14 @@ from imtw.oracles import (
     brute_max_weight_induced_forest,
     brute_mwis,
     chordality_test,
+    elimination_search,
     enumerate_maximal_induced_forests,
     exact_width_parameters,
     find_cycle_within,
     is_induced_forest,
     recognize_imtw_at_most_1,
 )
+from imtw.packing import treewidth_at_most
 from imtw.verify import (
     chordal_alpha_one,
     corona_equality,
@@ -41,7 +44,12 @@ from imtw.verify import (
     width_chain,
 )
 
-from conftest import expect, seeded_graphs
+from conftest import (
+    expect,
+    reference_exact_width_parameters,
+    reference_treewidth_at_most,
+    seeded_graphs,
+)
 
 
 def with_widths(graphs):
@@ -182,6 +190,47 @@ def test_exact_widths_witness_orderings_are_permutations():
     ew = exact_width_parameters(g)
     for ordering in (ew.alpha_ordering, ew.mu_ordering, ew.treewidth_ordering):
         assert sorted(ordering) == list(range(7))
+
+
+def test_exact_widths_equal_the_unshared_search():
+    # the values and witness orderings of the oracle as it was before it
+    # shared its search with the treewidth decision and kept bag costs
+    graphs = seeded_graphs(32, 150, 1, 9, ps=(0.2, 0.4, 0.6))
+    assert [exact_width_parameters(g) for g in graphs] == [reference_exact_width_parameters(g) for g in graphs]
+
+
+def test_treewidth_decision_equals_its_own_search():
+    # the ptas decision before it ran the shared search: 400 random induced
+    # subgraphs at r = 0..6, and whole graphs of treewidth 6, 4, 11 and 2
+    rng = Random(33)
+    cases = []
+    for i in range(400):
+        n = 1 + i % 12
+        g = random_graph(n, (0.2, 0.35, 0.5, 0.7)[i % 4], seed=rng.randrange(2**32))
+        cases += [(g, rng.randrange(1 << n), r) for r in range(7)]
+    for g in (hypercube_graph(4), petersen_graph(), complete_graph(12), cycle_graph(14)):
+        cases += [(g, g.vertex_mask(), r) for r in range(12)]
+    got = [treewidth_at_most(g, mask, r) for g, mask, r in cases]
+    assert got == [reference_treewidth_at_most(g, mask, r) for g, mask, r in cases]
+    assert 0 < sum(got) < len(got)
+
+
+def test_elimination_search_bounds():
+    # C5 has treewidth 2: no ordering keeps every bag within 1, and with
+    # lower = upper = 2 the search stops at a completion of cost 2
+    c5 = cycle_graph(5)
+
+    def width(bag):
+        return popcount(bag) - 1
+
+    assert elimination_search(c5, width) == (2, (0, 1, 2, 3, 4))
+    assert elimination_search(c5, width, upper=1) == (None, None)
+    assert elimination_search(c5, width, 2, 2)[0] == 2
+    # Petersen has treewidth 4; a lower bound above every completion stops
+    # each state at its first vertex, so the search returns the natural
+    # order, whose widest bag has 6 vertices
+    assert elimination_search(petersen_graph(), width)[0] == 4
+    assert elimination_search(petersen_graph(), width, lower=9) == (5, tuple(range(10)))
 
 
 def test_prop_23_line_graph_square_equality():
