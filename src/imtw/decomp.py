@@ -119,8 +119,8 @@ def validate_decomposition(graph, td):
     for v in range(graph.n):
         if not tops[v]:
             violations.append(f"vertex {v} is in no bag")
-    for u, v in graph.edges:
-        if not reach[u] >> v & 1:
+    for u in range(graph.n):
+        for v in bits(graph.adj_mask(u) >> u << u & ~reach[u]):
             violations.append(f"edge ({u}, {v}) is covered by no bag")
     for v in range(graph.n):
         if tops[v] > 1:

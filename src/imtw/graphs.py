@@ -1,9 +1,14 @@
 """Graph representation, text format, generators, and graph transformations.
 
-Graphs are simple and undirected, with vertices 0..n-1. Adjacency is kept as
-one bitmask per vertex, which makes the enumeration-heavy inner loops of the
-solvers cheap. All constructed graphs are validated: no loops, no duplicate
-edges, symmetric adjacency.
+Graphs are simple and undirected, with vertices 0..n-1. A graph holds only
+its adjacency rows, one bitmask per vertex, which makes the enumeration-heavy
+inner loops of the solvers cheap; its sorted edge list is derived from the
+rows when first read. ``Graph(n, edges)`` refuses loops and endpoints out of
+range and collapses duplicate edges. ``graph_of_rows(rows)`` refuses a row
+holding its own bit or a bit at or above n; its rows must be symmetric, which
+its callers meet by construction and it does not check. ``parse_graph``
+refuses, with a line number, every malformed line, loop, endpoint out of
+range and duplicate edge, and an edge count that differs from its header.
 
 Wire format (used by the CLI):
 
@@ -39,29 +44,27 @@ class Graph:
         if n < 0:
             raise InputError(f"vertex count must be nonnegative, got {n}")
         adj = [0] * n
-        seen = set()
         for u, v in edges:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
             adj[u] |= bit(v)
             adj[v] |= bit(u)
         self.n = n
         self._adj = tuple(adj)
-        self._edges = tuple(sorted(seen))
+        self._edges = None
 
     @property
     def edges(self):
+        """The pairs (u, v) with u < v, sorted; built on the first read."""
+        if self._edges is None:
+            self._edges = tuple((u, v) for u, row in enumerate(self._adj) for v in bits(row >> u << u))
         return self._edges
 
     @property
     def m(self):
-        return len(self._edges)
+        return sum(popcount(row) for row in self._adj) // 2
 
     def adj_mask(self, v):
         return self._adj[v]
@@ -119,10 +122,10 @@ class Graph:
         return len(self.components_within(mask)) == 1
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self._edges == other._edges
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash((self.n, self._adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -172,8 +175,8 @@ def parse_graph(text):
     also for a header declaring more than MAX_VERTICES vertices."""
     n = None
     declared_m = None
-    edges = []
-    seen = set()
+    adj = None
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -194,6 +197,7 @@ def parse_graph(text):
                 raise InputError(
                     f"header declares {n} vertices, above the cap of {MAX_VERTICES}", line=lineno
                 )
+            adj = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise InputError("edge line before header", line=lineno)
@@ -207,18 +211,19 @@ def parse_graph(text):
                 raise InputError(f"endpoint out of range in {line!r}", line=lineno)
             if u == v:
                 raise InputError(f"self-loop in {line!r}", line=lineno)
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in seen:
+            u, v = u - 1, v - 1
+            if adj[u] >> v & 1:
                 raise InputError(f"duplicate edge in {line!r}", line=lineno)
-            seen.add(key)
-            edges.append(key)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            m += 1
         else:
             raise InputError(f"unrecognized line {line!r}", line=lineno)
     if n is None:
         raise InputError("missing header line")
-    if declared_m != len(edges):
-        raise InputError(f"header declares {declared_m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if declared_m != m:
+        raise InputError(f"header declares {declared_m} edges, found {m}")
+    return graph_of_rows(adj)
 
 
 def serialize_graph(graph):
@@ -341,14 +346,7 @@ def hypercube_graph(dim):
         raise InputError("hypercube requires dimension >= 1")
     if dim >= MAX_VERTICES.bit_length():
         raise InputError(f"graph would have 2^{dim} vertices, above the cap of {MAX_VERTICES}")
-    n = 1 << dim
-    edges = []
-    for v in range(n):
-        for d in range(dim):
-            u = v ^ (1 << d)
-            if u > v:
-                edges.append((v, u))
-    return Graph(n, edges)
+    return graph_of_rows([sum(bit(v ^ 1 << d) for d in range(dim)) for v in range(1 << dim)])
 
 
 def matching_join(n):
@@ -484,13 +482,7 @@ def graph_power(graph, k):
     """Edges between distinct vertices at distance at most k."""
     if k < 1:
         raise InputError(f"graph power requires k >= 1, got {k}")
-    edges = []
-    for u in range(graph.n):
-        reach = ball_mask(graph, u, k) & ~bit(u)
-        for v in bits(reach):
-            if v > u:
-                edges.append((u, v))
-    return Graph(graph.n, edges)
+    return graph_of_rows([ball_mask(graph, u, k) & ~bit(u) for u in range(graph.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +531,18 @@ def touch_rows(graph, members):
 
 
 def graph_of_rows(rows):
-    """The graph whose vertex i is adjacent to the bits of symmetric ``rows[i]``."""
-    return Graph(len(rows), [(i, j) for i, row in enumerate(rows) for j in bits(row >> i << i)])
+    """The graph whose vertex i is adjacent to the bits of ``rows[i]``, which
+    must be symmetric (not checked); a row holding its own bit or a bit at
+    or above ``len(rows)`` raises InputError."""
+    n = len(rows)
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise InputError(f"self-loop at vertex {i}")
+        if row >> n:
+            raise InputError(f"edge ({i}, {row.bit_length() - 1}) out of range for n={n}")
+    graph = Graph.__new__(Graph)
+    graph.n, graph._adj, graph._edges = n, tuple(rows), None
+    return graph
 
 
 def line_graph_square(graph):
@@ -555,8 +557,7 @@ def line_graph_square(graph):
 def corona(graph):
     """Add one pendant neighbor to every vertex; pendant of v is n + v."""
     n = graph.n
-    edges = list(graph.edges) + [(v, n + v) for v in range(n)]
-    return Graph(2 * n, edges)
+    return graph_of_rows([graph.adj_mask(v) | bit(n + v) for v in range(n)] + [bit(v) for v in range(n)])
 
 
 FORK_ORIGINAL = "original"
@@ -580,19 +581,14 @@ def forked_version(graph, marked):
     for v in marked_list:
         if not 0 <= v < n:
             raise InputError(f"marked vertex {v} out of range for n={n}")
-    edges = list(graph.edges)
-    roles = [FORK_ORIGINAL] * n + [FORK_PRONG] * (3 * n) + [None] * (2 * len(marked_list))
-    for v in range(n):
-        for j in range(3):
-            edges.append((v, n + 3 * v + j))
-    base = 4 * n
-    for i, v in enumerate(marked_list):
-        mid, tip = base + 2 * i, base + 2 * i + 1
-        edges.append((v, mid))
-        edges.append((mid, tip))
-        roles[mid] = FORK_MID
-        roles[tip] = FORK_TIP
-    return Graph(base + 2 * len(marked_list), edges), tuple(roles)
+    rows = [graph.adj_mask(v) | 0b111 << n + 3 * v for v in range(n)] + [bit(v // 3) for v in range(3 * n)]
+    roles = [FORK_ORIGINAL] * n + [FORK_PRONG] * (3 * n)
+    for v in marked_list:
+        mid = len(rows)
+        rows[v] |= bit(mid)
+        rows += [bit(v) | bit(mid + 1), bit(mid)]
+        roles += [FORK_MID, FORK_TIP]
+    return graph_of_rows(rows), tuple(roles)
 
 
 def decode_forked(forked):

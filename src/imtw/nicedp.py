@@ -183,9 +183,10 @@ def best_solution(root_table, weights, accept):
     n = len(weights.values)
     # the n bonus bits read backwards: bit n - 1 - v of the value is vertex v
     solution = int(format(best & ((1 << n) - 1), f"0{n}b")[::-1], 2)
-    best = Fraction(best >> n, _scale(weights))
-    if weights.of_set(solution) != best:
+    # the check in integers: the mask's scaled weights sum to the value
+    scale, values = _scale(weights), weights.values
+    if sum(values[v].numerator * (scale // values[v].denominator) for v in bits(solution)) != best >> n:
         raise InvariantError(
-            f"reconstructed weight {weights.of_set(solution)} differs from optimum {best}"
+            f"reconstructed weight {weights.of_set(solution)} differs from optimum {Fraction(best >> n, scale)}"
         )
-    return best, solution
+    return Fraction(best >> n, scale), solution

@@ -130,16 +130,13 @@ class PackingSolution:
 
 def blob_graph(graph, family, budget=DEFAULT_STATE_BUDGET):
     """Graph on the member indices; adjacency is shared vertex or joining edge.
-    More than ``budget`` edges, counted before any is listed, raise
-    ResourceLimitError."""
+    Its edges are counted from the rows and never listed; more than
+    ``budget`` of them raise ResourceLimitError."""
     family.require_valid_members(graph)
-    rows = touch_rows(graph, [to_tuple(m.vertices) for m in family.members])
-    edges = sum(popcount(row) for row in rows) // 2
-    if edges > budget:
-        raise ResourceLimitError(
-            f"blob graph of {len(rows)} pieces has {edges} edges, above the budget {budget}"
-        )
-    return graph_of_rows(rows)
+    blob = graph_of_rows(touch_rows(graph, [to_tuple(m.vertices) for m in family.members]))
+    if blob.m > budget:
+        raise ResourceLimitError(f"blob graph of {blob.n} pieces has {blob.m} edges, above the budget {budget}")
+    return blob
 
 
 def is_valid_packing(graph, family, chosen, mode="independent", d=None, dist=None):

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 from random import Random
 
@@ -206,8 +207,6 @@ def test_corpus_reports_are_unchanged(tmp_path):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
-    import tempfile
-
     with tempfile.TemporaryDirectory() as scratch:
         digests = replay(Path(scratch))
     DIGESTS.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in digests.items()) + "\n}\n")

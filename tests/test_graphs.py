@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+from imtw.bits import bits
+from imtw.decomp import heuristic_decomposition, validate_decomposition
 from imtw.errors import InputError
 from imtw.graphs import (
     INFINITY,
@@ -15,6 +17,7 @@ from imtw.graphs import (
     cycle_graph,
     distance_matrix,
     forked_version,
+    graph_of_rows,
     graph_power,
     hypercube_graph,
     induced_subgraph,
@@ -27,6 +30,7 @@ from imtw.graphs import (
     serialize_weights,
 )
 from imtw.oracles import chordality_test
+from imtw.packing import SubgraphFamily, blob_graph, enumerate_small_connected_subgraphs
 from imtw.verify import corona_keeps_original, fork_round_trip, round_trip
 
 from conftest import expect
@@ -295,6 +299,63 @@ def test_graph_invariants_on_construction():
     for v in range(3):
         for u in g.neighbors(v):
             assert v in Graph.neighbors(g, u)
+
+
+def assert_rows_graph(got, n, edges):
+    """``got``, built from rows, is ``Graph(n, sorted(edges))`` in every
+    respect, with symmetric, loop-free rows, and built no edge list."""
+    assert got._edges is None
+    want = Graph(n, sorted(edges))
+    assert got == want and hash(got) == hash(want)
+    assert [got.adj_mask(v) for v in range(n)] == [want.adj_mask(v) for v in range(n)]
+    assert got.m == want.m == len(want.edges)
+    for u in range(n):
+        row = got.adj_mask(u)
+        assert not row >> u & 1 and not row >> n
+        assert all(got.adj_mask(v) >> u & 1 for v in bits(row))
+    assert got.edges == want.edges == tuple(sorted(want.edges))
+
+
+def test_rows_paths_equal_the_edge_list_constructor():
+    rng = Random(33)
+    graphs = [path_graph(1), Graph(4), cycle_graph(6), complete_graph(5), hypercube_graph(3), matching_join(2)]
+    graphs += [random_graph(rng.randrange(2, 12), rng.choice((0.2, 0.5)), seed=rng.randrange(2**32)) for _ in range(12)]
+    for g in graphs:
+        n = g.n
+        # the wire format with edge lines shuffled and oriented at random
+        lines = [f"e {u + 1} {v + 1}" if rng.random() < 0.5 else f"e {v + 1} {u + 1}" for u, v in g.edges]
+        rng.shuffle(lines)
+        assert_rows_graph(parse_graph("\n".join([f"p edge {n} {len(lines)}", *lines])), n, g.edges)
+        dist = distance_matrix(g)
+        for k in (1, 2, 3):
+            near = [(u, v) for v in range(n) for u in range(v) if dist[u][v] <= k]
+            assert_rows_graph(graph_power(g, k), n, near)
+        square, edge_of = line_graph_square(g)
+        touching = [
+            (i, j) for j, f in enumerate(edge_of) for i, e in enumerate(edge_of[:j])
+            if g.is_connected_within(1 << e[0] | 1 << e[1] | 1 << f[0] | 1 << f[1])
+        ]
+        assert_rows_graph(square, g.m, touching)
+        family = SubgraphFamily(enumerate_small_connected_subgraphs(g, 3))
+        members = [m.vertices for m in family.members]
+        joined = [
+            (i, j) for j, b in enumerate(members) for i, a in enumerate(members[:j])
+            if a & g.closed_neighborhood_of_set(b)
+        ]
+        assert_rows_graph(blob_graph(g, family), len(members), joined)
+        # checking a decomposition reads the rows, not the edges
+        if n:
+            checked = parse_graph("\n".join([f"p edge {n} {len(lines)}", *lines]))
+            assert validate_decomposition(checked, heuristic_decomposition(checked)) == []
+            assert checked._edges is None
+
+
+def test_rows_entry_point_refuses_loops_and_bits_out_of_range():
+    assert graph_of_rows([0b10, 0b01]) == Graph(2, [(0, 1)])
+    with pytest.raises(InputError, match="self-loop at vertex 2"):
+        graph_of_rows([0b10, 0b01, 0b100])
+    with pytest.raises(InputError, match=r"edge \(1, 3\) out of range for n=3"):
+        graph_of_rows([0, 0b1000, 0])
 
 
 def test_weight_parsing():

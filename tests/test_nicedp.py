@@ -16,7 +16,7 @@ from imtw import boundaried, forest, nicedp, traces
 from imtw.boundaried import ForestAlgebra, MaxDegreeAlgebra, generic_structured_dp
 from imtw.corpus import tied_corpus
 from imtw.decomp import heuristic_decomposition, single_bag_decomposition
-from imtw.errors import Budget, ResourceLimitError
+from imtw.errors import Budget, InvariantError, ResourceLimitError
 from imtw.forest import mwif_dp
 from imtw.graphs import WeightMap, complete_bipartite, hypercube_graph, path_graph
 from imtw.nicedp import run_nice_dp
@@ -73,6 +73,16 @@ def test_every_solver_is_exact_with_coprime_denominators(filter_everywhere):
 
 def paper_dp(g, nice, w):
     return mwif_dp(g, nice, w, provider="paper")
+
+
+def test_best_solution_checks_the_decoded_set_in_integers():
+    # weights 1/2, 2/3, 1 scale by 6 to 3, 4, 6; with n = 3, vertex v is
+    # bonus bit 2 - v, so {0, 2} is the value (3 + 6) << 3 | 0b101
+    w = WeightMap([Fraction(1, 2), Fraction(2, 3), 1])
+    assert nicedp.best_solution({"a": 9 << 3 | 0b101, "b": 4 << 3 | 0b010}, w, lambda s: True) == (Fraction(3, 2), 0b101)
+    assert nicedp.best_solution({"a": 9 << 3 | 0b101}, w, lambda s: s == "b") is None
+    with pytest.raises(InvariantError, match="reconstructed weight 3/2 differs from optimum 5/3"):
+        nicedp.best_solution({"a": 10 << 3 | 0b101}, w, lambda s: True)
 
 
 def test_filtering_only_large_tables_keeps_every_solution(monkeypatch):

@@ -1,6 +1,11 @@
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -73,6 +78,37 @@ def test_blob_knn_duplicate_singletons():
         for v in range(2 * n):
             sets += [bit(v), bit(v)]
         assert blob_graph(g, SubgraphFamily(sets)) == matching_join(n)
+
+
+# the K(8,8) ptas blob at r = 1, eps = 4/5: 2,544 pieces of treewidth at
+# most 1, pairwise touching in 3,234,640 pairs
+K88_BLOB = """
+from fractions import Fraction
+from imtw.graphs import complete_bipartite
+from imtw.packing import (
+    SubgraphFamily, blob_graph, component_size_cap, enumerate_small_connected_subgraphs, treewidth_at_most,
+)
+g = complete_bipartite(8, 8)
+cap = component_size_cap(1, Fraction(4, 5))
+pieces = enumerate_small_connected_subgraphs(g, cap, predicate=lambda m: treewidth_at_most(g, m, 1))
+print(len(pieces), blob_graph(g, SubgraphFamily(pieces)).m)
+"""
+
+
+def test_blob_graph_holds_only_rows_under_a_memory_cap():
+    # listing these edges as tuples took over 700 MiB; the rows take a few
+    src = str(Path(packing.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cap = 256 << 20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run(
+        [sys.executable, "-c", K88_BLOB], capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2544", "3234640"]
 
 
 def test_packing_reduction_equivalence():
