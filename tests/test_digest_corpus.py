@@ -7,14 +7,19 @@ command's exit code and the sha256 of its stdout are checked against
 ``tests/digests.json``. The corpus covers ``gen``, ``decompose`` with both
 strategies, ``metrics``, ``exact``, every ``solve`` kind with both forest
 families, ``--budget`` runs that exit 0 and runs that exit 4, all five
-``transform``s, ``recognize-imtw1``, ``verify --max-n 6``, and hostile
-graph, weight, family and decomposition files.
+``transform``s, ``recognize-imtw1``, ``verify --max-n 6``, hostile
+graph, weight, family and decomposition files, and seeded copies of the
+benchmark workloads' instance shapes: forest ``--family paper`` on K_17,
+K(4,5) and K(1,1,2,3); weighted ``mwis`` on path(1000), path(120)^3, a
+random tree, a cycle and a single-bag edgeless(200); ``pack``,
+``dpack -d 4``, ``ptas -r 1 --eps 4/5`` and ``generic`` on small hosts.
 
 A change that alters a report on purpose rewrites the file with
 
     PYTHONPATH=src python tests/test_digest_corpus.py --rewrite
 
-and names the changed commands in CHANGES.md.
+which first prints the added, removed and changed commands; a change that
+rewrites it names them in CHANGES.md.
 """
 
 import contextlib
@@ -24,6 +29,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -178,6 +184,105 @@ def commands(workdir):
     yield ["solve", "ptas", "path8.gr", "path8.td", "-r", "1"]
     yield ["gen", "random", "5", "x"]
     yield ["verify", "--max-n", "6"]
+    yield from workload_shapes(workdir)
+
+
+# The benchmark workloads' instance shapes, rebuilt here with their own seed:
+# relabelled vertices, positive rational weights, sampled packing families.
+
+
+def _multipartite(parts):
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    edges = []
+    for i, (si, pi) in enumerate(zip(starts, parts)):
+        for sj, pj in zip(starts[i + 1 :], parts[i + 1 :]):
+            edges += [(u, v) for u in range(si, si + pi) for v in range(sj, sj + pj)]
+    return sum(parts), edges
+
+
+def _connected_sets(n, edges, max_size):
+    """Connected vertex sets of 1..max_size vertices, as sorted tuples."""
+    near = [{v} for v in range(n)]
+    for u, v in edges:
+        near[u].add(v)
+        near[v].add(u)
+    layer = {frozenset((v,)) for v in range(n)}
+    found = set(layer)
+    for _ in range(max_size - 1):
+        layer = {s | {u} for s in layer for v in s for u in near[v]} - found
+        found |= layer
+    return sorted(tuple(sorted(s)) for s in found)
+
+
+def _rational(rng):
+    num, den = rng.randint(1, 97), rng.randint(1, 13)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _write_shape(workdir, stem, graph, rng, family_size=None):
+    """Write ``stem``.gr under a seeded relabelling, with rational weights
+    in ``stem``.w and, given a size, a sampled family in ``stem``.fam."""
+    n, edges = graph
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+    (workdir / f"{stem}.gr").write_text(
+        f"p edge {n} {len(pairs)}\n" + "".join(f"e {u + 1} {v + 1}\n" for u, v in pairs)
+    )
+    (workdir / f"{stem}.w").write_text("".join(f"w {v + 1} {_rational(rng)}\n" for v in range(n)))
+    if family_size is not None:
+        sets = rng.sample(_connected_sets(n, edges, family_size[0]), family_size[1])
+        (workdir / f"{stem}.fam").write_text(json.dumps([
+            {"id": i, "vertices": sorted(perm[v] + 1 for v in s), "weight": _rational(rng)}
+            for i, s in enumerate(sets)
+        ]))
+    return f"{stem}.gr", f"{stem}.td", f"{stem}.w"
+
+
+def workload_shapes(workdir):
+    """Yield the workload-shape commands, writing each instance first."""
+    rng = Random(20240225)
+    for stem, parts in (("wk17", (1,) * 17), ("wk45", (4, 5)), ("wk1123", (1, 1, 2, 3))):
+        gr, td, w = _write_shape(workdir, stem, _multipartite(parts), rng)
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "forest", gr, td, "-w", w, "--family", "paper"]
+    tree = (40, [(rng.randrange(i), i) for i in range(1, 40)])
+    for stem, graph in (
+        ("wpath1000", (1000, [(i, i + 1) for i in range(999)])),
+        ("wcube120", (120, [(i, j) for i in range(120) for j in range(i + 1, min(120, i + 4))])),
+        ("wtree40", tree),
+        ("wcycle45", (45, [(i, (i + 1) % 45) for i in range(45)])),
+    ):
+        gr, td, w = _write_shape(workdir, stem, graph, rng)
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "mwis", gr, td, "-w", w]
+    gr, td, w = _write_shape(workdir, "wempty200", (200, []), rng)
+    (workdir / td).write_text("s td 1 200 200\nb 1 " + " ".join(str(v) for v in range(1, 201)) + "\n")
+    yield ["solve", "mwis", gr, td, "-w", w]
+    hosts = (
+        ("wcycle8", (8, [(i, (i + 1) % 8) for i in range(8)])),
+        ("wpath10", (10, [(i, i + 1) for i in range(9)])),
+        ("wtree12", (12, [(rng.randrange(i), i) for i in range(1, 12)])),
+    )
+    for i, (stem, graph) in enumerate(hosts):
+        gr, td, _ = _write_shape(workdir, stem, graph, rng, family_size=(2 + i % 2, 14))
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "pack", gr, td, f"{stem}.fam"]
+        yield ["solve", "dpack", gr, td, f"{stem}.fam", "-d", "4"]
+    for n in (10, 12):
+        gr, td, _ = _write_shape(workdir, f"wptas{n}", (n, [(i, (i + 1) % n) for i in range(n)]), rng)
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "ptas", gr, td, "-r", "1", "--eps", "4/5"]
+    for i, prop in enumerate(("forest", "bipartite", "max-degree:2", "max-degree:3")):
+        n = 8 + i
+        while True:  # the generic solver needs r at least the clique number
+            graph = (n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25])
+            edges = set(graph[1])
+            if not any(all(e in edges for e in combinations(quad, 2)) for quad in combinations(range(n), 4)):
+                break
+        gr, td, w = _write_shape(workdir, f"wgnp{n}", graph, rng)
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "generic", gr, td, "-w", w, "--property", prop, "-r", "3"]
 
 
 def replay(workdir):
@@ -209,5 +314,14 @@ if __name__ == "__main__":
         sys.exit(f"usage: {sys.argv[0]} --rewrite")
     with tempfile.TemporaryDirectory() as scratch:
         digests = replay(Path(scratch))
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for label, argvs in (
+        ("added", [argv for argv in digests if argv not in old]),
+        ("removed", [argv for argv in old if argv not in digests]),
+        ("changed", [argv for argv in digests if argv in old and digests[argv] != old[argv]]),
+    ):
+        print(f"{label}: {len(argvs)}")
+        for argv in argvs:
+            print(f"  {argv}")
     DIGESTS.write_text("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in digests.items()) + "\n}\n")
     print(f"wrote {DIGESTS}")
