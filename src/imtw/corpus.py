@@ -6,8 +6,10 @@ Corpora are always regenerated from (seed, size grid); nothing is stored.
 from fractions import Fraction
 from random import Random
 
+from .bits import bit, bits
 from .boundaried import BoundariedGraph
-from .graphs import Graph, WeightMap, random_graph
+from .decomp import heuristic_decomposition
+from .graphs import Graph, WeightMap, graph_of_rows, random_graph
 from .packing import SubgraphFamily, enumerate_small_connected_subgraphs
 
 
@@ -93,26 +95,13 @@ def random_boundaried(rng, ell):
 
 
 def chordal_completion(graph):
-    """Greedy min-fill completion; the result is chordal by construction."""
-    adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
-    alive = set(range(graph.n))
-    extra = []
-    while alive:
-        def fill_cost(v):
-            nbrs = [u for u in adj[v] if u in alive]
-            return sum(
-                1
-                for i, a in enumerate(nbrs)
-                for b in nbrs[i + 1 :]
-                if b not in adj[a]
-            )
-        v = min(sorted(alive), key=fill_cost)
-        nbrs = [u for u in adj[v] if u in alive]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                if b not in adj[a]:
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    extra.append((a, b))
-        alive.remove(v)
-    return Graph(graph.n, list(graph.edges) + extra)
+    """The min-fill completion: the graph plus the fill edges of the min-fill
+    elimination, which is the union of the bag cliques of
+    ``heuristic_decomposition``. Chordal by construction."""
+    if graph.n == 0:
+        return graph
+    rows = [0] * graph.n
+    for bag in heuristic_decomposition(graph).bags:
+        for v in bits(bag):
+            rows[v] |= bag
+    return graph_of_rows([row & ~bit(v) for v, row in enumerate(rows)])

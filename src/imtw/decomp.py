@@ -619,8 +619,8 @@ def blob_decomposition(graph, td, family):
     """
     family.require_valid_members(graph)
     holding = [0] * graph.n  # vertex -> mask of the members holding it
-    for j, member in enumerate(family.members):
-        for v in bits(member.vertices):
+    for j, mask in enumerate(family.vertices):
+        for v in bits(mask):
             holding[v] |= bit(j)
     bags = []
     for b in td.bags:
@@ -628,7 +628,7 @@ def blob_decomposition(graph, td, family):
         for v in bits(b):
             members |= holding[v]
         bags.append(members)
-    return TreeDecomposition(len(family.members), bags, td.tree_edges, td.root)
+    return TreeDecomposition(len(family), bags, td.tree_edges, td.root)
 
 
 def odd_power_decomposition(graph, td, r):

@@ -31,56 +31,48 @@ from .traces import mwis_dp
 PIECE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SubgraphMember:
-    index: int
-    vertices: int  # vertex mask in the host graph
-    weight: Fraction
-
-
 class SubgraphFamily:
-    """Indexed weighted family of connected induced subgraphs."""
+    """Weighted family of connected induced subgraphs. Member i is known by
+    its position: ``vertices[i]`` is its vertex mask in the host graph and
+    ``weights[i]`` its Fraction weight, by default its vertex count."""
 
-    __slots__ = ("members", "duplicate_free")
+    __slots__ = ("vertices", "weights", "duplicate_free")
 
     def __init__(self, vertex_sets, weights=None):
-        members = []
-        seen = set()
-        for idx, vs in enumerate(vertex_sets):
-            mask = vs if isinstance(vs, int) else mask_of(vs)
-            weight = Fraction(weights[idx]) if weights is not None else Fraction(popcount(mask))
+        self.vertices = tuple(vs if isinstance(vs, int) else mask_of(vs) for vs in vertex_sets)
+        self.weights = tuple(
+            Fraction(popcount(mask) if weights is None else weights[i]) for i, mask in enumerate(self.vertices)
+        )
+        for i, weight in enumerate(self.weights):
             if weight < 0:
-                raise InputError(f"member {idx} has negative weight {weight}")
-            members.append(SubgraphMember(idx, mask, weight))
-            seen.add(mask)
-        self.members = tuple(members)
-        self.duplicate_free = len(seen) == len(members)
+                raise InputError(f"member {i} has negative weight {weight}")
+        self.duplicate_free = len(set(self.vertices)) == len(self.vertices)
 
     def __len__(self):
-        return len(self.members)
+        return len(self.vertices)
 
     def require_valid_members(self, graph):
-        for member in self.members:
-            if member.vertices == 0:
-                raise InputError(f"member {member.index} is the null subgraph")
-            if member.vertices >> graph.n:
-                raise InputError(f"member {member.index} has vertices outside the graph")
-            if not graph.is_connected_within(member.vertices):
-                raise InputError(f"member {member.index} does not induce a connected subgraph")
+        for i, mask in enumerate(self.vertices):
+            if mask == 0:
+                raise InputError(f"member {i} is the null subgraph")
+            if mask >> graph.n:
+                raise InputError(f"member {i} has vertices outside the graph")
+            if not graph.is_connected_within(mask):
+                raise InputError(f"member {i} does not induce a connected subgraph")
 
     def min_member_size(self):
-        return min((popcount(m.vertices) for m in self.members), default=0)
+        return min(map(popcount, self.vertices), default=0)
 
     def deduplicated(self):
-        """Keep one copy per vertex set, the heaviest (lowest index on ties)."""
+        """One copy per vertex set, the heaviest (lowest position on ties):
+        the family of the kept members and their positions, in order."""
         best = {}
-        for member in self.members:
-            cur = best.get(member.vertices)
-            if cur is None or member.weight > cur.weight:
-                best[member.vertices] = member
-        chosen = sorted(best.values(), key=lambda m: m.index)
-        fam = SubgraphFamily([m.vertices for m in chosen], [m.weight for m in chosen])
-        return fam, tuple(m.index for m in chosen)
+        for i, mask in enumerate(self.vertices):
+            j = best.get(mask)
+            if j is None or self.weights[i] > self.weights[j]:
+                best[mask] = i
+        kept = tuple(sorted(best.values()))
+        return SubgraphFamily([self.vertices[i] for i in kept], [self.weights[i] for i in kept]), kept
 
 
 def parse_subgraph_family(text):
@@ -115,73 +107,60 @@ def parse_subgraph_family(text):
 
 
 def serialize_subgraph_family(family):
-    data = []
-    for m in family.members:
-        w = str(m.weight.numerator) if m.weight.denominator == 1 else f"{m.weight.numerator}/{m.weight.denominator}"
-        data.append({"id": m.index, "vertices": [v + 1 for v in to_tuple(m.vertices)], "weight": w})
+    data = [
+        {"id": i, "vertices": [v + 1 for v in to_tuple(mask)], "weight": str(weight)}
+        for i, (mask, weight) in enumerate(zip(family.vertices, family.weights))
+    ]
     return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
 class PackingSolution:
-    chosen: tuple  # member indices
+    chosen: tuple  # member positions
     weight: Fraction
 
 
 def blob_graph(graph, family, budget=DEFAULT_STATE_BUDGET):
-    """Graph on the member indices; adjacency is shared vertex or joining edge.
+    """Graph on the member positions; adjacency is shared vertex or joining edge.
     Its edges are counted from the rows and never listed; more than
     ``budget`` of them raise ResourceLimitError."""
     family.require_valid_members(graph)
-    blob = graph_of_rows(touch_rows(graph, [to_tuple(m.vertices) for m in family.members]))
+    blob = graph_of_rows(touch_rows(graph, [to_tuple(mask) for mask in family.vertices]))
     if blob.m > budget:
         raise ResourceLimitError(f"blob graph of {blob.n} pieces has {blob.m} edges, above the budget {budget}")
     return blob
 
 
-def is_valid_packing(graph, family, chosen, mode="independent", d=None, dist=None):
-    """None if the selection is a packing, else a violating pair witness."""
+def is_valid_packing(graph, family, chosen):
+    """None if the chosen members are an independent packing (no two share a
+    vertex or are joined by an edge), else a violating pair witness. A
+    distance-d packing is one whose ``packing_distance`` is at least d."""
     idxs = sorted(chosen)
     for i in idxs:
-        if not 0 <= i < len(family.members):
+        if not 0 <= i < len(family):
             raise InputError(f"chosen index {i} outside the family")
-    if mode == "independent":
-        covers = {i: graph.closed_neighborhood_of_set(family.members[i].vertices) for i in idxs}
-        for a_pos, i in enumerate(idxs):
-            for j in idxs[a_pos + 1 :]:
-                if covers[i] & family.members[j].vertices:
-                    return (i, j)
-        return None
-    if mode == "distance":
-        if d is None:
-            raise InputError("distance mode needs d")
-        if dist is None:
-            dist = distance_matrix(graph)
-        for a_pos, i in enumerate(idxs):
-            for j in idxs[a_pos + 1 :]:
-                sep = min(
-                    dist[u][v]
-                    for u in bits(family.members[i].vertices)
-                    for v in bits(family.members[j].vertices)
-                )
-                if sep < d:
-                    return (i, j)
-        return None
-    raise InputError(f"unknown packing mode {mode!r}")
+    covers = {i: graph.closed_neighborhood_of_set(family.vertices[i]) for i in idxs}
+    for a_pos, i in enumerate(idxs):
+        for j in idxs[a_pos + 1 :]:
+            if covers[i] & family.vertices[j]:
+                return (i, j)
+    return None
 
 
 def packing_distance(graph, family, chosen, dist=None):
-    """Minimum pairwise distance between chosen members (INF when none)."""
+    """Minimum pairwise distance between chosen members (INF when fewer
+    than two)."""
     if dist is None:
         dist = distance_matrix(graph)
+    members = [to_tuple(family.vertices[i]) for i in chosen]
     best = float("inf")
-    idxs = sorted(chosen)
-    for a_pos, i in enumerate(idxs):
-        for j in idxs[a_pos + 1 :]:
-            for u in bits(family.members[i].vertices):
-                for v in bits(family.members[j].vertices):
-                    if dist[u][v] < best:
-                        best = dist[u][v]
+    for a_pos, us in enumerate(members):
+        for vs in members[a_pos + 1 :]:
+            for u in us:
+                row = dist[u]
+                for v in vs:
+                    if row[v] < best:
+                        best = row[v]
     return best
 
 
@@ -192,13 +171,13 @@ def _pack_blobs(graph, td, family, host_metrics, state_budget):
     decomposition is bounded by ``host_metrics``, measured on the host, and
     is not measured itself: the blob transfer of a duplicate-free family and
     the odd-power transfer keep mu at most the host's (``verify`` checks
-    both). Returns a PackingSolution over original member indices.
+    both). Returns a PackingSolution over original member positions.
     """
     reduced, kept = family.deduplicated()
     blob = blob_graph(graph, reduced, state_budget)
     blob_td = blob_decomposition(graph, td, reduced)
     nice = make_nice(blob, blob_td, host_metrics)
-    weights = WeightMap([m.weight for m in reduced.members])
+    weights = WeightMap(reduced.weights)
     weight, mask = mwis_dp(blob, nice, weights, state_budget=state_budget)
     return PackingSolution(tuple(kept[i] for i in bits(mask)), weight)
 
@@ -208,7 +187,7 @@ def max_weight_independent_packing(graph, td, family, state_budget=DEFAULT_STATE
     decomposition's measured bound."""
     family.require_valid_members(graph)
     solution = _pack_blobs(graph, td, family, decomposition_metrics(graph, td), state_budget)
-    witness = is_valid_packing(graph, family, solution.chosen, "independent")
+    witness = is_valid_packing(graph, family, solution.chosen)
     if witness is not None:
         raise InvariantError(f"solver returned a non-packing, members {witness} conflict")
     return solution
@@ -232,8 +211,7 @@ def max_weight_distance_packing(graph, td, family, d, state_budget=DEFAULT_STATE
     power = graph_power(graph, d - 1)
     power_td = odd_power_decomposition(graph, td, d - 1)
     solution = _pack_blobs(power, power_td, family, host_metrics, state_budget)
-    dist = distance_matrix(graph)
-    got = packing_distance(graph, family, solution.chosen, dist)
+    got = packing_distance(graph, family, solution.chosen)
     if got < d:
         raise InvariantError(f"distance-{d} packing has a pair at distance {got}")
     return solution
@@ -321,7 +299,7 @@ def ptas_bounded_treewidth_subgraph(graph, td, r, eps, state_budget=DEFAULT_STAT
     solution = max_weight_independent_packing(graph, td, family, state_budget)
     result = 0
     for i in solution.chosen:
-        result |= family.members[i].vertices
+        result |= family.vertices[i]
     for comp in graph.components_within(result):
         if popcount(comp) > cap or not treewidth_at_most(graph, comp, r):
             raise InvariantError("packing produced an invalid piece")

@@ -14,7 +14,6 @@ same claims. Reference answers come from the brute-force searches of
 
 from fractions import Fraction
 from functools import cache, partial, wraps
-from itertools import combinations
 from random import Random
 
 from .bits import popcount, submasks
@@ -101,6 +100,7 @@ from .packing import (
     is_valid_packing,
     max_weight_distance_packing,
     max_weight_independent_packing,
+    packing_distance,
     ptas_bounded_treewidth_subgraph,
     treewidth_at_most,
 )
@@ -527,14 +527,19 @@ def introduce_is_glue_with_star(alg, b, label, near):
 # Packings
 
 
-def _brute_packing(graph, family, mode, d=None):
-    """Heaviest valid subfamily, trying every subset of members."""
+def _brute_packing(graph, family, d):
+    """Heaviest distance-d packing (d = 2 is independent) over every subset
+    of members. A subset of a packing is a packing, so the search grows
+    packings only, each by a later member."""
     dist = distance_matrix(graph)
     best = Fraction(0)
-    for r in range(len(family.members) + 1):
-        for combo in combinations(range(len(family.members)), r):
-            if is_valid_packing(graph, family, combo, mode, d=d, dist=dist) is None:
-                best = max(best, sum((family.members[i].weight for i in combo), Fraction(0)))
+    stack = [((), Fraction(0))]
+    while stack:
+        combo, weight = stack.pop()
+        best = max(best, weight)
+        for j in range(combo[-1] + 1 if combo else 0, len(family)):
+            if packing_distance(graph, family, combo + (j,), dist) >= d:
+                stack.append((combo + (j,), weight + family.weights[j]))
     return best
 
 
@@ -542,14 +547,14 @@ def _brute_packing(graph, family, mode, d=None):
 def independent_packing_optimal(g, td, family):
     sol = max_weight_independent_packing(g, td, family)
     ok = is_valid_packing(g, family, sol.chosen) is None
-    yield ok and sol.weight == _brute_packing(g, family, "independent"), (g.n, sol.weight)
+    yield ok and sol.weight == _brute_packing(g, family, 2), (g.n, sol.weight)
 
 
 @claim("distance packing equals brute force")
 def distance_packing_optimal(g, td, family, d):
     sol = max_weight_distance_packing(g, td, family, d)
-    ok = is_valid_packing(g, family, sol.chosen, "distance", d=d) is None
-    yield ok and sol.weight == _brute_packing(g, family, "distance", d), (g.n, d, sol.weight)
+    ok = packing_distance(g, family, sol.chosen) >= d
+    yield ok and sol.weight == _brute_packing(g, family, d), (g.n, d, sol.weight)
 
 
 @claim("power-blob identity")

@@ -3,7 +3,8 @@ spies on the DP driver and its family callable, a fixture and a loop that
 make run_nice_dp filter every node, and the references: the per-state DP
 driver, the forest join,
 the generic DP's introduce, the decomposition check, the blob bags, the
-bag search, the exact-width oracle and the treewidth decision."""
+bag search, the exact-width oracle, the treewidth decision and the chordal
+completion."""
 
 from functools import cache
 from inspect import signature
@@ -265,7 +266,7 @@ def reference_validate_decomposition(graph, td):
 def reference_blob_bags(td, family):
     """The bags of ``decomp.blob_decomposition`` by a scan of every member
     for every bag: bag t holds the indices of the members meeting bag t."""
-    return [mask_of(j for j, member in enumerate(family.members) if member.vertices & b) for b in td.bags]
+    return [mask_of(j for j, mask in enumerate(family.vertices) if mask & b) for b in td.bags]
 
 
 # The bag search without the clique-cover bounds, as it was before they
@@ -472,3 +473,32 @@ def reference_treewidth_at_most(graph, mask, r):
         return result
 
     return ok(0)
+
+
+# The chordal completion as it was before ``corpus.chordal_completion`` took
+# the fill graph of ``heuristic_decomposition``, kept unchanged: a replay of
+# the greedy min-fill elimination, lowest vertex first among equal fill.
+def reference_chordal_completion(graph):
+    """Greedy min-fill completion; the result is chordal by construction."""
+    adj = {v: set(graph.neighbors(v)) for v in range(graph.n)}
+    alive = set(range(graph.n))
+    extra = []
+    while alive:
+        def fill_cost(v):
+            nbrs = [u for u in adj[v] if u in alive]
+            return sum(
+                1
+                for i, a in enumerate(nbrs)
+                for b in nbrs[i + 1 :]
+                if b not in adj[a]
+            )
+        v = min(sorted(alive), key=fill_cost)
+        nbrs = [u for u in adj[v] if u in alive]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                if b not in adj[a]:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    extra.append((a, b))
+        alive.remove(v)
+    return Graph(graph.n, list(graph.edges) + extra)

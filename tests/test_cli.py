@@ -315,6 +315,15 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # open's OSError on -o exits 2, as a read's does: a missing directory
+    # and a path that is a directory
+    for target in (tmp_path / "missing" / "x.gr", tmp_path):
+        code, report, _ = run_cli(capsys, "gen", "path", "3", "-o", str(target))
+        assert code == 2 and report["error"]["type"] == "input"
+        assert report["error"]["message"].startswith(f"cannot write {target}: ")
+
+
 def test_huge_headers_are_input_errors(tmp_path, capsys):
     # both headers are refused before their counts size any allocation
     graph_file, _ = instance(tmp_path, capsys, "path", "5")

@@ -63,6 +63,7 @@ from imtw.verify import (
 from conftest import (
     expect,
     reference_blob_bags,
+    reference_chordal_completion,
     reference_max_independent_set,
     reference_validate_decomposition,
     seeded_graphs,
@@ -500,6 +501,18 @@ def test_heuristic_min_fill_on_chordal_gives_cliques():
                 for v in members[i + 1 :]:
                     assert g.has_edge(u, v)
         assert decomposition_metrics(g, td).alpha <= 1
+
+
+def test_chordal_completion_equals_the_elimination_replay():
+    # the fill graph of the min-fill decomposition is the completion the
+    # old greedy replay built, the null graph included
+    rng = Random(26)
+    graphs = [Graph(0)] + [
+        random_graph(rng.randint(1, 12), rng.choice((0.1, 0.3, 0.5, 0.8)), seed=rng.randrange(2**32))
+        for _ in range(1200)
+    ]
+    for g in graphs:
+        assert chordal_completion(g) == reference_chordal_completion(g), (g.n, g.edges)
 
 
 def test_heuristic_random_corpus_validates():

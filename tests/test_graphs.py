@@ -337,7 +337,7 @@ def test_rows_paths_equal_the_edge_list_constructor():
         ]
         assert_rows_graph(square, g.m, touching)
         family = SubgraphFamily(enumerate_small_connected_subgraphs(g, 3))
-        members = [m.vertices for m in family.members]
+        members = family.vertices
         joined = [
             (i, j) for j, b in enumerate(members) for i, a in enumerate(members[:j])
             if a & g.closed_neighborhood_of_set(b)

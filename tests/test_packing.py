@@ -32,6 +32,7 @@ from imtw.packing import (
     is_valid_packing,
     max_weight_distance_packing,
     max_weight_independent_packing,
+    packing_distance,
     parse_subgraph_family,
     ptas_bounded_treewidth_subgraph,
     serialize_subgraph_family,
@@ -168,6 +169,15 @@ def test_packing_duplicates_kept_heaviest():
     assert sol.weight == 8 and 1 in sol.chosen
 
 
+def test_deduplicated_keeps_the_heaviest_copy_at_its_lowest_position():
+    fam = SubgraphFamily([bit(0), bit(1), bit(0), bit(0), bit(1), bit(2)], [2, 3, 7, 7, 3, 0])
+    reduced, kept = fam.deduplicated()
+    assert kept == (1, 2, 5)
+    assert reduced.vertices == (bit(1), bit(0), bit(2))
+    assert reduced.weights == (3, 7, 0)
+    assert reduced.duplicate_free and not fam.duplicate_free
+
+
 def test_packing_vs_brute_corpus():
     expect(independent_packing_optimal(family_cases(58, 12, 4, 11, 9)))
 
@@ -226,7 +236,7 @@ def test_distance_equivalence_observation():
             power = graph_power(g, d - 1) if d > 2 else g
             for r in range(min(3, len(fam)) + 1):
                 for combo in combinations(range(len(fam)), r):
-                    in_g = is_valid_packing(g, fam, combo, "distance", d=d) is None
+                    in_g = packing_distance(g, fam, combo) >= d
                     in_power = is_valid_packing(power, fam, combo) is None
                     assert in_g == in_power
 
@@ -335,16 +345,15 @@ def test_is_valid_packing_trivia():
     assert is_valid_packing(g, fam, (0, 1)) == (0, 1)  # members share vertex 1
     assert is_valid_packing(g, fam, (0, 2)) is None
     assert is_valid_packing(g, fam, (1, 2)) == (1, 2)  # adjacent members
-    assert is_valid_packing(g, fam, (0, 2), "distance", d=2) is None
-    assert is_valid_packing(g, fam, (0, 2), "distance", d=4) == (0, 2)
+    assert packing_distance(g, fam, (0, 2)) == 2  # a distance-2 packing, not a distance-4 one
 
 
 def test_family_json_round_trip():
     fam = SubgraphFamily([0b011, 0b100], [Fraction(3, 2), 2])
     text = serialize_subgraph_family(fam)
     back = parse_subgraph_family(text)
-    assert [m.vertices for m in back.members] == [0b011, 0b100]
-    assert [m.weight for m in back.members] == [Fraction(3, 2), 2]
+    assert back.vertices == (0b011, 0b100)
+    assert back.weights == (Fraction(3, 2), 2)
     with pytest.raises(InputError):
         parse_subgraph_family("{}")
     with pytest.raises(InputError):
