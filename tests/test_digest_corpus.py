@@ -12,7 +12,9 @@ graph, weight, family and decomposition files, and seeded copies of the
 benchmark workloads' instance shapes: forest ``--family paper`` on K_17,
 K(4,5) and K(1,1,2,3); weighted ``mwis`` on path(1000), path(120)^3, a
 random tree, a cycle and a single-bag edgeless(200); ``pack``,
-``dpack -d 4``, ``ptas -r 1 --eps 4/5`` and ``generic`` on small hosts.
+``dpack -d 4``, ``ptas -r 1 --eps 4/5`` and ``generic`` on small hosts;
+weighted forest ``--family exhaustive`` on Q4 and three G(n, p) with n in
+12..15 and p in [0.1, 0.25].
 
 A change that alters a report on purpose rewrites the file with
 
@@ -283,6 +285,15 @@ def workload_shapes(workdir):
         gr, td, w = _write_shape(workdir, f"wgnp{n}", graph, rng)
         yield ["decompose", gr, "-o", td]
         yield ["solve", "generic", gr, td, "-w", w, "--property", prop, "-r", "3"]
+    q4 = (16, [(v, v | 1 << d) for v in range(16) for d in range(4) if not v >> d & 1])
+    forests = [("wfq4", q4)]
+    for n in (12, 14, 15):
+        p = rng.uniform(0.1, 0.25)
+        forests.append((f"wfgnp{n}", (n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])))
+    for stem, graph in forests:
+        gr, td, w = _write_shape(workdir, stem, graph, rng)
+        yield ["decompose", gr, "-o", td]
+        yield ["solve", "forest", gr, td, "-w", w, "--family", "exhaustive"]
 
 
 def replay(workdir):
