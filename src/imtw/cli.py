@@ -227,9 +227,12 @@ def cmd_solve_dpack(args, inputs):
         raise InputError("dpack needs -d")
     graph, td, _ = _load_instance(args, inputs, need_weights=False)
     family = parse_subgraph_family(_read(args.family_file, inputs))
-    sol = max_weight_distance_packing(graph, td, family, args.d, state_budget=args.budget)
+    # the host's distance matrix, built by the first of the solver's
+    # self-check and the verdict that reads it and shared with the other
+    dist = []
+    sol = max_weight_distance_packing(graph, td, family, args.d, state_budget=args.budget, dist=dist)
     report = {"optimum": _rational(sol.weight), "chosen": list(sol.chosen), "d": args.d}
-    return 0, report, {"distance_respected": packing_distance(graph, family, sol.chosen) >= args.d}
+    return 0, report, {"distance_respected": packing_distance(graph, family, sol.chosen, dist) >= args.d}
 
 
 def cmd_solve_ptas(args, inputs):

@@ -49,14 +49,13 @@ generator and the same rules and expands every partition; it is the coverage
 oracle for tests and ``imtw verify``.
 
 A join merges two children's signatures with one Z (Bodlaender, Cygan,
-Kratsch and Nederlof, Inf. Comput. 243, 2015) on component labels: for each
-component of G[Z], in order, the index of the child's block that holds it.
-Whether the merge closes a cycle, and which components each merged block
-unites, depend only on the two label tuples, not on Z. So each signature is
-labelled once per ``mwif_dp`` run, a memo that lives for the run maps each
-label pair to its merged labels (or None on a cycle), and only a pair not
-seen before runs the union-find; a repeated pair ORs Z's components into
-its blocks.
+Kratsch and Nederlof, Inf. Comput. 243, 2015) on their block masks. Both
+partitions group the c components of G[Z]; in the multigraph whose nodes
+are the blocks of both sides and whose edges are the components, the union
+of the two partial forests is acyclic exactly when c equals the blocks of
+both sides less the merged blocks, which are the ORs of overlapping blocks.
+A side with c blocks is the finest partition, and the merge is the other
+side unchanged. ``mwif_dp`` keeps only c per Z for the run.
 """
 
 from collections import deque
@@ -477,73 +476,43 @@ class BoundedFamilyMembership:
 # Partition merge for join nodes
 
 
-def component_labels(components, blocks):
-    """For each component of G[Z], in order, the index of the block holding it.
-
-    ``components`` is ``components_within(Z)`` and ``blocks`` a canonical
-    partition of Z into unions of them; both are ordered by lowest vertex, so
-    the labels number the blocks in order of first appearance.
-    """
-    index = {}
-    for i, b in enumerate(blocks):
-        for v in bits(b):
-            index[v] = i
-    return tuple(index[lowest_bit(comp)] for comp in components)
-
-
-def _merge_labels(labels1, labels2):
-    """The label join behind ``merge_partitions``, or None on a cycle.
-
-    Union-find on the bipartite incidence graph with one node per block on
-    each side and one edge per component: a repeated edge or a cycle means
-    the two partial forests close a cycle together. Each component is then
-    labelled by its incidence class, numbered in order of first appearance.
-    """
-    offset = len(labels1)
-    parent = list(range(2 * offset))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(labels1, labels2):
-        ra, rb = find(a), find(offset + b)
-        if ra == rb:
-            return None
-        parent[ra] = rb
-    number = {}
-    return tuple(number.setdefault(find(a), len(number)) for a in labels1)
-
-
-_UNSEEN = object()
-
-
-def merge_partitions(components, labels1, labels2, memo):
+def merge_partitions(count, blocks1, blocks2):
     """Combine the two children's partitions at a join node, or None.
 
-    The children share Z; ``components`` is ``components_within(Z)`` and the
-    labels are each child's ``component_labels``. Whether the partial forests
-    close a cycle, and which components the merged blocks group, depend only
-    on the two label tuples, so ``memo`` maps each label pair to its merged
-    labels (None on a cycle) and only a pair not seen before runs the
-    union-find. Each merged block is the OR of its components; labels
-    numbered by first appearance give the blocks in canonical order.
+    The children share Z, and G[Z] has ``count`` components; both block
+    tuples are canonical partitions of Z into unions of them. Take the
+    multigraph with one node per block on either side and one edge per
+    component, joining the two blocks that hold it: the partial forests
+    close a cycle together exactly when it has one, that is when it has
+    more connected parts than its nodes less ``count``, always so when that
+    difference is below one. The merged blocks are those parts, each the
+    OR of the blocks it holds, which overlap where they share a component.
+    A side with ``count`` blocks is the finest partition, whose nodes are
+    leaves, so the merge is the other side as it stands.
     """
-    key = (labels1, labels2)
-    merged = memo.get(key, _UNSEEN)
-    if merged is _UNSEEN:
-        merged = memo[key] = _merge_labels(labels1, labels2)
-    if merged is None:
+    size1, size2 = len(blocks1), len(blocks2)
+    if size1 == count:
+        return blocks2
+    if size2 == count:
+        return blocks1
+    parts = size1 + size2 - count  # the merged blocks of an acyclic union
+    if parts < 1:
         return None
-    blocks = []
-    for comp, label in zip(components, merged):
-        if label == len(blocks):
-            blocks.append(comp)
-        else:
-            blocks[label] |= comp
-    return tuple(blocks)
+    merged = list(blocks1)
+    for b in blocks2:
+        # the merged blocks partition Z, so one pass finds all that b meets
+        rest = []
+        for m in merged:
+            if m & b:
+                b |= m
+            else:
+                rest.append(m)
+        rest.append(b)
+        merged = rest
+    if len(merged) != parts:
+        return None
+    merged.sort(key=lambda b: b & -b)
+    return tuple(merged)
 
 
 # ---------------------------------------------------------------------------
@@ -608,24 +577,14 @@ def mwif_dp(graph, nice_td, weights, provider="exhaustive", state_budget=DEFAULT
             at += 1
         return z ^ vb, rest[:at] + (b,) + rest[at:]
 
-    # per-run join caches: Z -> components of G[Z], signature -> its
-    # component labels, label pair -> merged labels (None on a cycle)
-    components = {}
-    labels = {}
-    memo = {}
-
-    def labels_of(sig, comps):
-        found = labels.get(sig)
-        if found is None:
-            found = labels[sig] = component_labels(comps, sig[1])
-        return found
+    counts = {}  # per run: Z -> number of components of G[Z]
 
     def merge(sig1, sig2):
         z = sig1[0]
-        comps = components.get(z)
-        if comps is None:
-            comps = components[z] = graph.components_within(z)
-        blocks = merge_partitions(comps, labels_of(sig1, comps), labels_of(sig2, comps), memo)
+        count = counts.get(z)
+        if count is None:
+            count = counts[z] = len(graph.components_within(z))
+        blocks = merge_partitions(count, sig1[1], sig2[1])
         return None if blocks is None else (z, blocks)
 
     empty = (0, ())

@@ -149,9 +149,18 @@ def is_valid_packing(graph, family, chosen):
 
 def packing_distance(graph, family, chosen, dist=None):
     """Minimum pairwise distance between chosen members (INF when fewer
-    than two)."""
-    if dist is None:
-        dist = distance_matrix(graph)
+    than two).
+
+    ``dist`` is the host's distance matrix. An empty list is filled with it
+    on first use, so that a caller shares one matrix between its checks and
+    builds none when no check runs.
+    """
+    if not dist:
+        matrix = distance_matrix(graph)
+        if dist is None:
+            dist = matrix
+        else:
+            dist.extend(matrix)
     members = [to_tuple(family.vertices[i]) for i in chosen]
     best = float("inf")
     for a_pos, us in enumerate(members):
@@ -193,11 +202,12 @@ def max_weight_independent_packing(graph, td, family, state_budget=DEFAULT_STATE
     return solution
 
 
-def max_weight_distance_packing(graph, td, family, d, state_budget=DEFAULT_STATE_BUDGET):
+def max_weight_distance_packing(graph, td, family, d, state_budget=DEFAULT_STATE_BUDGET, dist=None):
     """Optimal distance-d packing for even d.
 
     d = 2 is independent packing. Larger even d first moves to the (d-1)-st
-    power with the matching odd-power decomposition transfer.
+    power with the matching odd-power decomposition transfer, and checks the
+    packing's distance with ``dist`` as ``packing_distance`` reads it.
     """
     if d < 2 or d % 2 != 0:
         raise InputError(
@@ -211,7 +221,7 @@ def max_weight_distance_packing(graph, td, family, d, state_budget=DEFAULT_STATE
     power = graph_power(graph, d - 1)
     power_td = odd_power_decomposition(graph, td, d - 1)
     solution = _pack_blobs(power, power_td, family, host_metrics, state_budget)
-    got = packing_distance(graph, family, solution.chosen)
+    got = packing_distance(graph, family, solution.chosen, dist)
     if got < d:
         raise InvariantError(f"distance-{d} packing has a pair at distance {got}")
     return solution

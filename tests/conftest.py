@@ -180,7 +180,7 @@ def filter_everywhere(monkeypatch):
 
 
 def reference_merge_partitions(z, components, blocks1, blocks2):
-    """The forest join on blocks, the reference for the label join of
+    """The forest join on blocks, the reference for the mask merge of
     ``forest.merge_partitions``: union-find on the bipartite incidence graph
     with one node per block on each side and one edge per component of G[Z].
     Any repeated edge or cycle means the two partial forests close a cycle

@@ -220,6 +220,31 @@ def test_solve_pack_with_family_file(tmp_path, capsys):
     assert code == 0 and report["result"]["optimum"] == "4"
 
 
+def test_solve_dpack_builds_one_distance_matrix(tmp_path, capsys, monkeypatch):
+    # the solver's self-check and the report's distance_respected verdict
+    # share one distance matrix of the host, and a solve that fails before
+    # its check builds none
+    graph_file, td_file = instance(tmp_path, capsys, "cycle", "8")
+    family_file = tmp_path / "fam.json"
+    family_file.write_text(json.dumps([{"id": v, "vertices": [v + 1], "weight": "1"} for v in range(8)]))
+    built = []
+
+    def counted(graph):
+        built.append(graph.n)
+        return graphs.distance_matrix(graph)
+
+    monkeypatch.setattr(packing, "distance_matrix", counted)
+    code, report, _ = run_cli(capsys, "solve", "dpack", graph_file, td_file, str(family_file), "-d", "4")
+    assert code == 0 and report["result"]["optimum"] == "2"
+    assert report["verification"] == {"distance_respected": True}
+    assert built == [8]
+    code, report, _ = run_cli(
+        capsys, "solve", "dpack", graph_file, td_file, str(family_file), "-d", "4", "--budget", "1"
+    )
+    assert code == 4 and report["error"]["type"] == "resource"
+    assert built == [8]
+
+
 def test_solve_ptas_and_generic(tmp_path, capsys):
     graph_file, td_file = instance(tmp_path, capsys, "cycle", "5")
     code, report, _ = run_cli(

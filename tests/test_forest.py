@@ -11,7 +11,6 @@ from imtw.decomp import decomposition_metrics, heuristic_decomposition, make_nic
 from imtw.errors import InputError, ResourceLimitError
 from imtw.forest import (
     canonical_blocks,
-    component_labels,
     forest_anatomy,
     merge_partitions,
     mwif_dp,
@@ -197,15 +196,10 @@ def test_skeleton_bag_bound():
     expect(skeleton_bound(solver_cases(seeded_graphs(44, 15, 3, 9))))
 
 
-def label_join(comps, blocks1, blocks2, memo=None):
-    """``merge_partitions`` on two block tuples over one Z, through their
-    component labels and a fresh memo unless one is given."""
-    return merge_partitions(
-        comps,
-        component_labels(comps, blocks1),
-        component_labels(comps, blocks2),
-        {} if memo is None else memo,
-    )
+def block_join(comps, blocks1, blocks2):
+    """``merge_partitions`` on two block tuples over one Z whose graph has
+    the components ``comps``."""
+    return merge_partitions(len(comps), blocks1, blocks2)
 
 
 def test_merge_partitions_identity():
@@ -213,7 +207,7 @@ def test_merge_partitions_identity():
     z = 0b0111
     comps = g.components_within(z)
     singles = canonical_blocks(comps)
-    assert label_join(comps, singles, singles) == singles
+    assert block_join(comps, singles, singles) == singles
 
 
 def test_merge_partitions_double_connection_rejected():
@@ -221,7 +215,7 @@ def test_merge_partitions_double_connection_rejected():
     z = 0b0011
     comps = g.components_within(z)
     joined = (0b0011,)
-    assert label_join(comps, joined, joined) is None
+    assert block_join(comps, joined, joined) is None
 
 
 def test_merge_partitions_star_is_fine():
@@ -230,41 +224,48 @@ def test_merge_partitions_star_is_fine():
     comps = g.components_within(z)
     joined = (0b111,)
     singles = canonical_blocks(comps)
-    assert label_join(comps, joined, singles) == joined
+    assert block_join(comps, joined, singles) == joined
 
 
 def test_merge_partitions_empty_bag_part():
     comps = Graph(3, []).components_within(0)
-    assert not comps and component_labels(comps, ()) == ()
-    memo = {}
-    assert label_join(comps, (), (), memo) == ()
-    assert memo == {((), ()): ()}
+    assert not comps
+    assert block_join(comps, (), ()) == ()
 
 
-def test_merge_partitions_memo_hit_takes_the_second_z():
-    # Z = {0, 1, 2} and Z = {3, 4, 5} of an edgeless graph have one label
-    # structure: the second join hits the memo and builds its own blocks
-    g = Graph(6, [])
-    memo = {}
-    first = g.components_within(0b000111)
-    assert label_join(first, (0b000011, 0b000100), (0b000001, 0b000110), memo) == (0b000111,)
-    second = g.components_within(0b111000)
-    assert label_join(second, (0b011000, 0b100000), (0b001000, 0b110000), memo) == (0b111000,)
-    assert memo == {((0, 0, 1), (0, 1, 1)): (0, 0, 0)}
+# Z = {0, 1, 2, 3} of the path 0-1 plus isolated 2 and 3: the components
+# {0, 1}, {2} and {3}, so the finest partition has three blocks
+PATH_Z = Graph(4, [(0, 1)]).components_within(0b1111)
 
 
-def test_merge_partitions_memoises_a_cycle():
-    g = Graph(5, [(0, 1)])
-    comps = g.components_within(0b11011)
-    joined = (0b11011,)
-    memo = {}
-    assert label_join(comps, joined, joined, memo) is None
-    assert memo == {((0, 0, 0), (0, 0, 0)): None}
-    # the memoised None answers the same label pair over another Z
-    assert label_join(comps, joined, joined, memo) is None
-    other = Graph(5, []).components_within(0b00111)
-    assert label_join(other, (0b00111,), (0b00111,), memo) is None
-    assert len(memo) == 1
+def test_merge_partitions_finest_on_the_left_gives_the_right():
+    coarse = (0b0111, 0b1000)
+    assert block_join(PATH_Z, canonical_blocks(PATH_Z), coarse) is coarse
+
+
+def test_merge_partitions_finest_on_the_right_gives_the_left():
+    coarse = (0b0011, 0b1100)
+    assert block_join(PATH_Z, coarse, canonical_blocks(PATH_Z)) is coarse
+
+
+def test_merge_partitions_both_coarse_and_acyclic():
+    # {0,1,2} | {3} and {0,1} | {2,3}: a path of three blocks through four
+    # nodes, one merged block
+    assert block_join(PATH_Z, (0b0111, 0b1000), (0b0011, 0b1100)) == (0b1111,)
+    # {0,1} | {2,3} and {0,1,3} | {2}: the lower block is listed first
+    assert block_join(PATH_Z, (0b0011, 0b1100), (0b1011, 0b0100)) == (0b1111,)
+    # two merged blocks on six isolated vertices, in order of lowest vertex
+    comps = Graph(6, []).components_within(0b111111)
+    left, right = (0b000011, 0b000100, 0b011000, 0b100000), (0b000001, 0b000110, 0b001000, 0b110000)
+    assert block_join(comps, left, right) == (0b000111, 0b111000)
+
+
+def test_merge_partitions_cycle_caught_only_by_the_count():
+    # {0,1} | {2,3} against {0,2} | {1,3} on four isolated vertices: no two
+    # blocks share two components, and the overlaps merge into one block
+    # as an acyclic merge would, but the four components close a 4-cycle
+    comps = Graph(4, []).components_within(0b1111)
+    assert block_join(comps, (0b0011, 0b1100), (0b0101, 0b1010)) is None
 
 
 def test_merge_partitions_vs_brute_union():
@@ -311,7 +312,7 @@ def test_merge_partitions_vs_brute_union():
         comps = g.components_within(z)
         b1 = signature_in(g, f1, bag, side1)[1]
         b2 = signature_in(g, f2, bag, side2)[1]
-        merged = label_join(comps, b1, b2)
+        merged = block_join(comps, b1, b2)
         union_ok = find_cycle_within(g, f1 | f2) is None
         if merged is None:
             assert not union_ok
@@ -650,18 +651,12 @@ def test_join_merges_only_equal_bag_parts(monkeypatch):
     assert mwif_dp(g, nice, WeightMap.unit(16))[0] == 10
     # one merge_partitions call per pair of join partners with equal Z
     assert len(merged) == 5908
-    # one memo for the run, and one union-find per distinct label pair
-    memos = {id(args[3]): args[3] for args in merged}
-    assert len(memos) == 1
-    (memo,) = memos.values()
-    assert set(memo) == {(args[1], args[2]) for args in merged}
-    assert len(memo) == 1126
 
 
-def test_label_join_equals_the_reference_on_every_pair(monkeypatch, filter_everywhere):
+def test_block_join_equals_the_reference_on_every_pair(monkeypatch, filter_everywhere):
     # every join pair of both providers (the exhaustive one never filters)
-    # merges as the union-find over the blocks does, so a wrong memo key
-    # fails on its pair
+    # merges as the union-find over the blocks does, so a wrong count rule
+    # or a wrong finest-partition shortcut fails on its pair
     cases = [
         (g, heuristic_decomposition(g, strategy))
         for g in seeded_graphs(48, 24, 4, 12, ps=(0.2, 0.35, 0.5))
