@@ -249,10 +249,10 @@ def test_merge_partitions_finest_on_the_right_gives_the_left():
 
 
 def test_merge_partitions_both_coarse_and_acyclic():
-    # {0,1,2} | {3} and {0,1} | {2,3}: a path of three blocks through four
-    # nodes, one merged block
+    # {0,1,2} | {3} and {0,1} | {2,3}: the three components join the four
+    # blocks in a path, one merged block
     assert block_join(PATH_Z, (0b0111, 0b1000), (0b0011, 0b1100)) == (0b1111,)
-    # {0,1} | {2,3} and {0,1,3} | {2}: the lower block is listed first
+    # {0,1} | {2,3} and {0,1,3} | {2}, each listed by lowest vertex
     assert block_join(PATH_Z, (0b0011, 0b1100), (0b1011, 0b0100)) == (0b1111,)
     # two merged blocks on six isolated vertices, in order of lowest vertex
     comps = Graph(6, []).components_within(0b111111)
